@@ -4,11 +4,13 @@ The acceptance bench of the zero-copy format and the pre-forked tier, at
 the paper's Replace-sim pool scale (a 2,000-pattern pool of 4,395-bit
 tidsets):
 
-* **Cold open** — time-to-ready for one stored run: the v1 text payload
-  parse vs the binary format's full decode vs the binary format's
-  mmap'd matrix open (:meth:`PatternStore.open_matrix`, which parses
-  only the header/meta/pattern table and *maps* the tidset words).  The
-  mmap open is the number the prefork supervisor pays per run at warm.
+* **Cold open** — time-to-ready for one stored run: a v1 text parse
+  (:func:`~repro.store.decode_patterns` of the pool's ``patterns.txt``
+  encoding, the payload stores held before the binary format) vs the
+  binary format's full decode vs its mmap'd matrix open
+  (:meth:`PatternStore.open_matrix`, which parses only the
+  header/meta/pattern table and *maps* the tidset words).  The mmap open
+  is the number the prefork supervisor pays per run at warm.
 * **Query latency** — p50/p99 of ``GET /runs/<id>`` against a real
   ``repro serve --workers 2`` subprocess at 1, 4, and 16 concurrent
   clients, plus saturation throughput at the highest level.
@@ -39,7 +41,7 @@ import pytest
 from benchmarks.conftest import REPO_ROOT, run_once
 from repro.experiments.bench_io import BenchRecord, latency_summary
 from repro.mining.results import MiningResult, Pattern
-from repro.store import PatternStore
+from repro.store import PatternStore, decode_patterns, encode_patterns
 
 N_BITS = 4395      # Replace-sim transaction count: one bit per transaction
 POOL_SIZE = 2000   # acceptance floor for the served pool
@@ -91,14 +93,17 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
-def test_bench_cold_open(bench_store, bench_records):
+def test_bench_cold_open(bench_store, bench_records, tmp_path):
     """Time-to-ready per format; the mmap open must beat the v1 parse."""
     root, run_id = bench_store
     store = PatternStore(root)
     scale = {"pool": POOL_SIZE, "n_bits": N_BITS}
 
-    v1 = _best_of(lambda: store.load(run_id, format="v1"))
-    full = _best_of(lambda: store.load(run_id, format="binary"))
+    text_path = tmp_path / "patterns.txt"
+    text_path.write_text(encode_patterns(store.load(run_id).patterns))
+
+    v1 = _best_of(lambda: decode_patterns(text_path.read_text()))
+    full = _best_of(lambda: store.load(run_id))
     mmap_open = _best_of(lambda: store.open_matrix(run_id))
 
     bench_records.append(BenchRecord("cold_open[v1]", v1, dict(scale)))
@@ -113,8 +118,8 @@ def test_bench_cold_open(bench_store, bench_records):
     # Loose ordering sanity only; the committed trajectory carries the ratio.
     assert mmap_open < v1
     # Whatever the clock says, the payloads must agree bit for bit.
-    a = store.load(run_id, format="v1").patterns
-    b = store.load(run_id, format="binary").patterns
+    a = decode_patterns(text_path.read_text())
+    b = store.load(run_id).patterns
     assert [(p.items, p.tidset) for p in a[:20]] == (
         [(p.items, p.tidset) for p in b[:20]]
     )

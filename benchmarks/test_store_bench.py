@@ -7,6 +7,10 @@ payload and index sizes are representative).  Correctness is asserted
 alongside every timing: reloads must be bit-identical and indexed queries
 must equal brute-force filtering.
 
+``test_bench_save_replace_scale`` saves the Replace-sim phase-1 pool
+(≤ 3, 26,571 patterns over 4,395 transactions) into a fresh store each
+round and records the run's on-disk ``bytes`` in its meta.
+
 Session end writes the timings to ``BENCH_store.json`` at the repository
 root (see ``benchmarks/conftest.py``); committing that file is what gives
 the store a perf trajectory across PRs.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.datasets import diag
+from repro.datasets import diag, replace_like
 from repro.mining.levelwise import mine_up_to_size
 from repro.store import (
     InvertedItemIndex,
@@ -60,6 +64,30 @@ def test_bench_save(benchmark, tmp_path, workload):
 
     run_id = benchmark.pedantic(save, rounds=5, iterations=1, warmup_rounds=0)
     assert run_id in store
+
+
+def test_bench_save_replace_scale(benchmark, request, tmp_path):
+    def build():
+        db, truth = replace_like(seed=7)
+        return db, mine_up_to_size(db, truth.minsup_absolute, 3)
+
+    db, pool = run_once(request, "store-replace-pool", build)
+    rounds = iter(range(1_000))
+
+    def fresh_store():
+        return (PatternStore(tmp_path / f"store{next(rounds)}"),), {}
+
+    def save(store):
+        return store, store.save(pool, db=db, miner="levelwise")
+
+    store, run_id = benchmark.pedantic(
+        save, setup=fresh_store, rounds=3, iterations=1, warmup_rounds=0
+    )
+    info = store.run_info(run_id)
+    benchmark.extra_info.update(
+        patterns=len(pool.patterns), bytes=info["bytes"], files=info["files"]
+    )
+    assert info["n_patterns"] == len(pool.patterns)
 
 
 def test_bench_load_bit_identical(benchmark, workload, warm_store):

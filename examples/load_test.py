@@ -2,7 +2,7 @@
 
 The story this example tells:
 
-1. mine a pool and persist it (binary format written alongside v1);
+1. mine a pool and persist it (``meta.json`` + the mmap-able ``patterns.bin``);
 2. launch the production entry point — ``repro serve --workers 2`` — as a
    real subprocess and wait for its banner;
 3. fleet concurrent clients against it at increasing concurrency, printing
@@ -30,8 +30,8 @@ from repro import PatternStore, mine_cached
 from repro.datasets import diag_plus
 from repro.experiments.bench_io import latency_summary
 
-# 1. A store with one Pattern-Fusion run. `save` writes both payloads:
-#    patterns.txt (v1 text) and patterns.bin (mmap-able binary).
+# 1. A store with one Pattern-Fusion run. `save` writes meta.json and one
+#    payload, patterns.bin (mmap-able binary).
 root = Path(tempfile.mkdtemp(prefix="repro-load-test-")) / "runs"
 store = PatternStore(root)
 outcome = mine_cached(

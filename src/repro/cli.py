@@ -23,8 +23,8 @@ Subcommands
     Inspect a pattern store: ``ls`` the runs (``--json`` adds format
     version and on-disk bytes; orphaned temp files from interrupted
     writes are garbage-collected), ``show`` one run, ``query`` a run's
-    pool with the composable operators, ``migrate`` v1-only runs to the
-    mmap-able binary format (idempotent, run ids unchanged), ``verify``
+    pool with the composable operators, ``migrate`` runs from before the
+    binary format (v1 text) to it (idempotent, run ids unchanged), ``verify``
     every on-disk checksum of one or all runs.
 ``chaos``
     Run Pattern-Fusion under a deterministic fault schedule
@@ -259,15 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "version and byte sizes")
     migrate = store_sub.add_parser(
         "migrate",
-        help="write the binary run format (patterns.bin) for v1-only runs",
+        help="upgrade runs written before the binary format: write "
+             "patterns.bin, then remove their v1 patterns.txt",
     )
     _add_store_arg(migrate)
     migrate.add_argument("--run", default=None, metavar="RUN_ID",
-                         help="migrate one run (default: every run missing "
-                              "patterns.bin); idempotent, run ids unchanged")
+                         help="migrate one run (default: every run still "
+                              "holding patterns.txt); idempotent, run ids "
+                              "unchanged")
     verify = store_sub.add_parser(
         "verify",
-        help="check on-disk run integrity (meta, v1 text, binary CRCs "
+        help="check on-disk run integrity (meta and every binary CRC, "
              "including the mmap-deferred word checksum)",
     )
     _add_store_arg(verify)

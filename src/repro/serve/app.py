@@ -101,6 +101,10 @@ _ROUTES = frozenset(
     }
 )
 
+#: Largest request body the server reads; a bigger one is refused with a
+#: 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 #: Hard ceilings for on-demand profiling requests (seconds, hz).
 MAX_PROFILE_SECONDS = 30.0
 MAX_PROFILE_HZ = 2000.0
@@ -252,10 +256,13 @@ class PatternApp:
         except KeyError as exc:
             raise _ApiError(404, str(exc.args[0])) from None
         except FileNotFoundError:
-            # meta.json exists but the payload is gone (partial delete).
+            # meta.json exists but patterns.bin does not: a partial delete,
+            # or a run from before the binary format.
             self.run_cache.invalidate(run_id)
             raise _ApiError(
-                404, f"run {run_id} is missing its payload on disk"
+                404,
+                f"run {run_id} is missing its payload on disk; a run written "
+                "before the binary format needs `repro store migrate`",
             ) from None
         entry = (run, InvertedItemIndex(run.patterns))
         self.run_cache.put(run_id, entry)
@@ -550,6 +557,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if request_id is not None:
             self.send_header("X-Request-Id", request_id)
         if trace_id is not None:
@@ -624,7 +633,19 @@ class _Handler(BaseHTTPRequestHandler):
         """Parse the body, run the app dispatch, map errors to JSON."""
         body: dict[str, Any] | None = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            # Either way the body is left unread, so the connection cannot
+            # find the next request: answer, then close it.
+            if not (declared.isascii() and declared.isdigit()):
+                self.close_connection = True
+                return 400, {"error": f"invalid Content-Length {declared!r}"}
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                return 413, {
+                    "error": f"request body of {length} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit"
+                }
             raw = self.rfile.read(length) if length else b""
             try:
                 body = json.loads(raw) if raw else {}

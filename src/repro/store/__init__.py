@@ -3,10 +3,10 @@
 The subsystem that turns ephemeral ``MiningResult``s into reusable
 artifacts (see the package README's "Pattern store & serving" section):
 
-* :mod:`repro.store.format` — the versioned on-disk run format (v1 text)
-  and the content-hashed run ids.
-* :mod:`repro.store.binfmt` — the binary run format: checksummed packed
-  tidset words, memory-mapped into a zero-copy kernel matrix on load.
+* :mod:`repro.store.format` — run metadata documents, the v1 line
+  encoding (export documents, pre-binary stores) and content-hashed run ids.
+* :mod:`repro.store.binfmt` — the binary run format, a run's one payload:
+  checksummed packed tidset words, memory-mapped into a zero-copy matrix.
 * :mod:`repro.store.store` — :class:`PatternStore`: save/load/list/delete
   runs bit-identically, plus persisted drift-report streams.
 * :mod:`repro.store.index` — :class:`InvertedItemIndex`, item → pattern

@@ -1,8 +1,8 @@
 """The binary run format: packed tidset words, memory-mapped on load.
 
-The v1 payload (``patterns.txt``) re-parses hex text and re-packs every
-tidset on each cold load — fine for inspection, hopeless for a multi-GB
-pool behind a serving tier.  This module lays the kernel layer's packed
+``patterns.bin`` is the one payload of a stored run.  Unlike the v1 text
+encoding (:mod:`repro.store.format`), which re-parses hex and re-packs
+every tidset on each cold load, it lays the kernel layer's packed
 ``uint64`` word representation (:mod:`repro.kernels`) directly on disk, so
 a load is one ``mmap`` plus an ``np.frombuffer`` view: **zero copies** of
 the word region under the NumPy backend, and a straight
@@ -34,10 +34,10 @@ verified on full decodes (``PatternStore.load``) and deferred on mmap
 opens (``PatternStore.open_matrix``), where
 :meth:`BinaryRun.verify_words` runs it on demand.  A truncated or
 bit-flipped file is rejected with a :class:`BinaryFormatError` naming
-what failed, never misread.  Reloads are bit-identical to the v1 payload
+what failed, never misread.  Reloads are bit-identical to the saved pool
 (the property tests in ``tests/test_store.py`` and ``tests/test_binfmt.py``
 pin this), and run ids stay content hashes of the v1 encoding, so
-migrating a run never changes its id.
+migrating an old text-payload run never changes its id.
 """
 
 from __future__ import annotations
@@ -139,26 +139,37 @@ def write_binary_run(
     )[:-4]
     header = header_head + _U32.pack(zlib.crc32(header_head))
 
-    payload = fault_schedule().corrupting("store.write", header + body + words)
+    _atomic_write(
+        path, fault_schedule().corrupting("store.write", header + body + words)
+    )
+    return path
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Durably write via temp file + fsync + rename; the store's one writer.
+
+    Readers never see partial content (the rename is atomic), and the data
+    is flushed *before* the rename lands — without the fsync a crash right
+    after ``os.replace`` can leave the new name pointing at zero-length
+    data, the torn state the atomic write exists to prevent.  Orphaned
+    ``.tmp<pid>`` files from a killed writer are swept by
+    :meth:`repro.store.PatternStore.gc_temp_files`.
+    """
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, payload)
-        # Flush before the rename lands: without it a crash can expose the
-        # new name with zero-length or partial data — the checksums would
-        # catch it, but the run would be lost instead of never-visible.
+        os.write(fd, data)
         os.fsync(fd)
     finally:
         os.close(fd)
     os.replace(tmp, path)
-    _fsync_parent(path)
-    return path
+    _fsync_dir(path.parent)
 
 
-def _fsync_parent(path: Path) -> None:
-    """Flush the directory entry so the rename itself survives power loss."""
+def _fsync_dir(directory: Path) -> None:
+    """Flush a directory entry so a rename or unlink survives power loss."""
     try:
-        fd = os.open(path.parent, os.O_RDONLY)
+        fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - exotic filesystems
         return
     try:
@@ -177,7 +188,7 @@ class BinaryRun:
     mapping (no bytes copied; the mapping stays alive as the array's
     buffer).  :meth:`patterns` / :meth:`to_result` materialise the full
     big-int :class:`~repro.mining.results.Pattern` objects on demand,
-    bit-identical to a v1 load.
+    bit-identical to the saved pool.
     """
 
     __slots__ = (
@@ -191,9 +202,9 @@ class BinaryRun:
         meta: dict[str, Any],
         itemsets: list[tuple[int, ...]],
         matrix: TidsetMatrix,
-        mapping: mmap.mmap | None,
-        words_crc: int | None = None,
-        words_view: memoryview | None = None,
+        mapping: mmap.mmap,
+        words_crc: int,
+        words_view: memoryview,
     ) -> None:
         self.path = path
         self.meta = meta
@@ -211,10 +222,6 @@ class BinaryRun:
         decodes (``PatternStore.load``) run this for you; matrix-level
         callers opt in when they want the integrity check paid up front.
         """
-        if self._words_crc is None or self._words_view is None:
-            raise BinaryFormatError(
-                self.path, "no word-region checksum was retained at open"
-            )
         if zlib.crc32(self._words_view) != self._words_crc:
             raise BinaryFormatError(self.path, "word region checksum mismatch")
 
@@ -259,21 +266,15 @@ class BinaryRun:
 def read_binary_run(
     path: str | Path,
     backend: str | None = None,
-    verify: bool = True,
-    mmap_words: bool = True,
-    verify_words: bool | None = None,
+    verify_words: bool = False,
 ) -> BinaryRun:
     """Map a binary run file; see :class:`BinaryRun` for what comes back.
 
-    ``verify=True`` (the default) checks the header and meta/table CRCs so
-    corruption surfaces here, not as a wrong query answer later.  The word
-    region's CRC is the expensive one (it touches every page); by default
-    it is checked only when ``mmap_words=False`` already reads the region —
-    a zero-copy mmap open defers it to :meth:`BinaryRun.verify_words`.
-    Pass ``verify_words=True``/``False`` to force either way.
-    ``mmap_words=False`` reads the file into private memory instead of
-    mapping it (an independent copy, for callers that must outlive the
-    file).
+    The header and meta/table CRCs are always checked, so corruption
+    surfaces here, not as a wrong query answer later.  The word region's
+    CRC is the expensive one (it touches every page): ``verify_words=True``
+    pays it up front, as a full decode does anyway; the default zero-copy
+    open defers it to :meth:`BinaryRun.verify_words`.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -304,7 +305,7 @@ def read_binary_run(
                 f"format version {version} is newer than this package's "
                 f"{BIN_VERSION}; upgrade to read it",
             )
-        if verify and zlib.crc32(raw_header[:-4]) != header_crc:
+        if zlib.crc32(raw_header[:-4]) != header_crc:
             raise BinaryFormatError(path, "header checksum mismatch")
         if (
             header_size != _HEADER.size
@@ -327,22 +328,12 @@ def read_binary_run(
             raise BinaryFormatError(
                 path, f"{size - expected} trailing bytes after the word region"
             )
-        mapping: mmap.mmap | None = None
-        if mmap_words:
-            buffer: Any = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            mapping = buffer
-        else:
-            handle.seek(0)
-            buffer = handle.read()
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
-    view = memoryview(buffer)
-    if verify and zlib.crc32(view[header_size:words_offset]) != body_crc:
+    view = memoryview(mapping)
+    if zlib.crc32(view[header_size:words_offset]) != body_crc:
         raise BinaryFormatError(path, "meta/table checksum mismatch")
     words_view = view[words_offset:words_offset + words_len]
-    if verify_words is None:
-        verify_words = not mmap_words  # already read: the sweep is paid for
-    if verify and verify_words and zlib.crc32(words_view) != words_crc:
-        raise BinaryFormatError(path, "word region checksum mismatch")
     try:
         meta = json.loads(bytes(view[meta_offset:meta_offset + meta_len]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -371,7 +362,7 @@ def read_binary_run(
         n_bits=n_bits,
         backend=backend,
     )
-    return BinaryRun(
-        path, meta, itemsets, matrix, mapping,
-        words_crc=words_crc, words_view=words_view,
-    )
+    run = BinaryRun(path, meta, itemsets, matrix, mapping, words_crc, words_view)
+    if verify_words:
+        run.verify_words()
+    return run

@@ -1,22 +1,22 @@
-"""The versioned on-disk format of persisted mining runs.
+"""The versioned run format: metadata documents and content-hashed run ids.
 
-One run is two artifacts:
+A stored run is a **metadata document** (JSON) — format version, miner
+name, the config via the :class:`repro.api.base.MinerConfig` ``to_dict``
+round trip, the dataset fingerprint
+(:func:`repro.db.stats.dataset_fingerprint`), timings, pattern counts —
+plus its pool in the binary payload (:mod:`repro.store.binfmt`).
 
-* a **metadata document** (JSON): format version, miner name, the config via
-  the :class:`repro.api.base.MinerConfig` ``to_dict`` round trip, the dataset
-  fingerprint (:func:`repro.db.stats.dataset_fingerprint`), timings, and
-  pattern counts; and
-* a **patterns payload** (text, one line per pattern): the itemset's sorted
-  item ids followed by the tidset as hex, ``"3 7 12|1f"``.  Keeping the
-  tidsets makes a reload *bit-identical* to the in-memory pool — supports,
-  distances, and core ratios come straight back without touching a database —
-  and keeping the line order makes RNG-sensitive fusion pools round-trip
-  exactly.
+The **v1 line encoding** spells a pool one pattern per line: sorted item
+ids, then the tidset as hex, ``"3 7 12|1f"``.  It is the ``patterns`` list
+of ``repro mine --out`` documents, the payload of stores written before the
+binary format (read only by :meth:`repro.store.PatternStore.migrate`), and
+the input of every run id.  Tidsets and line order make a reload
+*bit-identical*, RNG-ordered fusion pools included.
 
 Run ids are **content hashes** (SHA-256, truncated): a function of the
-payload plus the identity-bearing metadata, with wall-clock timings excluded
-— so re-mining the same dataset with the same config lands on the same run
-id, which is what the mining cache dedups on.
+v1 encoding plus the identity-bearing metadata, with wall-clock timings
+excluded — so re-mining the same dataset with the same config lands on the
+same run id, which is what the mining cache dedups on.
 
 ``FORMAT_VERSION`` gates compatibility: documents written by a newer format
 are refused with a crisp error instead of being misread.
@@ -27,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.mining.results import MiningResult, Pattern
 
 __all__ = [
     "FORMAT_VERSION",
+    "encode_lines",
     "encode_patterns",
     "decode_patterns",
     "result_to_document",
@@ -48,18 +49,21 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def encode_patterns(patterns: list[Pattern]) -> str:
-    """Patterns → payload text, one ``"items|tidsethex"`` line per pattern.
+def encode_lines(patterns: Iterable[Pattern]) -> Iterator[str]:
+    """Patterns → v1 lines, ``"items|tidsethex\\n"`` one per pattern.
 
     Items are written sorted (the itemset is a set; sorting is the canonical
     spelling), lines keep the pool's order (fusion pools are RNG-ordered and
     must reload exactly), and the tidset is lowercase hex without ``0x``.
     """
-    lines = []
     for pattern in patterns:
         items = " ".join(str(item) for item in pattern.sorted_items())
-        lines.append(f"{items}|{pattern.tidset:x}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        yield f"{items}|{pattern.tidset:x}\n"
+
+
+def encode_patterns(patterns: Iterable[Pattern]) -> str:
+    """Patterns → v1 payload text: :func:`encode_lines` joined."""
+    return "".join(encode_lines(patterns))
 
 
 def decode_patterns(text: str) -> list[Pattern]:
@@ -91,9 +95,9 @@ def result_to_document(
 ) -> dict[str, Any]:
     """A :class:`MiningResult` as a self-contained JSON document.
 
-    The document is what ``repro mine --out`` writes and what one store run
-    amounts to (the store splits off the ``patterns`` lines into their own
-    payload file).  ``miner`` is the registry name when known (the result's
+    The document is what ``repro mine --out`` writes: an export format
+    separate from the store, carrying the pool as v1 ``patterns`` lines.
+    ``miner`` is the registry name when known (the result's
     ``algorithm`` label is kept separately — the two differ for e.g. the
     ``parallel_pattern_fusion`` miner labelled ``pattern-fusion``);
     ``dataset`` carries the fingerprint and shape of the mined database.
@@ -163,7 +167,7 @@ def _canonical(data: Any) -> bytes:
 
 
 def content_run_id(
-    payload: str,
+    payload: Iterable[str],
     miner: str | None,
     algorithm: str,
     minsup: int,
@@ -172,9 +176,13 @@ def content_run_id(
 ) -> str:
     """The content-addressed run id: SHA-256 over identity, not timing.
 
+    ``payload`` is the pool's v1 encoding as consecutive pieces — the
+    :func:`encode_lines` stream, or the whole text — hashed in order, so a
+    big pool is never joined into one string.
     Two saves of the same pool mined the same way produce the same id (the
-    store turns the second into a no-op); changing any pattern, the order of
-    an RNG-sensitive pool, the config, the miner, or the dataset changes it.
+    store turns the second into a no-op); changing any pattern, the order
+    of an RNG-sensitive pool, the config, the miner, or the dataset
+    changes it.
     """
     digest = hashlib.sha256()
     digest.update(_canonical({
@@ -186,7 +194,8 @@ def content_run_id(
         "fingerprint": fingerprint,
     }))
     digest.update(b"\x00")
-    digest.update(payload.encode())
+    for piece in payload:
+        digest.update(piece.encode())
     return digest.hexdigest()[:16]
 
 

@@ -1,11 +1,10 @@
 """The persistent pattern store: mined pools as first-class on-disk runs.
 
-Layout (everything human-inspectable)::
+Layout::
 
     <root>/store.json                 # format marker
     <root>/runs/<run_id>/meta.json    # metadata document (no patterns)
-    <root>/runs/<run_id>/patterns.txt # v1 payload: one pattern per line
-    <root>/runs/<run_id>/patterns.bin # binary payload (mmap-able words)
+    <root>/runs/<run_id>/patterns.bin # the pool: checksummed, mmap-able words
     <root>/streams/<name>.jsonl       # appended DriftReport slides
 
 Run ids are content hashes (:func:`repro.store.format.content_run_id`), so
@@ -14,13 +13,13 @@ no-op returning the same id, and nothing in a run directory is ever
 rewritten.  Writes go through a temp-file + rename so a crashed save leaves
 no half-written run visible.
 
-Every save writes both payloads; :meth:`PatternStore.load` prefers the
-binary one (:mod:`repro.store.binfmt` — checksummed, memory-mapped, zero
-copies of the word region) and falls back to the v1 text for runs written
-by older versions, which :meth:`PatternStore.migrate` converts in place
-without changing their content-hashed ids.  :meth:`PatternStore.open_matrix`
-is the serving tier's cold-open path: the pool as a mapped
-:class:`~repro.kernels.TidsetMatrix` without materialising any big-int.
+``patterns.bin`` (:mod:`repro.store.binfmt`) is a run's only payload;
+:meth:`PatternStore.open_matrix` is the serving tier's cold-open path: the
+pool as a mapped :class:`~repro.kernels.TidsetMatrix` without materialising
+any big-int.  Stores written before the binary format hold each pool as v1
+text (``patterns.txt``); every reader refuses such a run with an error
+naming ``repro store migrate``, and :meth:`PatternStore.migrate` — the only
+reader of that text — upgrades it in place without changing its id.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +42,8 @@ from repro.store.binfmt import (
     BIN_VERSION,
     BinaryFormatError,
     BinaryRun,
+    _atomic_write,
+    _fsync_dir,
     read_binary_run,
     write_binary_run,
 )
@@ -51,7 +53,7 @@ from repro.store.format import (
     check_format,
     content_run_id,
     decode_patterns,
-    encode_patterns,
+    encode_lines,
 )
 
 __all__ = ["StoredRun", "PatternStore"]
@@ -75,12 +77,9 @@ _SAVES = metrics.counter(
     "Run saves by outcome (written vs content-addressed dedup no-op)",
     ("outcome",),
 )
-_LOADS = metrics.counter(
-    "repro_store_loads_total", "Complete run loads by payload format",
-    ("format",),
-)
+_LOADS = metrics.counter("repro_store_loads_total", "Complete run loads")
 _MIGRATIONS = metrics.counter(
-    "repro_store_migrations_total", "v1 runs converted to the binary format"
+    "repro_store_migrations_total", "v1 text runs upgraded to the binary format"
 )
 _SAVE_SECONDS = metrics.histogram(
     "repro_store_save_seconds", "PatternStore.save latency"
@@ -149,9 +148,7 @@ class PatternStore:
             check_format(json.loads(marker.read_text()), where=str(marker))
         else:
             self._runs_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(
-                marker, json.dumps({"format": FORMAT_VERSION}) + "\n"
-            )
+            _write_json(marker, {"format": FORMAT_VERSION})
         self._runs_dir.mkdir(parents=True, exist_ok=True)
 
     def __repr__(self) -> str:
@@ -189,10 +186,9 @@ class PatternStore:
             dataset = {"fingerprint": fingerprint}
         with trace.span("store_save", patterns=len(result.patterns)) as span, \
                 _SAVE_SECONDS.time():
-            payload = encode_patterns(result.patterns)
             run_id = content_run_id(
-                payload, miner, result.algorithm, result.minsup, config,
-                fingerprint,
+                encode_lines(result.patterns), miner, result.algorithm,
+                result.minsup, config, fingerprint,
             )
             span.set(run_id=run_id)
             run_dir = self._runs_dir / run_id
@@ -215,12 +211,9 @@ class PatternStore:
                 "created": time.time(),
             }
             run_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write_text(run_dir / "patterns.txt", payload)
             write_binary_run(run_dir / "patterns.bin", meta, result.patterns)
             # meta.json lands last: its presence marks the run complete.
-            _atomic_write_text(
-                run_dir / "meta.json", json.dumps(meta, indent=2) + "\n"
-            )
+            _write_json(run_dir / "meta.json", meta, indent=2)
             _SAVES.inc(outcome="written")
         return run_id
 
@@ -264,28 +257,20 @@ class PatternStore:
         for run_id in self.run_ids():
             yield self.meta(run_id)
 
-    def load(self, run_id: str, format: str = "auto") -> StoredRun:
+    def load(self, run_id: str) -> StoredRun:
         """Load a run completely; the result is bit-identical to the save.
 
-        ``format`` picks the payload: ``"auto"`` (default) prefers the
-        binary file and falls back to the v1 text, ``"binary"`` / ``"v1"``
-        force one (the benchmarks compare the two cold-load paths).  Both
-        reconstruct the identical pool — items, tidsets, and order.
+        Items, tidsets, and pool order all come back exactly.  A run
+        written before the binary format raises :class:`FileNotFoundError`
+        naming ``repro store migrate``.
         """
-        if format not in ("auto", "binary", "v1"):
-            raise ValueError(f"format must be auto|binary|v1, got {format!r}")
-        bin_path = self._runs_dir / run_id / "patterns.bin"
-        use_binary = format == "binary" or (format == "auto" and bin_path.exists())
         with trace.span("store_load", run_id=run_id), _LOAD_SECONDS.time():
             meta = self.meta(run_id)
-            if use_binary:
-                # A full decode reads every word anyway, so pay the word
-                # CRC here; only the mmap open (open_matrix) defers it.
-                patterns = read_binary_run(bin_path, verify_words=True).patterns()
-            else:
-                payload = (self._runs_dir / run_id / "patterns.txt").read_text()
-                patterns = decode_patterns(payload)
-        _LOADS.inc(format="binary" if use_binary else "v1")
+            # A full decode reads every word anyway, so pay the word CRC
+            # here; only the mmap open (open_matrix) defers it.
+            run = read_binary_run(self._payload(run_id), verify_words=True)
+            patterns = run.patterns()
+        _LOADS.inc()
         if meta.get("n_patterns") != len(patterns):
             raise ValueError(
                 f"run {run_id}: meta declares {meta.get('n_patterns')} patterns "
@@ -304,52 +289,62 @@ class PatternStore:
 
         Returns a :class:`~repro.store.binfmt.BinaryRun` whose matrix rows
         are the pool's tidsets straight off the file mapping — no big-int
-        materialised, no JSON parsed.  Runs written before the binary
-        format need :meth:`migrate` first (the error says so).
+        materialised, no JSON parsed.  The word-region CRC is deferred to
+        :meth:`BinaryRun.verify_words`.
         """
+        return read_binary_run(self._payload(run_id), backend=backend)
+
+    def _payload(self, run_id: str) -> Path:
+        """A run's ``patterns.bin``; a run without one needs :meth:`migrate`."""
         path = self._runs_dir / run_id / "patterns.bin"
         if not path.exists():
             if run_id not in self:
                 raise KeyError(f"no run {run_id!r} in store {self.root}")
             raise FileNotFoundError(
-                f"run {run_id} has no binary payload; convert it with "
+                f"run {run_id} has no binary payload (patterns.bin); runs "
+                "written before the binary format need "
                 f"`repro store migrate --store {self.root}`"
             )
-        return read_binary_run(path, backend=backend)
+        return path
 
     def migrate(self, run_id: str | None = None) -> list[str]:
-        """Convert v1-only runs to the binary format in place; idempotent.
+        """Upgrade runs that still hold a v1 ``patterns.txt``; idempotent.
 
-        Re-encodes each migrated payload and recomputes its content hash
-        first — a mismatch means the v1 file is corrupt, and the run is
-        refused rather than laundered into a checksummed format.  Returns
-        the ids actually converted (already-binary runs are skipped), so a
-        second call returns ``[]``.  Run ids never change: they hash the
-        v1 encoding, which stays on disk untouched.
+        For each such run (or just ``run_id``): decode the text and re-hash
+        it — a mismatch means the text is corrupt, and the run is refused
+        rather than laundered into a checksummed format — then write
+        ``patterns.bin`` durably, and only then remove ``patterns.txt``.
+        A ``patterns.bin`` already beside the text (an interrupted
+        migration, or a save by a version that wrote both payloads) is
+        rewritten from the verified text.  Returns the ids upgraded, so a
+        second call returns ``[]``.  Run ids never change: they hash the v1
+        encoding, which is recomputed, not read.
         """
         targets = [run_id] if run_id is not None else self.run_ids()
         migrated: list[str] = []
         for target in targets:
+            meta = self.meta(target)
             run_dir = self._runs_dir / target
-            if not (run_dir / "meta.json").exists():
-                raise KeyError(f"no run {target!r} in store {self.root}")
-            if (run_dir / "patterns.bin").exists():
+            text_path = run_dir / "patterns.txt"
+            if not text_path.exists():
                 continue
-            run = self.load(target, format="v1")
+            patterns = decode_patterns(text_path.read_text())
             recomputed = content_run_id(
-                encode_patterns(run.patterns),
-                run.meta.get("miner"),
-                run.meta["algorithm"],
-                run.meta["minsup"],
-                run.meta.get("config"),
-                run.fingerprint,
+                encode_lines(patterns),
+                meta.get("miner"),
+                meta["algorithm"],
+                meta["minsup"],
+                meta.get("config"),
+                (meta.get("dataset") or {}).get("fingerprint"),
             )
             if recomputed != target:
                 raise ValueError(
                     f"run {target}: v1 payload re-hashes to {recomputed}; "
                     "refusing to migrate a corrupt run"
                 )
-            write_binary_run(run_dir / "patterns.bin", run.meta, run.patterns)
+            write_binary_run(run_dir / "patterns.bin", meta, patterns)
+            text_path.unlink()
+            _fsync_dir(run_dir)
             _MIGRATIONS.inc()
             migrated.append(target)
         return migrated
@@ -360,7 +355,7 @@ class PatternStore:
         run_dir = self._runs_dir / run_id
         files = {
             name: (run_dir / name).stat().st_size
-            for name in ("meta.json", "patterns.txt", "patterns.bin")
+            for name in ("meta.json", "patterns.bin")
             if (run_dir / name).exists()
         }
         binary = "patterns.bin" in files
@@ -370,8 +365,8 @@ class PatternStore:
             "algorithm": meta.get("algorithm"),
             "minsup": meta.get("minsup"),
             "n_patterns": meta.get("n_patterns"),
-            "format": "binary" if binary else "v1",
-            "format_version": BIN_VERSION if binary else FORMAT_VERSION,
+            "format": "binary" if binary else "unmigrated",
+            "format_version": BIN_VERSION if binary else None,
             "files": files,
             "bytes": sum(files.values()),
         }
@@ -382,14 +377,7 @@ class PatternStore:
         if not (run_dir / "meta.json").exists():
             raise KeyError(f"no run {run_id!r} in store {self.root}")
         (run_dir / "meta.json").unlink()
-        for name in ("patterns.txt", "patterns.bin"):
-            payload = run_dir / name
-            if payload.exists():
-                payload.unlink()
-        try:
-            run_dir.rmdir()
-        except OSError:  # pragma: no cover - leftover foreign files
-            pass
+        shutil.rmtree(run_dir, ignore_errors=True)
 
     def find(
         self,
@@ -434,13 +422,11 @@ class PatternStore:
             if match is None:
                 continue
             pid = int(match.group(1))
+            # Our own pid is garbage too: nothing in this process writes
+            # concurrently with a sweep, so the file is a leftover from an
+            # earlier process that happened to get the same pid.
             if pid != os.getpid() and _pid_alive(pid):
                 continue  # a live writer (not us) is mid-write
-            if pid == os.getpid():
-                # Our own pid: nothing in this process writes concurrently
-                # with a gc sweep, so the file is a leftover from a previous
-                # process that happened to get the same pid — still garbage.
-                pass
             try:
                 candidate.unlink()
             except OSError:  # pragma: no cover - racing another sweeper
@@ -452,21 +438,20 @@ class PatternStore:
     def verify(self, run_id: str | None = None) -> list[dict[str, Any]]:
         """Audit run integrity; reports corruption instead of raising.
 
-        For each run (or just ``run_id``): parse ``meta.json``, decode the
-        v1 text payload, and read the binary payload under **all three**
-        CRCs — header and meta/table at open, plus the word-region checksum
-        that mmap opens normally defer, exercised here exactly the way a
-        serving cold-open would see it (:meth:`BinaryRun.verify_words` on
-        the mapping).  Pattern counts are cross-checked against the
-        metadata.  Returns one report per run: ``{"run_id", "ok",
-        "checks", "errors"}``.
+        For each run (or just ``run_id``): parse ``meta.json`` and read
+        ``patterns.bin`` under **all three** CRCs — header and meta/table at
+        open, plus the word-region checksum that mmap opens normally defer,
+        exercised here exactly the way a serving cold-open would see it
+        (:meth:`BinaryRun.verify_words` on the mapping).  Pattern counts are
+        cross-checked against the metadata; a run with no binary payload is
+        reported with the ``repro store migrate`` hint.  Returns one report
+        per run: ``{"run_id", "ok", "checks", "errors"}``.
         """
         if run_id is not None and run_id not in self:
             raise KeyError(f"no run {run_id!r} in store {self.root}")
         targets = [run_id] if run_id is not None else self.run_ids()
         reports: list[dict[str, Any]] = []
         for target in targets:
-            run_dir = self._runs_dir / target
             checks: list[str] = []
             errors: list[str] = []
             meta: dict[str, Any] | None = None
@@ -475,33 +460,19 @@ class PatternStore:
                 checks.append("meta")
             except Exception as error:  # noqa: BLE001 - audit must not raise
                 errors.append(f"meta.json: {error}")
-            text_path = run_dir / "patterns.txt"
-            if text_path.exists():
-                try:
-                    patterns = decode_patterns(text_path.read_text())
-                    checks.append("v1")
-                    if meta is not None and meta.get("n_patterns") != len(patterns):
-                        errors.append(
-                            f"patterns.txt: {len(patterns)} patterns but meta "
-                            f"declares {meta.get('n_patterns')}"
-                        )
-                except Exception as error:  # noqa: BLE001
-                    errors.append(f"patterns.txt: {error}")
-            bin_path = run_dir / "patterns.bin"
-            if bin_path.exists():
-                try:
-                    run = read_binary_run(bin_path, verify=True, verify_words=False)
-                    run.verify_words()  # the mmap-deferred third CRC
-                    checks.append("binary")
-                    if meta is not None and meta.get("n_patterns") != run.n_patterns:
-                        errors.append(
-                            f"patterns.bin: {run.n_patterns} patterns but meta "
-                            f"declares {meta.get('n_patterns')}"
-                        )
-                except BinaryFormatError as error:
-                    errors.append(f"patterns.bin: {error.reason}")
-                except Exception as error:  # noqa: BLE001
-                    errors.append(f"patterns.bin: {error}")
+            try:
+                run = read_binary_run(self._payload(target))
+                run.verify_words()  # the mmap-deferred third CRC
+                checks.append("binary")
+                if meta is not None and meta.get("n_patterns") != run.n_patterns:
+                    errors.append(
+                        f"patterns.bin: {run.n_patterns} patterns but meta "
+                        f"declares {meta.get('n_patterns')}"
+                    )
+            except BinaryFormatError as error:
+                errors.append(f"patterns.bin: {error.reason}")
+            except Exception as error:  # noqa: BLE001
+                errors.append(f"patterns.bin: {error}")
             ok = not errors
             _VERIFIED.inc(outcome="ok" if ok else "corrupt")
             reports.append(
@@ -553,37 +524,7 @@ class PatternStore:
         return sorted(p.stem for p in self._streams_dir.glob("*.jsonl"))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Durably write via temp file + fsync + rename.
-
-    Readers never see partial content (the rename is atomic), and the data
-    is flushed *before* the rename lands — without the fsync a crash right
-    after ``os.replace`` can leave the new name pointing at zero-length
-    data, which is exactly the torn state the atomic write exists to
-    prevent.  Orphaned ``.tmp<pid>`` files from a killed writer are swept
-    by :meth:`PatternStore.gc_temp_files`.
-    """
+def _write_json(path: Path, document: Any, indent: int | None = None) -> None:
+    """Atomically write a JSON document (one ``store.write`` fault point)."""
     fault_schedule().fire("store.write")
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, text.encode())
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry so the rename itself survives power loss."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs unsupported
-        pass
-    finally:
-        os.close(fd)
+    _atomic_write(path, (json.dumps(document, indent=indent) + "\n").encode())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.db import TransactionDatabase
@@ -56,3 +59,18 @@ def tiny_db() -> TransactionDatabase:
 def quest_db() -> TransactionDatabase:
     """A mid-size planted-pattern database for cross-miner checks."""
     return quest_like(n_transactions=120, n_items=24, n_patterns=8, seed=42)
+
+
+#: A store from before the binary format: v1 ``patterns.txt`` payloads only.
+#: Its runs are ``mine_cached(store, "pattern_fusion", diag_plus(), minsup=20,
+#: k=10, initial_pool_max_size=2, seed=0)`` and the empty pool of
+#: ``mine_cached(store, "eclat", diag(10), minsup=11)``.
+V1_STORE = Path(__file__).parent / "fixtures" / "v1_store"
+V1_FUSION_RUN = "927ebcdfd3f455ec"
+V1_EMPTY_RUN = "2990537c923a1a88"
+
+
+@pytest.fixture
+def v1_store(tmp_path) -> Path:
+    """A writable copy of the committed v1-only store."""
+    return Path(shutil.copytree(V1_STORE, tmp_path / "v1_store"))

@@ -2,19 +2,21 @@
 
 Three protections under test, per the format's design:
 
-* **Bit identity** — a binary reload (both backends, mapped or copied)
-  reproduces the saved pool exactly: items, tidsets, order, metadata.
+* **Bit identity** — a binary reload (both backends, word CRC paid up
+  front or deferred) reproduces the saved pool exactly: items, tidsets,
+  order, metadata.
 * **Rejection, never misreading** — truncation, bit flips in any region,
   a wrong magic, or a newer format version raise
-  :class:`BinaryFormatError` naming what failed.
+  :class:`BinaryFormatError` naming what failed, under both backends.
 * **Zero copies** — under the NumPy backend the matrix words are a
   read-only view straight into the file mapping.
 
-Plus the store-level contract: ``save`` writes both payloads, ``load``
-prefers binary and agrees with v1, ``migrate`` is idempotent and never
-changes a run id.
+Plus the store-level contract: ``save`` writes only ``patterns.bin``, and
+every reader but ``migrate`` refuses the committed v1-only store
+(``tests/fixtures/v1_store``), which ``migrate`` upgrades in place.
 """
 
+import os
 import struct
 import zlib
 
@@ -23,18 +25,26 @@ import pytest
 from repro.kernels import available_backends
 from repro.mining.results import MiningResult, Pattern
 from repro.store import (
-    BIN_MAGIC,
     BinaryFormatError,
     PatternStore,
+    decode_patterns,
     read_binary_run,
     write_binary_run,
 )
+from tests.conftest import V1_EMPTY_RUN, V1_FUSION_RUN, V1_STORE
 
 BACKENDS = list(available_backends())
 
 
 def bits(patterns):
     return [(p.items, p.tidset) for p in patterns]
+
+
+def assert_refused(path, match, **kwargs):
+    """Every kernel backend refuses the file, naming the same failure."""
+    for backend in BACKENDS:
+        with pytest.raises(BinaryFormatError, match=match):
+            read_binary_run(path, backend=backend, **kwargs)
 
 
 @pytest.fixture
@@ -58,9 +68,9 @@ def bin_file(tmp_path, pool):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("mmap_words", [True, False])
-    def test_bit_identical(self, bin_file, pool, backend, mmap_words):
-        run = read_binary_run(bin_file, backend=backend, mmap_words=mmap_words)
+    @pytest.mark.parametrize("verify_words", [True, False])
+    def test_bit_identical(self, bin_file, pool, backend, verify_words):
+        run = read_binary_run(bin_file, backend=backend, verify_words=verify_words)
         assert bits(run.patterns()) == bits(pool)
         assert run.meta["minsup"] == 2
         assert run.n_patterns == len(pool)
@@ -102,36 +112,27 @@ class TestZeroCopy:
         assert not words.flags.owndata  # a view into the mapping, not a copy
         assert not words.flags.writeable
 
-    def test_unmapped_read_is_independent(self, bin_file, pool):
-        run = read_binary_run(bin_file, backend="numpy", mmap_words=False)
-        bin_file.unlink()  # the copy must outlive the file
-        assert bits(run.patterns()) == bits(pool)
-
 
 class TestRejection:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"REPROBIN\x01")
-        with pytest.raises(BinaryFormatError, match="truncated"):
-            read_binary_run(path)
+        assert_refused(path, "truncated")
 
     def test_truncated_words(self, bin_file):
         data = bin_file.read_bytes()
         bin_file.write_bytes(data[:-8])
-        with pytest.raises(BinaryFormatError, match="truncated"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "truncated")
 
     def test_trailing_garbage(self, bin_file):
         bin_file.write_bytes(bin_file.read_bytes() + b"extra")
-        with pytest.raises(BinaryFormatError, match="trailing"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "trailing")
 
     def test_bad_magic(self, bin_file):
         data = bytearray(bin_file.read_bytes())
         data[:8] = b"NOTABINF"
         bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="magic"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "magic")
 
     def test_newer_version_refused(self, bin_file):
         data = bytearray(bin_file.read_bytes())
@@ -140,42 +141,35 @@ class TestRejection:
         struct.pack_into("<I", data, 8, 99)
         struct.pack_into("<I", data, 96, zlib.crc32(bytes(data[:96])))
         bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="newer"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "newer")
 
     def test_flipped_header_bit(self, bin_file):
         data = bytearray(bin_file.read_bytes())
         data[16] ^= 0x01  # inside n_patterns
         bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="header checksum"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "header checksum")
 
     def test_flipped_meta_bit(self, bin_file):
         data = bytearray(bin_file.read_bytes())
         data[110] ^= 0x40  # inside the meta JSON block
         bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="meta/table checksum"):
-            read_binary_run(bin_file)
+        assert_refused(bin_file, "meta/table checksum")
 
     def test_flipped_word_bit_caught_on_full_verify(self, bin_file):
         data = bytearray(bin_file.read_bytes())
         data[-1] ^= 0x80  # inside the word region
         bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="word region checksum"):
-            read_binary_run(bin_file, verify_words=True)
+        assert_refused(bin_file, "word region checksum", verify_words=True)
         # The zero-copy open defers the words sweep; the deferred check
         # still catches it on demand.
         run = read_binary_run(bin_file)
         with pytest.raises(BinaryFormatError, match="word region checksum"):
             run.verify_words()
 
-    def test_verify_false_skips_checks(self, bin_file):
-        data = bytearray(bin_file.read_bytes())
-        data[110] ^= 0x40
-        bin_file.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError):
-            read_binary_run(bin_file)
-        read_binary_run(bin_file, verify=False)  # forensic opt-out
+
+def v1_pool(run_id):
+    """The committed fixture's pool for ``run_id``, decoded from its text."""
+    return decode_patterns((V1_STORE / "runs" / run_id / "patterns.txt").read_text())
 
 
 class TestStoreIntegration:
@@ -186,18 +180,10 @@ class TestStoreIntegration:
         run_id = store.save(result, miner="test-miner")
         return store, run_id
 
-    def test_save_writes_both_payloads(self, saved):
+    def test_save_writes_only_binary_payload(self, saved):
         store, run_id = saved
         run_dir = store.root / "runs" / run_id
-        assert (run_dir / "patterns.txt").exists()
-        assert (run_dir / "patterns.bin").exists()
-
-    def test_binary_and_v1_loads_agree(self, saved):
-        store, run_id = saved
-        v1 = store.load(run_id, format="v1")
-        binary = store.load(run_id, format="binary")
-        auto = store.load(run_id)
-        assert bits(v1.patterns) == bits(binary.patterns) == bits(auto.patterns)
+        assert sorted(os.listdir(run_dir)) == ["meta.json", "patterns.bin"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_open_matrix_rows_match_pool(self, saved, pool, backend):
@@ -212,36 +198,11 @@ class TestStoreIntegration:
         with pytest.raises(KeyError, match="no run"):
             store.open_matrix("feedc0de")
 
-    def test_open_matrix_unmigrated_run_says_migrate(self, saved):
-        store, run_id = saved
-        (store.root / "runs" / run_id / "patterns.bin").unlink()
-        with pytest.raises(FileNotFoundError, match="store migrate"):
-            store.open_matrix(run_id)
-
-    def test_migrate_round_trip_and_idempotence(self, saved):
-        store, run_id = saved
-        bin_path = store.root / "runs" / run_id / "patterns.bin"
-        original = bin_path.read_bytes()
-        bin_path.unlink()
-        assert store.migrate() == [run_id]
-        assert bin_path.read_bytes() == original  # deterministic encoding
-        assert store.migrate() == []  # nothing left: already binary
-
-    def test_migrate_refuses_corrupt_v1(self, saved):
-        store, run_id = saved
-        run_dir = store.root / "runs" / run_id
-        (run_dir / "patterns.bin").unlink()
-        payload = (run_dir / "patterns.txt").read_text()
-        (run_dir / "patterns.txt").write_text(payload.replace("b", "a", 1))
-        with pytest.raises(ValueError, match="refusing to migrate"):
-            store.migrate()
-
     def test_delete_removes_binary_payload(self, saved):
         store, run_id = saved
         run_dir = store.root / "runs" / run_id
         store.delete(run_id)
-        assert not (run_dir / "patterns.bin").exists()
-        assert not (run_dir / "patterns.txt").exists()
+        assert not run_dir.exists()
 
     def test_run_info(self, saved):
         store, run_id = saved
@@ -250,3 +211,56 @@ class TestStoreIntegration:
         assert info["format_version"] == 1
         assert info["n_patterns"] == 4
         assert info["bytes"] == sum(info["files"].values())
+
+    # The committed pre-binary-format store: refused by readers, migrated.
+
+    def test_open_matrix_unmigrated_run_says_migrate(self, v1_store):
+        store = PatternStore(v1_store)
+        with pytest.raises(FileNotFoundError, match="store migrate"):
+            store.open_matrix(V1_FUSION_RUN)
+        with pytest.raises(FileNotFoundError, match="store migrate"):
+            store.load(V1_FUSION_RUN)
+        for report in store.verify():
+            assert not report["ok"]
+            assert "store migrate" in report["errors"][0]
+
+    def test_migrate_round_trip_and_idempotence(self, v1_store):
+        store = PatternStore(v1_store)
+        assert store.migrate() == sorted([V1_EMPTY_RUN, V1_FUSION_RUN])
+        for run_id in (V1_FUSION_RUN, V1_EMPTY_RUN):
+            run_dir = v1_store / "runs" / run_id
+            assert sorted(os.listdir(run_dir)) == ["meta.json", "patterns.bin"]
+            run = store.load(run_id)
+            assert run.run_id == run_id == run.meta["run_id"]
+            assert bits(run.patterns) == bits(v1_pool(run_id))
+        assert store.migrate() == []  # nothing left: already binary
+        assert all(report["ok"] for report in store.verify())
+
+    def test_migrate_finishes_an_interrupted_run(self, v1_store):
+        """A (torn) patterns.bin left beside patterns.txt is rewritten."""
+        store = PatternStore(v1_store)
+        run_dir = v1_store / "runs" / V1_FUSION_RUN
+        (run_dir / "patterns.bin").write_bytes(b"REPROBIN torn write")
+        assert store.migrate(V1_FUSION_RUN) == [V1_FUSION_RUN]
+        assert not (run_dir / "patterns.txt").exists()
+        pool = store.load(V1_FUSION_RUN).patterns
+        assert bits(pool) == bits(v1_pool(V1_FUSION_RUN))
+
+    def test_migrate_refuses_corrupt_v1(self, v1_store):
+        run_dir = v1_store / "runs" / V1_FUSION_RUN
+        payload = (run_dir / "patterns.txt").read_text()
+        (run_dir / "patterns.txt").write_text(payload.replace("b", "a", 1))
+        with pytest.raises(ValueError, match="refusing to migrate"):
+            PatternStore(v1_store).migrate(V1_FUSION_RUN)
+        assert sorted(os.listdir(run_dir)) == ["meta.json", "patterns.txt"]
+
+    @pytest.mark.parametrize("run_id", [V1_FUSION_RUN, V1_EMPTY_RUN])
+    def test_saved_pool_keeps_the_fixture_run_id(self, tmp_path, run_id):
+        """Run ids still hash the v1 encoding: the same pool, the same id."""
+        meta = PatternStore(V1_STORE).meta(run_id)
+        result = MiningResult(meta["algorithm"], meta["minsup"], v1_pool(run_id))
+        saved = PatternStore(tmp_path / "store").save(
+            result, miner=meta["miner"], config=meta["config"],
+            fingerprint=meta["dataset"]["fingerprint"],
+        )
+        assert saved == run_id

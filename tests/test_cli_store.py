@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.datasets import diag
 from repro.mining import eclat
 from repro.store import PatternStore, document_to_result, read_document
+from tests.conftest import V1_EMPTY_RUN, V1_FUSION_RUN
 
 
 def bits(patterns):
@@ -142,40 +143,40 @@ class TestStoreCommands:
         assert record["files"]["patterns.bin"] > 0
         assert record["bytes"] == sum(record["files"].values())
 
-    def test_ls_json_v1_only_run(self, populated, capsys):
-        store_dir, run_id = populated
-        (PatternStore(store_dir).root / "runs" / run_id / "patterns.bin").unlink()
-        main(["store", "ls", "--store", str(store_dir), "--json"])
-        (record,) = json.loads(capsys.readouterr().out)["runs"]
-        assert record["format"] == "v1"
-        assert "patterns.bin" not in record["files"]
+    def test_ls_json_v1_only_run(self, v1_store, capsys):
+        main(["store", "ls", "--store", str(v1_store), "--json"])
+        records = json.loads(capsys.readouterr().out)["runs"]
+        assert {r["run_id"] for r in records} == {V1_FUSION_RUN, V1_EMPTY_RUN}
+        for record in records:
+            assert record["format"] == "unmigrated"
+            assert list(record["files"]) == ["meta.json"]
 
-    def test_migrate_is_idempotent_and_keeps_run_id(self, populated, capsys):
-        store_dir, run_id = populated
-        bin_path = PatternStore(store_dir).root / "runs" / run_id / "patterns.bin"
-        before = bin_path.read_bytes()
-        bin_path.unlink()
-        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
+    def test_migrate_is_idempotent_and_keeps_run_id(self, v1_store, capsys):
+        assert main(["store", "verify", "--store", str(v1_store)]) == 1
+        assert "repro store migrate" in capsys.readouterr().out
+        assert main(["store", "migrate", "--store", str(v1_store)]) == 0
         out = capsys.readouterr().out
-        assert f"migrated run {run_id}" in out
-        assert "1 migrated" in out
+        assert f"migrated run {V1_FUSION_RUN}" in out
+        assert "2 migrated" in out
         assert "run ids unchanged" in out
-        assert bin_path.read_bytes() == before
+        bin_path = v1_store / "runs" / V1_FUSION_RUN / "patterns.bin"
+        before = bin_path.read_bytes()
         # Second run: nothing left to do, same run id, nothing rewritten.
-        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
+        assert main(["store", "migrate", "--store", str(v1_store)]) == 0
         assert "0 migrated" in capsys.readouterr().out
-        stored = PatternStore(store_dir).load(run_id)
-        assert stored.run_id == run_id
+        assert bin_path.read_bytes() == before
+        stored = PatternStore(v1_store).load(V1_FUSION_RUN)
+        assert stored.run_id == V1_FUSION_RUN
+        assert main(["store", "verify", "--store", str(v1_store)]) == 0
 
-    def test_migrate_single_run_and_unknown_run(self, populated, capsys):
-        store_dir, run_id = populated
-        bin_path = PatternStore(store_dir).root / "runs" / run_id / "patterns.bin"
-        bin_path.unlink()
-        code = main(["store", "migrate", "--store", str(store_dir),
-                     "--run", run_id])
+    def test_migrate_single_run_and_unknown_run(self, v1_store, capsys):
+        code = main(["store", "migrate", "--store", str(v1_store),
+                     "--run", V1_FUSION_RUN])
         assert code == 0
-        assert bin_path.exists()
-        code = main(["store", "migrate", "--store", str(store_dir),
+        assert "1 migrated" in capsys.readouterr().out
+        assert (v1_store / "runs" / V1_FUSION_RUN / "patterns.bin").exists()
+        assert not (v1_store / "runs" / V1_EMPTY_RUN / "patterns.bin").exists()
+        code = main(["store", "migrate", "--store", str(v1_store),
                      "--run", "feedc0de"])
         assert code == 2
         assert "no run" in capsys.readouterr().err

@@ -6,6 +6,7 @@ LRU, warm /mine cache hits, and the error paths (404/400/403).
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -13,7 +14,9 @@ import pytest
 
 from repro.datasets import diag_plus
 from repro.serve import PatternServer
+from repro.serve.app import MAX_BODY_BYTES
 from repro.store import PatternStore, mine_cached
+from tests.conftest import V1_FUSION_RUN
 
 
 def get(url):
@@ -185,21 +188,18 @@ class TestErrors:
             code, _ = error_of(lambda: get(detail_url))
             assert code == 404
 
-    def test_partially_deleted_run_404_not_500(self, tmp_path):
-        """meta.json present but both payload files gone: still a 404."""
-        store = PatternStore(tmp_path / "store")
-        outcome = mine_cached(
-            store, "pattern_fusion", diag_plus(),
-            minsup=20, k=10, initial_pool_max_size=2, seed=0,
-        )
-        run_dir = store.root / "runs" / outcome.run_id
-        (run_dir / "patterns.txt").unlink()
-        (run_dir / "patterns.bin").unlink()
-        with PatternServer(store, port=0) as server:
+    def test_partially_deleted_run_404_not_500(self, v1_store):
+        """meta.json present but no patterns.bin (an unmigrated run): 404."""
+        with PatternServer(PatternStore(v1_store), port=0) as server:
             code, message = error_of(
-                lambda: get(f"{server.url}/runs/{outcome.run_id}")
+                lambda: get(f"{server.url}/runs/{V1_FUSION_RUN}")
             )
             assert code == 404 and "missing its payload" in message
+            assert "repro store migrate" in message
+            code, _ = error_of(lambda: post(
+                server.url + "/query", {"run": V1_FUSION_RUN, "query": {}},
+            ))
+            assert code == 404
 
     def test_mine_disabled_403(self, tmp_path):
         store = PatternStore(tmp_path / "store")
@@ -209,6 +209,31 @@ class TestErrors:
                 server.url + "/mine", {"dataset": "diag", "miner": "eclat"},
             ))
         assert code == 403 and "disabled" in message
+
+
+class TestContentLength:
+    """Bad or oversized bodies get a 4xx: no traceback, no blocked handler.
+
+    Threaded and pre-forked serving share one request handler, so these
+    cases cover both tiers.
+    """
+
+    @pytest.mark.parametrize("value, status", [
+        ("abc", 400), ("-1", 400), ("1e3", 400), (MAX_BODY_BYTES + 1, 413),
+    ])
+    def test_refused_unread(self, served, capsys, value, status):
+        server, _, _ = served
+        request = f"POST /query HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+        # Read until the server closes: a blocked handler fails on the timeout.
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(request.encode())
+            response = b"".join(iter(lambda: sock.recv(65536), b""))
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == status
+        message = json.loads(body)["error"]
+        assert ("Content-Length" if status == 400 else "limit") in message
+        assert "Exception occurred during processing" not in capsys.readouterr().err
+        assert get(server.url + "/health")["status"] == "ok"
 
 
 def get_raw(url, headers=None):
