@@ -1,6 +1,6 @@
 """A7 — parallel engine speedup: Pattern-Fusion at jobs ∈ {1, 2, 4}.
 
-Times the executor-scheduled Pattern-Fusion driver on the ALL-sim generator
+Times the Pattern-Fusion driver on the ALL-sim generator
 at increasing worker counts, reusing one pre-mined initial pool so the series
 isolates the fan-out of Algorithm 2's per-seed work (the engine's parallel
 surface).  Every timed run is asserted pool-identical to the serial
@@ -18,9 +18,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core import PatternFusionConfig
+from repro.core import PatternFusionConfig, pattern_fusion
 from repro.datasets.microarray import all_like
-from repro.engine import ShardedDatabase, make_executor, parallel_pattern_fusion
+from repro.engine import ShardedDatabase, make_executor
 from repro.mining.levelwise import mine_up_to_size
 
 JOBS_SERIES = (1, 2, 4)
@@ -48,8 +48,7 @@ def workload(request):
 def serial_pool(request, workload):
     def build():
         db, minsup, pool = workload
-        result = parallel_pattern_fusion(db, minsup, CONFIG, jobs=1,
-                                         initial_pool=pool)
+        result = pattern_fusion(db, minsup, CONFIG, jobs=1, initial_pool=pool)
         return {p.items for p in result.patterns}
 
     return run_once(request, "a7-serial-pool", build)
@@ -61,7 +60,7 @@ def test_bench_parallel_fusion(benchmark, workload, serial_pool, jobs):
     executor = make_executor(jobs)
     try:
         result = benchmark.pedantic(
-            lambda: parallel_pattern_fusion(
+            lambda: pattern_fusion(
                 db, minsup, CONFIG, initial_pool=pool, executor=executor
             ),
             rounds=3,

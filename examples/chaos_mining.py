@@ -29,9 +29,9 @@ from repro import (
     RetryPolicy,
     set_fault_schedule,
 )
-from repro.core import PatternFusionConfig
+from repro.core import PatternFusionConfig, pattern_fusion
 from repro.datasets import quest_like
-from repro.engine import ParallelExecutor, parallel_pattern_fusion
+from repro.engine import ParallelExecutor
 from repro.obs import metrics
 
 
@@ -46,12 +46,12 @@ config = PatternFusionConfig(k=10, seed=7)
 # ----------------------------------------------------------------------
 # 1. Kill a worker on every other chunk dispatch; the answer must not move.
 # ----------------------------------------------------------------------
-reference = parallel_pattern_fusion(db, 6, config, jobs=1)
+reference = pattern_fusion(db, 6, config, jobs=1)
 
 set_fault_schedule(FaultSchedule.parse("kill@executor.chunk:first=1,every=2"))
 try:
     with ParallelExecutor(2, retry=RetryPolicy(backoff_base=0.01)) as executor:
-        chaotic = parallel_pattern_fusion(db, 6, config, executor=executor)
+        chaotic = pattern_fusion(db, 6, config, executor=executor)
 finally:
     set_fault_schedule(None)  # back to whatever $REPRO_FAULTS says
 
@@ -70,7 +70,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ckpt = Path(tmp) / "fusion.ckpt"
     set_fault_schedule(FaultSchedule.parse("raise@fusion.round:first=3,times=1"))
     try:
-        parallel_pattern_fusion(
+        pattern_fusion(
             db, 6, config, jobs=1, checkpoint=CheckpointManager(ckpt)
         )
     except FaultInjected:
@@ -79,7 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
     finally:
         set_fault_schedule(None)
 
-    resumed = parallel_pattern_fusion(
+    resumed = pattern_fusion(
         db, 6, config, jobs=1, checkpoint=CheckpointManager(ckpt)
     )
     assert pool_key(resumed.patterns) == pool_key(reference.patterns)

@@ -21,9 +21,8 @@ import urllib.request
 from pathlib import Path
 
 from repro import PatternServer, PatternStore, mine_cached
-from repro.core import PatternFusionConfig
+from repro.core import PatternFusionConfig, pattern_fusion
 from repro.datasets import diag_plus
-from repro.engine import parallel_pattern_fusion
 from repro.obs import logs, metrics, trace
 
 # 1. Trace a parallel run. Workers capture their spans and return them with
@@ -32,7 +31,7 @@ from repro.obs import logs, metrics, trace
 sink = trace.RingBufferSink()
 trace.configure(enabled=True, sinks=[sink])
 config = PatternFusionConfig(k=10, initial_pool_max_size=2, seed=0)
-result = parallel_pattern_fusion(diag_plus(), 20, config, jobs=2)
+result = pattern_fusion(diag_plus(), 20, config, jobs=2)
 trace.configure(enabled=False, sinks=[])
 
 spans = sink.spans()

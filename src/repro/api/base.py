@@ -1,7 +1,7 @@
 """The unified miner protocol: one lifecycle for every mining algorithm.
 
 Every algorithm in the package — the complete baselines, the closed/maximal
-miners, the three Pattern-Fusion drivers, the sequence extension — is exposed
+miners, the Pattern-Fusion drivers, the sequence extension — is exposed
 as a :class:`Miner` subclass with the same lifecycle::
 
     miner = SomeMiner(SomeConfig(minsup=2))   # or SomeMiner(minsup=2)

@@ -72,6 +72,7 @@ from repro.api import (
     load_dataset,
     miner_names,
 )
+from repro.core.pattern_fusion import FusionMiner, pattern_fusion
 from repro.db import TransactionDatabase, describe, read_fimi, write_fimi
 from repro.engine import PARTITIONERS, ShardedDatabase, make_executor
 from repro.evaluation import approximate, summarize_approximation
@@ -640,12 +641,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         spec = get_miner_spec(name)
         config = _build_mine_config(spec, args)
         checkpoint = _make_checkpoint(args)
-        if checkpoint is not None and spec.name not in (
-            "pattern_fusion", "parallel_pattern_fusion"
-        ):
+        if checkpoint is not None and not issubclass(spec.cls, FusionMiner):
             raise _CliError(
-                "--checkpoint is supported for the round-based fusion miners "
-                f"(pattern_fusion, parallel_pattern_fusion), not {spec.name!r}"
+                "--checkpoint is supported for the round-based fusion miner "
+                f"pattern_fusion, not {spec.name!r}"
             )
     except (_CliError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -710,10 +709,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         return 2
     db = _load_database(args)
     print(describe(db))
-    spec = get_miner_spec("parallel_pattern_fusion")
-    # Always schedule through the engine so the mined pool is a function of
-    # the seed alone: --jobs 1 (the default) runs the same per-seed
-    # scheduling on a serial executor, making every --jobs value equivalent.
+    spec = get_miner_spec("pattern_fusion")
     miner = spec.cls(
         spec.config_type.from_dict({
             "minsup": args.minsup,
@@ -1132,7 +1128,6 @@ def _pool_digest(patterns) -> str:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.engine import parallel_pattern_fusion
     from repro.obs import metrics
     from repro.resilience import FaultSchedule, fault_points, set_fault_schedule
 
@@ -1176,11 +1171,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # exported REPRO_FAULTS cannot leak into the baseline.
     set_fault_schedule(FaultSchedule.parse(""))
     try:
-        reference = parallel_pattern_fusion(db, args.minsup, config, jobs=1)
+        reference = pattern_fusion(db, args.minsup, config, jobs=1)
         set_fault_schedule(faults)
-        chaotic = parallel_pattern_fusion(
-            db, args.minsup, config, jobs=args.jobs
-        )
+        chaotic = pattern_fusion(db, args.minsup, config, jobs=args.jobs)
     finally:
         set_fault_schedule(None)  # back to the environment's schedule
     ref_digest = _pool_digest(reference.patterns)

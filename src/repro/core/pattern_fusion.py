@@ -7,6 +7,12 @@ space (Theorem 2), fuse every ball into super-patterns
 (:mod:`repro.core.fusion`), and make the fused patterns the next pool.  The
 loop ends when the pool has at most K patterns.
 
+This module owns the loop (Algorithm 1); each round of Algorithm 2 is
+:func:`repro.engine.parallel_fusion.fusion_round`, the only implementation
+of it.  The round's per-seed work runs on an
+:class:`~repro.engine.executor.Executor` — a ``SerialExecutor`` unless one
+is given or ``jobs > 1`` — and the pool is the same for every job count.
+
 Termination is argued by Lemma 5 (the minimum pattern size in the pool never
 decreases) together with the shrinking of support sets under fusion; the
 implementation additionally stops on pool fixpoints and after
@@ -26,10 +32,13 @@ if TYPE_CHECKING:  # engine imports this module; keep the cycle lazy
 
 from repro.api.base import Capabilities, Miner, MinerConfig
 from repro.api.registry import register
-from repro.core.ball_index import PatternBallIndex
 from repro.core.config import PatternFusionConfig
-from repro.core.distance import ball_radius, balls
-from repro.core.fusion import fuse_ball
+from repro.core.distance import ball_radius
+# Not called here (the round is repro.engine.parallel_fusion.fusion_round);
+# re-exported because the perfbench layer tracer patches these names on
+# this module.
+from repro.core.distance import balls  # noqa: F401
+from repro.core.fusion import fuse_ball  # noqa: F401
 from repro.db import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
 from repro.kernels import use_backend
@@ -55,26 +64,11 @@ __all__ = [
 ]
 
 
-# Phase counters/histograms for the core loop.  Telemetry is execution-only:
-# nothing here feeds run identity or touches the algorithm's RNG stream.
+# Loop counters/histograms (the per-round ones live with the round in
+# repro.engine.parallel_fusion).  Telemetry is execution-only: nothing here
+# feeds run identity or touches the algorithm's RNG stream.
 _ROUNDS = metrics.counter(
     "repro_fusion_rounds_total", "Fusion rounds executed (Algorithm 2 calls)"
-)
-_SEEDS = metrics.counter(
-    "repro_fusion_seeds_total", "Seeds drawn across all fusion rounds"
-)
-_BALL_QUERIES = metrics.counter(
-    "repro_fusion_ball_queries_total",
-    "Ball queries answered, split by index use",
-    ("indexed",),
-)
-_FUSED = metrics.counter(
-    "repro_fusion_fused_patterns_total",
-    "Super-patterns produced by fuse_ball before dedup",
-)
-_DEDUP_DROPPED = metrics.counter(
-    "repro_fusion_dedup_dropped_total",
-    "Fused patterns dropped as duplicates within a round",
 )
 _INITIAL_POOL_SECONDS = metrics.histogram(
     "repro_fusion_initial_pool_seconds", "Phase-1 initial-pool mining latency"
@@ -137,6 +131,7 @@ def pattern_fusion(
     initial_pool: list[Pattern] | None = None,
     executor: "Executor | None" = None,
     checkpoint: CheckpointManager | None = None,
+    jobs: int = 1,
 ) -> PatternFusionResult:
     """Run Pattern-Fusion end to end (the paper's Algorithm 1).
 
@@ -153,26 +148,37 @@ def pattern_fusion(
         set of frequent patterns of size ≤ ``config.initial_pool_max_size``
         is mined here.
     executor:
-        Optional :class:`repro.engine.executor.Executor`.  When given, each
-        iteration's per-seed work is scheduled through it (see
-        :mod:`repro.engine.parallel_fusion`); the result is deterministic in
-        ``config.seed`` and identical for any job count.  When omitted, the
-        original single-process loop runs unchanged.
+        Optional :class:`repro.engine.executor.Executor` (a warm pool reused
+        across runs) that each round's per-seed work is scheduled through;
+        it takes precedence over ``jobs`` and stays open.
     checkpoint:
         Optional :class:`~repro.resilience.CheckpointManager`.  When given,
         driver state (pool, RNG cursor, iteration bookkeeping) is durably
         persisted every ``checkpoint.interval`` rounds and a matching
         checkpoint on disk resumes the run mid-loop — reproducing the
         uninterrupted run's pool (and hence its run id) exactly.
+    jobs:
+        Worker processes for a run without ``executor``; the executor made
+        from it is closed before returning.  The result is deterministic in
+        ``config.seed`` and identical for every ``jobs`` value.
 
     Returns
     -------
     PatternFusionResult
         Final pool, per-iteration telemetry, and provenance.
     """
-    return PatternFusion(
-        db, minsup, config, executor=executor, checkpoint=checkpoint
-    ).run(initial_pool=initial_pool)
+    from repro.engine.executor import make_executor
+
+    owns_executor = executor is None
+    if owns_executor:
+        executor = make_executor(jobs)
+    try:
+        return PatternFusion(
+            db, minsup, config, executor=executor, checkpoint=checkpoint
+        ).run(initial_pool=initial_pool)
+    finally:
+        if owns_executor:
+            executor.close()
 
 
 class PatternFusion:
@@ -180,6 +186,8 @@ class PatternFusion:
 
     ``mine_initial_pool()`` then ``run(initial_pool=...)`` lets experiments
     reuse one pool across many K/τ settings (as Figures 7 and 8 do).
+    Rounds run on ``executor``, or in-process on a ``SerialExecutor`` when
+    it is omitted; the pool is the same either way.
     """
 
     def __init__(
@@ -218,7 +226,11 @@ class PatternFusion:
             return self._run(initial_pool)
 
     def _run(self, initial_pool: list[Pattern] | None) -> PatternFusionResult:
+        from repro.engine.executor import SerialExecutor
+        from repro.engine.parallel_fusion import fusion_round
+
         config = self.config
+        executor = self.executor if self.executor is not None else SerialExecutor()
         rng = random.Random(config.seed)
         start = clock.monotonic()
         faults = fault_schedule()
@@ -262,7 +274,9 @@ class PatternFusion:
                 with trace.span(
                     "fusion_round", iteration=iteration, pool_size=before
                 ) as round_span, _ROUND_SECONDS.time():
-                    new_pool = self._fusion_round(pool, radius, rng)
+                    new_pool = fusion_round(
+                        self.db, pool, radius, rng, config, self.minsup, executor
+                    )
                     round_span.set(pool_size_after=len(new_pool))
                 _ROUNDS.inc()
                 if not new_pool:
@@ -305,67 +319,13 @@ class PatternFusion:
             history=history,
         )
 
-    def _fusion_round(
-        self, pool: list[Pattern], radius: float, rng: random.Random
-    ) -> list[Pattern]:
-        """One call of Algorithm 2: K seeds → balls → fused super-patterns."""
-        if self.executor is not None:
-            from repro.engine.parallel_fusion import parallel_fusion_round
-
-            return parallel_fusion_round(
-                self.db, pool, radius, rng, self.config, self.minsup,
-                self.executor,
-            )
-        config = self.config
-        n_seeds = min(config.k, len(pool))
-        seeds = rng.sample(pool, k=n_seeds)
-        index = None
-        if config.use_ball_index and len(pool) >= config.ball_index_min_pool:
-            # Pivot choice never affects results (only work saved), so it is
-            # seeded independently of the algorithm's rng stream — runs with
-            # and without the index stay bit-identical.
-            index = PatternBallIndex(
-                pool, n_pivots=config.ball_index_pivots,
-                rng=random.Random(0 if config.seed is None else config.seed),
-            )
-        _SEEDS.inc(n_seeds)
-        with trace.span("ball_queries", seeds=n_seeds, indexed=index is not None):
-            if index is not None:
-                core_lists = index.balls(seeds, radius)
-            else:
-                core_lists = balls(seeds, pool, radius)
-        _BALL_QUERIES.inc(n_seeds, indexed=str(index is not None).lower())
-        fused_by_items: dict[frozenset[int], Pattern] = {}
-        produced = 0
-        for seed, core_list in zip(seeds, core_lists):
-            with trace.span(
-                "fuse_ball", pattern_size=seed.size, ball=len(core_list)
-            ) as span:
-                fused = fuse_ball(
-                    self.db,
-                    seed,
-                    core_list,
-                    tau=config.tau,
-                    minsup=self.minsup,
-                    rng=rng,
-                    trials=config.fusion_trials,
-                    max_candidates=config.max_candidates_per_seed,
-                    close_fused=config.close_fused,
-                )
-                span.set(fused=len(fused))
-            produced += len(fused)
-            for pattern in fused:
-                fused_by_items.setdefault(pattern.items, pattern)
-        _FUSED.inc(produced)
-        _DEDUP_DROPPED.inc(produced - len(fused_by_items))
-        return list(fused_by_items.values())
-
     def _checkpoint_identity(self) -> dict:
         """What run a checkpoint belongs to: algorithm knobs + dataset.
 
         Execution-only knobs (jobs, executor choice) are naturally absent —
-        they live outside :class:`PatternFusionConfig` — so a run may resume
-        under a different worker count and still replay bit-identically.
+        they live outside :class:`PatternFusionConfig` — and every executor
+        runs the same round, so a run may resume under a different worker
+        count and still replay bit-identically.
         """
         return {
             "algorithm": "pattern_fusion",
@@ -399,7 +359,8 @@ class PatternFusion:
 
 @dataclass(frozen=True, slots=True)
 class PatternFusionMinerConfig(MinerConfig, PatternFusionConfig):
-    """Unified-API config: every :class:`PatternFusionConfig` knob + ``minsup``.
+    """Unified-API config: every :class:`PatternFusionConfig` knob + ``minsup``
+    + ``jobs``.
 
     Flattening (rather than nesting the algorithm config) is what lets the
     CLI address every knob uniformly (``--set tau=0.4``) and keeps the JSON
@@ -408,9 +369,19 @@ class PatternFusionMinerConfig(MinerConfig, PatternFusionConfig):
     still fails at construction time.
     """
 
-    EXECUTION_KNOBS = ("backend",)  # kernel backends are bit-identical
+    # Pools are identical for every jobs value and every kernel backend.
+    EXECUTION_KNOBS = ("jobs", "backend")
 
     minsup: float | int = 2
+    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        # Explicit base call: zero-arg super() is broken inside slots=True
+        # dataclasses (the decorator rebuilds the class, orphaning the
+        # __class__ cell).
+        PatternFusionConfig.__post_init__(self)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def fusion_config(self) -> PatternFusionConfig:
         """The algorithm-level config (drops the driver-level knobs)."""
@@ -423,19 +394,23 @@ class PatternFusionMinerConfig(MinerConfig, PatternFusionConfig):
 
 @register
 class FusionMiner(Miner):
-    """Unified-API adapter over serial :func:`pattern_fusion`.
+    """Unified-API adapter over :func:`pattern_fusion`.
 
-    Bit-identical to the legacy ``pattern_fusion(db, minsup, config)`` call
-    (the original single-process loop and its RNG stream).  For the
-    engine-scheduled variant — identical output for every worker count, but
-    a *different* (also deterministic) RNG schedule — use the registered
-    ``parallel_pattern_fusion`` miner instead.
+    Bit-identical to ``pattern_fusion(db, minsup, config, jobs=jobs)``; the
+    pool is a function of ``config.seed`` alone, identical for every
+    ``jobs`` value.  An explicitly supplied warm ``executor`` takes
+    precedence over ``jobs`` (the experiment runners reuse one across sweep
+    points).
     """
 
     name = "pattern_fusion"
-    summary = "Pattern-Fusion colossal mining (serial reference driver)"
-    capabilities = Capabilities(colossal=True)
+    summary = "Pattern-Fusion colossal mining (per-seed work over jobs workers)"
+    capabilities = Capabilities(colossal=True, parallel=True)
     config_type = PatternFusionMinerConfig
+
+    def __init__(self, config=None, *, executor: "Executor | None" = None, **overrides):
+        super().__init__(config, **overrides)
+        self.executor = executor
 
     def fuse(
         self,
@@ -450,7 +425,9 @@ class FusionMiner(Miner):
             config.minsup,
             config.fusion_config(),
             initial_pool=initial_pool,
+            executor=self.executor,
             checkpoint=checkpoint,
+            jobs=config.jobs,
         )
 
     def mine(self, db: TransactionDatabase) -> MiningResult:

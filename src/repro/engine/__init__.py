@@ -2,7 +2,7 @@
 
 The scalability seam of the reproduction.  Everything here preserves exact
 answers — sharding merges to the same supports, the executor-scheduled
-fusion rounds produce the same pools — so callers opt into parallelism
+fusion round produces the same pools for any job count — so callers opt into parallelism
 purely as a deployment decision (``jobs``/``shards`` knobs), never as an
 accuracy trade-off.
 """
@@ -18,7 +18,7 @@ from repro.engine.executor import (
 )
 from repro.engine.parallel_fusion import (
     FusionTask,
-    parallel_fusion_round,
+    fusion_round,
     parallel_pattern_fusion,
 )
 from repro.engine.sharding import (
@@ -40,7 +40,7 @@ __all__ = [
     "PARTITIONERS",
     "round_robin_partition",
     "size_balanced_partition",
-    "parallel_pattern_fusion",
-    "parallel_fusion_round",
+    "fusion_round",
     "FusionTask",
+    "parallel_pattern_fusion",
 ]

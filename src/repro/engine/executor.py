@@ -11,7 +11,7 @@ work distribution changes with the worker count, the answer never does.
 Two executors implement the interface:
 
 * :class:`SerialExecutor` runs chunks in-process, in order.  It installs the
-  payload through the same module global the workers use, so ``jobs=1`` runs
+  payload through the same per-thread slot the workers use, so ``jobs=1`` runs
   the byte-identical code path a worker would — there is no separate serial
   re-implementation to drift.
 * :class:`ParallelExecutor` fans chunks across a ``ProcessPoolExecutor``
@@ -37,6 +37,7 @@ takes the permanent serial degrade of earlier revisions.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -82,10 +83,13 @@ _DEGRADED = metrics.counter(
     "Pool-infrastructure failures that forced the serial fallback",
 )
 
-# The one module global of the protocol: the payload of the current
-# map_reduce call.  In a worker process the pool initializer sets it; under
-# the serial executor, map_reduce itself sets (and restores) it.
-_WORKER_PAYLOAD: Any = None
+# The one piece of protocol state: the payload of the current map_reduce
+# call, per thread.  In a worker process the pool initializer sets it (tasks
+# run on that same thread); under the serial executor, map_reduce itself
+# sets and restores it.  Per thread, so concurrent in-process calls — the
+# threaded HTTP server mines on many handler threads — never read each
+# other's payload.
+_PAYLOAD = threading.local()
 
 _UNSET = object()
 
@@ -97,14 +101,20 @@ def _init_worker(payload: Any, fault_action: Any = None) -> None:
     the driver consulted its schedule at pool creation and every worker of
     that pool generation applies the chosen action here.
     """
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+    _swap_payload(payload)
     apply_action(fault_action)
+
+
+def _swap_payload(payload: Any) -> Any:
+    """Install ``payload`` for this thread; returns the one it replaces."""
+    previous = getattr(_PAYLOAD, "value", None)
+    _PAYLOAD.value = payload
+    return previous
 
 
 def worker_payload() -> Any:
     """The payload of the enclosing ``map_reduce`` call (serial or worker)."""
-    return _WORKER_PAYLOAD
+    return getattr(_PAYLOAD, "value", None)
 
 
 def _invoke_chunk(fn: Callable[[Any], Any], chunk: Any, fault_action: Any = None) -> Any:
@@ -121,13 +131,11 @@ def _invoke_chunk(fn: Callable[[Any], Any], chunk: Any, fault_action: Any = None
 
 def _run_chunk_inline(fn: Callable[[Any], Any], chunk: Any, payload: Any) -> Any:
     """Run one chunk in the driver with ``payload`` installed (serial fallback)."""
-    global _WORKER_PAYLOAD
-    previous = _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+    previous = _swap_payload(payload)
     try:
         return fn(chunk)
     finally:
-        _WORKER_PAYLOAD = previous
+        _swap_payload(previous)
 
 
 class _PoolUnavailable(Exception):
@@ -176,9 +184,7 @@ class SerialExecutor(Executor):
         merge: Callable[[list[Any]], Any],
         payload: Any = None,
     ) -> Any:
-        global _WORKER_PAYLOAD
-        previous = _WORKER_PAYLOAD
-        _WORKER_PAYLOAD = payload
+        previous = _swap_payload(payload)
         _CHUNKS.inc(len(chunks), executor="serial")
         try:
             with trace.span(
@@ -186,7 +192,7 @@ class SerialExecutor(Executor):
             ), _MAP_REDUCE_SECONDS.time(executor="serial"):
                 return merge([fn(chunk) for chunk in chunks])
         finally:
-            _WORKER_PAYLOAD = previous
+            _swap_payload(previous)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"

@@ -1,11 +1,13 @@
-"""Parallel Pattern-Fusion: Algorithm 2's per-seed work fanned over workers.
+"""Algorithm 2's round: the one place a fusion round is scheduled.
 
 One fusion round of the paper does independent work per seed — collect the
 seed's CoreList with an ``r(τ)`` ball query, then run the randomized greedy
-fusion passes over that ball.  This module schedules that per-seed work onto
-an :class:`~repro.engine.executor.Executor` while keeping the run
-**deterministic for a fixed (config.seed, jobs)** and **identical across
-jobs values**:
+fusion passes over that ball.  :func:`fusion_round` is the only
+implementation of that round; :class:`~repro.core.pattern_fusion.PatternFusion`
+runs it every iteration, on a :class:`~repro.engine.executor.SerialExecutor`
+when no executor is given.  The per-seed work goes through the executor
+while the run stays **deterministic for a fixed config.seed** and
+**identical across jobs values**:
 
 * Seed draws and the per-seed child seeds are produced on the driver, from
   the algorithm's single RNG, in seed order — before any work is
@@ -21,42 +23,38 @@ jobs values**:
   spawn-only platforms every round pays worker interpreter startup, so
   expect ``jobs > 1`` to help there only when rounds are expensive.
 * Per-seed results are merged in seed order (first occurrence of an itemset
-  wins), exactly as the serial loop does.
+  wins).
 
-The top-level :func:`parallel_pattern_fusion` is the convenience driver:
-``jobs=1`` runs the same scheduling through the serial executor, which is
-what the agreement tests compare 2- and 4-job runs against.
+:func:`parallel_pattern_fusion` and the ``parallel_pattern_fusion`` miner
+are deprecated aliases of :func:`~repro.core.pattern_fusion.pattern_fusion`
+and the ``pattern_fusion`` miner, which take ``jobs`` themselves.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from repro.resilience.checkpoint import CheckpointManager
-
-from repro.api.base import Capabilities, Miner
 from repro.api.registry import register
 from repro.core.ball_index import PatternBallIndex
 from repro.core.config import PatternFusionConfig
 from repro.core.distance import balls
 from repro.core.fusion import fuse_ball
-from repro.core.pattern_fusion import PatternFusionMinerConfig
+from repro.core.pattern_fusion import FusionMiner, PatternFusionResult, pattern_fusion
 from repro.db.transaction_db import TransactionDatabase
-from repro.engine.executor import Executor, make_executor, map_chunks, worker_payload
+from repro.engine.executor import Executor, map_chunks, worker_payload
 from repro.kernels import use_backend
 from repro.kernels.backend import backend as kernels_backend
-from repro.mining.results import MiningResult, Pattern
+from repro.mining.results import Pattern
 from repro.obs import metrics, trace
 from repro.obs.trace import TRACER
+from repro.resilience.checkpoint import CheckpointManager
 
 __all__ = [
-    "parallel_pattern_fusion",
-    "parallel_fusion_round",
+    "fusion_round",
     "FusionTask",
-    "ParallelFusionConfig",
+    "parallel_pattern_fusion",
     "ParallelFusionMiner",
 ]
 
@@ -64,11 +62,10 @@ __all__ = [
 # them exact ints everywhere and disjoint from the "no seed" sentinel.
 _CHILD_SEED_BITS = 63
 
-# Same metric families the serial round increments (registration is
-# idempotent, so these resolve to the identical objects): the parallel
-# driver must populate the same series the serial loop does.  Fused-pattern
-# counts accumulate on the *driver* as results come back — worker-side
-# increments would be invisible to a scrape.
+# Per-round counters.  Telemetry is execution-only: nothing here feeds run
+# identity or touches the algorithm's RNG stream.  Fused-pattern counts
+# accumulate on the *driver* as results come back — worker-side increments
+# would be invisible to a scrape.
 _SEEDS = metrics.counter(
     "repro_fusion_seeds_total", "Seeds drawn across all fusion rounds"
 )
@@ -163,7 +160,7 @@ def _fuse_task_chunk(chunk: list[FusionTask]) -> list:
     return results
 
 
-def parallel_fusion_round(
+def fusion_round(
     db: TransactionDatabase,
     pool: list[Pattern],
     radius: float,
@@ -172,7 +169,7 @@ def parallel_fusion_round(
     minsup: int,
     executor: Executor,
 ) -> list[Pattern]:
-    """One executor-scheduled round of Algorithm 2 over ``pool``.
+    """One round of Algorithm 2 over ``pool``: K seeds → balls → fused patterns.
 
     Consumes exactly ``1 + n_seeds`` draws from ``rng`` (the seed sample and
     the child seeds), regardless of the executor's job count — the
@@ -185,8 +182,9 @@ def parallel_fusion_round(
     use_index = config.use_ball_index and len(pool) >= config.ball_index_min_pool
     with trace.span("ball_queries", seeds=n_seeds, indexed=use_index):
         if use_index:
-            # Same pivot seeding rule as the serial driver: index construction
-            # must never touch the algorithm's rng stream.
+            # Pivot choice never affects results (only work saved), so it is
+            # seeded independently of the algorithm's rng stream — runs with
+            # and without the index stay bit-identical.
             index = PatternBallIndex(
                 pool,
                 n_pivots=config.ball_index_pivots,
@@ -243,90 +241,40 @@ def parallel_pattern_fusion(
     jobs: int = 1,
     initial_pool: list[Pattern] | None = None,
     executor: Executor | None = None,
-    checkpoint: "CheckpointManager | None" = None,
-):
-    """Run Pattern-Fusion with per-seed work fanned across ``jobs`` workers.
+    checkpoint: CheckpointManager | None = None,
+) -> PatternFusionResult:
+    """Deprecated alias of :func:`~repro.core.pattern_fusion.pattern_fusion`.
 
-    The final pool is a deterministic function of ``(db, minsup, config)``
-    alone: ``jobs`` (and the executor backend) only changes where the work
-    runs.  Pass an ``executor`` to reuse a warm pool across runs; otherwise
-    one is created from ``jobs`` and closed before returning.  A
-    ``checkpoint`` manager makes the run resumable round by round — and
-    because checkpoint identity excludes execution knobs, a run may resume
-    under a different ``jobs`` value and still replay the same pool.
-
-    Returns
-    -------
-    repro.core.pattern_fusion.PatternFusionResult
+    Returns the identical result: ``pattern_fusion`` takes ``jobs`` and
+    ``executor`` itself and always schedules through :func:`fusion_round`.
     """
-    from repro.core.pattern_fusion import PatternFusion
-
-    owns_executor = executor is None
-    executor = executor if executor is not None else make_executor(jobs)
-    try:
-        runner = PatternFusion(
-            db, minsup, config, executor=executor, checkpoint=checkpoint
-        )
-        return runner.run(initial_pool=initial_pool)
-    finally:
-        if owns_executor:
-            executor.close()
-
-
-@dataclass(frozen=True, slots=True)
-class ParallelFusionConfig(PatternFusionMinerConfig):
-    """Engine-driver knobs: the fusion config + ``minsup`` + ``jobs``."""
-
-    # Pools are identical for every jobs value and every kernel backend.
-    EXECUTION_KNOBS = ("jobs", "backend")
-
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        # Explicit base call: zero-arg super() is broken inside slots=True
-        # dataclasses (the decorator rebuilds the class, orphaning the
-        # __class__ cell).
-        PatternFusionConfig.__post_init__(self)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+    warnings.warn(
+        "parallel_pattern_fusion is deprecated; call pattern_fusion(..., jobs=N)",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return pattern_fusion(
+        db, minsup, config, initial_pool=initial_pool, executor=executor,
+        checkpoint=checkpoint, jobs=jobs,
+    )
 
 
 @register
-class ParallelFusionMiner(Miner):
-    """Unified-API adapter over :func:`parallel_pattern_fusion`.
+class ParallelFusionMiner(FusionMiner):
+    """Deprecated registry alias of the ``pattern_fusion`` miner.
 
-    Always schedules through the engine, so the mined pool is a function of
-    ``config.seed`` alone — identical for every ``jobs`` value (and for an
-    explicitly supplied warm ``executor``, which takes precedence over
-    ``jobs``; the experiment runners reuse one across sweep points).
+    Same config type and same pools; only the name differs, so runs stored
+    under ``parallel_pattern_fusion`` keep their run ids and cache hits.
     """
 
     name = "parallel_pattern_fusion"
-    summary = "Pattern-Fusion with per-seed work fanned over worker processes"
-    capabilities = Capabilities(colossal=True, parallel=True)
-    config_type = ParallelFusionConfig
+    summary = "deprecated alias of pattern_fusion"
 
-    def __init__(self, config=None, *, executor: Executor | None = None, **overrides):
-        super().__init__(config, **overrides)
-        self.executor = executor
-
-    def fuse(
-        self,
-        db: TransactionDatabase,
-        initial_pool: list[Pattern] | None = None,
-        checkpoint: "CheckpointManager | None" = None,
-    ):
-        """Run and return the full result (history, iteration telemetry)."""
-        config: ParallelFusionConfig = self.config  # type: ignore[assignment]
-        return parallel_pattern_fusion(
-            db,
-            config.minsup,
-            config.fusion_config(),
-            jobs=config.jobs,
-            initial_pool=initial_pool,
-            executor=self.executor,
-            checkpoint=checkpoint,
+    def __init__(self, *args, **kwargs):
+        warnings.warn(
+            "the parallel_pattern_fusion miner is deprecated; "
+            "use pattern_fusion (it takes jobs)",
+            DeprecationWarning,
+            stacklevel=2,
         )
-
-    def mine(self, db: TransactionDatabase) -> MiningResult:
-        return self.fuse(db).as_mining_result()
+        super().__init__(*args, **kwargs)

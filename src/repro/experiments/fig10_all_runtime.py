@@ -40,14 +40,13 @@ def run(config: Fig10Config | None = None, jobs: int = 1) -> ExperimentResult:
     """Reproduce Figure 10: runtime series for the three miners.
 
     ``jobs > 1`` fans the Pattern-Fusion rounds over worker processes; the
-    mined pools are identical, only the timing column changes (``jobs=1``
-    runs the same engine scheduling on a serial executor).
+    mined pools are identical, only the timing column changes.
     """
     config = config or Fig10Config()
     # All three miners resolve through the central registry; the fusion
     # miner reuses one warm executor across the whole support sweep.
     maximal_spec = get_miner_spec("maximal")
-    fusion_spec = get_miner_spec("parallel_pattern_fusion")
+    fusion_spec = get_miner_spec("pattern_fusion")
     executor = make_executor(jobs)
     db, _truth = all_like(seed=config.dataset_seed)
     result = ExperimentResult(

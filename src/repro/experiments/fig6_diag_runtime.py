@@ -39,14 +39,13 @@ def run(config: Fig6Config | None = None, jobs: int = 1) -> ExperimentResult:
     """Reproduce Figure 6: per-n run times for both miners.
 
     ``jobs > 1`` fans the Pattern-Fusion rounds over worker processes; the
-    mined pools are identical, only the timing column changes (``jobs=1``
-    runs the same engine scheduling on a serial executor).
+    mined pools are identical, only the timing column changes.
     """
     config = config or Fig6Config()
     # Both miners resolve through the central registry; the fusion miner is
     # handed a warm executor so every sweep point reuses one worker pool.
     maximal_spec = get_miner_spec("maximal")
-    fusion_spec = get_miner_spec("parallel_pattern_fusion")
+    fusion_spec = get_miner_spec("pattern_fusion")
     executor = make_executor(jobs)
     result = ExperimentResult(
         experiment_id="fig6",

@@ -99,7 +99,7 @@ def result_to_document(
     separate from the store, carrying the pool as v1 ``patterns`` lines.
     ``miner`` is the registry name when known (the result's
     ``algorithm`` label is kept separately — the two differ for e.g. the
-    ``parallel_pattern_fusion`` miner labelled ``pattern-fusion``);
+    ``pattern_fusion`` miner labelled ``pattern-fusion``);
     ``dataset`` carries the fingerprint and shape of the mined database.
     """
     return {

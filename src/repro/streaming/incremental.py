@@ -89,7 +89,7 @@ def slide_seed(seed: int | None, slide: int) -> int:
     job counts; distinct slides get decorrelated Algorithm 2 RNG streams
     even for adjacent indices.  ``seed=None`` maps to base 0 (the streaming
     driver is always deterministic — an unseeded config pins the schedule
-    rather than randomizing it, matching the serial driver's ball-index
+    rather than randomizing it, matching the fusion round's ball-index
     convention).
     """
     if slide < 0:
@@ -563,31 +563,25 @@ class IncrementalPatternFusion:
 
 @dataclass(frozen=True, slots=True)
 class StreamFusionConfig(PatternFusionMinerConfig):
-    """Streaming-driver knobs: the fusion config + window/policy/jobs.
+    """Streaming-driver knobs: the fusion miner's config + window/policy.
 
     ``window`` is the sliding-window capacity in transactions (``None``
     grows without bound); ``minsup`` is resolved against the window on every
     slide, exactly as :class:`IncrementalPatternFusion` documents.
     """
 
-    # Pools are identical for every jobs value and every kernel backend.
-    EXECUTION_KNOBS = ("jobs", "backend")
-
     window: int | None = None
     policy: str = "auto"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         # Explicit base call: zero-arg super() is broken inside slots=True
         # dataclasses (the decorator rebuilds the class, orphaning the
         # __class__ cell).
-        PatternFusionConfig.__post_init__(self)
+        PatternFusionMinerConfig.__post_init__(self)
         if self.window is not None and self.window < 1:
             raise ValueError(f"window must be >= 1 or None, got {self.window}")
         if self.policy not in ("auto", "always"):
             raise ValueError(f"policy must be 'auto' or 'always', got {self.policy!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @register
@@ -599,7 +593,7 @@ class StreamFusionMiner(Miner):
     :meth:`run` drains a batch source.  The one-shot :meth:`mine` treats the
     whole database as a single arriving batch on a *fresh* driver — for a
     database no larger than ``config.window`` that is exactly a cold
-    engine-scheduled Pattern-Fusion run with the slide-0 seed
+    Pattern-Fusion run with the slide-0 seed
     (``slide_seed(config.seed, 0)``), which the agreement tests pin.
 
     Pass ``executor=`` to drive the batched revalidation and re-fusions

@@ -2,18 +2,20 @@
 ``repro mine --miner <name>`` reproduce the legacy entry points exactly.
 
 Covers the acceptance matrix: every registered miner runs through both
-surfaces; eclat/closed byte-level CLI agreement; pattern_fusion at
-jobs ∈ {1, 2}; and one streaming slide against the legacy driver.
+surfaces; eclat/closed byte-level CLI agreement; one Pattern-Fusion pool
+from every fusion entry point (function, runner, miner at jobs ∈ {1, 2},
+the deprecated aliases, the CLI, a single stream slide); and one streaming
+slide against the legacy driver.
 """
 
 import pytest
 
 from repro.api import MINERS, create_miner, miner_names
 from repro.cli import main
-from repro.core import PatternFusionConfig, pattern_fusion
+from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
 from repro.datasets import diag, quest_like
-from repro.db import TransactionDatabase
-from repro.engine import SerialExecutor, parallel_pattern_fusion
+from repro.db import TransactionDatabase, write_fimi
+from repro.engine import ParallelExecutor, SerialExecutor, parallel_pattern_fusion
 from repro.mining import (
     aclose,
     apriori,
@@ -26,7 +28,9 @@ from repro.mining import (
     top_k_closed,
 )
 from repro.sequences import SequenceDatabase, sequence_pattern_fusion
+from repro.store import document_to_result, read_document
 from repro.streaming import IncrementalPatternFusion
+from repro.streaming.incremental import slide_seed
 
 MINSUP = 2
 
@@ -71,6 +75,78 @@ LEGACY_KNOBS = {
 }
 
 
+#: A stream miner's one-shot ``mine`` is slide 0 of a fresh driver, which
+#: fuses with ``slide_seed(seed, 0)``; seeding every other entry point with
+#: that value puts the stream slide in the same agreement check.
+STREAM_SEED = 3
+FUSION_MINSUP = 10
+FUSION_CONFIG = PatternFusionConfig(
+    k=8, initial_pool_max_size=2, seed=slide_seed(STREAM_SEED, 0)
+)
+FUSION_KNOBS = dict(
+    minsup=FUSION_MINSUP, k=8, initial_pool_max_size=2, seed=FUSION_CONFIG.seed
+)
+
+
+def _cli_pool(db, tmp_path, argv):
+    data, out = tmp_path / "db.dat", tmp_path / "run.json"
+    write_fimi(db, data)
+    assert main([*argv, "--input", str(data), "--out", str(out)]) == 0
+    return document_to_result(read_document(out))
+
+
+def _with_executor(executor):
+    def run(db, tmp_path):
+        with executor() as ex:
+            return pattern_fusion(db, FUSION_MINSUP, FUSION_CONFIG, executor=ex)
+    return run
+
+
+def _runner_with_executor(db, tmp_path):
+    with ParallelExecutor(2) as executor:
+        return PatternFusion(db, FUSION_MINSUP, FUSION_CONFIG, executor=executor).run()
+
+
+def _deprecated_function(db, tmp_path):
+    with pytest.warns(DeprecationWarning):
+        return parallel_pattern_fusion(db, FUSION_MINSUP, FUSION_CONFIG, jobs=2)
+
+
+def _deprecated_miner(db, tmp_path):
+    with pytest.warns(DeprecationWarning):
+        miner = create_miner("parallel_pattern_fusion", jobs=2, **FUSION_KNOBS)
+    return miner.mine(db)
+
+
+FUSION_ENTRY_POINTS = {
+    "function": lambda db, tmp_path: pattern_fusion(db, FUSION_MINSUP, FUSION_CONFIG),
+    "function-serial-executor": _with_executor(SerialExecutor),
+    "function-parallel-executor": _with_executor(lambda: ParallelExecutor(2)),
+    "runner": lambda db, tmp_path: PatternFusion(db, FUSION_MINSUP, FUSION_CONFIG).run(),
+    "runner-executor": _runner_with_executor,
+    "miner-jobs1": lambda db, tmp_path: create_miner(
+        "pattern_fusion", jobs=1, **FUSION_KNOBS
+    ).mine(db),
+    "miner-jobs2": lambda db, tmp_path: create_miner(
+        "pattern_fusion", jobs=2, **FUSION_KNOBS
+    ).mine(db),
+    "deprecated-function": _deprecated_function,
+    "deprecated-miner": _deprecated_miner,
+    "cli-fuse": lambda db, tmp_path: _cli_pool(db, tmp_path, [
+        "fuse", "--minsup", str(FUSION_MINSUP), "--k", "8", "--pool-size", "2",
+        "--seed", str(FUSION_CONFIG.seed), "--jobs", "2",
+    ]),
+    "cli-mine": lambda db, tmp_path: _cli_pool(db, tmp_path, [
+        "mine", "--minsup", str(FUSION_MINSUP), "--miner", "pattern_fusion",
+        "--set", "k=8", "--set", "initial_pool_max_size=2",
+        "--set", f"seed={FUSION_CONFIG.seed}",
+    ]),
+    "stream-single-slide": lambda db, tmp_path: create_miner(
+        "stream_fusion", **{**FUSION_KNOBS, "seed": STREAM_SEED}
+    ).mine(db),
+}
+
+
 class TestMinerApiAgreement:
     @pytest.mark.parametrize("name", sorted(LEGACY_CALLS))
     def test_itemset_miners_equal_legacy_functions(self, toy_db, name):
@@ -91,9 +167,9 @@ class TestMinerApiAgreement:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_parallel_fusion_equals_legacy_at_jobs(self, fusion_db, jobs):
         config = PatternFusionConfig(k=8, initial_pool_max_size=2, seed=3)
-        legacy = parallel_pattern_fusion(fusion_db, 10, config, jobs=jobs)
+        legacy = pattern_fusion(fusion_db, 10, config, jobs=jobs)
         via_api = create_miner(
-            "parallel_pattern_fusion",
+            "pattern_fusion",
             minsup=10, k=8, initial_pool_max_size=2, seed=3, jobs=jobs,
         ).mine(fusion_db)
         assert pattern_key(via_api) == pattern_key(legacy)
@@ -102,13 +178,21 @@ class TestMinerApiAgreement:
         pools = [
             pattern_key(
                 create_miner(
-                    "parallel_pattern_fusion",
+                    "pattern_fusion",
                     minsup=10, k=8, initial_pool_max_size=2, seed=3, jobs=jobs,
                 ).mine(fusion_db)
             )
             for jobs in (1, 2)
         ]
         assert pools[0] == pools[1]
+
+    @pytest.mark.parametrize("entry", sorted(FUSION_ENTRY_POINTS))
+    def test_every_fusion_entry_point_mines_one_pool(
+        self, fusion_db, tmp_path, entry
+    ):
+        reference = pattern_fusion(fusion_db, FUSION_MINSUP, FUSION_CONFIG, jobs=1)
+        result = FUSION_ENTRY_POINTS[entry](fusion_db, tmp_path)
+        assert pattern_key(result) == pattern_key(reference)
 
     def test_streaming_slide_equals_legacy_driver(self, toy_db):
         config = PatternFusionConfig(k=5, initial_pool_max_size=2, seed=1)
@@ -211,7 +295,7 @@ class TestCliAgreement:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cli_fusion_matches_api_at_jobs(self, dat_file, capsys, jobs):
         argv = ["mine", "--input", str(dat_file), "--minsup", "2",
-                "--miner", "parallel_pattern_fusion",
+                "--miner", "pattern_fusion",
                 "--set", "seed=0", "--set", "k=5",
                 "--set", "initial_pool_max_size=2", "--set", f"jobs={jobs}"]
         assert main(argv) == 0
@@ -224,7 +308,7 @@ class TestCliAgreement:
             n_items=5,
         )
         api_result = create_miner(
-            "parallel_pattern_fusion",
+            "pattern_fusion",
             minsup=2, seed=0, k=5, initial_pool_max_size=2, jobs=jobs,
         ).mine(db)
         assert len(out_lines) == min(len(api_result), 20)

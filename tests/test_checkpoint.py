@@ -25,9 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.config import PatternFusionConfig
+from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
 from repro.datasets import quest_like
-from repro.engine import parallel_pattern_fusion
 from repro.mining import Pattern
 from repro.resilience import (
     CheckpointManager,
@@ -146,8 +145,8 @@ def _pool_key(patterns):
 
 @pytest.fixture(scope="module")
 def reference(db):
-    """The uninterrupted serial run every crash/resume case must reproduce."""
-    return parallel_pattern_fusion(db, 6, _CONFIG, jobs=1)
+    """The uninterrupted run every crash/resume case must reproduce."""
+    return pattern_fusion(db, 6, _CONFIG)
 
 
 class TestFusionCrashResume:
@@ -166,12 +165,12 @@ class TestFusionCrashResume:
         )
         try:
             with pytest.raises(FaultInjected):
-                parallel_pattern_fusion(
+                pattern_fusion(
                     db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
                 )
             assert path.exists()  # at least one round was banked
             set_fault_schedule(FaultSchedule.parse(""))
-            resumed = parallel_pattern_fusion(
+            resumed = pattern_fusion(
                 db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
             )
         finally:
@@ -189,18 +188,40 @@ class TestFusionCrashResume:
         )
         try:
             with pytest.raises(FaultInjected):
-                parallel_pattern_fusion(
+                pattern_fusion(
                     db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
                 )
             set_fault_schedule(FaultSchedule.parse(""))
             # Identity excludes execution knobs: a serial run may resume
             # parallel and still replay the identical pool.
-            resumed = parallel_pattern_fusion(
+            resumed = pattern_fusion(
                 db, 6, _CONFIG, jobs=2, checkpoint=CheckpointManager(path)
             )
         finally:
             set_fault_schedule(previous)
         assert _pool_key(resumed.patterns) == _pool_key(reference.patterns)
+
+    def test_no_executor_crash_resumes_at_jobs_2(self, db, reference, tmp_path):
+        # A run without an executor and a jobs=2 run share one round and one
+        # RNG stream, so the checkpoint one writes is the other's to resume.
+        path = tmp_path / "ckpt.json"
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=3,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                PatternFusion(
+                    db, 6, _CONFIG, checkpoint=CheckpointManager(path)
+                ).run()
+            assert path.exists()
+            set_fault_schedule(FaultSchedule.parse(""))
+            resumed = pattern_fusion(
+                db, 6, _CONFIG, jobs=2, checkpoint=CheckpointManager(path)
+            )
+        finally:
+            set_fault_schedule(previous)
+        assert _pool_key(resumed.patterns) == _pool_key(reference.patterns)
+        assert resumed.iterations == reference.iterations
 
     def test_checkpoint_from_other_config_refused(self, db, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -209,12 +230,12 @@ class TestFusionCrashResume:
         )
         try:
             with pytest.raises(FaultInjected):
-                parallel_pattern_fusion(
+                pattern_fusion(
                     db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
                 )
             set_fault_schedule(FaultSchedule.parse(""))
             with pytest.raises(CheckpointError, match="different run"):
-                parallel_pattern_fusion(
+                pattern_fusion(
                     db, 6, PatternFusionConfig(k=10, seed=8), jobs=1,
                     checkpoint=CheckpointManager(path),
                 )
@@ -272,7 +293,7 @@ class TestStreamResume:
 
 _MINE_ARGS = [
     "mine", "--dataset", "quest", "--minsup", "6",
-    "--miner", "parallel_pattern_fusion", "--set", "k=10", "--set", "seed=7",
+    "--miner", "pattern_fusion", "--set", "k=10", "--set", "seed=7",
 ]
 
 

@@ -359,7 +359,7 @@ class TestMinersListing:
         assert "eclat" in by_name
         assert by_name["eclat"]["capabilities"] == ["complete"]
         assert "minsup" in by_name["eclat"]["config"]
-        assert by_name["parallel_pattern_fusion"]["config"]["jobs"]["default"] == 1
+        assert by_name["pattern_fusion"]["config"]["jobs"]["default"] == 1
         assert "streaming" in by_name["stream_fusion"]["capabilities"]
 
 

@@ -54,7 +54,7 @@ class TestMineOut:
         assert "stored run " in printed
         run_id = printed.split("stored run ")[1].split()[0]
         document = read_document(out)
-        assert document["miner"] == "parallel_pattern_fusion"
+        assert document["miner"] == "pattern_fusion"
         stored = PatternStore(store_dir).load(run_id)
         assert bits(stored.patterns) == bits(document_to_result(document).patterns)
 
@@ -85,7 +85,7 @@ class TestStoreCommands:
         assert main(["store", "ls", "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert run_id in out
-        assert "parallel_pattern_fusion" in out
+        assert "pattern_fusion" in out
 
     def test_show(self, populated, capsys):
         store_dir, run_id = populated

@@ -101,8 +101,10 @@ class TestLegacyCallSignatures:
         from repro import PatternFusionConfig, parallel_pattern_fusion
 
         config = PatternFusionConfig(k=5, initial_pool_max_size=2, seed=0)
-        serial = parallel_pattern_fusion(db, 2, config, jobs=1)
-        parallel = parallel_pattern_fusion(db, 2, config, jobs=2)
+        with pytest.warns(DeprecationWarning):
+            serial = parallel_pattern_fusion(db, 2, config, jobs=1)
+        with pytest.warns(DeprecationWarning):
+            parallel = parallel_pattern_fusion(db, 2, config, jobs=2)
         assert {p.items for p in serial.patterns} == {
             p.items for p in parallel.patterns
         }

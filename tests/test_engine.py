@@ -2,6 +2,7 @@
 
 import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,38 @@ class TestSerialExecutor:
         )
         assert out == [101, 102, 103]
         assert worker_payload() is None  # restored after the call
+
+    def test_concurrent_threads_see_their_own_payload(self):
+        # Every Pattern-Fusion run without an executor goes through a
+        # SerialExecutor, and the threaded HTTP server runs mines
+        # concurrently: one thread's payload must never leak into another's
+        # call.  Thread "a" reads its payload while "b" is inside its call.
+        a_inside, b_inside, a_read = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def read_a(chunk):
+            a_inside.set()
+            assert b_inside.wait(5)
+            seen["a"] = worker_payload()
+            a_read.set()
+            return chunk
+
+        def hold_b(chunk):
+            b_inside.set()
+            assert a_read.wait(5)
+            seen["b"] = worker_payload()
+            return chunk
+
+        def run_b():
+            assert a_inside.wait(5)
+            SerialExecutor().map_reduce(hold_b, [[0]], _flatten, payload="b")
+
+        thread = threading.Thread(target=run_b)
+        thread.start()
+        SerialExecutor().map_reduce(read_a, [[0]], _flatten, payload="a")
+        thread.join(5)
+        assert not thread.is_alive()
+        assert seen == {"a": "a", "b": "b"}
 
 
 class TestParallelExecutor:

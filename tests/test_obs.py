@@ -16,9 +16,8 @@ import threading
 
 import pytest
 
-from repro.core import PatternFusionConfig
+from repro.core import PatternFusionConfig, pattern_fusion
 from repro.datasets import diag, diag_plus
-from repro.engine import parallel_pattern_fusion
 from repro.mining.results import Stopwatch
 from repro.obs import logs, metrics, trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -290,7 +289,7 @@ class TestEngineSpanMerge:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fuse_ball_spans_reach_driver_trace(self, traced, jobs):
-        parallel_pattern_fusion(diag(8), 6, self.CONFIG, jobs=jobs)
+        pattern_fusion(diag(8), 6, self.CONFIG, jobs=jobs)
         records = traced.spans()
         by_id = {r["span_id"]: r for r in records}
         fuse_spans = [r for r in records if r["name"] == "fuse_ball"]
@@ -302,26 +301,39 @@ class TestEngineSpanMerge:
         assert any(r["name"] == "pattern_fusion" for r in records)
 
     def test_serial_and_parallel_traces_have_same_shape(self, traced):
+        families = [
+            metrics.REGISTRY.get(f"repro_fusion_{name}_total")
+            for name in ("seeds", "ball_queries", "fused_patterns", "dedup_dropped")
+        ]
+
         def shape(jobs):
             traced.drain()
-            parallel_pattern_fusion(diag(8), 6, self.CONFIG, jobs=jobs)
-            return sorted(
+            before = [dict(family.collect()) for family in families]
+            pattern_fusion(diag(8), 6, self.CONFIG, jobs=jobs)
+            deltas = [
+                {key: value - old.get(key, 0) for key, value in family.collect().items()}
+                for family, old in zip(families, before)
+            ]
+            spans = sorted(
                 (r["name"], r["attrs"].get("fused"))
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
             )
+            return spans, deltas
 
-        assert shape(1) == shape(2)
+        serial, parallel = shape(1), shape(2)
+        assert serial == parallel
+        assert all(sum(delta.values()) > 0 for delta in serial[1][:3])
 
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):
             return sorted((p.sorted_items(), p.tidset) for p in result.patterns)
 
-        plain = parallel_pattern_fusion(diag(8), 6, self.CONFIG, jobs=2)
+        plain = pattern_fusion(diag(8), 6, self.CONFIG, jobs=2)
         previous = (TRACER.enabled, list(TRACER.sinks))
         TRACER.configure(enabled=True, sinks=[RingBufferSink()])
         try:
-            traced_run = parallel_pattern_fusion(diag(8), 6, self.CONFIG, jobs=2)
+            traced_run = pattern_fusion(diag(8), 6, self.CONFIG, jobs=2)
         finally:
             TRACER.configure(enabled=previous[0], sinks=previous[1])
         assert pool_key(traced_run) == pool_key(plain)

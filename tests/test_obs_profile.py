@@ -271,7 +271,7 @@ class TestTraceContext:
 
         sink = trace.RingBufferSink()
         trace.configure(enabled=True, sinks=[sink])
-        spec = get_miner_spec("parallel_pattern_fusion")
+        spec = get_miner_spec("pattern_fusion")
         miner = spec.cls(spec.config_type.from_dict({
             "minsup": 20, "k": 10, "initial_pool_max_size": 2,
             "seed": 0, "jobs": 2,

@@ -1,21 +1,18 @@
-"""Parallel/serial agreement tests for the engine's Pattern-Fusion driver.
+"""Parallel/serial agreement tests for the Pattern-Fusion driver.
 
 The engine's headline guarantee: for a fixed config seed the final pool is
 identical for every worker count.  These tests pin that across the three
 dataset families the paper uses (synthetic QUEST-style, Diag-style,
-Replace-sim-style) and check the serial executor path against the plain
-``pattern_fusion`` call with an explicit executor.
+Replace-sim-style), check ``jobs`` against an explicit executor and no
+executor at all, and pin the round's RNG stream to a golden digest.
 """
 
 import pytest
 
-from repro.core import PatternFusionConfig, pattern_fusion
-from repro.datasets import diag, quest_like, replace_like
-from repro.engine import (
-    ParallelExecutor,
-    SerialExecutor,
-    parallel_pattern_fusion,
-)
+from repro.cli import _pool_digest
+from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
+from repro.datasets import diag, diag_plus, quest_like, replace_like
+from repro.engine import ParallelExecutor, SerialExecutor
 
 
 def pool_key(result):
@@ -53,8 +50,8 @@ class TestCrossJobsAgreement:
         self, request, fixture_name, minsup, config, jobs
     ):
         db = request.getfixturevalue(fixture_name)
-        serial = parallel_pattern_fusion(db, minsup, config, jobs=1)
-        parallel = parallel_pattern_fusion(db, minsup, config, jobs=jobs)
+        serial = pattern_fusion(db, minsup, config, jobs=1)
+        parallel = pattern_fusion(db, minsup, config, jobs=jobs)
         assert pool_key(parallel) == pool_key(serial)
         assert parallel.iterations == serial.iterations
         assert parallel.history == serial.history
@@ -62,15 +59,15 @@ class TestCrossJobsAgreement:
     @pytest.mark.parametrize("fixture_name,minsup,config", CASES)
     def test_deterministic_across_runs(self, request, fixture_name, minsup, config):
         db = request.getfixturevalue(fixture_name)
-        first = parallel_pattern_fusion(db, minsup, config, jobs=2)
-        second = parallel_pattern_fusion(db, minsup, config, jobs=2)
+        first = pattern_fusion(db, minsup, config, jobs=2)
+        second = pattern_fusion(db, minsup, config, jobs=2)
         assert pool_key(first) == pool_key(second)
 
 
 class TestExecutorHook:
     def test_pattern_fusion_with_serial_executor(self, synthetic_db):
         _, minsup, config = CASES[0]
-        via_driver = parallel_pattern_fusion(synthetic_db, minsup, config, jobs=1)
+        via_driver = pattern_fusion(synthetic_db, minsup, config, jobs=1)
         with SerialExecutor() as executor:
             via_hook = pattern_fusion(
                 synthetic_db, minsup, config, executor=executor
@@ -79,7 +76,7 @@ class TestExecutorHook:
 
     def test_pattern_fusion_with_parallel_executor(self, synthetic_db):
         _, minsup, config = CASES[0]
-        serial = parallel_pattern_fusion(synthetic_db, minsup, config, jobs=1)
+        serial = pattern_fusion(synthetic_db, minsup, config, jobs=1)
         with ParallelExecutor(2) as executor:
             parallel = pattern_fusion(
                 synthetic_db, minsup, config, executor=executor
@@ -94,13 +91,35 @@ class TestExecutorHook:
         assert pool_key(first) == pool_key(second)
 
     def test_without_executor_runs_legacy_path(self, synthetic_db):
-        # The default call must not involve the engine at all — and still
-        # satisfy the algorithm's contract.
+        # Without an executor the runner makes its own SerialExecutor: the
+        # same round, the same pool as jobs=1, and the algorithm's contract.
         _, minsup, config = CASES[0]
-        result = pattern_fusion(synthetic_db, minsup, config)
+        result = PatternFusion(synthetic_db, minsup, config).run()
         assert len(result) <= config.k
         for p in result.patterns:
             assert synthetic_db.support(p.items) >= minsup
+        jobs1 = pattern_fusion(synthetic_db, minsup, config, jobs=1)
+        assert pool_key(result) == pool_key(jobs1)
+
+
+class TestGoldenStream:
+    """The round's RNG stream is pinned: one digest for every driver.
+
+    The digest is of the pool the engine driver mined for this config
+    before the serial round was folded into it; every ``all_sweep``-style
+    engine pool depends on that stream staying put.
+    """
+
+    CONFIG = PatternFusionConfig(k=10, tau=0.5, initial_pool_max_size=2, seed=3)
+    DIGEST = "683ecdde0e9ed03b"
+
+    @pytest.mark.parametrize("jobs", [1, 2, None])
+    def test_pool_digest(self, jobs):
+        if jobs is None:
+            result = PatternFusion(diag_plus(), 20, self.CONFIG).run()
+        else:
+            result = pattern_fusion(diag_plus(), 20, self.CONFIG, jobs=jobs)
+        assert _pool_digest(result.patterns) == self.DIGEST
 
 
 class TestParallelContract:
@@ -109,7 +128,7 @@ class TestParallelContract:
     def test_results_frequent_and_closed(self, synthetic_db):
         minsup = 10
         config = PatternFusionConfig(k=8, initial_pool_max_size=2, seed=5)
-        result = parallel_pattern_fusion(synthetic_db, minsup, config, jobs=2)
+        result = pattern_fusion(synthetic_db, minsup, config, jobs=2)
         assert result.patterns
         for p in result.patterns:
             assert synthetic_db.support(p.items) >= minsup
@@ -118,14 +137,14 @@ class TestParallelContract:
 
     def test_lemma5_min_size_non_decreasing(self, diag_db):
         config = PatternFusionConfig(k=6, initial_pool_max_size=2, seed=2)
-        result = parallel_pattern_fusion(diag_db, 8, config, jobs=2)
+        result = pattern_fusion(diag_db, 8, config, jobs=2)
         mins = [s.min_pattern_size for s in result.history]
         assert mins == sorted(mins)
 
     def test_finds_diag_maximal_size(self, diag_db):
         # Diag_16 at minsup 8: every pattern should reach the maximal size 8.
         config = PatternFusionConfig(k=6, initial_pool_max_size=2, seed=1)
-        result = parallel_pattern_fusion(diag_db, 8, config, jobs=4)
+        result = pattern_fusion(diag_db, 8, config, jobs=4)
         assert result.patterns
         assert all(p.size == 8 for p in result.patterns)
 
@@ -135,6 +154,6 @@ class TestParallelContract:
         base = dict(k=8, initial_pool_max_size=2, seed=11)
         with_index = PatternFusionConfig(**base, ball_index_min_pool=1)
         without_index = PatternFusionConfig(**base, use_ball_index=False)
-        a = parallel_pattern_fusion(synthetic_db, 10, with_index, jobs=2)
-        b = parallel_pattern_fusion(synthetic_db, 10, without_index, jobs=2)
+        a = pattern_fusion(synthetic_db, 10, with_index, jobs=2)
+        b = pattern_fusion(synthetic_db, 10, without_index, jobs=2)
         assert pool_key(a) == pool_key(b)

@@ -15,8 +15,8 @@ from concurrent.futures import Future
 import pytest
 
 from repro.cli import main
-from repro.core.config import PatternFusionConfig
-from repro.engine import ParallelExecutor, SerialExecutor, parallel_pattern_fusion
+from repro.core import PatternFusionConfig, pattern_fusion
+from repro.engine import ParallelExecutor, SerialExecutor
 from repro.engine.executor import map_chunks, split_chunks
 from repro.resilience import (
     FaultInjected,
@@ -405,9 +405,9 @@ class TestRecoveryDeterminism:
         self, quest_db, install_faults, jobs
     ):
         config = PatternFusionConfig(k=10, seed=7)
-        reference = parallel_pattern_fusion(quest_db, 6, config, jobs=1)
+        reference = pattern_fusion(quest_db, 6, config, jobs=1)
         install_faults("kill@executor.chunk:first=1,every=2")
-        chaotic = parallel_pattern_fusion(quest_db, 6, config, jobs=jobs)
+        chaotic = pattern_fusion(quest_db, 6, config, jobs=jobs)
         assert _pool_key(chaotic.patterns) == _pool_key(reference.patterns)
         assert chaotic.iterations == reference.iterations
 

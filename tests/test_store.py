@@ -276,17 +276,27 @@ class TestMineCached:
         db = diag_plus()
         store = PatternStore(tmp_path / "store")
         knobs = dict(minsup=20, k=10, initial_pool_max_size=2, seed=3)
-        cold = mine_cached(store, "parallel_pattern_fusion", db, jobs=1, **knobs)
-        warm = mine_cached(store, "parallel_pattern_fusion", db, jobs=2, **knobs)
+        cold = mine_cached(store, "pattern_fusion", db, jobs=1, **knobs)
+        warm = mine_cached(store, "pattern_fusion", db, jobs=2, **knobs)
         assert not cold.hit and warm.hit
         assert warm.run_id == cold.run_id
         assert bits(warm.result.patterns) == bits(cold.result.patterns)
         assert len(store) == 1
 
+    def test_deprecated_alias_keeps_its_run_ids(self, tmp_path):
+        """The alias mines the pattern_fusion pool under its old name, so a
+        run cached under it keeps the id it had before the drivers merged."""
+        with pytest.warns(DeprecationWarning):
+            outcome = mine_cached(
+                PatternStore(tmp_path / "store"), "parallel_pattern_fusion",
+                diag_plus(), minsup=20, k=10, initial_pool_max_size=2, seed=0,
+            )
+        assert outcome.run_id == "2a251ae06fd94cd7"
+
     def test_identity_dict_excludes_only_execution_knobs(self):
         from repro.api import get_miner_spec
 
-        config_type = get_miner_spec("parallel_pattern_fusion").config_type
+        config_type = get_miner_spec("pattern_fusion").config_type
         config = config_type(minsup=2, jobs=4)
         assert config.to_dict()["jobs"] == 4  # round trip keeps it
         assert "jobs" not in config.identity_dict()
