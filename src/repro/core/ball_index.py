@@ -32,6 +32,9 @@ from repro.mining.results import Pattern
 
 __all__ = ["PatternBallIndex"]
 
+#: Centers per batched distance-row call in :meth:`PatternBallIndex.balls`.
+_CENTERS_PER_CALL = 8
+
 
 class PatternBallIndex:
     """An immutable pivot table over one pattern pool.
@@ -72,6 +75,11 @@ class PatternBallIndex:
         """The indexed pool (shared order with the pivot tables)."""
         return self._pool
 
+    @property
+    def matrix(self) -> TidsetMatrix:
+        """The pool's tidsets packed once, row ``i`` ↔ ``pool[i]``."""
+        return self._matrix
+
     def ball(self, center: Pattern, radius: float) -> list[Pattern]:
         """All pool patterns within ``radius`` of ``center`` (inclusive).
 
@@ -97,14 +105,19 @@ class PatternBallIndex:
         if self._matrix.backend != "stdlib":
             # Vectorized distance rows answer every center outright; pivot
             # pruning would only save work the kernel no longer does
-            # per-pattern.
-            rows = self._matrix.jaccard_distance_rows(
-                [center.tidset for center in centers]
-            )
-            return [
-                [p for p, distance in zip(self._pool, row) if distance <= radius]
-                for row in rows
-            ]
+            # per-pattern.  A few centers per call: a row is one Python
+            # float per pool pattern, and K rows of a 173,746-pattern pool
+            # would be the round's largest allocation by far.
+            members = []
+            for start in range(0, len(centers), _CENTERS_PER_CALL):
+                rows = self._matrix.jaccard_distance_rows(
+                    [c.tidset for c in centers[start:start + _CENTERS_PER_CALL]]
+                )
+                members.extend(
+                    [p for p, distance in zip(self._pool, row) if distance <= radius]
+                    for row in rows
+                )
+            return members
         center_to_pivots = [
             [tidset_distance(center.tidset, pivot.tidset) for pivot in self._pivots]
             for center in centers

@@ -64,6 +64,7 @@ def balls(
     centers: list[Pattern],
     pool: list[Pattern],
     radius: float,
+    matrix: TidsetMatrix | None = None,
 ) -> list[list[Pattern]]:
     """One ball per center, each exactly equal to :func:`ball` for that center.
 
@@ -73,10 +74,12 @@ def balls(
     shared and zero-intersection rows exit without a union popcount (and the
     NumPy backend vectorizes whole rows).  Answers are bit-identical to
     per-pattern :func:`ball` scans; members are returned in pool order.
+    ``matrix`` is the pool already packed, when the caller holds it.
     """
     if not centers or not pool:
         return [[] for _ in centers]
-    matrix = TidsetMatrix.from_patterns(pool)
+    if matrix is None:
+        matrix = TidsetMatrix.from_patterns(pool)
     rows = matrix.jaccard_distance_rows([c.tidset for c in centers])
     return [
         [pattern for pattern, distance in zip(pool, row) if distance <= radius]

@@ -16,8 +16,11 @@ while the run stays **deterministic for a fixed config.seed** and
   worker it landed on or what ran before it.
 * Ball queries run on the driver through the batched ``balls`` APIs
   (:meth:`PatternBallIndex.balls` / :func:`repro.core.distance.balls`), and
-  tasks carry only *indices* into the pool; the pool and the database ship
-  once per round as the executor's warm-up payload, not per task.  Because
+  tasks carry only *indices* into the pool.  The pool, its packed
+  :class:`~repro.kernels.TidsetMatrix` (the one the ball query already
+  built) and the database ship once per round as the executor's warm-up
+  payload, not per task; each task gathers its ball's rows from that
+  matrix instead of packing them again.  Because
   the pool evolves, each round re-warms the worker processes — effectively
   free under the ``fork`` start method (copy-on-write), but on
   spawn-only platforms every round pays worker interpreter startup, so
@@ -44,7 +47,7 @@ from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import FusionMiner, PatternFusionResult, pattern_fusion
 from repro.db.transaction_db import TransactionDatabase
 from repro.engine.executor import Executor, map_chunks, worker_payload
-from repro.kernels import use_backend
+from repro.kernels import TidsetMatrix, use_backend
 from repro.kernels.backend import backend as kernels_backend
 from repro.mining.results import Pattern
 from repro.obs import metrics, trace
@@ -99,6 +102,9 @@ class _RoundPayload:
 
     db: TransactionDatabase
     pool: tuple[Pattern, ...]
+    matrix: TidsetMatrix
+    """The pool's tidsets, in pool order."""
+
     tau: float
     minsup: int
     trials: int
@@ -133,6 +139,8 @@ def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
             trials=payload.trials,
             max_candidates=payload.max_candidates,
             close_fused=payload.close_fused,
+            matrix=payload.matrix,
+            rows=task.member_indices,
         )
         span.set(fused=len(fused))
     return fused
@@ -190,9 +198,11 @@ def fusion_round(
                 n_pivots=config.ball_index_pivots,
                 rng=random.Random(0 if config.seed is None else config.seed),
             )
+            matrix = index.matrix
             member_lists = index.balls(centers, radius)
         else:
-            member_lists = balls(centers, pool, radius)
+            matrix = TidsetMatrix.from_patterns(pool)
+            member_lists = balls(centers, pool, radius, matrix=matrix)
     _SEEDS.inc(n_seeds)
     _BALL_QUERIES.inc(n_seeds, indexed=str(use_index).lower())
     position = {pattern.items: i for i, pattern in enumerate(pool)}
@@ -209,6 +219,7 @@ def fusion_round(
     payload = _RoundPayload(
         db=db,
         pool=tuple(pool),
+        matrix=matrix,
         tau=config.tau,
         minsup=minsup,
         trials=config.fusion_trials,

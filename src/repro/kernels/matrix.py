@@ -180,6 +180,16 @@ class TidsetMatrix(ABC):
         """Every row as a big-int tidset bitmask, in row order."""
         return [self.row(i) for i in range(self.n_rows)]
 
+    @abstractmethod
+    def take(self, rows: Sequence[int]) -> "TidsetMatrix":
+        """A new matrix of the selected rows, in the given order.
+
+        Equal to :meth:`from_tidsets` of the same rows at the same
+        ``n_bits`` and backend, but a gather rather than a re-pack: a
+        fusion round packs its pool once and every ball takes its rows
+        from that matrix.  Repeated indices repeat rows.
+        """
+
     # ------------------------------------------------------------------
     # Batched primitives
     # ------------------------------------------------------------------
@@ -288,6 +298,12 @@ class StdlibTidsetMatrix(TidsetMatrix):
 
     def rows(self) -> list[int]:
         return list(self._rows)
+
+    def take(self, rows: Sequence[int]) -> "StdlibTidsetMatrix":
+        taken = StdlibTidsetMatrix([self._rows[i] for i in rows], self._n_bits)
+        if self._pops is not None:
+            taken._pops = [self._pops[i] for i in rows]
+        return taken
 
     def _pops_internal(self) -> list[int]:
         if self._pops is None:

@@ -84,14 +84,21 @@ class NumpyTidsetMatrix(TidsetMatrix):
         skipped entirely, which is what makes a binary-format cold open
         O(1) in the pool size.
         """
+        n_words = max(1, -(-n_bits // 64))
+        words = np.frombuffer(buffer, dtype="<u8", count=n_rows * n_words)
+        return cls._wrap(words.reshape(n_rows, n_words), n_bits)
+
+    @classmethod
+    def _wrap(
+        cls, words: np.ndarray, n_bits: int, pops: np.ndarray | None = None
+    ) -> "NumpyTidsetMatrix":
+        """A matrix over an already-packed ``(rows, W)`` word array."""
         matrix = object.__new__(cls)
-        matrix._n_rows = n_rows
+        matrix._n_rows = words.shape[0]
         matrix._n_bits = n_bits
-        matrix._n_words = max(1, -(-n_bits // 64))
-        matrix._words = np.frombuffer(
-            buffer, dtype="<u8", count=n_rows * matrix._n_words
-        ).reshape(n_rows, matrix._n_words)
-        matrix._pops = None
+        matrix._n_words = words.shape[1]
+        matrix._words = words
+        matrix._pops = pops
         return matrix
 
     @property
@@ -106,6 +113,11 @@ class NumpyTidsetMatrix(TidsetMatrix):
         if not 0 <= index < self._n_rows:
             raise IndexError(f"row {index} out of range [0, {self._n_rows})")
         return int.from_bytes(self._words[index].tobytes(), "little")
+
+    def take(self, rows: Sequence[int]) -> "NumpyTidsetMatrix":
+        index = np.asarray(rows, dtype=np.intp)
+        pops = None if self._pops is None else self._pops[index]
+        return self._wrap(self._words[index], self._n_bits, pops)
 
     # ------------------------------------------------------------------
     # Query packing

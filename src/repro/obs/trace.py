@@ -54,6 +54,7 @@ __all__ = [
     "StderrSink",
     "TRACER",
     "Tracer",
+    "annotate",
     "capture",
     "configure",
     "current_span_id",
@@ -346,6 +347,17 @@ def span(name: str, **attrs: Any) -> "_ActiveSpan | _NullSpan":
 def current_span_id() -> str | None:
     """``TRACER.current_span_id`` as a module function."""
     return TRACER.current_span_id()
+
+
+def annotate(**attrs: Any) -> None:
+    """Attach attributes to the innermost open span, if any.
+
+    Lets a library function report what it did on the span its caller
+    opened around it, without taking the span as an argument.
+    """
+    active = _CURRENT.get()
+    if active is not None:
+        active.set(**attrs)
 
 
 def current_trace_id() -> str | None:

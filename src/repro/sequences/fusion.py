@@ -28,6 +28,7 @@ from repro.api.base import Capabilities, Miner
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
 from repro.core.distance import ball_radius, tidset_distance
+from repro.core.fusion import GreedyBall
 from repro.core.pattern_fusion import PatternFusionMinerConfig
 from repro.db import bitset
 from repro.db.transaction_db import TransactionDatabase
@@ -189,7 +190,13 @@ def _fusion_round(
     config: PatternFusionConfig,
     rng: random.Random,
 ) -> list[SequencePattern]:
-    """One sequential Algorithm-2 round: seeds → balls → fused patterns."""
+    """One sequential Algorithm-2 round: seeds → balls → fused patterns.
+
+    The greedy passes are the itemset driver's (:class:`GreedyBall`), with
+    the same acceptance rule.  The seed stays in its own ball and in the
+    shuffle: its tidset contains every running tidset and its support never
+    exceeds the ceiling, so accepting it changes nothing.
+    """
     n_seeds = min(config.k, len(pool))
     seeds = rng.sample(pool, k=n_seeds)
     fused_by_sequence: dict[tuple[int, ...], SequencePattern] = {}
@@ -197,49 +204,21 @@ def _fusion_round(
         members = [
             p for p in pool if tidset_distance(seed.tidset, p.tidset) <= radius
         ]
+        ball = GreedyBall(
+            [p.tidset for p in members], [p.support for p in members],
+            config.tau, minsup,
+        )
         for _ in range(config.fusion_trials):
-            candidate = _greedy_fuse(db, seed, members, minsup, config.tau, rng)
-            if candidate is not None:
-                fused_by_sequence.setdefault(candidate.sequence, candidate)
+            order = list(range(len(members)))
+            rng.shuffle(order)
+            tidset, _, _ = ball.walk(order, seed.tidset, seed.support)
+            sequence = common_pattern_of_tidset(db, tidset)
+            if sequence and sequence not in fused_by_sequence:
+                # The common pattern may be supported beyond the fused tidset.
+                fused_by_sequence[sequence] = SequencePattern(
+                    sequence=sequence, tidset=db.tidset(sequence)
+                )
     return list(fused_by_sequence.values())
-
-
-def _greedy_fuse(
-    db: SequenceDatabase,
-    seed: SequencePattern,
-    members: list[SequencePattern],
-    minsup: int,
-    tau: float,
-    rng: random.Random,
-) -> SequencePattern | None:
-    """Intersect ball members' support sets, then extract the common pattern.
-
-    Identical acceptance rule to the itemset fusion: the running support set
-    must stay ≥ minsup and at least τ times every accepted member's support.
-    """
-    tidset = seed.tidset
-    ceiling = seed.support
-    order = list(range(len(members)))
-    rng.shuffle(order)
-    for index in order:
-        member = members[index]
-        if member.sequence == seed.sequence:
-            continue
-        merged = tidset & member.tidset
-        support = merged.bit_count()
-        if support < minsup:
-            continue
-        new_ceiling = max(ceiling, member.support)
-        if support < tau * new_ceiling:
-            continue
-        tidset = merged
-        ceiling = new_ceiling
-    pattern = common_pattern_of_tidset(db, tidset)
-    if not pattern:
-        return None
-    # The common pattern may be supported even beyond the fused tidset.
-    full_tidset = db.tidset(pattern)
-    return SequencePattern(sequence=pattern, tidset=full_tidset)
 
 
 class SequenceFusionConfig(PatternFusionMinerConfig):

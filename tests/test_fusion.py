@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fusion import (
     FusionCandidate,
@@ -10,6 +12,7 @@ from repro.core.fusion import (
     weighted_sample_without_replacement,
 )
 from repro.db import TransactionDatabase
+from repro.kernels import TidsetMatrix, available_backends
 from repro.mining.results import Pattern, make_pattern
 
 
@@ -160,4 +163,180 @@ class TestWeightedSampling:
         with pytest.raises(ValueError):
             weighted_sample_without_replacement(
                 candidates, [1.0, 1.0], -1, random.Random(0)
+            )
+
+
+def scalar_fuse_ball(
+    db, seed, ball_members, tau, minsup, rng, trials, max_candidates, close_fused
+):
+    """The oracle: ``fuse_ball`` with the scalar greedy pass.
+
+    Each pass ANDs every member's tidset into the running tidset in
+    shuffled order and accepts the member when the result stays frequent
+    and at least τ times every accepted member's support.
+    """
+    others = [p for p in ball_members if p.items != seed.items]
+    best_by_items = {}
+    for _ in range(trials):
+        tidset = seed.tidset
+        ceiling = seed.support
+        accepted = [seed]
+        order = list(range(len(others)))
+        rng.shuffle(order)
+        for index in order:
+            member = others[index]
+            merged = tidset & member.tidset
+            support = merged.bit_count()
+            if support < minsup:
+                continue
+            new_ceiling = max(ceiling, member.support)
+            if support < tau * new_ceiling:
+                continue
+            tidset = merged
+            ceiling = new_ceiling
+            accepted.append(member)
+        if close_fused:
+            items = db.closure_of_tidset(tidset)
+        else:
+            items = frozenset().union(*(member.items for member in accepted))
+        candidate = FusionCandidate(
+            pattern=Pattern(items=items, tidset=tidset), n_fused=len(accepted)
+        )
+        existing = best_by_items.get(items)
+        if existing is None or candidate.n_fused > existing.n_fused:
+            best_by_items[items] = candidate
+    candidates = list(best_by_items.values())
+    if len(candidates) > max_candidates:
+        candidates = weighted_sample_without_replacement(
+            candidates, [c.n_fused for c in candidates], max_candidates, rng
+        )
+    return [c.pattern for c in candidates]
+
+
+def assert_matches_oracle(
+    db, pool, seed, ball_rows, tau, minsup, rng_seed, trials, max_candidates,
+    close_fused, backend,
+):
+    """``fuse_ball`` equals the scalar pass, with and without a pool matrix.
+
+    Equal means the same patterns (items and tidsets) in the same order,
+    and the RNG left in the same state.
+    """
+    ball = [pool[row] for row in ball_rows]
+    oracle_rng = random.Random(rng_seed)
+    expected = scalar_fuse_ball(
+        db, seed, ball, tau, minsup, oracle_rng, trials, max_candidates,
+        close_fused,
+    )
+    expected_key = [(p.items, p.tidset) for p in expected]
+    matrix = TidsetMatrix.from_patterns(pool, backend=backend)
+    for extra in ({}, {"matrix": matrix, "rows": ball_rows}):
+        rng = random.Random(rng_seed)
+        got = fuse_ball(
+            db, seed, ball, tau=tau, minsup=minsup, rng=rng, trials=trials,
+            max_candidates=max_candidates, close_fused=close_fused, **extra,
+        )
+        assert [(p.items, p.tidset) for p in got] == expected_key
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+@st.composite
+def fusion_cases(draw):
+    """A random database, pool, seed, ball and fusion parameters."""
+    n_items = draw(st.integers(1, 8))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, n_items - 1), max_size=n_items),
+        min_size=1, max_size=40,
+    ))
+    db = TransactionDatabase(rows, n_items=n_items)
+    itemsets = draw(st.lists(
+        st.frozensets(st.integers(0, n_items - 1), min_size=1, max_size=3),
+        min_size=1, max_size=25, unique=True,
+    ))
+    pool = [make_pattern(db, items) for items in itemsets]
+    seed_row = draw(st.integers(0, len(pool) - 1))
+    seed = pool[seed_row]
+    ball_rows = draw(st.lists(
+        st.integers(0, len(pool) - 1), max_size=len(pool), unique=True
+    ))
+    minsup = draw(st.one_of(
+        st.just(seed.support), st.integers(0, seed.support + 1)
+    ))
+    tau = draw(st.one_of(
+        st.just(1.0), st.sampled_from([0.5, 0.9, 0.97]),
+        st.floats(0.01, 1.0, allow_nan=False),
+    ))
+    return dict(
+        db=db, pool=pool, seed=seed, ball_rows=ball_rows, tau=tau,
+        minsup=minsup, rng_seed=draw(st.integers(0, 2**32)),
+        trials=draw(st.integers(1, 5)), max_candidates=draw(st.integers(1, 3)),
+        close_fused=draw(st.booleans()),
+    )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestCountWalkMatchesScalarPass:
+    """The count-based walk is the scalar greedy pass, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=fusion_cases())
+    def test_random_balls(self, backend, case):
+        assert_matches_oracle(**case, backend=backend)
+
+    @pytest.mark.parametrize("close_fused", [True, False])
+    @pytest.mark.parametrize("ball", ["empty", "seed_only", "whole_pool"])
+    @pytest.mark.parametrize("tau", [0.3, 1.0])
+    def test_edge_balls(self, block_db, backend, close_fused, ball, tau):
+        pool = pool_of_pairs(block_db, range(5)) + pool_of_pairs(
+            block_db, range(4, 8)
+        )
+        ball_rows = {
+            "empty": [], "seed_only": [0], "whole_pool": list(range(len(pool)))
+        }[ball]
+        for minsup in (0, 1, pool[0].support, pool[0].support + 1):
+            assert_matches_oracle(
+                block_db, pool, pool[0], ball_rows, tau, minsup, rng_seed=7,
+                trials=4, max_candidates=2, close_fused=close_fused,
+                backend=backend,
+            )
+
+    @pytest.mark.parametrize("close_fused", [True, False])
+    @pytest.mark.parametrize("minsup", [1, 4, 5, 6])
+    def test_thresholds_hit_exactly(self, backend, close_fused, minsup):
+        """Counts landing exactly on τ·s and τ·C, in both walk orders.
+
+        The seed {0} occurs in rows 0-5.  Item 1 (rows 0-9) contains it and
+        raises the ceiling from 6 to 10; item 2 (rows 0-3 and 10-13) has
+        count 4 = 0.5·8, so it shrinks T if it comes before item 1 and is
+        rejected after it.  Item 5 (rows 0-4 and 20-22) has count 5, which
+        is exactly 0.5·10 once item 1 is in.  Item 3 (support 12) sits
+        exactly on its own floor, 6 = 0.5·12; item 4 (support 14) is a
+        superset below it.
+        """
+        rows = [set() for _ in range(23)]
+        spans = {
+            0: range(6), 1: range(10), 2: [*range(4), *range(10, 14)],
+            3: [*range(6), *range(14, 20)], 4: [*range(6), *range(12, 20)],
+            5: [*range(5), *range(20, 23)],
+        }
+        for item, tids in spans.items():
+            for tid in tids:
+                rows[tid].add(item)
+        db = TransactionDatabase([sorted(row) for row in rows], n_items=6)
+        pool = [make_pattern(db, [item]) for item in range(6)]
+        for rng_seed in range(12):
+            assert_matches_oracle(
+                db, pool, pool[0], list(range(6)), 0.5, minsup, rng_seed,
+                trials=3, max_candidates=3, close_fused=close_fused,
+                backend=backend,
+            )
+
+    def test_matrix_and_rows_go_together(self, block_db, backend):
+        pool = pool_of_pairs(block_db, range(5))
+        matrix = TidsetMatrix.from_patterns(pool, backend=backend)
+        with pytest.raises(ValueError, match="together"):
+            fuse_ball(
+                block_db, pool[0], pool, tau=0.5, minsup=1,
+                rng=random.Random(0), trials=1, max_candidates=1,
+                close_fused=True, matrix=matrix,
             )

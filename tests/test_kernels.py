@@ -177,6 +177,96 @@ class TestReferenceSemantics:
         assert matrix.rows() == [p.tidset for p in pool]
 
 
+@pytest.mark.parametrize("name", available_backends())
+class TestTake:
+    """``take(rows)`` is ``from_tidsets`` of the same rows, without re-packing."""
+
+    @staticmethod
+    def assert_same(taken, packed, queries):
+        assert taken.backend == packed.backend
+        assert taken.n_rows == packed.n_rows == len(taken)
+        assert taken.n_bits == packed.n_bits
+        assert taken.rows() == packed.rows()
+        assert taken.popcounts() == packed.popcounts()
+        for query in queries:
+            assert taken.intersection_counts(query) == (
+                packed.intersection_counts(query)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(tidset_ints, min_size=1, max_size=12),
+        st.data(),
+        st.lists(tidset_ints, max_size=3),
+        st.booleans(),
+    )
+    def test_equals_packing_the_subset(self, name, rows, data, queries, warm):
+        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        if warm:
+            matrix.popcounts()  # the cached popcounts are gathered too
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+        packed = TidsetMatrix.from_tidsets(
+            [rows[i] for i in picks], n_bits=matrix.n_bits, backend=name
+        )
+        self.assert_same(matrix.take(picks), packed, queries)
+
+    def test_empty_and_repeated_indices(self, name):
+        from repro.mining.results import Pattern
+
+        pool = [
+            Pattern(items=frozenset({i}), tidset=(1 << (70 * i)) | 1)
+            for i in range(4)
+        ]
+        matrix = TidsetMatrix.from_patterns(pool, backend=name)
+        queries = [1, (1 << 140) | 1, (1 << 300) - 1]
+        for picks in ([], (), [2, 2, 0, 2], range(4)):
+            packed = TidsetMatrix.from_patterns(
+                [pool[i] for i in picks], n_bits=matrix.n_bits, backend=name
+            )
+            self.assert_same(matrix.take(picks), packed, queries)
+        assert matrix.take([]).rows() == []
+        assert matrix.take([3, 3]).rows() == [pool[3].tidset] * 2
+
+
+def test_engine_round_under_spawn_equals_serial():
+    """The round payload, pool matrix included, pickles into spawned workers.
+
+    Fork workers inherit the payload; spawn workers unpickle it, so this
+    is the run that would catch a payload that does not pickle.  The span
+    ids name the process that opened them, which shows the fusion work ran
+    in the spawned workers rather than in a serial fallback.
+    """
+    import os
+
+    from repro.core.config import PatternFusionConfig
+    from repro.core.pattern_fusion import pattern_fusion
+    from repro.datasets import diag
+    from repro.engine import ParallelExecutor
+    from repro.obs.trace import TRACER, RingBufferSink
+
+    def key(result):
+        return sorted((p.sorted_items(), p.tidset) for p in result.patterns)
+
+    config = PatternFusionConfig(
+        k=10, initial_pool_max_size=2, seed=0, max_iterations=1
+    )
+    serial = pattern_fusion(diag(10), 6, config)
+    sink = RingBufferSink()
+    previous = (TRACER.enabled, list(TRACER.sinks))
+    TRACER.configure(enabled=True, sinks=[sink])
+    try:
+        with ParallelExecutor(2, start_method="spawn") as executor:
+            spawned = pattern_fusion(diag(10), 6, config, executor=executor)
+    finally:
+        TRACER.configure(enabled=previous[0], sinks=previous[1])
+    assert key(spawned) == key(serial)
+    assert spawned.history == serial.history
+    driver = f"{os.getpid():x}-"
+    fuse_spans = [r for r in sink.spans() if r["name"] == "fuse_ball"]
+    assert fuse_spans
+    assert all(not r["span_id"].startswith(driver) for r in fuse_spans)
+
+
 @needs_numpy
 def test_pre2_numpy_lut_fallback(monkeypatch):
     """Without numpy.bitwise_count (NumPy < 2.0) the LUT path must agree."""

@@ -315,7 +315,12 @@ class TestEngineSpanMerge:
                 for family, old in zip(families, before)
             ]
             spans = sorted(
-                (r["name"], r["attrs"].get("fused"))
+                (
+                    r["attrs"]["seed_index"],
+                    r["attrs"].get("fused"),
+                    r["attrs"]["tidset_changes"],
+                    r["attrs"]["accepted"],
+                )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
             )
@@ -324,6 +329,9 @@ class TestEngineSpanMerge:
         serial, parallel = shape(1), shape(2)
         assert serial == parallel
         assert all(sum(delta.values()) > 0 for delta in serial[1][:3])
+        # The greedy counters are live: passes accept members and shrink T.
+        assert sum(span[2] for span in serial[0]) > 0
+        assert sum(span[3] for span in serial[0]) > 0
 
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):

@@ -13,6 +13,7 @@ from repro.cli import _pool_digest
 from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
 from repro.datasets import diag, diag_plus, quest_like, replace_like
 from repro.engine import ParallelExecutor, SerialExecutor
+from repro.kernels import available_backends, use_backend
 
 
 def pool_key(result):
@@ -105,21 +106,45 @@ class TestExecutorHook:
 class TestGoldenStream:
     """The round's RNG stream is pinned: one digest for every driver.
 
-    The digest is of the pool the engine driver mined for this config
-    before the serial round was folded into it; every ``all_sweep``-style
-    engine pool depends on that stream staying put.
+    ``DIGEST`` is of the pool the engine driver mined for ``CONFIG`` before
+    the serial round was folded into it; every ``all_sweep``-style engine
+    pool depends on that stream staying put.  ``OPEN_DIGEST`` pins a run
+    whose greedy passes shrink the running tidset 1.15 times on average and
+    whose fused patterns are item unions (``close_fused=False``), so the
+    walk's resume-after-shrink path and the union path are pinned as well.
+    Both digests hold on every kernel backend.
     """
 
     CONFIG = PatternFusionConfig(k=10, tau=0.5, initial_pool_max_size=2, seed=3)
     DIGEST = "683ecdde0e9ed03b"
+    OPEN_CONFIG = PatternFusionConfig(
+        k=10, tau=0.5, initial_pool_max_size=2, seed=7, close_fused=False
+    )
+    OPEN_DIGEST = "4bdb1c6641381367"
+
+    @staticmethod
+    def digests(db, minsup, config, jobs):
+        """The pool digest on every available kernel backend."""
+        digests = {}
+        for backend in available_backends():
+            with use_backend(backend):
+                if jobs is None:
+                    result = PatternFusion(db, minsup, config).run()
+                else:
+                    result = pattern_fusion(db, minsup, config, jobs=jobs)
+            digests[backend] = _pool_digest(result.patterns)
+        return digests
 
     @pytest.mark.parametrize("jobs", [1, 2, None])
     def test_pool_digest(self, jobs):
-        if jobs is None:
-            result = PatternFusion(diag_plus(), 20, self.CONFIG).run()
-        else:
-            result = pattern_fusion(diag_plus(), 20, self.CONFIG, jobs=jobs)
-        assert _pool_digest(result.patterns) == self.DIGEST
+        digests = self.digests(diag_plus(), 20, self.CONFIG, jobs)
+        assert set(digests.values()) == {self.DIGEST}, digests
+
+    @pytest.mark.parametrize("jobs", [1, 2, None])
+    def test_open_pool_digest(self, jobs):
+        db = quest_like(n_transactions=600, n_items=40, n_patterns=10, seed=2)
+        digests = self.digests(db, 0.02, self.OPEN_CONFIG, jobs)
+        assert set(digests.values()) == {self.OPEN_DIGEST}, digests
 
 
 class TestParallelContract:
