@@ -11,10 +11,12 @@ The construction of each β_i here is a randomized greedy pass: walk the ball
 in random order, union in every member that keeps the running fusion (a)
 frequent and (b) a pattern all accepted members are τ-core patterns of.  The
 pass is repeated ``trials`` times with different orders; distinct outcomes
-become the candidate β_i set.
+become the candidate β_i set.  The orders come from a NumPy ``PCG64`` bit
+generator seeded by one 64-bit draw from the caller's RNG
+(:func:`pass_orders`).
 
-A pass is a walk over cached intersection counts (:class:`GreedyBall`).  Let
-T be the running tidset, starting at the seed's, and C the ceiling: the
+A pass is a NumPy scan over cached intersection counts (:class:`GreedyBall`).
+Let T be the running tidset, starting at the seed's, and C the ceiling: the
 largest support accepted so far, starting at the seed's.  A member with
 support s and count c = |T ∩ D_m| is accepted iff ``c ≥ minsup`` and
 ``not c < τ·max(C, s)``; then T becomes T ∩ D_m and C becomes max(C, s).
@@ -29,47 +31,48 @@ support s and count c = |T ∩ D_m| is accepted iff ``c ≥ minsup`` and
   pass on Replace-sim, never on ALL-sim at minsup 27 — so the counts of
   every member against each distinct T are computed once per ball, by one
   batched :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, and
-  shared by every pass that reaches that T.  The walk then goes on from the
-  next position on the new T's counts.
+  shared by every pass that reaches that T.
 
-Each T's counts become per-member verdicts once: reject, accept as a
-superset, or shrink candidate.  Only a shrink candidate's test involves C,
-which moves within a pass, so the walk checks that one inline.
+Each T's counts become two masks once: the superset accepts, and the shrink
+candidates (``c ≥ minsup`` and ``not c < τ·s``).  Only a candidate's test
+involves C, which moves within a pass.  The ceiling before each position is
+C or the largest support accepted as a superset before it, whichever is
+larger (a running maximum); the first candidate whose count is not below τ
+times that ceiling shrinks T, and the scan resumes after it on the new T's
+masks.
 
 A rejected member stays rejected for the rest of its pass: T only shrinks
 and C only grows, so its count only falls and its threshold only rises.
-So one forward walk is the whole pass — no member passed over could be
+So one forward scan is the whole pass — no member passed over could be
 accepted later, and the fused pattern takes in every ball member it can.
-The result is bit for bit the scalar pass that ANDs every member into T
-(the property tests keep that pass as their oracle), with the same RNG
-draws.
+Given the same order, the result is bit for bit the scalar pass that ANDs
+every member into T (the property tests keep that pass as their oracle).
+
+NumPy is imported when a ball is fused, not when this module is.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.db.transaction_db import TransactionDatabase
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 from repro.obs import trace
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "FusionCandidate",
     "GreedyBall",
     "fuse_ball",
+    "pass_orders",
     "weighted_sample_without_replacement",
 ]
-
-# A member's verdict against one running tidset T.
-_REJECT = 0
-#: Contains T and passes its own core ratio: accepted, T unchanged.
-_SUPERSET = 1
-#: Passes minsup and its own core ratio; accepted iff it also passes the
-#: ceiling's, which the walk checks because the ceiling moves within a pass.
-_SHRINK = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,88 +90,124 @@ class FusionCandidate:
 class GreedyBall:
     """A ball's members, ready for any number of greedy fusion passes.
 
-    ``counts_of(T)`` returns ``|T ∩ tidsets[i]|`` for every member; by
-    default it ANDs the tidsets one by one, and the itemset driver passes a
-    :class:`~repro.kernels.TidsetMatrix` method instead.  Its answer for each
-    distinct T is kept for the ball's lifetime.
+    Member ``i`` is row ``i`` of ``matrix``.  Counts come from its batched
+    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, so every
+    kernel backend runs the same scan.  The counts and masks of each
+    distinct running tidset are kept for the ball's lifetime; ``levels``
+    says how many there are.
     """
 
-    __slots__ = ("_tidsets", "_supports", "_floors", "_tau", "_minsup",
-                 "_counts_of", "_levels")
+    __slots__ = (
+        "_matrix", "_supports", "_floors", "_bars", "_tau", "_minsup", "_levels"
+    )
 
-    def __init__(
-        self,
-        tidsets: Sequence[int],
-        supports: Sequence[int],
-        tau: float,
-        minsup: int,
-        counts_of: Callable[[int], list[int]] | None = None,
-    ) -> None:
-        self._tidsets = tidsets
-        self._supports = supports
-        # fl(τ·s): the core-ratio floor of each member against itself.
-        self._floors = [tau * support for support in supports]
+    def __init__(self, matrix: TidsetMatrix, tau: float, minsup: int) -> None:
+        import numpy as np
+
+        self._matrix = matrix
+        self._supports = np.asarray(matrix.popcounts(), dtype=np.int64)
+        # fl(τ·s): the core-ratio floor of each member against itself, and
+        # the count a member needs to be a shrink candidate at all.
+        self._floors = tau * self._supports
+        self._bars = np.maximum(self._floors, minsup)
         self._tau = tau
         self._minsup = minsup
-        self._counts_of = counts_of or self._and_counts
-        self._levels: dict[int, tuple[list[int], list[int]]] = {}
+        self._levels: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _and_counts(self, tidset: int) -> list[int]:
-        return [(tidset & member).bit_count() for member in self._tidsets]
+    @property
+    def levels(self) -> int:
+        """How many distinct running tidsets have been counted."""
+        return len(self._levels)
 
-    def _level(self, tidset: int, size: int) -> tuple[list[int], list[int]]:
-        """Counts against ``tidset`` (of ``size`` ≥ minsup) and verdicts."""
+    def _level(self, tidset: int, size: int) -> tuple[np.ndarray, ...]:
+        """Counts against ``tidset`` (of ``size`` ≥ minsup) and its masks.
+
+        Returns the counts, the superset-accept mask, the shrink-candidate
+        mask, and each member's support where it is a superset accept (0
+        elsewhere), which the ceiling's running maximum reads.
+        """
         level = self._levels.get(tidset)
         if level is None:
-            counts = self._counts_of(tidset)
-            minsup = self._minsup
-            verdicts = [
-                (_REJECT if size < floor else _SUPERSET) if count == size
-                else _SHRINK if count >= minsup and not count < floor
-                else _REJECT
-                for count, floor in zip(counts, self._floors)
-            ]
-            level = self._levels[tidset] = (counts, verdicts)
+            import numpy as np
+
+            counts = np.asarray(
+                self._matrix.intersection_counts(tidset), dtype=np.int64
+            )
+            # ``x >= y`` is ``not x < y``: no operand is NaN.
+            accepts = (counts == size) & (self._floors <= size)
+            candidates = (counts != size) & (counts >= self._bars)
+            lifts = accepts * self._supports
+            level = self._levels[tidset] = (counts, accepts, candidates, lifts)
         return level
 
     def walk(
         self, order: Sequence[int], tidset: int, ceiling: int
-    ) -> tuple[int, list[int], int]:
+    ) -> tuple[int, np.ndarray, int]:
         """One greedy pass over the members in ``order``.
 
         Starts from running tidset ``tidset`` and ceiling ``ceiling`` (the
         seed's tidset and support) and returns the final tidset, the
-        accepted members in walk order, and how many times T shrank.  The
-        superset rule needs ``τ·ceiling ≤ |tidset|`` at the start, which
-        the seed's own support gives.
+        accepted members in walk order (an index array), and how many times
+        T shrank.  The superset rule needs ``τ·ceiling ≤ |tidset|`` at the
+        start, which the seed's own support gives.
         """
-        accepted: list[int] = []
-        changes = 0
+        import numpy as np
+
+        order = np.asarray(order, dtype=np.intp)
         size = tidset.bit_count()
         if size < self._minsup:
             # Every merge is a subset of T: nothing can be frequent.
-            return tidset, accepted, changes
-        counts, verdicts = self._level(tidset, size)
-        supports = self._supports
-        tau = self._tau
-        floor = tau * ceiling
-        for index in order:
-            verdict = verdicts[index]
-            if verdict == _SUPERSET:
-                accepted.append(index)
-                if supports[index] > ceiling:
-                    ceiling = supports[index]
-                    floor = tau * ceiling
-            elif verdict == _SHRINK and not counts[index] < floor:
-                accepted.append(index)
-                changes += 1
-                tidset &= self._tidsets[index]
-                size = counts[index]
-                if supports[index] > ceiling:
-                    ceiling = supports[index]
-                    floor = tau * ceiling
-                counts, verdicts = self._level(tidset, size)
+            return tidset, order[:0], 0
+        pieces = []
+        changes = 0
+        while True:
+            counts, accepts, candidates, lifts = self._level(tidset, size)
+            positions = candidates[order].nonzero()[0]
+            if positions.size:
+                head = order[:positions[-1] + 1]
+                # The ceiling before each candidate.  It is floored at C:
+                # before any superset accept the running maximum is 0, and
+                # after a shrink a superset of the new T may have s < C.
+                ceilings = np.maximum.accumulate(lifts[head])[positions]
+                np.maximum(ceilings, ceiling, out=ceilings)
+                passing = counts[head[positions]] >= self._tau * ceilings
+                first = passing.argmax()
+            if not positions.size or not passing[first]:
+                pieces.append(order[accepts[order]])
+                break
+            stop = positions[first]
+            # The members accepted up to and including the shrink at stop.
+            walked = order[:stop + 1]
+            taken = accepts[walked]
+            taken[-1] = True
+            pieces.append(walked[taken])
+            changes += 1
+            index = int(order[stop])
+            tidset &= self._matrix.row(index)
+            size = int(counts[index])
+            ceiling = max(int(ceilings[first]), int(self._supports[index]))
+            order = order[stop + 1:]
+        accepted = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         return tidset, accepted, changes
+
+
+def pass_orders(seed: int, n: int, trials: int) -> np.ndarray:
+    """``trials`` random orders of ``range(n)``, one row each, from ``seed``.
+
+    Row ``i`` argsorts draws ``i·n`` to ``(i+1)·n - 1`` of
+    ``numpy.random.PCG64(seed)``'s raw 64-bit stream.  NumPy keeps bit
+    generators' raw streams stable across releases, which it does not
+    promise for ``Generator.permutation``.  Each key's low bits are replaced
+    by its index, so keys are distinct and every sort algorithm gives the
+    same order.
+    """
+    import numpy as np
+
+    index_bits = (n - 1).bit_length() if n else 0
+    high = np.uint64(((1 << 64) - 1) ^ ((1 << index_bits) - 1))
+    keys = np.random.PCG64(seed).random_raw((trials, n)) & high
+    keys |= np.arange(n, dtype=np.uint64)
+    return np.argsort(keys, axis=1)
 
 
 def fuse_ball(
@@ -192,35 +231,32 @@ def fuse_ball(
     (support set unchanged, so the core conditions still hold); without it
     the pattern is the union of the fused members' items.
 
-    ``trials`` passes of :class:`GreedyBall` run over one shuffled order
-    each (one ``rng.shuffle`` per pass); the counts they read are shared
-    across passes.  ``matrix`` and ``rows`` — a matrix holding the ball's
-    tidsets, and the row of each member in it — let those counts come from
-    batched kernel calls on rows gathered with
-    :meth:`~repro.kernels.TidsetMatrix.take`; a fusion round passes its pool
-    matrix.  The result does not depend on them.
+    ``trials`` passes of :class:`GreedyBall` run over the orders of
+    :func:`pass_orders`, seeded by one ``rng.getrandbits(64)`` per call;
+    the counts they read are shared across passes.  Retention sampling then
+    draws from ``rng`` itself.  ``matrix`` and ``rows`` — a matrix holding
+    the ball's tidsets, and the row of each member in it — let the ball's
+    rows be gathered with :meth:`~repro.kernels.TidsetMatrix.take` instead
+    of packed again; a fusion round passes its pool matrix.  The result
+    does not depend on them.
 
-    Sets ``tidset_changes`` and ``accepted`` (summed over the passes) on the
-    innermost open trace span.
+    Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
+    ``levels`` (distinct running tidsets counted) and ``closures`` (closure
+    calls) on the innermost open trace span.
     """
     if (matrix is None) != (rows is None):
         raise ValueError("matrix and rows must be given together")
     keep = [j for j, p in enumerate(ball_members) if p.items != seed.items]
     others = [ball_members[j] for j in keep]
-    counts_of = (
-        None if matrix is None
-        else matrix.take([rows[j] for j in keep]).intersection_counts
-    )
     ball = GreedyBall(
-        [p.tidset for p in others], [p.support for p in others], tau, minsup,
-        counts_of,
+        TidsetMatrix.from_patterns(others) if matrix is None
+        else matrix.take([rows[j] for j in keep]),
+        tau, minsup,
     )
     closures: dict[int, frozenset[int]] = {}
     best_by_items: dict[frozenset[int], FusionCandidate] = {}
     tidset_changes = accepted_total = 0
-    for _ in range(trials):
-        order = list(range(len(others)))
-        rng.shuffle(order)
+    for order in pass_orders(rng.getrandbits(64), len(others), trials):
         tidset, accepted, changes = ball.walk(order, seed.tidset, seed.support)
         tidset_changes += changes
         accepted_total += len(accepted)
@@ -232,14 +268,17 @@ def fuse_ball(
             if items is None:
                 items = closures[tidset] = db.closure_of_tidset(tidset)
         else:
-            items = seed.items.union(*(others[i].items for i in accepted))
+            items = seed.items.union(*(others[i].items for i in accepted.tolist()))
         candidate = FusionCandidate(
             pattern=Pattern(items=items, tidset=tidset), n_fused=1 + len(accepted)
         )
         existing = best_by_items.get(items)
         if existing is None or candidate.n_fused > existing.n_fused:
             best_by_items[items] = candidate
-    trace.annotate(tidset_changes=tidset_changes, accepted=accepted_total)
+    trace.annotate(
+        tidset_changes=tidset_changes, accepted=accepted_total,
+        levels=ball.levels, closures=len(closures),
+    )
     candidates = list(best_by_items.values())
     if len(candidates) > max_candidates:
         candidates = weighted_sample_without_replacement(

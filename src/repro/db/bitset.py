@@ -14,8 +14,8 @@ wherever they are used.
 For *batched* work — popcounts, intersection sizes, distance rows, or
 superset tests over many tidsets at once — use :mod:`repro.kernels`: its
 :class:`~repro.kernels.TidsetMatrix` packs a pool of tidsets once and
-answers those primitives per call (vectorized under the optional NumPy
-backend), bit-identically to looping over these functions.
+answers those primitives per call (vectorized under the NumPy backend),
+bit-identically to looping over these functions.
 """
 
 from __future__ import annotations

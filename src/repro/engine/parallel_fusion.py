@@ -12,8 +12,9 @@ while the run stays **deterministic for a fixed config.seed** and
 * Seed draws and the per-seed child seeds are produced on the driver, from
   the algorithm's single RNG, in seed order — before any work is
   distributed.  Each seed's fusion passes then run on a private
-  ``random.Random(child_seed)``, so a worker's stream never depends on which
-  worker it landed on or what ran before it.
+  ``random.Random(child_seed)`` (which seeds the passes' PCG64 orders), so
+  a worker's stream never depends on which worker it landed on or what ran
+  before it.
 * Ball queries run on the driver through the batched ``balls`` APIs
   (:meth:`PatternBallIndex.balls` / :func:`repro.core.distance.balls`), and
   tasks carry only *indices* into the pool.  The pool, its packed

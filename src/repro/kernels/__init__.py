@@ -6,8 +6,8 @@ reduce to popcount/AND/OR over tidsets.  :class:`TidsetMatrix` packs N
 tidsets once and answers those primitives for all rows per call, behind two
 bit-identical backends:
 
-* ``stdlib`` — Python big-int bitmasks (the historical representation;
-  zero dependencies), with precomputed popcounts and early exits.
+* ``stdlib`` — Python big-int bitmasks (the historical representation),
+  with precomputed popcounts and early exits.
 * ``numpy`` — N×W ``uint64`` word arrays with vectorized popcount
   (:func:`numpy.bitwise_count`, or an 8-bit LUT on older NumPy).
 

@@ -1,8 +1,8 @@
 """Backend selection for the tidset kernel layer.
 
 Two interchangeable implementations of :class:`repro.kernels.TidsetMatrix`
-exist: a pure-stdlib one (Python big-int bitmasks, zero dependencies) and a
-NumPy one (tidsets packed into uint64 word arrays, batched popcount/AND/OR).
+exist: a pure-stdlib one (Python big-int bitmasks) and a NumPy one
+(tidsets packed into uint64 word arrays, batched popcount/AND/OR).
 Results are bit-identical by contract — the property tests assert it — so
 which one runs is purely a speed decision, resolved here:
 
@@ -85,7 +85,7 @@ def _validate(name: str) -> str:
     if name == "numpy" and not numpy_available():
         raise ValueError(
             "kernels backend 'numpy' requested but numpy is not installed; "
-            "install the optional extra: pip install repro-pattern-fusion[fast]"
+            "it is a required dependency: pip install 'numpy>=1.24'"
         )
     return name
 

@@ -14,9 +14,9 @@ Counts are exact integers and distances are the same ``1 - |∩| / |∪|``
 float64 division the stdlib backend performs, so results are bit-identical
 across backends (see :mod:`repro.kernels.matrix`).
 
-This module is only imported when the numpy backend is selected; nothing
-else in the package touches numpy, keeping it an optional dependency
-(``pip install repro-pattern-fusion[fast]``).
+This module is only imported when the numpy backend is selected, so
+importing the package never loads numpy (the greedy fusion passes import
+it lazily too).
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.core.fusion import GreedyBall
 from repro.core.pattern_fusion import PatternFusionMinerConfig
 from repro.db import bitset
 from repro.db.transaction_db import TransactionDatabase
+from repro.kernels import TidsetMatrix
 from repro.mining.results import MiningResult, Pattern
 from repro.sequences.prefixspan import prefixspan
 from repro.sequences.results import SequencePattern
@@ -193,9 +194,10 @@ def _fusion_round(
     """One sequential Algorithm-2 round: seeds → balls → fused patterns.
 
     The greedy passes are the itemset driver's (:class:`GreedyBall`), with
-    the same acceptance rule.  The seed stays in its own ball and in the
-    shuffle: its tidset contains every running tidset and its support never
-    exceeds the ceiling, so accepting it changes nothing.
+    the same acceptance rule; their orders still come from ``rng.shuffle``.
+    The seed stays in its own ball and in the shuffle: its tidset contains
+    every running tidset and its support never exceeds the ceiling, so
+    accepting it changes nothing.
     """
     n_seeds = min(config.k, len(pool))
     seeds = rng.sample(pool, k=n_seeds)
@@ -205,7 +207,7 @@ def _fusion_round(
             p for p in pool if tidset_distance(seed.tidset, p.tidset) <= radius
         ]
         ball = GreedyBall(
-            [p.tidset for p in members], [p.support for p in members],
+            TidsetMatrix.from_tidsets(p.tidset for p in members),
             config.tau, minsup,
         )
         for _ in range(config.fusion_trials):

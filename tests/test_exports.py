@@ -7,6 +7,9 @@ binds must be listed in its ``__all__`` — no missing and no stale entries.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,17 @@ def test_streaming_and_sequences_reachable_from_top_level():
     ):
         assert name in repro.__all__, name
         assert hasattr(repro, name), name
+
+
+def test_import_leaves_numpy_unloaded():
+    """NumPy is required but imported lazily, when a ball is fused: the
+    package's import time (the benchmark's ``setup_s``) never pays for it."""
+    code = (
+        "import sys, repro, repro.core, repro.engine; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"

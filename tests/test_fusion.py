@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core.fusion import (
     FusionCandidate,
+    GreedyBall,
     fuse_ball,
+    pass_orders,
     weighted_sample_without_replacement,
 )
 from repro.db import TransactionDatabase
@@ -166,41 +168,49 @@ class TestWeightedSampling:
             )
 
 
+def scalar_walk(tidsets, order, tidset, ceiling, tau, minsup):
+    """The oracle pass: AND every member into the running tidset in order.
+
+    A member is accepted when the result stays frequent and at least τ
+    times every accepted member's support.  Returns the final tidset, the
+    accepted members in order and how many accepts shrank the tidset.
+    """
+    accepted = []
+    changes = 0
+    for index in order:
+        member = tidsets[index]
+        merged = tidset & member
+        support = merged.bit_count()
+        if support < minsup:
+            continue
+        new_ceiling = max(ceiling, member.bit_count())
+        if support < tau * new_ceiling:
+            continue
+        changes += merged != tidset
+        tidset = merged
+        ceiling = new_ceiling
+        accepted.append(index)
+    return tidset, accepted, changes
+
+
 def scalar_fuse_ball(
     db, seed, ball_members, tau, minsup, rng, trials, max_candidates, close_fused
 ):
-    """The oracle: ``fuse_ball`` with the scalar greedy pass.
-
-    Each pass ANDs every member's tidset into the running tidset in
-    shuffled order and accepts the member when the result stays frequent
-    and at least τ times every accepted member's support.
-    """
+    """The oracle: ``fuse_ball`` with the scalar greedy pass, on the same
+    pass orders and the same RNG draws."""
     others = [p for p in ball_members if p.items != seed.items]
+    tidsets = [p.tidset for p in others]
     best_by_items = {}
-    for _ in range(trials):
-        tidset = seed.tidset
-        ceiling = seed.support
-        accepted = [seed]
-        order = list(range(len(others)))
-        rng.shuffle(order)
-        for index in order:
-            member = others[index]
-            merged = tidset & member.tidset
-            support = merged.bit_count()
-            if support < minsup:
-                continue
-            new_ceiling = max(ceiling, member.support)
-            if support < tau * new_ceiling:
-                continue
-            tidset = merged
-            ceiling = new_ceiling
-            accepted.append(member)
+    for order in pass_orders(rng.getrandbits(64), len(others), trials):
+        tidset, accepted, _ = scalar_walk(
+            tidsets, order.tolist(), seed.tidset, seed.support, tau, minsup
+        )
         if close_fused:
             items = db.closure_of_tidset(tidset)
         else:
-            items = frozenset().union(*(member.items for member in accepted))
+            items = seed.items.union(*(others[i].items for i in accepted))
         candidate = FusionCandidate(
-            pattern=Pattern(items=items, tidset=tidset), n_fused=len(accepted)
+            pattern=Pattern(items=items, tidset=tidset), n_fused=1 + len(accepted)
         )
         existing = best_by_items.get(items)
         if existing is None or candidate.n_fused > existing.n_fused:
@@ -240,6 +250,12 @@ def assert_matches_oracle(
         assert rng.getstate() == oracle_rng.getstate()
 
 
+taus = st.one_of(
+    st.just(1.0), st.sampled_from([0.5, 0.9, 0.97]),
+    st.floats(0.01, 1.0, allow_nan=False),
+)
+
+
 @st.composite
 def fusion_cases(draw):
     """A random database, pool, seed, ball and fusion parameters."""
@@ -262,26 +278,84 @@ def fusion_cases(draw):
     minsup = draw(st.one_of(
         st.just(seed.support), st.integers(0, seed.support + 1)
     ))
-    tau = draw(st.one_of(
-        st.just(1.0), st.sampled_from([0.5, 0.9, 0.97]),
-        st.floats(0.01, 1.0, allow_nan=False),
-    ))
     return dict(
-        db=db, pool=pool, seed=seed, ball_rows=ball_rows, tau=tau,
+        db=db, pool=pool, seed=seed, ball_rows=ball_rows, tau=draw(taus),
         minsup=minsup, rng_seed=draw(st.integers(0, 2**32)),
         trials=draw(st.integers(1, 5)), max_candidates=draw(st.integers(1, 3)),
         close_fused=draw(st.booleans()),
     )
 
 
+@st.composite
+def walk_cases(draw):
+    """A start tidset, ball tidsets (some supersets of it), orders, τ, minsup."""
+    full = (1 << draw(st.integers(1, 12))) - 1
+    start = draw(st.integers(0, full))
+    member = st.one_of(
+        st.integers(0, full), st.integers(0, full).map(lambda bits: start | bits)
+    )
+    tidsets = draw(st.lists(member, max_size=20))
+    orders = draw(st.lists(st.permutations(range(len(tidsets))), min_size=1,
+                           max_size=3))
+    return dict(
+        tidsets=tidsets, orders=orders, start=start, tau=draw(taus),
+        minsup=draw(st.integers(0, start.bit_count() + 1)),
+    )
+
+
+class TestPassOrders:
+    SEED = 0x9E3779B97F4A7C15
+
+    def test_pinned(self):
+        """The raw PCG64 stream and the orders drawn from it do not move.
+
+        If NumPy ever changed either, every pool would move with it; the
+        raw draws fail here first.
+        """
+        import numpy as np
+
+        assert np.random.PCG64(self.SEED).random_raw(3).tolist() == [
+            423636498037070414, 6548307978105082964, 1970935312655064746,
+        ]
+        assert pass_orders(self.SEED, 10, 2).tolist() == [
+            [0, 2, 9, 6, 5, 1, 3, 7, 4, 8], [3, 0, 5, 6, 2, 7, 4, 8, 1, 9],
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 65])
+    def test_rows_are_permutations(self, n):
+        orders = pass_orders(self.SEED, n, 4)
+        assert orders.shape == (4, n)
+        for order in orders.tolist():
+            assert sorted(order) == list(range(n))
+
+
 @pytest.mark.parametrize("backend", available_backends())
 class TestCountWalkMatchesScalarPass:
-    """The count-based walk is the scalar greedy pass, bit for bit."""
+    """The vector walk is the scalar greedy pass, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=fusion_cases())
     def test_random_balls(self, backend, case):
         assert_matches_oracle(**case, backend=backend)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases())
+    def test_walk_on_explicit_orders(self, backend, case):
+        """Final tidset, accepted members in order and change count equal
+        the scalar pass's, for several orders over one ball's cache."""
+        start, tidsets = case["start"], case["tidsets"]
+        ball = GreedyBall(
+            TidsetMatrix.from_tidsets(tidsets, backend=backend),
+            case["tau"], case["minsup"],
+        )
+        for order in case["orders"]:
+            tidset, accepted, changes = ball.walk(
+                order, start, start.bit_count()
+            )
+            assert (tidset, accepted.tolist(), changes) == scalar_walk(
+                tidsets, order, start, start.bit_count(), case["tau"],
+                case["minsup"],
+            )
 
     @pytest.mark.parametrize("close_fused", [True, False])
     @pytest.mark.parametrize("ball", ["empty", "seed_only", "whole_pool"])
@@ -300,10 +374,9 @@ class TestCountWalkMatchesScalarPass:
                 backend=backend,
             )
 
-    @pytest.mark.parametrize("close_fused", [True, False])
-    @pytest.mark.parametrize("minsup", [1, 4, 5, 6])
-    def test_thresholds_hit_exactly(self, backend, close_fused, minsup):
-        """Counts landing exactly on τ·s and τ·C, in both walk orders.
+    @staticmethod
+    def boundary_pool():
+        """A pool of single items whose counts land exactly on τ·s and τ·C.
 
         The seed {0} occurs in rows 0-5.  Item 1 (rows 0-9) contains it and
         raises the ceiling from 6 to 10; item 2 (rows 0-3 and 10-13) has
@@ -311,25 +384,57 @@ class TestCountWalkMatchesScalarPass:
         rejected after it.  Item 5 (rows 0-4 and 20-22) has count 5, which
         is exactly 0.5·10 once item 1 is in.  Item 3 (support 12) sits
         exactly on its own floor, 6 = 0.5·12; item 4 (support 14) is a
-        superset below it.
+        superset below it.  Once item 2 has shrunk T to rows 0-3 (C = 8),
+        item 6 (rows 0-3, 23, 24) is a superset of T with support 6 < C,
+        and item 7 (rows 0-2, 25, 26; support 5) has count 3: it passes
+        0.5·6 but not 0.5·C = 4, so only a ceiling floored at C rejects it.
         """
-        rows = [set() for _ in range(23)]
+        rows = [set() for _ in range(27)]
         spans = {
             0: range(6), 1: range(10), 2: [*range(4), *range(10, 14)],
             3: [*range(6), *range(14, 20)], 4: [*range(6), *range(12, 20)],
-            5: [*range(5), *range(20, 23)],
+            5: [*range(5), *range(20, 23)], 6: [*range(4), 23, 24],
+            7: [*range(3), 25, 26],
         }
         for item, tids in spans.items():
             for tid in tids:
                 rows[tid].add(item)
-        db = TransactionDatabase([sorted(row) for row in rows], n_items=6)
-        pool = [make_pattern(db, [item]) for item in range(6)]
+        db = TransactionDatabase([sorted(row) for row in rows], n_items=8)
+        return db, [make_pattern(db, [item]) for item in range(8)]
+
+    @pytest.mark.parametrize("close_fused", [True, False])
+    @pytest.mark.parametrize("minsup", [1, 3, 4, 5, 6])
+    def test_thresholds_hit_exactly(self, backend, close_fused, minsup):
+        """The boundary pool's counts, in the orders of 12 RNG seeds."""
+        db, pool = self.boundary_pool()
         for rng_seed in range(12):
             assert_matches_oracle(
-                db, pool, pool[0], list(range(6)), 0.5, minsup, rng_seed,
+                db, pool, pool[0], list(range(8)), 0.5, minsup, rng_seed,
                 trials=3, max_candidates=3, close_fused=close_fused,
                 backend=backend,
             )
+
+    @pytest.mark.parametrize("minsup", [1, 3])
+    @pytest.mark.parametrize("order", [
+        [2, 6, 7, 1, 3, 4, 5], [2, 7, 6, 1, 3, 4, 5], [7, 1, 2, 6, 3, 4, 5],
+        [1, 2, 3, 4, 5, 6, 7], [6, 2, 7, 5, 4, 3, 1],
+    ])
+    def test_boundary_walks(self, backend, minsup, order):
+        """Hand-picked orders over the boundary pool, item 7 after item 6
+        on the shrunk T among them."""
+        _, pool = self.boundary_pool()
+        tidsets = [p.tidset for p in pool[1:]]
+        ball = GreedyBall(
+            TidsetMatrix.from_tidsets(tidsets, backend=backend), 0.5, minsup
+        )
+        positions = [item - 1 for item in order]
+        seed = pool[0]
+        tidset, accepted, changes = ball.walk(
+            positions, seed.tidset, seed.support
+        )
+        assert (tidset, accepted.tolist(), changes) == scalar_walk(
+            tidsets, positions, seed.tidset, seed.support, 0.5, minsup
+        )
 
     def test_matrix_and_rows_go_together(self, block_db, backend):
         pool = pool_of_pairs(block_db, range(5))

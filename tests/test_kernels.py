@@ -333,7 +333,9 @@ class TestSelection:
 
 
 class TestWithoutNumpy:
-    """The install-without-numpy path, simulated by failing the probe."""
+    """The kernels layer when numpy cannot be imported, simulated by failing
+    the probe.  NumPy is a required dependency (fusion itself needs it), but
+    the stdlib backend still packs and answers on its own."""
 
     @pytest.fixture()
     def no_numpy(self, monkeypatch):
@@ -366,16 +368,6 @@ class TestWithoutNumpy:
         with pytest.raises(ValueError, match="numpy is not installed"):
             with use_backend("numpy"):
                 pass  # pragma: no cover - the enter must already raise
-
-    def test_mining_still_works(self, no_numpy, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        set_backend(None)
-        from repro.core.pattern_fusion import pattern_fusion
-        from repro.datasets import diag_plus
-
-        db = diag_plus()
-        result = pattern_fusion(db, 20, _small_config())
-        assert result.patterns
 
 
 def _small_config():

@@ -320,6 +320,8 @@ class TestEngineSpanMerge:
                     r["attrs"].get("fused"),
                     r["attrs"]["tidset_changes"],
                     r["attrs"]["accepted"],
+                    r["attrs"]["levels"],
+                    r["attrs"]["closures"],
                 )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
@@ -329,9 +331,11 @@ class TestEngineSpanMerge:
         serial, parallel = shape(1), shape(2)
         assert serial == parallel
         assert all(sum(delta.values()) > 0 for delta in serial[1][:3])
-        # The greedy counters are live: passes accept members and shrink T.
+        # The greedy counters are live: passes accept members and shrink T,
+        # and every ball counts and closes at least one running tidset.
         assert sum(span[2] for span in serial[0]) > 0
         assert sum(span[3] for span in serial[0]) > 0
+        assert all(span[4] > 0 and span[5] > 0 for span in serial[0])
 
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):

