@@ -10,12 +10,15 @@ tidsets are 4,395 bits wide).
 
 The index is built on the tidset kernel layer (:mod:`repro.kernels`): the
 pool's tidsets are packed once into a :class:`~repro.kernels.TidsetMatrix`,
-pivot tables come from batched distance rows, and queries pick the cheaper
-of two bit-identical strategies — under the vectorized NumPy backend a full
-batched distance row per center beats per-pattern pivot checks, so the
-pivots are kept for telemetry only; under the stdlib backend the pivot
-exclusion runs as before, with exact distances computed from precomputed
-popcounts.
+and queries pick the cheaper of two bit-identical strategies.  Under the
+vectorized NumPy backend one :meth:`~repro.kernels.TidsetMatrix.rows_within`
+pass per center beats per-pattern pivot checks; under the stdlib backend
+the pivot exclusion runs, with exact distances computed from precomputed
+popcounts.  Either way a query answers with pool rows
+(:class:`~repro.core.distance.Ball`).  The pivots are drawn when the index
+is built, but their distance tables are computed on first read, by the
+stdlib branch or :meth:`PatternBallIndex.exclusion_rate`; under NumPy a
+fusion round never builds them.
 
 This is a performance substrate beyond the paper (which scans the pool);
 correctness is pinned by tests asserting index queries equal brute-force
@@ -25,25 +28,24 @@ scans, and the A6 ablation bench measures the speedup.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
+from functools import cached_property
 
-from repro.core.distance import tidset_distance
+from repro.core.distance import Ball, balls, tidset_distance
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 
 __all__ = ["PatternBallIndex"]
 
-#: Centers per batched distance-row call in :meth:`PatternBallIndex.balls`.
-_CENTERS_PER_CALL = 8
-
 
 class PatternBallIndex:
     """An immutable pivot table over one pattern pool.
 
-    Build cost: ``n_pivots`` batched distance rows over the pool.  Each
-    query then computes exact distances only for patterns no pivot can
-    exclude (stdlib backend) or one vectorized distance row per center
-    (NumPy backend).  With ``n_pivots = 0`` the index degenerates to a
-    brute scan.
+    Build cost: packing the pool, plus ``n_pivots`` batched distance rows
+    the first time the pivot tables are read.  Each query then computes
+    exact distances only for patterns no pivot can exclude (stdlib backend)
+    or one vectorized distance row per center (NumPy backend).  With
+    ``n_pivots = 0`` the index degenerates to a brute scan.
     """
 
     def __init__(
@@ -62,8 +64,12 @@ class PatternBallIndex:
             rng.sample(range(len(self._pool)), n_pivots) if n_pivots else []
         )
         self._pivots = [self._pool[i] for i in pivot_indices]
-        # _tables[j][i] = Dist(pool[i], pivot[j]) — one batched kernel call.
-        self._tables: list[list[float]] = self._matrix.jaccard_distance_rows(
+
+    @cached_property
+    def _tables(self) -> list[list[float]]:
+        """``_tables[j][i] = Dist(pool[i], pivot[j])``: one batched kernel
+        call, made on first read."""
+        return self._matrix.jaccard_distance_rows(
             [pivot.tidset for pivot in self._pivots]
         )
 
@@ -80,7 +86,7 @@ class PatternBallIndex:
         """The pool's tidsets packed once, row ``i`` ↔ ``pool[i]``."""
         return self._matrix
 
-    def ball(self, center: Pattern, radius: float) -> list[Pattern]:
+    def ball(self, center: Pattern, radius: float) -> Ball:
         """All pool patterns within ``radius`` of ``center`` (inclusive).
 
         Exactly equal to the brute-force ball of
@@ -89,44 +95,31 @@ class PatternBallIndex:
         """
         return self.balls([center], radius)[0]
 
-    def balls(self, centers: list[Pattern], radius: float) -> list[list[Pattern]]:
+    def balls(self, centers: Sequence[Pattern], radius: float) -> list[Ball]:
         """One ball per center from batched passes over the pool.
 
         The bulk form of :meth:`ball`: collecting the K seed CoreLists of
-        one fusion round costs K batched kernel rows (NumPy backend) or one
-        pivot-pruned pool traversal (stdlib backend) instead of K scalar
-        scans.  Answers are identical to per-center queries (members in
-        pool order).
+        one fusion round costs K vectorized row scans (NumPy backend) or
+        one pivot-pruned pool traversal (stdlib backend) instead of K
+        scalar scans.  Answers are identical to per-center queries
+        (members in pool order).
         """
-        if radius < 0:
-            return [[] for _ in centers]
-        if not centers or not self._pool:
-            return [[] for _ in centers]
         if self._matrix.backend != "stdlib":
             # Vectorized distance rows answer every center outright; pivot
             # pruning would only save work the kernel no longer does
-            # per-pattern.  A few centers per call: a row is one Python
-            # float per pool pattern, and K rows of a 173,746-pattern pool
-            # would be the round's largest allocation by far.
-            members = []
-            for start in range(0, len(centers), _CENTERS_PER_CALL):
-                rows = self._matrix.jaccard_distance_rows(
-                    [c.tidset for c in centers[start:start + _CENTERS_PER_CALL]]
-                )
-                members.extend(
-                    [p for p, distance in zip(self._pool, row) if distance <= radius]
-                    for row in rows
-                )
-            return members
+            # per-pattern.
+            return balls(centers, self._pool, radius, matrix=self._matrix)
+        import numpy as np
+
         center_to_pivots = [
             [tidset_distance(center.tidset, pivot.tidset) for pivot in self._pivots]
             for center in centers
         ]
         pops = self._matrix.popcounts()
         rows = self._matrix.rows()
-        members: list[list[Pattern]] = [[] for _ in centers]
+        members: list[list[int]] = [[] for _ in centers]
         center_pops = [center.support for center in centers]
-        for index, pattern in enumerate(self._pool):
+        for index in range(len(self._pool)):
             for position, center in enumerate(centers):
                 excluded = False
                 for table, center_distance in zip(
@@ -143,8 +136,8 @@ class PatternBallIndex:
                 union = center_pops[position] + pops[index] - intersection
                 distance = 0.0 if union == 0 else 1.0 - intersection / union
                 if distance <= radius:
-                    members[position].append(pattern)
-        return members
+                    members[position].append(index)
+        return [Ball(self._pool, np.array(m, dtype=np.int64)) for m in members]
 
     def exclusion_rate(self, center: Pattern, radius: float) -> float:
         """Fraction of the pool the pivots exclude for this query (telemetry)."""

@@ -11,11 +11,19 @@ query.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
+
 from repro.db.bitset import jaccard
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 
-__all__ = ["pattern_distance", "tidset_distance", "ball_radius", "ball", "balls"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "pattern_distance", "tidset_distance", "ball_radius", "ball", "balls", "Ball"
+]
 
 
 def tidset_distance(tidset_a: int, tidset_b: int) -> float:
@@ -60,28 +68,65 @@ def ball(
     return [p for p in pool if tidset_distance(center.tidset, p.tidset) <= radius]
 
 
+class Ball(Sequence[Pattern]):
+    """One seed's CoreList as rows of its pool: a read-only pattern view.
+
+    ``rows`` holds the members' positions in ``pool`` (an int64 array,
+    ascending as the ball queries return it).  Length, iteration, indexing and slicing behave as for the
+    list ``[pool[i] for i in rows]``, and a ball compares equal to that
+    list.  A fusion round ships ``rows`` to its workers and gathers the
+    members' tidsets from the pool matrix by row; patterns are looked up
+    only when something reads them.
+    """
+
+    __slots__ = ("pool", "rows")
+
+    def __init__(self, pool: Sequence[Pattern], rows: np.ndarray) -> None:
+        self.pool = pool
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int | slice) -> "Pattern | Ball":
+        if isinstance(index, slice):
+            return Ball(self.pool, self.rows[index])
+        return self.pool[self.rows[index]]
+
+    def __iter__(self) -> Iterator[Pattern]:
+        pool = self.pool
+        return (pool[row] for row in self.rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Ball, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Ball({list(self)!r})"
+
+
 def balls(
-    centers: list[Pattern],
-    pool: list[Pattern],
+    centers: Sequence[Pattern],
+    pool: Sequence[Pattern],
     radius: float,
     matrix: TidsetMatrix | None = None,
-) -> list[list[Pattern]]:
+) -> list[Ball]:
     """One ball per center, each exactly equal to :func:`ball` for that center.
 
     The batched form of the range query: the pool's tidsets are packed into
-    one :class:`repro.kernels.TidsetMatrix` and every center's distance row
-    is computed in a single batched kernel call — per-center popcounts are
-    shared and zero-intersection rows exit without a union popcount (and the
-    NumPy backend vectorizes whole rows).  Answers are bit-identical to
-    per-pattern :func:`ball` scans; members are returned in pool order.
-    ``matrix`` is the pool already packed, when the caller holds it.
+    one :class:`repro.kernels.TidsetMatrix` and every center's members come
+    from one :meth:`~repro.kernels.TidsetMatrix.rows_within` call, which
+    shares the centers' popcounts and (NumPy backend) scans whole distance
+    rows as vectors.  Answers are bit-identical to per-pattern :func:`ball`
+    scans; members are in pool order.  ``matrix`` is the pool already
+    packed, when the caller holds it.
     """
-    if not centers or not pool:
-        return [[] for _ in centers]
+    if not centers:
+        return []
     if matrix is None:
         matrix = TidsetMatrix.from_patterns(pool)
-    rows = matrix.jaccard_distance_rows([c.tidset for c in centers])
     return [
-        [pattern for pattern, distance in zip(pool, row) if distance <= radius]
-        for row in rows
+        Ball(pool, rows)
+        for rows in matrix.rows_within([c.tidset for c in centers], radius)
     ]

@@ -90,11 +90,12 @@ class FusionCandidate:
 class GreedyBall:
     """A ball's members, ready for any number of greedy fusion passes.
 
-    Member ``i`` is row ``i`` of ``matrix``.  Counts come from its batched
-    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, so every
-    kernel backend runs the same scan.  The counts and masks of each
-    distinct running tidset are kept for the ball's lifetime; ``levels``
-    says how many there are.
+    Member ``i`` is row ``i`` of ``matrix`` (in a fusion round, the ball's
+    rows taken from the pool matrix).  Counts come from its batched
+    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, an int64 array
+    on every kernel backend, so every backend runs the same scan.  The
+    counts and masks of each distinct running tidset are kept for the
+    ball's lifetime; ``levels`` says how many there are.
     """
 
     __slots__ = (
@@ -130,9 +131,7 @@ class GreedyBall:
         if level is None:
             import numpy as np
 
-            counts = np.asarray(
-                self._matrix.intersection_counts(tidset), dtype=np.int64
-            )
+            counts = self._matrix.intersection_counts(tidset)
             # ``x >= y`` is ``not x < y``: no operand is NaN.
             accepts = (counts == size) & (self._floors <= size)
             candidates = (counts != size) & (counts >= self._bars)
@@ -213,7 +212,7 @@ def pass_orders(seed: int, n: int, trials: int) -> np.ndarray:
 def fuse_ball(
     db: TransactionDatabase,
     seed: Pattern,
-    ball_members: list[Pattern],
+    ball_members: Sequence[Pattern],
     tau: float,
     minsup: int,
     rng: random.Random,
@@ -221,7 +220,8 @@ def fuse_ball(
     max_candidates: int,
     close_fused: bool,
     matrix: TidsetMatrix | None = None,
-    rows: Sequence[int] | None = None,
+    rows: Sequence[int] | np.ndarray | None = None,
+    seed_row: int | None = None,
 ) -> list[Pattern]:
     """Fuse ``{seed} ∪ ball_members`` into at most ``max_candidates`` patterns.
 
@@ -234,29 +234,46 @@ def fuse_ball(
     ``trials`` passes of :class:`GreedyBall` run over the orders of
     :func:`pass_orders`, seeded by one ``rng.getrandbits(64)`` per call;
     the counts they read are shared across passes.  Retention sampling then
-    draws from ``rng`` itself.  ``matrix`` and ``rows`` — a matrix holding
-    the ball's tidsets, and the row of each member in it — let the ball's
-    rows be gathered with :meth:`~repro.kernels.TidsetMatrix.take` instead
-    of packed again; a fusion round passes its pool matrix.  The result
-    does not depend on them.
+    draws from ``rng`` itself.
+
+    ``matrix`` and ``rows`` — a matrix holding the ball's tidsets, and the
+    row of each member in it — let the members' rows be gathered with
+    :meth:`~repro.kernels.TidsetMatrix.take` instead of packed again.  The
+    seed itself is skipped: by its items, or, when ``seed_row`` is given,
+    by its row, without reading any member.  A fusion round passes its
+    pool matrix, a :class:`~repro.core.distance.Ball`'s rows and the
+    seed's pool row; its pool holds each itemset once, so both ways skip
+    the same member.  The result does not depend on how the members are
+    given.
 
     Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
     ``levels`` (distinct running tidsets counted) and ``closures`` (closure
     calls) on the innermost open trace span.
     """
+    import numpy as np
+
     if (matrix is None) != (rows is None):
         raise ValueError("matrix and rows must be given together")
-    keep = [j for j, p in enumerate(ball_members) if p.items != seed.items]
-    others = [ball_members[j] for j in keep]
-    ball = GreedyBall(
-        TidsetMatrix.from_patterns(others) if matrix is None
-        else matrix.take([rows[j] for j in keep]),
-        tau, minsup,
-    )
+    if seed_row is None:
+        keep = np.array(
+            [j for j, p in enumerate(ball_members) if p.items != seed.items],
+            dtype=np.intp,
+        )
+    elif rows is None:
+        raise ValueError("seed_row needs matrix and rows")
+    else:
+        keep = np.flatnonzero(np.asarray(rows) != seed_row)
+    if matrix is None:
+        members = TidsetMatrix.from_patterns(
+            [ball_members[j] for j in keep.tolist()]
+        )
+    else:
+        members = matrix.take(np.asarray(rows, dtype=np.intp)[keep])
+    ball = GreedyBall(members, tau, minsup)
     closures: dict[int, frozenset[int]] = {}
     best_by_items: dict[frozenset[int], FusionCandidate] = {}
     tidset_changes = accepted_total = 0
-    for order in pass_orders(rng.getrandbits(64), len(others), trials):
+    for order in pass_orders(rng.getrandbits(64), len(keep), trials):
         tidset, accepted, changes = ball.walk(order, seed.tidset, seed.support)
         tidset_changes += changes
         accepted_total += len(accepted)
@@ -268,7 +285,9 @@ def fuse_ball(
             if items is None:
                 items = closures[tidset] = db.closure_of_tidset(tidset)
         else:
-            items = seed.items.union(*(others[i].items for i in accepted.tolist()))
+            items = seed.items.union(
+                *(ball_members[j].items for j in keep[accepted].tolist())
+            )
         candidate = FusionCandidate(
             pattern=Pattern(items=items, tidset=tidset), n_fused=1 + len(accepted)
         )

@@ -16,8 +16,9 @@ while the run stays **deterministic for a fixed config.seed** and
   a worker's stream never depends on which worker it landed on or what ran
   before it.
 * Ball queries run on the driver through the batched ``balls`` APIs
-  (:meth:`PatternBallIndex.balls` / :func:`repro.core.distance.balls`), and
-  tasks carry only *indices* into the pool.  The pool, its packed
+  (:meth:`PatternBallIndex.balls` / :func:`repro.core.distance.balls`),
+  which answer with pool rows (:class:`~repro.core.distance.Ball`), and
+  tasks carry only those row arrays.  The pool, its packed
   :class:`~repro.kernels.TidsetMatrix` (the one the ball query already
   built) and the database ship once per round as the executor's warm-up
   payload, not per task; each task gathers its ball's rows from that
@@ -39,11 +40,12 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.api.registry import register
 from repro.core.ball_index import PatternBallIndex
 from repro.core.config import PatternFusionConfig
-from repro.core.distance import balls
+from repro.core.distance import Ball, balls
 from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import FusionMiner, PatternFusionResult, pattern_fusion
 from repro.db.transaction_db import TransactionDatabase
@@ -54,6 +56,9 @@ from repro.mining.results import Pattern
 from repro.obs import metrics, trace
 from repro.obs.trace import TRACER
 from repro.resilience.checkpoint import CheckpointManager
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "fusion_round",
@@ -88,12 +93,16 @@ _DEDUP_DROPPED = metrics.counter(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FusionTask:
-    """One seed's unit of work, shipped to whichever worker picks it up."""
+    """One seed's unit of work, shipped to whichever worker picks it up.
+
+    ``rows`` is the seed's ball as ascending pool rows, the seed's own row
+    among them.  It is an array, so tasks compare by identity.
+    """
 
     seed_index: int
-    member_indices: tuple[int, ...]
+    rows: np.ndarray
     child_seed: int
 
 
@@ -125,7 +134,7 @@ class _RoundPayload:
 
 def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
     seed = payload.pool[task.seed_index]
-    members = [payload.pool[i] for i in task.member_indices]
+    members = Ball(payload.pool, task.rows)
     with trace.span(
         "fuse_ball", pattern_size=seed.size, ball=len(members),
         seed_index=task.seed_index,
@@ -141,7 +150,8 @@ def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
             max_candidates=payload.max_candidates,
             close_fused=payload.close_fused,
             matrix=payload.matrix,
-            rows=task.member_indices,
+            rows=task.rows,
+            seed_row=task.seed_index,
         )
         span.set(fused=len(fused))
     return fused
@@ -189,7 +199,9 @@ def fusion_round(
     child_seeds = [rng.randrange(1 << _CHILD_SEED_BITS) for _ in seed_indices]
     centers = [pool[i] for i in seed_indices]
     use_index = config.use_ball_index and len(pool) >= config.ball_index_min_pool
-    with trace.span("ball_queries", seeds=n_seeds, indexed=use_index):
+    with trace.span(
+        "ball_queries", seeds=n_seeds, indexed=use_index
+    ) as query_span:
         if use_index:
             # Pivot choice never affects results (only work saved), so it is
             # seeded independently of the algorithm's rng stream — runs with
@@ -200,21 +212,19 @@ def fusion_round(
                 rng=random.Random(0 if config.seed is None else config.seed),
             )
             matrix = index.matrix
-            member_lists = index.balls(centers, radius)
+            seed_balls = index.balls(centers, radius)
         else:
             matrix = TidsetMatrix.from_patterns(pool)
-            member_lists = balls(centers, pool, radius, matrix=matrix)
+            seed_balls = balls(centers, pool, radius, matrix=matrix)
+        # Summed ball sizes, seeds included: an exact work count, the same
+        # for every jobs value.
+        query_span.set(members=sum(len(ball) for ball in seed_balls))
     _SEEDS.inc(n_seeds)
     _BALL_QUERIES.inc(n_seeds, indexed=str(use_index).lower())
-    position = {pattern.items: i for i, pattern in enumerate(pool)}
     tasks = [
-        FusionTask(
-            seed_index=seed_index,
-            member_indices=tuple(position[m.items] for m in members),
-            child_seed=child_seed,
-        )
-        for seed_index, members, child_seed in zip(
-            seed_indices, member_lists, child_seeds
+        FusionTask(seed_index=seed_index, rows=ball.rows, child_seed=child_seed)
+        for seed_index, ball, child_seed in zip(
+            seed_indices, seed_balls, child_seeds
         )
     ]
     payload = _RoundPayload(

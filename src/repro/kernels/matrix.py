@@ -9,11 +9,16 @@ Python big-int bitmasks, exactly the representation the rest of the package
 uses; the NumPy implementation (:mod:`repro.kernels.numpy_backend`) packs
 rows into an N×W ``uint64`` word array and vectorizes the same primitives.
 
-Both return plain Python values (``int`` masks, ``list`` of ``int``/
-``float``) and are **bit-identical** — every count is an exact integer and
+Both backends are **bit-identical** — every count is an exact integer and
 every distance is computed as the same ``1 - |∩| / |∪|`` float division, so
 callers can switch backends without results moving by an ulp.  The property
-tests in ``tests/test_kernels.py`` pin this on random matrices.
+tests in ``tests/test_kernels.py`` pin this on random matrices.  Most
+primitives return plain Python values (``int`` masks, ``list`` of ``int``/
+``float``).  The two that feed fusion's inner loops return NumPy arrays on
+both backends, because their callers compute on arrays:
+:meth:`~TidsetMatrix.intersection_counts` (an int64 count per row) and
+:meth:`~TidsetMatrix.rows_within` (the row indices of each ball).  They
+import NumPy when called, so importing this module never loads it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from repro.db.bitset import bitset_to_ids
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime
+    import numpy as np
+
     from repro.mining.results import Pattern
 
 __all__ = ["TidsetMatrix", "StdlibTidsetMatrix"]
@@ -199,8 +206,8 @@ class TidsetMatrix(ABC):
         """``|row_i|`` for every row (computed once, cached)."""
 
     @abstractmethod
-    def intersection_counts(self, query: int) -> list[int]:
-        """``|row_i ∩ query|`` for every row."""
+    def intersection_counts(self, query: int) -> np.ndarray:
+        """``|row_i ∩ query|`` for every row, as an int64 array."""
 
     @abstractmethod
     def union_counts(self, query: int) -> list[int]:
@@ -217,6 +224,26 @@ class TidsetMatrix(ABC):
         (the package's tidset-distance convention is 0.0: two patterns
         occurring nowhere are indistinguishable).
         """
+
+    def rows_within(
+        self, queries: Sequence[int], radius: float
+    ) -> list[np.ndarray]:
+        """The rows within ``radius`` of each query tidset (inclusive).
+
+        Returns one ascending int64 array per query: the ``i`` with
+        ``jaccard_distance_rows([q])[0][i] <= radius``, the same float
+        expression, with two empty sets at distance 0.0.  This is the r(τ)
+        range query of Algorithm 2 answered as pool rows.
+        """
+        import numpy as np
+
+        return [
+            np.array(
+                [i for i, distance in enumerate(row) if distance <= radius],
+                dtype=np.int64,
+            )
+            for row in self.jaccard_distance_rows(queries)
+        ]
 
     @abstractmethod
     def jaccard_distance_matrix(self, empty: float = 0.0) -> Sequence[Sequence[float]]:
@@ -313,8 +340,13 @@ class StdlibTidsetMatrix(TidsetMatrix):
     def popcounts(self) -> list[int]:
         return list(self._pops_internal())
 
-    def intersection_counts(self, query: int) -> list[int]:
-        return [(row & query).bit_count() for row in self._rows]
+    def intersection_counts(self, query: int) -> np.ndarray:
+        import numpy as np
+
+        return np.fromiter(
+            ((row & query).bit_count() for row in self._rows),
+            dtype=np.int64, count=len(self._rows),
+        )
 
     def union_counts(self, query: int) -> list[int]:
         query_pop = query.bit_count()

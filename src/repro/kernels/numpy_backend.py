@@ -5,7 +5,8 @@ whole matrix is one contiguous 2-D array and every primitive is a handful of
 vectorized word operations: AND/OR broadcast against a packed query row,
 popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
 builds that predate it), boolean row reductions for superset/intersection
-masks.  Distance rows run one cache-resident pass per query (preallocated
+masks.  Intersection counts, union counts, distance rows and
+``rows_within`` share one cache-resident pass per query (preallocated
 temporaries, BLAS matvec row sums); the all-pairs distance matrix goes
 through a float32 bit-plane GEMM, which turns N² popcounts into one BLAS
 call while staying exact (counts < 2^24).
@@ -21,7 +22,7 @@ it lazily too).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,38 +158,26 @@ class NumpyTidsetMatrix(TidsetMatrix):
     def popcounts(self) -> list[int]:
         return self._pops_internal().tolist()
 
-    def intersection_counts(self, query: int) -> list[int]:
-        words, _ = self._pack_query(query)
-        return _word_popcounts(self._words & words).tolist()
+    def _intersections(
+        self, queries: Iterable[int]
+    ) -> Iterator[tuple[np.ndarray, int]]:
+        """``(|row_i ∩ q|`` as int64, ``|q|)`` for each query, one pass each.
 
-    def union_counts(self, query: int) -> list[int]:
-        words, excess = self._pack_query(query)
-        query_pop = _word_popcounts(words[np.newaxis, :])[0] + excess
-        intersections = _word_popcounts(self._words & words)
-        return (self._pops_internal() + query_pop - intersections).tolist()
-
-    def jaccard_distance_rows(
-        self, queries: Sequence[int], empty: float = 0.0
-    ) -> list[list[float]]:
-        queries = list(queries)
-        if not queries or self._n_rows == 0:
-            return [[] for _ in queries]
-        pops = self._pops_internal()
-        # Per-query passes over preallocated word-sized temporaries: the
-        # whole packed pool stays cache-resident across queries, where a
-        # broadcast over many queries at once would stream a Q×N×W
-        # temporary through main memory instead.  When exact, the row sum
-        # rides a BLAS matvec (per-word counts ≤ 64 and n_bits < 2^24, so
-        # every float32 partial sum is an exactly-represented integer);
-        # otherwise — pre-2.0 NumPy, or rows too wide for float32 integer
-        # range — the generic int64 popcount reduction runs instead.
+        Per-query passes over preallocated word-sized temporaries: the
+        whole packed matrix stays cache-resident across queries, where a
+        broadcast over many queries at once would stream a Q×N×W temporary
+        through main memory instead.  When exact, the row sum rides a BLAS
+        matvec (per-word counts ≤ 64 and n_bits < 2^24, so every float32
+        partial sum is an exactly-represented integer); otherwise — pre-2.0
+        NumPy, or rows too wide for float32 integer range — the generic
+        int64 popcount reduction runs instead.
+        """
         matvec_sum = (
             hasattr(np, "bitwise_count") and self._n_bits < (1 << 24)
         )
         tmp = np.empty_like(self._words)
         counts = np.empty(self._words.shape, dtype=np.uint8)
         ones = np.ones(self._n_words, dtype=np.float32)
-        out: list[list[float]] = []
         for query in queries:
             words, excess = self._pack_query(query)
             query_pop = int(_word_popcounts(words[np.newaxis, :])[0]) + excess
@@ -200,11 +189,39 @@ class NumpyTidsetMatrix(TidsetMatrix):
                 ).astype(np.int64)
             else:
                 intersections = _word_popcounts(tmp)
+            yield intersections, query_pop
+
+    def intersection_counts(self, query: int) -> np.ndarray:
+        (intersections, _), = self._intersections([query])
+        return intersections
+
+    def union_counts(self, query: int) -> list[int]:
+        (intersections, query_pop), = self._intersections([query])
+        return (self._pops_internal() + query_pop - intersections).tolist()
+
+    def _distances(
+        self, queries: Iterable[int], empty: float
+    ) -> Iterator[np.ndarray]:
+        """The float64 distance row of each query (``empty`` on no union)."""
+        pops = self._pops_internal()
+        for intersections, query_pop in self._intersections(queries):
             unions = pops + query_pop - intersections
             with np.errstate(divide="ignore", invalid="ignore"):
                 distances = 1.0 - intersections / unions
-            out.append(np.where(unions == 0, empty, distances).tolist())
-        return out
+            yield np.where(unions == 0, empty, distances)
+
+    def jaccard_distance_rows(
+        self, queries: Sequence[int], empty: float = 0.0
+    ) -> list[list[float]]:
+        return [row.tolist() for row in self._distances(queries, empty)]
+
+    def rows_within(
+        self, queries: Sequence[int], radius: float
+    ) -> list[np.ndarray]:
+        return [
+            np.flatnonzero(row <= radius).astype(np.int64, copy=False)
+            for row in self._distances(queries, 0.0)
+        ]
 
     def jaccard_distance_matrix(self, empty: float = 0.0) -> np.ndarray:
         if self._n_rows == 0:

@@ -13,6 +13,7 @@ from repro.core.fusion import (
     pass_orders,
     weighted_sample_without_replacement,
 )
+from repro.core.distance import Ball
 from repro.db import TransactionDatabase
 from repro.kernels import TidsetMatrix, available_backends
 from repro.mining.results import Pattern, make_pattern
@@ -229,9 +230,14 @@ def assert_matches_oracle(
 ):
     """``fuse_ball`` equals the scalar pass, with and without a pool matrix.
 
-    Equal means the same patterns (items and tidsets) in the same order,
-    and the RNG left in the same state.
+    Three ways to give the members: a list; a list with the pool matrix and
+    the members' rows; and, as a fusion round does, a ``Ball`` view with
+    the pool matrix, its row array and the seed's row.  Equal means the
+    same patterns (items and tidsets) in the same order, and the RNG left
+    in the same state.
     """
+    import numpy as np
+
     ball = [pool[row] for row in ball_rows]
     oracle_rng = random.Random(rng_seed)
     expected = scalar_fuse_ball(
@@ -240,10 +246,16 @@ def assert_matches_oracle(
     )
     expected_key = [(p.items, p.tidset) for p in expected]
     matrix = TidsetMatrix.from_patterns(pool, backend=backend)
-    for extra in ({}, {"matrix": matrix, "rows": ball_rows}):
+    rows = np.array(ball_rows, dtype=np.int64)
+    seed_row = next(i for i, p in enumerate(pool) if p.items == seed.items)
+    for members, extra in (
+        (ball, {}),
+        (ball, {"matrix": matrix, "rows": ball_rows}),
+        (Ball(pool, rows), {"matrix": matrix, "rows": rows, "seed_row": seed_row}),
+    ):
         rng = random.Random(rng_seed)
         got = fuse_ball(
-            db, seed, ball, tau=tau, minsup=minsup, rng=rng, trials=trials,
+            db, seed, members, tau=tau, minsup=minsup, rng=rng, trials=trials,
             max_candidates=max_candidates, close_fused=close_fused, **extra,
         )
         assert [(p.items, p.tidset) for p in got] == expected_key
@@ -444,4 +456,10 @@ class TestCountWalkMatchesScalarPass:
                 block_db, pool[0], pool, tau=0.5, minsup=1,
                 rng=random.Random(0), trials=1, max_candidates=1,
                 close_fused=True, matrix=matrix,
+            )
+        with pytest.raises(ValueError, match="seed_row needs"):
+            fuse_ball(
+                block_db, pool[0], pool, tau=0.5, minsup=1,
+                rng=random.Random(0), trials=1, max_candidates=1,
+                close_fused=True, seed_row=0,
             )

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import tidset_distance
+from repro.core.distance import ball_radius, tidset_distance
 from repro.kernels import (
     TidsetMatrix,
     available_backends,
@@ -60,7 +60,9 @@ class TestBackendAgreement:
         a, b = both_matrices(rows)
         assert a.rows() == b.rows() == rows
         assert a.popcounts() == b.popcounts()
-        assert a.intersection_counts(query) == b.intersection_counts(query)
+        assert a.intersection_counts(query).tolist() == (
+            b.intersection_counts(query).tolist()
+        )
         assert a.union_counts(query) == b.union_counts(query)
         assert a.superset_mask(query) == b.superset_mask(query)
         assert a.intersects_mask(query) == b.intersects_mask(query)
@@ -135,7 +137,7 @@ class TestReferenceSemantics:
         matrix = TidsetMatrix.from_tidsets(rows, backend=name)
         assert matrix.popcounts() == [r.bit_count() for r in rows]
         for q in queries:
-            assert matrix.intersection_counts(q) == [
+            assert matrix.intersection_counts(q).tolist() == [
                 (r & q).bit_count() for r in rows
             ]
             assert matrix.union_counts(q) == [(r | q).bit_count() for r in rows]
@@ -189,8 +191,8 @@ class TestTake:
         assert taken.rows() == packed.rows()
         assert taken.popcounts() == packed.popcounts()
         for query in queries:
-            assert taken.intersection_counts(query) == (
-                packed.intersection_counts(query)
+            assert taken.intersection_counts(query).tolist() == (
+                packed.intersection_counts(query).tolist()
             )
 
     @settings(max_examples=100, deadline=None)
@@ -226,6 +228,133 @@ class TestTake:
             self.assert_same(matrix.take(picks), packed, queries)
         assert matrix.take([]).rows() == []
         assert matrix.take([3, 3]).rows() == [pool[3].tidset] * 2
+
+
+def within_by_distance(matrix, queries, radius):
+    """The ``<= radius`` filter of ``jaccard_distance_rows``, as lists."""
+    return [
+        [i for i, distance in enumerate(row) if distance <= radius]
+        for row in matrix.jaccard_distance_rows(queries)
+    ]
+
+
+def assert_rows_within(matrix, queries, radius):
+    import numpy as np
+
+    got = matrix.rows_within(queries, radius)
+    assert all(isinstance(rows, np.ndarray) for rows in got)
+    assert all(rows.dtype == np.int64 for rows in got)
+    assert [rows.tolist() for rows in got] == (
+        within_by_distance(matrix, queries, radius)
+    )
+
+
+#: Radii the fusion rounds use, plus the edges of the distance range.
+FIXED_RADII = [
+    ball_radius(0.5), ball_radius(0.97), 0.0, -0.0, 1.0, -1e-12, -0.5, 2.0
+]
+
+
+@pytest.mark.parametrize("name", available_backends())
+class TestRowsWithin:
+    """``rows_within(qs, r)`` is the ``<= r`` filter of the distance rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tidset_lists, st.lists(tidset_ints, max_size=6), st.data())
+    def test_equals_distance_filter(self, name, rows, queries, data):
+        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        realized = sorted(
+            {d for row in matrix.jaccard_distance_rows(queries) for d in row}
+        )
+        radius = data.draw(st.one_of(
+            st.sampled_from(FIXED_RADII),
+            st.floats(-1.0, 2.0, allow_nan=False),
+            # A radius equal to a distance some row is at: ``<=`` keeps it.
+            *([st.sampled_from(realized)] if realized else []),
+        ))
+        assert_rows_within(matrix, queries, radius)
+
+    def test_radius_on_a_realized_distance(self, name):
+        # Distances from 0b1111: 0.0, 0.25 (0b0111), 0.5 (0b0011), 1.0.
+        matrix = TidsetMatrix.from_tidsets(
+            [0b1111, 0b0111, 0b0011, 0b10000], backend=name
+        )
+        assert matrix.jaccard_distance_rows([0b1111]) == [[0.0, 0.25, 0.5, 1.0]]
+        for radius, expected in [
+            (0.25, [0, 1]), (0.5, [0, 1, 2]), (0.4999, [0, 1]),
+            (1.0, [0, 1, 2, 3]), (0.0, [0]), (-0.0, [0]), (-1e-12, []),
+        ]:
+            assert matrix.rows_within([0b1111], radius)[0].tolist() == expected
+
+    @pytest.mark.parametrize("tau", [0.5, 0.97])
+    def test_ball_radii(self, name, tau):
+        rng = random.Random(11)
+        base = rng.getrandbits(400)
+        # Row j flips j random bits of one base tidset: distances from the
+        # base grow with j, so both radii cut the rows somewhere inside.
+        rows = []
+        for flips in range(0, 240, 4):
+            row = base
+            for bit in rng.sample(range(400), flips):
+                row ^= 1 << bit
+            rows.append(row)
+        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        queries = [base, rows[5], rows[30]]
+        assert_rows_within(matrix, queries, ball_radius(tau))
+        inside = matrix.rows_within([base], ball_radius(tau))[0]
+        assert 1 < len(inside) < len(rows)
+
+    def test_empty_tidsets(self, name):
+        # Two empty sets are at 0.0 (union 0); empty vs. non-empty at 1.0.
+        matrix = TidsetMatrix.from_tidsets([0, 0b1, 0, 0b110], backend=name)
+        assert matrix.rows_within([0], 0.0)[0].tolist() == [0, 2]
+        assert matrix.rows_within([0], -0.1)[0].tolist() == []
+        assert matrix.rows_within([0b1], 0.0)[0].tolist() == [1]
+        assert_rows_within(matrix, [0, 0b1, 0b111], 0.5)
+        empty = TidsetMatrix.from_tidsets([], backend=name)
+        assert [r.tolist() for r in empty.rows_within([0, 5], 1.0)] == [[], []]
+        assert matrix.rows_within([], 1.0) == []
+
+    def test_queries_wider_than_the_matrix(self, name):
+        rows = [0b1011, 0b1, 0b1111_0000, 0]
+        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        assert matrix.n_bits == 8
+        queries = [(1 << 400) | 0b1011, 1 << 130, (1 << 65) | 0b1]
+        for radius in FIXED_RADII:
+            assert_rows_within(matrix, queries, radius)
+        # 0b1011 against 0b1011 plus one bit past the matrix: 1 - 3/4.
+        assert matrix.rows_within(queries[:1], 0.25)[0].tolist() == [0]
+        assert matrix.rows_within(queries[:1], 0.2499)[0].tolist() == []
+
+    def test_at_least_2_24_bits(self, name):
+        """Rows this wide skip the float32 matvec row sums (NumPy)."""
+        n_bits = 1 << 24
+        high = 1 << (n_bits - 1)
+        rows = [high | 0b111, high, 0b11, (1 << 40) | high | 0b1]
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits, backend=name)
+        queries = [high | 0b1, 0b11, high | (1 << 40)]
+        for radius in (ball_radius(0.5), ball_radius(0.97), 0.5, -0.5):
+            assert_rows_within(matrix, queries, radius)
+        assert matrix.rows_within([high], 0.75)[0].tolist() == [0, 1, 3]
+        assert matrix.rows_within([high], 0.7)[0].tolist() == [1, 3]
+
+
+@needs_numpy
+def test_rows_within_pre2_numpy_lut_fallback(monkeypatch):
+    """Without numpy.bitwise_count the LUT row sums give the same rows."""
+    import numpy as np
+
+    monkeypatch.delattr(np, "bitwise_count")
+    rng = random.Random(5)
+    rows = [rng.getrandbits(300) for _ in range(30)] + [0, 0]
+    queries = [rng.getrandbits(300) for _ in range(4)] + [0, rows[3]]
+    slow = TidsetMatrix.from_tidsets(rows, backend="stdlib")
+    fast = TidsetMatrix.from_tidsets(rows, backend="numpy")
+    for radius in FIXED_RADII:
+        assert_rows_within(fast, queries, radius)
+        assert [r.tolist() for r in fast.rows_within(queries, radius)] == (
+            [r.tolist() for r in slow.rows_within(queries, radius)]
+        )
 
 
 def test_engine_round_under_spawn_equals_serial():
@@ -280,7 +409,9 @@ def test_pre2_numpy_lut_fallback(monkeypatch):
     fast = TidsetMatrix.from_tidsets(rows, backend="numpy")
     assert slow.popcounts() == fast.popcounts()
     for q in queries:
-        assert slow.intersection_counts(q) == fast.intersection_counts(q)
+        assert slow.intersection_counts(q).tolist() == (
+            fast.intersection_counts(q).tolist()
+        )
     assert slow.jaccard_distance_rows(queries) == (
         fast.jaccard_distance_rows(queries)
     )

@@ -322,11 +322,17 @@ class TestEngineSpanMerge:
                     r["attrs"]["accepted"],
                     r["attrs"]["levels"],
                     r["attrs"]["closures"],
+                    r["attrs"]["ball"],
                 )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
             )
-            return spans, deltas
+            members = [
+                r["attrs"]["members"]
+                for r in traced.spans()
+                if r["name"] == "ball_queries"
+            ]
+            return spans, deltas, members
 
         serial, parallel = shape(1), shape(2)
         assert serial == parallel
@@ -336,6 +342,16 @@ class TestEngineSpanMerge:
         assert sum(span[2] for span in serial[0]) > 0
         assert sum(span[3] for span in serial[0]) > 0
         assert all(span[4] > 0 and span[5] > 0 for span in serial[0])
+        # The ball_queries spans count members natively, equal at both job
+        # counts: per round, the summed ball sizes, each seed in its own
+        # ball.  Over the run that is the sum of the fuse_ball spans' balls.
+        seeds = [
+            r["attrs"]["seeds"] for r in traced.spans()
+            if r["name"] == "ball_queries"
+        ]
+        assert len(serial[2]) == len(seeds) > 0
+        assert all(members >= n > 0 for members, n in zip(serial[2], seeds))
+        assert sum(serial[2]) == sum(span[6] for span in serial[0])
 
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):
