@@ -58,7 +58,7 @@ from repro.engine import (
     parallel_pattern_fusion,
 )
 from repro.evaluation import approximate, approximation_error, edit_distance
-from repro.kernels import TidsetMatrix, available_backends, use_backend
+from repro.kernels import TidsetMatrix
 from repro.obs import (
     MetricsRegistry,
     TRACER,
@@ -151,8 +151,6 @@ __all__ = [
     "parallel_pattern_fusion",
     # tidset kernels
     "TidsetMatrix",
-    "available_backends",
-    "use_backend",
     # evaluation
     "edit_distance",
     "approximate",

@@ -472,11 +472,6 @@ def _add_engine_args(
     engine.add_argument("--partitioner", choices=PARTITIONERS,
                         default="round-robin",
                         help="row partitioner used with --shards")
-    engine.add_argument("--backend", choices=["auto", "stdlib", "numpy"],
-                        default="auto",
-                        help="tidset kernel backend (repro.kernels); "
-                             "backends are bit-identical — auto picks numpy "
-                             "when installed (also via env REPRO_KERNELS)")
     engine.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top "
                              "cumulative functions (hot-path diagnosis)")
@@ -1256,18 +1251,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_telemetry(args)
-    backend = getattr(args, "backend", "auto")
-    if backend != "auto":
-        from repro import kernels
-
-        try:
-            kernels.set_backend(backend)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        # Exported so spawned worker processes resolve the same backend even
-        # on platforms where module globals don't fork over.
-        os.environ[kernels.ENV_VAR] = backend
     command = _COMMANDS[args.command]
     if getattr(args, "profile", False):
         return _profiled(command, args)

@@ -64,18 +64,10 @@ class PatternFusionConfig:
         reproduces patterns of the same sizes), so further rounds only
         reshuffle equivalent answers.
     use_ball_index / ball_index_min_pool / ball_index_pivots:
-        CoreList range queries go through a pivot-based metric index
-        (:mod:`repro.core.ball_index`, justified by Theorem 1) whenever the
-        pool holds at least ``ball_index_min_pool`` patterns.  Results are
-        identical to the brute scan; only the work changes.  Set
-        ``use_ball_index=False`` to force brute-force balls (ablation A6).
-    backend:
-        Tidset kernel backend for this run's hot loops (``"auto"``,
-        ``"stdlib"``, or ``"numpy"`` — see :mod:`repro.kernels`).  Backends
-        are bit-identical, so this is purely a speed knob; ``"auto"``
-        defers to the process-wide selection (``REPRO_KERNELS`` /
-        auto-detection).  The engine ships the resolved choice to its
-        workers, so parallel rounds follow it too.
+        Inert: they change neither results nor work, since every round
+        queries one packed pool matrix (:mod:`repro.core.ball_index`).
+        They stay validated fields because stored ``pattern_fusion`` run
+        ids, cache keys and ``meta.json`` configs include them.
     seed:
         Seed for the random draws; runs are deterministic given a seed.
     """
@@ -92,7 +84,6 @@ class PatternFusionConfig:
     use_ball_index: bool = True
     ball_index_min_pool: int = 4096
     ball_index_pivots: int = 8
-    backend: str = "auto"
     seed: int | None = None
 
     def reseeded(self, seed: int | None) -> "PatternFusionConfig":
@@ -136,9 +127,4 @@ class PatternFusionConfig:
         if self.ball_index_pivots < 0:
             raise ValueError(
                 f"ball_index_pivots must be >= 0, got {self.ball_index_pivots}"
-            )
-        if self.backend not in ("auto", "stdlib", "numpy"):
-            raise ValueError(
-                "backend must be 'auto', 'stdlib', or 'numpy', "
-                f"got {self.backend!r}"
             )

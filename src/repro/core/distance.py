@@ -117,8 +117,8 @@ def balls(
     The batched form of the range query: the pool's tidsets are packed into
     one :class:`repro.kernels.TidsetMatrix` and every center's members come
     from one :meth:`~repro.kernels.TidsetMatrix.rows_within` call, which
-    shares the centers' popcounts and (NumPy backend) scans whole distance
-    rows as vectors.  Answers are bit-identical to per-pattern :func:`ball`
+    shares the pool's popcounts and scans whole distance rows as vectors.
+    Answers are bit-identical to per-pattern :func:`ball`
     scans; members are in pool order.  ``matrix`` is the pool already
     packed, when the caller holds it.
     """

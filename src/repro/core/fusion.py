@@ -92,9 +92,8 @@ class GreedyBall:
 
     Member ``i`` is row ``i`` of ``matrix`` (in a fusion round, the ball's
     rows taken from the pool matrix).  Counts come from its batched
-    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, an int64 array
-    on every kernel backend, so every backend runs the same scan.  The
-    counts and masks of each distinct running tidset are kept for the
+    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, an int64
+    array.  The counts and masks of each distinct running tidset are kept for the
     ball's lifetime; ``levels`` says how many there are.
     """
 

@@ -41,7 +41,6 @@ from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball  # noqa: F401
 from repro.db import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
-from repro.kernels import use_backend
 from repro.mining.levelwise import mine_up_to_size
 from repro.mining.results import MiningResult, Pattern, largest_patterns
 from repro.obs import clock, metrics, trace
@@ -216,16 +215,7 @@ class PatternFusion:
         return result.patterns
 
     def run(self, initial_pool: list[Pattern] | None = None) -> PatternFusionResult:
-        """Phase 2: iterate Algorithm 2 until the pool fits in K patterns.
-
-        Runs under the config's tidset-kernel backend (``backend="auto"``
-        keeps the ambient process-wide selection); backends are
-        bit-identical, so the pool never depends on the choice.
-        """
-        with use_backend(self.config.backend):
-            return self._run(initial_pool)
-
-    def _run(self, initial_pool: list[Pattern] | None) -> PatternFusionResult:
+        """Phase 2: iterate Algorithm 2 until the pool fits in K patterns."""
         from repro.engine.executor import SerialExecutor
         from repro.engine.parallel_fusion import fusion_round
 
@@ -369,8 +359,8 @@ class PatternFusionMinerConfig(MinerConfig, PatternFusionConfig):
     still fails at construction time.
     """
 
-    # Pools are identical for every jobs value and every kernel backend.
-    EXECUTION_KNOBS = ("jobs", "backend")
+    # Pools are identical for every jobs value.
+    EXECUTION_KNOBS = ("jobs",)
 
     minsup: float | int = 2
     jobs: int = 1

@@ -14,7 +14,7 @@ wherever they are used.
 For *batched* work — popcounts, intersection sizes, distance rows, or
 superset tests over many tidsets at once — use :mod:`repro.kernels`: its
 :class:`~repro.kernels.TidsetMatrix` packs a pool of tidsets once and
-answers those primitives per call (vectorized under the NumPy backend),
+answers those primitives per call as vectorized word arithmetic,
 bit-identically to looping over these functions.
 """
 

@@ -19,7 +19,6 @@ from collections.abc import Hashable, Iterable, Sequence
 from repro.db import bitset
 from repro.db.encoder import ItemEncoder
 from repro.kernels import TidsetMatrix
-from repro.kernels.backend import backend as active_kernels_backend
 
 __all__ = ["TransactionDatabase", "absolute_minsup"]
 
@@ -98,23 +97,17 @@ class TransactionDatabase:
         self._item_matrix_cache: TidsetMatrix | None = None
 
     def _item_matrix(self) -> TidsetMatrix:
-        """The item-tidset rows packed for the active kernels backend.
-
-        Built lazily (tiny databases never pay for it) and rebuilt when the
-        backend selection changes mid-process (tests flip backends; results
-        are bit-identical either way).
-        """
-        matrix = self._item_matrix_cache
-        if matrix is None or matrix.backend != active_kernels_backend():
-            matrix = TidsetMatrix.from_tidsets(
+        """The item-tidset rows, packed on first use (tiny databases never
+        pay for it)."""
+        if self._item_matrix_cache is None:
+            self._item_matrix_cache = TidsetMatrix.from_tidsets(
                 self._item_tidsets, n_bits=len(self._transactions)
             )
-            self._item_matrix_cache = matrix
-        return matrix
+        return self._item_matrix_cache
 
     def __getstate__(self) -> dict:
         # The kernel matrix is derived data; dropping it keeps worker-bound
-        # pickles lean and sidesteps shipping backend-specific buffers.
+        # pickles lean.
         state = self.__dict__.copy()
         state["_item_matrix_cache"] = None
         return state
@@ -207,15 +200,11 @@ class TransactionDatabase:
     def tidsets(self, itemsets: Sequence[Iterable[int]]) -> list[int]:
         """Bulk :meth:`tidset`: one support set per itemset, in order.
 
-        The batch rides the tidset kernel layer — each itemset is an AND
-        reduction over its item rows in the packed matrix, so large batches
-        (engine audits, store refreshes) avoid per-item big-int churn under
-        the NumPy backend.  Answers equal per-itemset :meth:`tidset` calls.
+        Answers equal per-itemset :meth:`tidset` calls.
         """
-        matrix = self._item_matrix()
         return [
-            matrix.intersect_reduce(
-                rows=[self._check_item(item) for item in itemset],
+            bitset.intersect_all(
+                [self.item_tidset(item) for item in itemset],
                 start=self._universe,
             )
             for itemset in itemsets

@@ -15,9 +15,8 @@ while the run stays **deterministic for a fixed config.seed** and
   ``random.Random(child_seed)`` (which seeds the passes' PCG64 orders), so
   a worker's stream never depends on which worker it landed on or what ran
   before it.
-* Ball queries run on the driver through the batched ``balls`` APIs
-  (:meth:`PatternBallIndex.balls` / :func:`repro.core.distance.balls`),
-  which answer with pool rows (:class:`~repro.core.distance.Ball`), and
+* Ball queries run on the driver through :meth:`PatternBallIndex.balls`,
+  which answers with pool rows (:class:`~repro.core.distance.Ball`), and
   tasks carry only those row arrays.  The pool, its packed
   :class:`~repro.kernels.TidsetMatrix` (the one the ball query already
   built) and the database ship once per round as the executor's warm-up
@@ -45,13 +44,15 @@ from typing import TYPE_CHECKING
 from repro.api.registry import register
 from repro.core.ball_index import PatternBallIndex
 from repro.core.config import PatternFusionConfig
-from repro.core.distance import Ball, balls
+from repro.core.distance import Ball
+# Not called here (the round queries through PatternBallIndex); kept as a
+# module attribute because the perfbench layer tracer patches it by name.
+from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import FusionMiner, PatternFusionResult, pattern_fusion
 from repro.db.transaction_db import TransactionDatabase
 from repro.engine.executor import Executor, map_chunks, worker_payload
-from repro.kernels import TidsetMatrix, use_backend
-from repro.kernels.backend import backend as kernels_backend
+from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 from repro.obs import metrics, trace
 from repro.obs.trace import TRACER
@@ -77,11 +78,6 @@ _CHILD_SEED_BITS = 63
 # would be invisible to a scrape.
 _SEEDS = metrics.counter(
     "repro_fusion_seeds_total", "Seeds drawn across all fusion rounds"
-)
-_BALL_QUERIES = metrics.counter(
-    "repro_fusion_ball_queries_total",
-    "Ball queries answered, split by index use",
-    ("indexed",),
 )
 _FUSED = metrics.counter(
     "repro_fusion_fused_patterns_total",
@@ -120,10 +116,6 @@ class _RoundPayload:
     trials: int
     max_candidates: int
     close_fused: bool
-    backend: str
-    """Tidset-kernel backend resolved on the driver; workers mirror it so a
-    ``backend`` config knob (or CLI ``--backend``) governs the whole round
-    even on spawn-start platforms where globals don't fork over."""
 
     trace: bool = False
     """Whether the driver had tracing enabled when the round started.
@@ -168,14 +160,13 @@ def _fuse_task_chunk(chunk: list[FusionTask]) -> list:
     """
     payload: _RoundPayload = worker_payload()
     results: list = []
-    with use_backend(payload.backend):
-        for task in chunk:
-            if payload.trace:
-                with trace.capture() as sink:
-                    fused = _fuse_one(payload, task)
-                results.append((fused, sink.drain()))
-            else:
-                results.append(_fuse_one(payload, task))
+    for task in chunk:
+        if payload.trace:
+            with trace.capture() as sink:
+                fused = _fuse_one(payload, task)
+            results.append((fused, sink.drain()))
+        else:
+            results.append(_fuse_one(payload, task))
     return results
 
 
@@ -198,29 +189,13 @@ def fusion_round(
     seed_indices = rng.sample(range(len(pool)), k=n_seeds)
     child_seeds = [rng.randrange(1 << _CHILD_SEED_BITS) for _ in seed_indices]
     centers = [pool[i] for i in seed_indices]
-    use_index = config.use_ball_index and len(pool) >= config.ball_index_min_pool
-    with trace.span(
-        "ball_queries", seeds=n_seeds, indexed=use_index
-    ) as query_span:
-        if use_index:
-            # Pivot choice never affects results (only work saved), so it is
-            # seeded independently of the algorithm's rng stream — runs with
-            # and without the index stay bit-identical.
-            index = PatternBallIndex(
-                pool,
-                n_pivots=config.ball_index_pivots,
-                rng=random.Random(0 if config.seed is None else config.seed),
-            )
-            matrix = index.matrix
-            seed_balls = index.balls(centers, radius)
-        else:
-            matrix = TidsetMatrix.from_patterns(pool)
-            seed_balls = balls(centers, pool, radius, matrix=matrix)
+    with trace.span("ball_queries", seeds=n_seeds) as query_span:
+        index = PatternBallIndex(pool)
+        seed_balls = index.balls(centers, radius)
         # Summed ball sizes, seeds included: an exact work count, the same
         # for every jobs value.
         query_span.set(members=sum(len(ball) for ball in seed_balls))
     _SEEDS.inc(n_seeds)
-    _BALL_QUERIES.inc(n_seeds, indexed=str(use_index).lower())
     tasks = [
         FusionTask(seed_index=seed_index, rows=ball.rows, child_seed=child_seed)
         for seed_index, ball, child_seed in zip(
@@ -230,13 +205,12 @@ def fusion_round(
     payload = _RoundPayload(
         db=db,
         pool=tuple(pool),
-        matrix=matrix,
+        matrix=index.matrix,
         tau=config.tau,
         minsup=minsup,
         trials=config.fusion_trials,
         max_candidates=config.max_candidates_per_seed,
         close_fused=config.close_fused,
-        backend=kernels_backend(),
         trace=TRACER.enabled,
     )
     fused_lists = map_chunks(executor, _fuse_task_chunk, tasks, payload)

@@ -116,8 +116,6 @@ def _shard_supports(chunk: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]):
     shards: tuple[TransactionDatabase, ...] = worker_payload()
     totals = [0] * len(itemsets)
     for j in shard_indices:
-        # Bulk per-shard counting rides the tidset kernel layer (one packed
-        # item matrix per shard, reused across the whole batch).
         for position, count in enumerate(shards[j].supports(itemsets)):
             totals[position] += count
     return totals

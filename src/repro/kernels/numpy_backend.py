@@ -1,23 +1,23 @@
-"""NumPy backend: tidsets packed into an N×W ``uint64`` word array.
+"""The tidset kernel implementation: tidsets packed into an N×W ``uint64`` array.
 
 Each tidset occupies ``W = ceil(n_bits / 64)`` little-endian words, so the
 whole matrix is one contiguous 2-D array and every primitive is a handful of
-vectorized word operations: AND/OR broadcast against a packed query row,
+vectorized word operations: AND broadcast against a packed query row,
 popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
-builds that predate it), boolean row reductions for superset/intersection
-masks.  Intersection counts, union counts, distance rows and
+builds that predate it, which ``numpy>=1.24`` still allows), boolean row
+reductions for superset masks.  Intersection counts, distance rows and
 ``rows_within`` share one cache-resident pass per query (preallocated
 temporaries, BLAS matvec row sums); the all-pairs distance matrix goes
 through a float32 bit-plane GEMM, which turns N² popcounts into one BLAS
 call while staying exact (counts < 2^24).
 
 Counts are exact integers and distances are the same ``1 - |∩| / |∪|``
-float64 division the stdlib backend performs, so results are bit-identical
-across backends (see :mod:`repro.kernels.matrix`).
+float64 division :func:`repro.core.distance.tidset_distance` performs on
+big ints, so results are bit-identical to the naive big-int math (see
+:mod:`repro.kernels.matrix`).
 
-This module is only imported when the numpy backend is selected, so
-importing the package never loads numpy (the greedy fusion passes import
-it lazily too).
+This module is imported when the first matrix is built, so importing the
+package never loads numpy (the greedy fusion passes import it lazily too).
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ def _word_popcounts(words: np.ndarray) -> np.ndarray:
 
 class NumpyTidsetMatrix(TidsetMatrix):
     """Packed-word implementation of :class:`repro.kernels.TidsetMatrix`."""
-
-    backend = "numpy"
 
     __slots__ = ("_words", "_n_rows", "_n_bits", "_n_words", "_pops")
 
@@ -195,10 +193,6 @@ class NumpyTidsetMatrix(TidsetMatrix):
         (intersections, _), = self._intersections([query])
         return intersections
 
-    def union_counts(self, query: int) -> list[int]:
-        (intersections, query_pop), = self._intersections([query])
-        return (self._pops_internal() + query_pop - intersections).tolist()
-
     def _distances(
         self, queries: Iterable[int], empty: float
     ) -> Iterator[np.ndarray]:
@@ -262,34 +256,3 @@ class NumpyTidsetMatrix(TidsetMatrix):
         return self._positions_mask(
             ((words & ~self._words) == 0).all(axis=1)
         )
-
-    def intersects_mask(self, query: int) -> int:
-        words, _ = self._pack_query(query)
-        return self._positions_mask((self._words & words).any(axis=1))
-
-    def intersect_reduce(
-        self, rows: Sequence[int] | None = None, start: int | None = None
-    ) -> int:
-        if rows is None:
-            selected = self._words
-        else:
-            selected = self._words[np.asarray(list(rows), dtype=np.intp)]
-        if selected.shape[0] == 0:
-            if start is None:
-                raise ValueError("intersect_reduce() of no rows is undefined")
-            return start
-        reduced = np.bitwise_and.reduce(selected, axis=0)
-        value = int.from_bytes(reduced.tobytes(), "little")
-        return value if start is None else value & start
-
-    def union_reduce(
-        self, rows: Sequence[int] | None = None, start: int = 0
-    ) -> int:
-        if rows is None:
-            selected = self._words
-        else:
-            selected = self._words[np.asarray(list(rows), dtype=np.intp)]
-        if selected.shape[0] == 0:
-            return start
-        reduced = np.bitwise_or.reduce(selected, axis=0)
-        return int.from_bytes(reduced.tobytes(), "little") | start

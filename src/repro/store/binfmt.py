@@ -5,8 +5,7 @@ encoding (:mod:`repro.store.format`), which re-parses hex and re-packs
 every tidset on each cold load, it lays the kernel layer's packed
 ``uint64`` word representation (:mod:`repro.kernels`) directly on disk, so
 a load is one ``mmap`` plus an ``np.frombuffer`` view: **zero copies** of
-the word region under the NumPy backend, and a straight
-``int.from_bytes`` sweep (no JSON, no hex) under stdlib.  Forked serving
+the word region, no JSON and no hex.  Forked serving
 workers inherit the mapping, so the word pages are shared copy-on-write
 across the whole worker fleet.
 
@@ -90,7 +89,7 @@ class BinaryFormatError(ValueError):
 
 
 def _n_words_for(n_bits: int) -> int:
-    """Words per row — the same formula the NumPy kernel backend uses."""
+    """Words per row — the same formula the tidset kernels use."""
     return max(1, -(-n_bits // 64))
 
 
@@ -183,9 +182,8 @@ def _fsync_dir(directory: Path) -> None:
 class BinaryRun:
     """One mapped binary run: metadata, itemsets, and a zero-copy matrix.
 
-    ``matrix`` rows are the pool's tidsets in pool order — under the NumPy
-    backend the row words are a read-only view straight into the file
-    mapping (no bytes copied; the mapping stays alive as the array's
+    ``matrix`` rows are the pool's tidsets in pool order — the row words
+    are a read-only view straight into the file mapping (no bytes copied; the mapping stays alive as the array's
     buffer).  :meth:`patterns` / :meth:`to_result` materialise the full
     big-int :class:`~repro.mining.results.Pattern` objects on demand,
     bit-identical to the saved pool.
@@ -231,7 +229,7 @@ class BinaryRun:
     def __repr__(self) -> str:
         return (
             f"BinaryRun({str(self.path)!r}, {len(self)} patterns x "
-            f"{self.matrix.n_bits} bits, backend={self.matrix.backend})"
+            f"{self.matrix.n_bits} bits)"
         )
 
     @property
@@ -264,9 +262,7 @@ class BinaryRun:
 
 
 def read_binary_run(
-    path: str | Path,
-    backend: str | None = None,
-    verify_words: bool = False,
+    path: str | Path, verify_words: bool = False
 ) -> BinaryRun:
     """Map a binary run file; see :class:`BinaryRun` for what comes back.
 
@@ -357,10 +353,7 @@ def read_binary_run(
         )
 
     matrix = TidsetMatrix.from_words_buffer(
-        words_view,
-        n_rows=n_patterns,
-        n_bits=n_bits,
-        backend=backend,
+        words_view, n_rows=n_patterns, n_bits=n_bits
     )
     run = BinaryRun(path, meta, itemsets, matrix, mapping, words_crc, words_view)
     if verify_words:

@@ -5,29 +5,20 @@ whose pattern contains it — the same bitset trick the database layer plays
 with tidsets (:mod:`repro.db.bitset`), applied one level up.  Item
 predicates then reduce to mask algebra: "contains all of Q" is an AND over
 Q's masks, "contains any of Q" an OR — no per-pattern set operations until
-the surviving candidates are materialised.
-
-The per-item masks are packed into a :class:`repro.kernels.TidsetMatrix`
-(rows = items, bits = pool positions), so the AND/OR reductions behind
-:meth:`InvertedItemIndex.containing_all` / :meth:`containing_any` run as
-batched kernel ops — vectorized word arithmetic under the NumPy backend,
-bit-identical big-int algebra under stdlib.
+the surviving candidates are materialised.  A query touches only a few
+masks, so the reductions run on the big ints directly
+(:func:`~repro.db.bitset.intersect_all` / :func:`~repro.db.bitset.union_all`),
+which beats packing them into word arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.db.bitset import bitset_to_ids
-from repro.kernels import TidsetMatrix
+from repro.db.bitset import bitset_to_ids, intersect_all, union_all
 from repro.mining.results import Pattern
 
 __all__ = ["InvertedItemIndex"]
-
-#: Below this many pool positions the masks span a handful of machine words,
-#: where per-call array overhead outweighs vectorization — the stdlib kernel
-#: is pinned there (bit-identical answers; serving latency stays flat).
-_VECTOR_MIN_POSITIONS = 2048
 
 
 class InvertedItemIndex:
@@ -41,15 +32,7 @@ class InvertedItemIndex:
             bit = 1 << position
             for item in pattern.items:
                 masks[item] = masks.get(item, 0) | bit
-        self._items = sorted(masks)
-        self._row_of = {item: row for row, item in enumerate(self._items)}
-        self._matrix = TidsetMatrix.from_tidsets(
-            (masks[item] for item in self._items),
-            n_bits=len(self._pool),
-            backend=(
-                "stdlib" if len(self._pool) < _VECTOR_MIN_POSITIONS else None
-            ),
-        )
+        self._masks = masks
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -66,31 +49,19 @@ class InvertedItemIndex:
 
     def item_mask(self, item: int) -> int:
         """Positions of the patterns containing ``item`` (0 when absent)."""
-        row = self._row_of.get(item)
-        return 0 if row is None else self._matrix.row(row)
+        return self._masks.get(item, 0)
 
     def items(self) -> list[int]:
         """Every item that occurs in some pool pattern, ascending."""
-        return list(self._items)
+        return sorted(self._masks)
 
     def containing_all(self, items: Iterable[int]) -> int:
         """Positions whose pattern is a superset of ``items``."""
-        rows: list[int] = []
-        for item in items:
-            row = self._row_of.get(item)
-            if row is None:
-                return 0  # an item no pattern contains empties the AND
-            rows.append(row)
-        return self._matrix.intersect_reduce(rows=rows, start=self._universe)
+        return intersect_all(map(self.item_mask, items), start=self._universe)
 
     def containing_any(self, items: Iterable[int]) -> int:
         """Positions whose pattern intersects ``items``."""
-        rows = [
-            row
-            for row in (self._row_of.get(item) for item in items)
-            if row is not None
-        ]
-        return self._matrix.union_reduce(rows=rows)
+        return union_all(map(self.item_mask, items))
 
     def select(self, mask: int) -> list[Pattern]:
         """Materialise a position mask as patterns, in pool order."""

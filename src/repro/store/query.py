@@ -9,8 +9,8 @@ A :class:`Query` is an immutable conjunction of operators::
 ``evaluate`` runs it against a pool: item predicates resolve through an
 :class:`repro.store.index.InvertedItemIndex` (mask algebra, no per-pattern
 scans), the distance ball goes through the existing
-:class:`repro.core.ball_index.PatternBallIndex` pivot index, and results come
-back in the canonical "most colossal first" order
+:class:`repro.core.ball_index.PatternBallIndex`, and results come back
+in the canonical "most colossal first" order
 (:func:`repro.mining.results.colossal_rank_key`) — identical to brute-force
 predicate filtering, which the property tests assert.
 

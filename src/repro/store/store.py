@@ -284,7 +284,7 @@ class PatternStore:
         )
         return StoredRun(run_id=run_id, meta=meta, result=result)
 
-    def open_matrix(self, run_id: str, backend: str | None = None) -> BinaryRun:
+    def open_matrix(self, run_id: str) -> BinaryRun:
         """Map a run's binary payload: the zero-copy serving cold-open path.
 
         Returns a :class:`~repro.store.binfmt.BinaryRun` whose matrix rows
@@ -292,7 +292,7 @@ class PatternStore:
         materialised, no JSON parsed.  The word-region CRC is deferred to
         :meth:`BinaryRun.verify_words`.
         """
-        return read_binary_run(self._payload(run_id), backend=backend)
+        return read_binary_run(self._payload(run_id))
 
     def _payload(self, run_id: str) -> Path:
         """A run's ``patterns.bin``; a run without one needs :meth:`migrate`."""

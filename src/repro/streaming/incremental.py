@@ -39,6 +39,7 @@ from repro.api.base import Capabilities, Miner
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
 from repro.core.pattern_fusion import PatternFusion, PatternFusionMinerConfig
+from repro.db.bitset import intersect_all
 from repro.db.transaction_db import TransactionDatabase
 from repro.engine.executor import (
     Executor,
@@ -47,8 +48,6 @@ from repro.engine.executor import (
     map_chunks,
     worker_payload,
 )
-from repro.kernels import TidsetMatrix, use_backend
-from repro.kernels.backend import backend as kernels_backend
 from repro.mining.levelwise import mine_up_to_size
 from repro.mining.results import MiningResult, Pattern, largest_patterns
 from repro.obs import clock, metrics, trace
@@ -107,39 +106,30 @@ def slide_seed(seed: int | None, slide: int) -> int:
 def _shift_chunk(chunk: list[tuple[frozenset[int], int]]) -> list[int]:
     """Worker body: revalidate carried tidsets against the slide delta.
 
-    The payload is ``(kept_rows, evicted, base_len, backend)``: the batch
-    rows that survived into the window, how many window-local positions the
-    old rows shifted down, the local position the first kept row landed on,
-    and the kernels backend resolved on the driver.  Each carried ``(items,
-    tidset)`` maps to its new-window tidset without touching the window
-    itself.
+    The payload is ``(kept_rows, evicted, base_len)``: the batch rows that
+    survived into the window, how many window-local positions the old rows
+    shifted down, and the local position the first kept row landed on.
+    Each carried ``(items, tidset)`` maps to its new-window tidset without
+    touching the window itself.
 
-    The containment bits ride the tidset kernel layer: the kept rows are
-    transposed once into per-item position masks (a miniature vertical
-    database over the delta), so each carried itemset's bits are a Lemma-1
-    AND reduction instead of a scan over every kept row.
+    The kept rows are transposed once into per-item position masks (a
+    miniature vertical database over the delta), so each carried itemset's
+    bits are a Lemma-1 AND reduction instead of a scan over every kept row.
     """
-    kept_rows, evicted, base_len, backend = worker_payload()
-    with use_backend(backend):
-        masks: dict[int, int] = {}
-        for position, row in enumerate(kept_rows):
-            bit = 1 << position
-            for item in row:
-                masks[item] = masks.get(item, 0) | bit
-        items_present = sorted(masks)
-        row_of = {item: i for i, item in enumerate(items_present)}
-        matrix = TidsetMatrix.from_tidsets(
-            (masks[item] for item in items_present), n_bits=len(kept_rows)
+    kept_rows, evicted, base_len = worker_payload()
+    masks: dict[int, int] = {}
+    for position, row in enumerate(kept_rows):
+        bit = 1 << position
+        for item in row:
+            masks[item] = masks.get(item, 0) | bit
+    universe = (1 << len(kept_rows)) - 1
+    out: list[int] = []
+    for items, tidset in chunk:
+        # An item in no arriving row has an empty mask, emptying the AND.
+        delta = intersect_all(
+            (masks.get(item, 0) for item in items), start=universe
         )
-        universe = (1 << len(kept_rows)) - 1
-        out: list[int] = []
-        for items, tidset in chunk:
-            rows = [row_of[item] for item in items if item in row_of]
-            if len(rows) != len(items):
-                delta = 0  # some item occurs in no arriving row
-            else:
-                delta = matrix.intersect_reduce(rows=rows, start=universe)
-            out.append((tidset >> evicted) | (delta << base_len))
+        out.append((tidset >> evicted) | (delta << base_len))
     return out
 
 
@@ -478,9 +468,7 @@ class IncrementalPatternFusion:
         pool_entries = [(p.items, p.tidset) for p in self._patterns]
         combined = entries + pool_entries
         if combined:
-            payload = (
-                tuple(kept), evicted_old, surviving_old, kernels_backend()
-            )
+            payload = (tuple(kept), evicted_old, surviving_old)
             shifted = map_chunks(self.executor, _shift_chunk, combined, payload)
         else:
             shifted = []

@@ -9,6 +9,7 @@ import pytest
 
 from repro.db import TransactionDatabase
 from repro.datasets import quest_like
+from repro.kernels import backend
 
 # Items of the Figure 3 example: a=0, b=1, c=2, e=3, f=4.
 A, B, C, E, F = 0, 1, 2, 3, 4
@@ -26,6 +27,17 @@ def figure3_transactions(duplicates: int = 100) -> list[list[int]]:
         [A, B, C, E, F],
     ]
     return [list(row) for row in rows for _ in range(duplicates)]
+
+
+def on_kernel(test):
+    """Run ``test`` (a test function or class) on the package's tidset kernel.
+
+    The package has one kernel, so this is one run; it puts the kernel's
+    name, as ``repro.kernels.backend()`` gives it, last in the test id
+    (``test_reads_like_a_list[numpy]``).
+    """
+    test = pytest.mark.parametrize("kernel", [backend()])(test)
+    return pytest.mark.usefixtures("kernel")(test)
 
 
 @pytest.fixture

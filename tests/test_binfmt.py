@@ -2,14 +2,14 @@
 
 Three protections under test, per the format's design:
 
-* **Bit identity** — a binary reload (both backends, word CRC paid up
-  front or deferred) reproduces the saved pool exactly: items, tidsets,
+* **Bit identity** — a binary reload (word CRC paid up front or
+  deferred) reproduces the saved pool exactly: items, tidsets,
   order, metadata.
 * **Rejection, never misreading** — truncation, bit flips in any region,
   a wrong magic, or a newer format version raise
-  :class:`BinaryFormatError` naming what failed, under both backends.
-* **Zero copies** — under the NumPy backend the matrix words are a
-  read-only view straight into the file mapping.
+  :class:`BinaryFormatError` naming what failed.
+* **Zero copies** — the matrix words are a read-only view straight into
+  the file mapping.
 
 Plus the store-level contract: ``save`` writes only ``patterns.bin``, and
 every reader but ``migrate`` refuses the committed v1-only store
@@ -22,7 +22,6 @@ import zlib
 
 import pytest
 
-from repro.kernels import available_backends
 from repro.mining.results import MiningResult, Pattern
 from repro.store import (
     BinaryFormatError,
@@ -31,9 +30,7 @@ from repro.store import (
     read_binary_run,
     write_binary_run,
 )
-from tests.conftest import V1_EMPTY_RUN, V1_FUSION_RUN, V1_STORE
-
-BACKENDS = list(available_backends())
+from tests.conftest import V1_EMPTY_RUN, V1_FUSION_RUN, V1_STORE, on_kernel
 
 
 def bits(patterns):
@@ -41,10 +38,9 @@ def bits(patterns):
 
 
 def assert_refused(path, match, **kwargs):
-    """Every kernel backend refuses the file, naming the same failure."""
-    for backend in BACKENDS:
-        with pytest.raises(BinaryFormatError, match=match):
-            read_binary_run(path, backend=backend, **kwargs)
+    """The file is refused with an error naming the failure."""
+    with pytest.raises(BinaryFormatError, match=match):
+        read_binary_run(path, **kwargs)
 
 
 @pytest.fixture
@@ -67,10 +63,10 @@ def bin_file(tmp_path, pool):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @on_kernel
     @pytest.mark.parametrize("verify_words", [True, False])
-    def test_bit_identical(self, bin_file, pool, backend, verify_words):
-        run = read_binary_run(bin_file, backend=backend, verify_words=verify_words)
+    def test_bit_identical(self, bin_file, pool, verify_words):
+        run = read_binary_run(bin_file, verify_words=verify_words)
         assert bits(run.patterns()) == bits(pool)
         assert run.meta["minsup"] == 2
         assert run.n_patterns == len(pool)
@@ -104,10 +100,9 @@ class TestRoundTrip:
         read_binary_run(bin_file).verify_words()  # must not raise
 
 
-@pytest.mark.skipif("numpy" not in BACKENDS, reason="needs the NumPy backend")
 class TestZeroCopy:
     def test_mapped_words_are_a_readonly_view(self, bin_file):
-        run = read_binary_run(bin_file, backend="numpy")
+        run = read_binary_run(bin_file)
         words = run.matrix._words
         assert not words.flags.owndata  # a view into the mapping, not a copy
         assert not words.flags.writeable
@@ -185,10 +180,10 @@ class TestStoreIntegration:
         run_dir = store.root / "runs" / run_id
         assert sorted(os.listdir(run_dir)) == ["meta.json", "patterns.bin"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_open_matrix_rows_match_pool(self, saved, pool, backend):
+    @on_kernel
+    def test_open_matrix_rows_match_pool(self, saved, pool):
         store, run_id = saved
-        run = store.open_matrix(run_id, backend=backend)
+        run = store.open_matrix(run_id)
         assert [run.matrix.row(i) for i in range(len(pool))] == (
             [p.tidset for p in pool]
         )

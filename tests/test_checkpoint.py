@@ -242,6 +242,30 @@ class TestFusionCrashResume:
         finally:
             set_fault_schedule(previous)
 
+    def test_checkpoint_with_removed_backend_knob_refused(self, db, tmp_path):
+        """A checkpoint from a config that still had ``backend`` (its
+        identity is ``asdict(config)``, so it carries ``"backend": "auto"``)
+        is refused cleanly, not resumed or crashed on."""
+        path = tmp_path / "ckpt.json"
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=2,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                pattern_fusion(
+                    db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
+                )
+        finally:
+            set_fault_schedule(previous)
+        doc = json.loads(path.read_text())
+        assert "backend" not in doc["identity"]["config"]
+        doc["identity"]["config"]["backend"] = "auto"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="different run"):
+            pattern_fusion(
+                db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
+            )
+
 
 def _drift_source():
     return DriftingPatternSource(

@@ -123,59 +123,22 @@ class TestEngineFlags:
 
 
 class TestKernelFlags:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        # --backend forces the process-wide kernels selection and exports
-        # REPRO_KERNELS for worker processes; undo both after each test
-        # (monkeypatch.delenv on an *absent* var registers no teardown, so
-        # the export main() performs inside the test would leak).
-        import os
+    def test_backend_flag_is_gone(self, capsys):
+        """There is one tidset kernel; the old switch is an argparse error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuse", "--dataset", "diag-plus", "--minsup", "20",
+                  "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-        from repro import kernels
-
-        saved = os.environ.pop(kernels.ENV_VAR, None)
-        yield
-        kernels.set_backend(None)
-        if saved is None:
-            os.environ.pop(kernels.ENV_VAR, None)
-        else:
-            os.environ[kernels.ENV_VAR] = saved
-
-    def test_fuse_backend_invariant(self, capsys):
-        from repro import kernels
-
-        base = ["fuse", "--dataset", "diag-plus", "--minsup", "20",
-                "--k", "10", "--pool-size", "2", "--seed", "0"]
-
-        def mined_lines(text):
-            return [line for line in text.splitlines() if "size" in line]
-
-        assert main(base + ["--backend", "stdlib"]) == 0
-        slow = capsys.readouterr().out
-        assert kernels.backend() == "stdlib"
-        backends = ["stdlib"] + (
-            ["numpy"] if kernels.numpy_available() else []
-        )
-        for name in backends:
-            assert main(base + ["--backend", name]) == 0
-            assert mined_lines(capsys.readouterr().out) == mined_lines(slow)
-
-    def test_backend_rejects_unavailable(self, capsys, monkeypatch):
-        import importlib
-
-        backend_module = importlib.import_module("repro.kernels.backend")
-        monkeypatch.setattr(
-            backend_module, "_import_numpy",
-            lambda: (_ for _ in ()).throw(ImportError("simulated")),
-        )
-        backend_module._reset_probe_cache()
-        try:
-            code = main(["mine", "--dataset", "diag", "--n", "8",
-                         "--minsup", "4", "--backend", "numpy"])
-            assert code == 2
-            assert "numpy is not installed" in capsys.readouterr().err
-        finally:
-            backend_module._reset_probe_cache()
+    def test_backend_config_key_is_unknown(self, capsys):
+        code = main(["mine", "--dataset", "diag", "--n", "8",
+                     "--miner", "pattern_fusion", "--set", "minsup=4",
+                     "--set", "backend=numpy"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s) backend" in err
+        assert "valid keys" in err
 
     def test_mine_profile_prints_hot_functions(self, dat_file, capsys):
         code = main(["mine", "--input", str(dat_file), "--minsup", "2",

@@ -15,8 +15,9 @@ from repro.core.fusion import (
 )
 from repro.core.distance import Ball
 from repro.db import TransactionDatabase
-from repro.kernels import TidsetMatrix, available_backends
+from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern, make_pattern
+from tests.conftest import on_kernel
 
 
 @pytest.fixture
@@ -226,7 +227,7 @@ def scalar_fuse_ball(
 
 def assert_matches_oracle(
     db, pool, seed, ball_rows, tau, minsup, rng_seed, trials, max_candidates,
-    close_fused, backend,
+    close_fused,
 ):
     """``fuse_ball`` equals the scalar pass, with and without a pool matrix.
 
@@ -245,7 +246,7 @@ def assert_matches_oracle(
         close_fused,
     )
     expected_key = [(p.items, p.tidset) for p in expected]
-    matrix = TidsetMatrix.from_patterns(pool, backend=backend)
+    matrix = TidsetMatrix.from_patterns(pool)
     rows = np.array(ball_rows, dtype=np.int64)
     seed_row = next(i for i, p in enumerate(pool) if p.items == seed.items)
     for members, extra in (
@@ -341,24 +342,23 @@ class TestPassOrders:
             assert sorted(order) == list(range(n))
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@on_kernel
 class TestCountWalkMatchesScalarPass:
     """The vector walk is the scalar greedy pass, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=fusion_cases())
-    def test_random_balls(self, backend, case):
-        assert_matches_oracle(**case, backend=backend)
+    def test_random_balls(self, case):
+        assert_matches_oracle(**case)
 
     @settings(max_examples=300, deadline=None)
     @given(case=walk_cases())
-    def test_walk_on_explicit_orders(self, backend, case):
+    def test_walk_on_explicit_orders(self, case):
         """Final tidset, accepted members in order and change count equal
         the scalar pass's, for several orders over one ball's cache."""
         start, tidsets = case["start"], case["tidsets"]
         ball = GreedyBall(
-            TidsetMatrix.from_tidsets(tidsets, backend=backend),
-            case["tau"], case["minsup"],
+            TidsetMatrix.from_tidsets(tidsets), case["tau"], case["minsup"]
         )
         for order in case["orders"]:
             tidset, accepted, changes = ball.walk(
@@ -372,7 +372,7 @@ class TestCountWalkMatchesScalarPass:
     @pytest.mark.parametrize("close_fused", [True, False])
     @pytest.mark.parametrize("ball", ["empty", "seed_only", "whole_pool"])
     @pytest.mark.parametrize("tau", [0.3, 1.0])
-    def test_edge_balls(self, block_db, backend, close_fused, ball, tau):
+    def test_edge_balls(self, block_db, close_fused, ball, tau):
         pool = pool_of_pairs(block_db, range(5)) + pool_of_pairs(
             block_db, range(4, 8)
         )
@@ -383,7 +383,6 @@ class TestCountWalkMatchesScalarPass:
             assert_matches_oracle(
                 block_db, pool, pool[0], ball_rows, tau, minsup, rng_seed=7,
                 trials=4, max_candidates=2, close_fused=close_fused,
-                backend=backend,
             )
 
     @staticmethod
@@ -416,14 +415,13 @@ class TestCountWalkMatchesScalarPass:
 
     @pytest.mark.parametrize("close_fused", [True, False])
     @pytest.mark.parametrize("minsup", [1, 3, 4, 5, 6])
-    def test_thresholds_hit_exactly(self, backend, close_fused, minsup):
+    def test_thresholds_hit_exactly(self, close_fused, minsup):
         """The boundary pool's counts, in the orders of 12 RNG seeds."""
         db, pool = self.boundary_pool()
         for rng_seed in range(12):
             assert_matches_oracle(
                 db, pool, pool[0], list(range(8)), 0.5, minsup, rng_seed,
                 trials=3, max_candidates=3, close_fused=close_fused,
-                backend=backend,
             )
 
     @pytest.mark.parametrize("minsup", [1, 3])
@@ -431,13 +429,13 @@ class TestCountWalkMatchesScalarPass:
         [2, 6, 7, 1, 3, 4, 5], [2, 7, 6, 1, 3, 4, 5], [7, 1, 2, 6, 3, 4, 5],
         [1, 2, 3, 4, 5, 6, 7], [6, 2, 7, 5, 4, 3, 1],
     ])
-    def test_boundary_walks(self, backend, minsup, order):
+    def test_boundary_walks(self, minsup, order):
         """Hand-picked orders over the boundary pool, item 7 after item 6
         on the shrunk T among them."""
         _, pool = self.boundary_pool()
         tidsets = [p.tidset for p in pool[1:]]
         ball = GreedyBall(
-            TidsetMatrix.from_tidsets(tidsets, backend=backend), 0.5, minsup
+            TidsetMatrix.from_tidsets(tidsets), 0.5, minsup
         )
         positions = [item - 1 for item in order]
         seed = pool[0]
@@ -448,9 +446,9 @@ class TestCountWalkMatchesScalarPass:
             tidsets, positions, seed.tidset, seed.support, 0.5, minsup
         )
 
-    def test_matrix_and_rows_go_together(self, block_db, backend):
+    def test_matrix_and_rows_go_together(self, block_db):
         pool = pool_of_pairs(block_db, range(5))
-        matrix = TidsetMatrix.from_patterns(pool, backend=backend)
+        matrix = TidsetMatrix.from_patterns(pool)
         with pytest.raises(ValueError, match="together"):
             fuse_ball(
                 block_db, pool[0], pool, tau=0.5, minsup=1,

@@ -1,19 +1,19 @@
 """Tests for the tidset kernel layer (:mod:`repro.kernels`).
 
-Three obligations are pinned here:
+Two obligations are pinned here:
 
-* **Backend agreement** — the stdlib and NumPy :class:`TidsetMatrix`
-  implementations return *identical* counts, masks, reductions, and
-  distances on random matrices, including ragged widths, empty tidsets,
-  empty matrices, and masks far beyond 64 bits.
-* **Reference semantics** — both backends match the naive big-int
-  formulations the rest of the package historically used.
-* **Selection** — ``backend()`` resolution (auto / env / forced), the
-  crisp errors for unknown or unavailable backends, and the
-  numpy-less-install path (simulated by failing the import probe).
+* **Reference semantics** — :class:`TidsetMatrix` returns exactly the
+  counts, masks and distances of the naive big-int formulation
+  (``(r & q).bit_count()``, :func:`tidset_distance`, ...) on random
+  matrices, including ragged widths, empty tidsets, empty matrices, and
+  masks far beyond 64 bits.  Distances are compared with ``==``: the
+  kernels are bit-identical to the big-int math, not approximately equal.
+* **Row selection** — ``take`` and ``rows_within`` equal packing the
+  selected rows and filtering the distance rows, respectively.
 
-Plus the end-to-end guarantee the refactor rests on: ``pattern_fusion``
-output is bit-identical under both backends.
+Plus the paths that only run on some inputs or NumPy builds: the
+pre-2.0 popcount lookup table, rows of 2^24 bits and more, and the round
+payload pickled into spawned workers.
 """
 
 import random
@@ -23,19 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import ball_radius, tidset_distance
-from repro.kernels import (
-    TidsetMatrix,
-    available_backends,
-    backend,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
-from repro.kernels.backend import _reset_probe_cache
-
-NUMPY = numpy_available()
-
-needs_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
+from repro.kernels import TidsetMatrix
+from tests.conftest import on_kernel
 
 # Tidsets spanning sub-word, multi-word, and very wide widths (ragged).
 tidset_ints = st.one_of(
@@ -46,127 +35,99 @@ tidset_ints = st.one_of(
 tidset_lists = st.lists(tidset_ints, max_size=12)
 
 
-def both_matrices(rows, n_bits=None):
-    stdlib = TidsetMatrix.from_tidsets(rows, n_bits=n_bits, backend="stdlib")
-    numpy_ = TidsetMatrix.from_tidsets(rows, n_bits=n_bits, backend="numpy")
-    return stdlib, numpy_
+def naive_distance_rows(rows, queries, empty=0.0):
+    """Definition 6 on big ints, ``empty`` for two empty sets."""
+    return [
+        [
+            empty if not (r | q) else 1.0 - (r & q).bit_count() / (r | q).bit_count()
+            for r in rows
+        ]
+        for q in queries
+    ]
 
 
-@needs_numpy
 class TestBackendAgreement:
+    """Random matrices against the naive big-int formulation."""
+
     @settings(max_examples=150, deadline=None)
     @given(tidset_lists, tidset_ints)
     def test_counts_and_masks_agree(self, rows, query):
-        a, b = both_matrices(rows)
-        assert a.rows() == b.rows() == rows
-        assert a.popcounts() == b.popcounts()
-        assert a.intersection_counts(query).tolist() == (
-            b.intersection_counts(query).tolist()
-        )
-        assert a.union_counts(query) == b.union_counts(query)
-        assert a.superset_mask(query) == b.superset_mask(query)
-        assert a.intersects_mask(query) == b.intersects_mask(query)
-        assert a.closure_items(query) == b.closure_items(query)
+        matrix = TidsetMatrix.from_tidsets(rows)
+        assert matrix.rows() == rows
+        assert matrix.popcounts() == [r.bit_count() for r in rows]
+        assert matrix.intersection_counts(query).tolist() == [
+            (r & query).bit_count() for r in rows
+        ]
+        supersets = [i for i, r in enumerate(rows) if query & ~r == 0]
+        assert matrix.superset_mask(query) == sum(1 << i for i in supersets)
+        assert matrix.closure_items(query) == supersets
 
     @settings(max_examples=150, deadline=None)
     @given(tidset_lists, st.lists(tidset_ints, max_size=6))
     def test_distance_rows_bit_identical(self, rows, queries):
-        a, b = both_matrices(rows)
+        matrix = TidsetMatrix.from_tidsets(rows)
         # == on floats: bit-identical is the contract, not approximately.
-        assert a.jaccard_distance_rows(queries) == b.jaccard_distance_rows(queries)
-        assert a.jaccard_distance_rows(queries, empty=1.0) == (
-            b.jaccard_distance_rows(queries, empty=1.0)
+        assert matrix.jaccard_distance_rows(queries) == (
+            naive_distance_rows(rows, queries)
+        )
+        assert matrix.jaccard_distance_rows(queries) == [
+            [tidset_distance(q, r) for r in rows] for q in queries
+        ]
+        assert matrix.jaccard_distance_rows(queries, empty=1.0) == (
+            naive_distance_rows(rows, queries, empty=1.0)
         )
 
     @settings(max_examples=100, deadline=None)
     @given(tidset_lists, st.sampled_from([0.0, 1.0]))
     def test_distance_matrix_agrees_elementwise(self, rows, empty):
-        a, b = both_matrices(rows)
-        slow = a.jaccard_distance_matrix(empty=empty)
-        fast = b.jaccard_distance_matrix(empty=empty)
+        got = TidsetMatrix.from_tidsets(rows).jaccard_distance_matrix(
+            empty=empty
+        )
+        want = naive_distance_rows(rows, rows, empty=empty)
         n = len(rows)
-        assert len(slow) == n and len(fast) == n
+        assert got.shape == (n, n)
         for i in range(n):
             for j in range(n):
-                assert slow[i][j] == fast[i][j]  # bit-identical floats
-            assert slow[i][i] in (0.0, empty)
-        # ...and both equal the row-at-a-time kernel on the same inputs.
-        by_rows = a.jaccard_distance_rows(rows, empty=empty)
-        for i in range(n):
-            assert list(slow[i]) == by_rows[i]
-
-    @settings(max_examples=100, deadline=None)
-    @given(tidset_lists, tidset_ints)
-    def test_reductions_agree(self, rows, start):
-        a, b = both_matrices(rows)
-        if rows:
-            assert a.intersect_reduce() == b.intersect_reduce()
-        assert a.intersect_reduce(start=start) == b.intersect_reduce(start=start)
-        assert a.union_reduce() == b.union_reduce()
-        assert a.union_reduce(start=start) == b.union_reduce(start=start)
-        indices = [i for i in range(len(rows)) if i % 2 == 0]
-        assert a.intersect_reduce(rows=indices, start=start) == (
-            b.intersect_reduce(rows=indices, start=start)
-        )
-        assert a.union_reduce(rows=indices) == b.union_reduce(rows=indices)
+                assert got[i][j] == want[i][j]  # bit-identical floats
+            assert got[i][i] in (0.0, empty)
 
     def test_empty_matrix(self):
-        a, b = both_matrices([])
-        assert a.popcounts() == b.popcounts() == []
-        assert a.superset_mask(7) == b.superset_mask(7) == 0
-        assert a.intersects_mask(7) == b.intersects_mask(7) == 0
-        assert a.jaccard_distance_rows([3]) == b.jaccard_distance_rows([3]) == [[]]
-        assert len(a.jaccard_distance_matrix()) == 0
-        assert len(b.jaccard_distance_matrix()) == 0
-        assert a.union_reduce() == b.union_reduce() == 0
-        for matrix in (a, b):
-            with pytest.raises(ValueError):
-                matrix.intersect_reduce()
+        matrix = TidsetMatrix.from_tidsets([])
+        assert matrix.n_rows == len(matrix) == 0
+        assert matrix.rows() == [] and matrix.popcounts() == []
+        assert matrix.intersection_counts(7).tolist() == []
+        assert matrix.superset_mask(7) == 0
+        assert matrix.closure_items(7) == []
+        assert matrix.jaccard_distance_rows([3]) == [[]]
+        assert matrix.jaccard_distance_matrix().shape == (0, 0)
 
 
 class TestReferenceSemantics:
-    """Each backend against the naive big-int formulation."""
-
-    backends = ["stdlib"] + (["numpy"] if NUMPY else [])
-
-    @pytest.mark.parametrize("name", backends)
-    def test_matches_naive_bitset_math(self, name):
+    @on_kernel
+    def test_matches_naive_bitset_math(self):
         rng = random.Random(7)
         rows = [rng.getrandbits(200) for _ in range(40)] + [0, (1 << 130) - 1]
         queries = [rng.getrandbits(200) for _ in range(5)] + [0, 1 << 400]
-        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        matrix = TidsetMatrix.from_tidsets(rows)
         assert matrix.popcounts() == [r.bit_count() for r in rows]
         for q in queries:
             assert matrix.intersection_counts(q).tolist() == [
                 (r & q).bit_count() for r in rows
             ]
-            assert matrix.union_counts(q) == [(r | q).bit_count() for r in rows]
             assert matrix.superset_mask(q) == sum(
                 1 << i for i, r in enumerate(rows) if q & ~r == 0
-            )
-            assert matrix.intersects_mask(q) == sum(
-                1 << i for i, r in enumerate(rows) if r & q
             )
             assert matrix.jaccard_distance_rows([q])[0] == [
                 tidset_distance(q, r) for r in rows
             ]
-        start = queries[0]
-        reduced = start
-        for r in rows:
-            reduced &= r
-        assert matrix.intersect_reduce(start=start) == reduced
-        united = 0
-        for r in rows:
-            united |= r
-        assert matrix.union_reduce() == united
 
-    @pytest.mark.parametrize("name", backends)
-    def test_n_bits_validation(self, name):
+    @on_kernel
+    def test_n_bits_validation(self):
         with pytest.raises(ValueError):
-            TidsetMatrix.from_tidsets([0b1011], n_bits=2, backend=name)
+            TidsetMatrix.from_tidsets([0b1011], n_bits=2)
         with pytest.raises(ValueError):
-            TidsetMatrix.from_tidsets([-1], backend=name)
-        matrix = TidsetMatrix.from_tidsets([0b1011], n_bits=4, backend=name)
+            TidsetMatrix.from_tidsets([-1])
+        matrix = TidsetMatrix.from_tidsets([0b1011], n_bits=4)
         assert matrix.n_bits == 4 and matrix.n_rows == 1
 
     def test_from_patterns_shares_pool_order(self):
@@ -175,17 +136,16 @@ class TestReferenceSemantics:
         pool = [
             Pattern(items=frozenset({i}), tidset=(1 << i) | 1) for i in range(5)
         ]
-        matrix = TidsetMatrix.from_patterns(pool, backend="stdlib")
+        matrix = TidsetMatrix.from_patterns(pool)
         assert matrix.rows() == [p.tidset for p in pool]
 
 
-@pytest.mark.parametrize("name", available_backends())
+@on_kernel
 class TestTake:
     """``take(rows)`` is ``from_tidsets`` of the same rows, without re-packing."""
 
     @staticmethod
     def assert_same(taken, packed, queries):
-        assert taken.backend == packed.backend
         assert taken.n_rows == packed.n_rows == len(taken)
         assert taken.n_bits == packed.n_bits
         assert taken.rows() == packed.rows()
@@ -202,28 +162,28 @@ class TestTake:
         st.lists(tidset_ints, max_size=3),
         st.booleans(),
     )
-    def test_equals_packing_the_subset(self, name, rows, data, queries, warm):
-        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+    def test_equals_packing_the_subset(self, rows, data, queries, warm):
+        matrix = TidsetMatrix.from_tidsets(rows)
         if warm:
             matrix.popcounts()  # the cached popcounts are gathered too
         picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
         packed = TidsetMatrix.from_tidsets(
-            [rows[i] for i in picks], n_bits=matrix.n_bits, backend=name
+            [rows[i] for i in picks], n_bits=matrix.n_bits
         )
         self.assert_same(matrix.take(picks), packed, queries)
 
-    def test_empty_and_repeated_indices(self, name):
+    def test_empty_and_repeated_indices(self):
         from repro.mining.results import Pattern
 
         pool = [
             Pattern(items=frozenset({i}), tidset=(1 << (70 * i)) | 1)
             for i in range(4)
         ]
-        matrix = TidsetMatrix.from_patterns(pool, backend=name)
+        matrix = TidsetMatrix.from_patterns(pool)
         queries = [1, (1 << 140) | 1, (1 << 300) - 1]
         for picks in ([], (), [2, 2, 0, 2], range(4)):
             packed = TidsetMatrix.from_patterns(
-                [pool[i] for i in picks], n_bits=matrix.n_bits, backend=name
+                [pool[i] for i in picks], n_bits=matrix.n_bits
             )
             self.assert_same(matrix.take(picks), packed, queries)
         assert matrix.take([]).rows() == []
@@ -231,10 +191,11 @@ class TestTake:
 
 
 def within_by_distance(matrix, queries, radius):
-    """The ``<= radius`` filter of ``jaccard_distance_rows``, as lists."""
+    """The ``<= radius`` filter of :func:`tidset_distance`, as lists."""
+    rows = matrix.rows()
     return [
-        [i for i, distance in enumerate(row) if distance <= radius]
-        for row in matrix.jaccard_distance_rows(queries)
+        [i for i, row in enumerate(rows) if tidset_distance(q, row) <= radius]
+        for q in queries
     ]
 
 
@@ -255,14 +216,14 @@ FIXED_RADII = [
 ]
 
 
-@pytest.mark.parametrize("name", available_backends())
+@on_kernel
 class TestRowsWithin:
-    """``rows_within(qs, r)`` is the ``<= r`` filter of the distance rows."""
+    """``rows_within(qs, r)`` is the ``<= r`` filter of the distances."""
 
     @settings(max_examples=150, deadline=None)
     @given(tidset_lists, st.lists(tidset_ints, max_size=6), st.data())
-    def test_equals_distance_filter(self, name, rows, queries, data):
-        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+    def test_equals_distance_filter(self, rows, queries, data):
+        matrix = TidsetMatrix.from_tidsets(rows)
         realized = sorted(
             {d for row in matrix.jaccard_distance_rows(queries) for d in row}
         )
@@ -274,10 +235,10 @@ class TestRowsWithin:
         ))
         assert_rows_within(matrix, queries, radius)
 
-    def test_radius_on_a_realized_distance(self, name):
+    def test_radius_on_a_realized_distance(self):
         # Distances from 0b1111: 0.0, 0.25 (0b0111), 0.5 (0b0011), 1.0.
         matrix = TidsetMatrix.from_tidsets(
-            [0b1111, 0b0111, 0b0011, 0b10000], backend=name
+            [0b1111, 0b0111, 0b0011, 0b10000]
         )
         assert matrix.jaccard_distance_rows([0b1111]) == [[0.0, 0.25, 0.5, 1.0]]
         for radius, expected in [
@@ -287,7 +248,7 @@ class TestRowsWithin:
             assert matrix.rows_within([0b1111], radius)[0].tolist() == expected
 
     @pytest.mark.parametrize("tau", [0.5, 0.97])
-    def test_ball_radii(self, name, tau):
+    def test_ball_radii(self, tau):
         rng = random.Random(11)
         base = rng.getrandbits(400)
         # Row j flips j random bits of one base tidset: distances from the
@@ -298,26 +259,26 @@ class TestRowsWithin:
             for bit in rng.sample(range(400), flips):
                 row ^= 1 << bit
             rows.append(row)
-        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        matrix = TidsetMatrix.from_tidsets(rows)
         queries = [base, rows[5], rows[30]]
         assert_rows_within(matrix, queries, ball_radius(tau))
         inside = matrix.rows_within([base], ball_radius(tau))[0]
         assert 1 < len(inside) < len(rows)
 
-    def test_empty_tidsets(self, name):
+    def test_empty_tidsets(self):
         # Two empty sets are at 0.0 (union 0); empty vs. non-empty at 1.0.
-        matrix = TidsetMatrix.from_tidsets([0, 0b1, 0, 0b110], backend=name)
+        matrix = TidsetMatrix.from_tidsets([0, 0b1, 0, 0b110])
         assert matrix.rows_within([0], 0.0)[0].tolist() == [0, 2]
         assert matrix.rows_within([0], -0.1)[0].tolist() == []
         assert matrix.rows_within([0b1], 0.0)[0].tolist() == [1]
         assert_rows_within(matrix, [0, 0b1, 0b111], 0.5)
-        empty = TidsetMatrix.from_tidsets([], backend=name)
+        empty = TidsetMatrix.from_tidsets([])
         assert [r.tolist() for r in empty.rows_within([0, 5], 1.0)] == [[], []]
         assert matrix.rows_within([], 1.0) == []
 
-    def test_queries_wider_than_the_matrix(self, name):
+    def test_queries_wider_than_the_matrix(self):
         rows = [0b1011, 0b1, 0b1111_0000, 0]
-        matrix = TidsetMatrix.from_tidsets(rows, backend=name)
+        matrix = TidsetMatrix.from_tidsets(rows)
         assert matrix.n_bits == 8
         queries = [(1 << 400) | 0b1011, 1 << 130, (1 << 65) | 0b1]
         for radius in FIXED_RADII:
@@ -326,12 +287,12 @@ class TestRowsWithin:
         assert matrix.rows_within(queries[:1], 0.25)[0].tolist() == [0]
         assert matrix.rows_within(queries[:1], 0.2499)[0].tolist() == []
 
-    def test_at_least_2_24_bits(self, name):
+    def test_at_least_2_24_bits(self):
         """Rows this wide skip the float32 matvec row sums (NumPy)."""
         n_bits = 1 << 24
         high = 1 << (n_bits - 1)
         rows = [high | 0b111, high, 0b11, (1 << 40) | high | 0b1]
-        matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits, backend=name)
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits)
         queries = [high | 0b1, 0b11, high | (1 << 40)]
         for radius in (ball_radius(0.5), ball_radius(0.97), 0.5, -0.5):
             assert_rows_within(matrix, queries, radius)
@@ -339,7 +300,6 @@ class TestRowsWithin:
         assert matrix.rows_within([high], 0.7)[0].tolist() == [1, 3]
 
 
-@needs_numpy
 def test_rows_within_pre2_numpy_lut_fallback(monkeypatch):
     """Without numpy.bitwise_count the LUT row sums give the same rows."""
     import numpy as np
@@ -348,13 +308,9 @@ def test_rows_within_pre2_numpy_lut_fallback(monkeypatch):
     rng = random.Random(5)
     rows = [rng.getrandbits(300) for _ in range(30)] + [0, 0]
     queries = [rng.getrandbits(300) for _ in range(4)] + [0, rows[3]]
-    slow = TidsetMatrix.from_tidsets(rows, backend="stdlib")
-    fast = TidsetMatrix.from_tidsets(rows, backend="numpy")
+    matrix = TidsetMatrix.from_tidsets(rows)
     for radius in FIXED_RADII:
-        assert_rows_within(fast, queries, radius)
-        assert [r.tolist() for r in fast.rows_within(queries, radius)] == (
-            [r.tolist() for r in slow.rows_within(queries, radius)]
-        )
+        assert_rows_within(matrix, queries, radius)
 
 
 def test_engine_round_under_spawn_equals_serial():
@@ -396,7 +352,6 @@ def test_engine_round_under_spawn_equals_serial():
     assert all(not r["span_id"].startswith(driver) for r in fuse_spans)
 
 
-@needs_numpy
 def test_pre2_numpy_lut_fallback(monkeypatch):
     """Without numpy.bitwise_count (NumPy < 2.0) the LUT path must agree."""
     import numpy as np
@@ -405,164 +360,44 @@ def test_pre2_numpy_lut_fallback(monkeypatch):
     rng = random.Random(3)
     rows = [rng.getrandbits(300) for _ in range(30)] + [0]
     queries = [rng.getrandbits(300) for _ in range(4)] + [0]
-    slow = TidsetMatrix.from_tidsets(rows, backend="stdlib")
-    fast = TidsetMatrix.from_tidsets(rows, backend="numpy")
-    assert slow.popcounts() == fast.popcounts()
+    matrix = TidsetMatrix.from_tidsets(rows)
+    assert matrix.popcounts() == [r.bit_count() for r in rows]
     for q in queries:
-        assert slow.intersection_counts(q).tolist() == (
-            fast.intersection_counts(q).tolist()
-        )
-    assert slow.jaccard_distance_rows(queries) == (
-        fast.jaccard_distance_rows(queries)
+        assert matrix.intersection_counts(q).tolist() == [
+            (r & q).bit_count() for r in rows
+        ]
+    assert matrix.jaccard_distance_rows(queries) == (
+        naive_distance_rows(rows, queries)
     )
-    matrix = fast.jaccard_distance_matrix()
-    reference = slow.jaccard_distance_matrix()
+    reference = naive_distance_rows(rows, rows)
+    distances = matrix.jaccard_distance_matrix()
     for i in range(len(rows)):
-        assert list(matrix[i]) == reference[i]
+        assert distances[i].tolist() == reference[i]
 
 
-class TestSelection:
-    def test_available_always_has_stdlib(self):
-        assert "stdlib" in available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernels backend"):
-            set_backend("cupy")
-        with pytest.raises(ValueError, match="unknown kernels backend"):
-            TidsetMatrix.from_tidsets([1], backend="cupy")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "stdlib")
-        set_backend(None)
-        assert backend() == "stdlib"
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        with pytest.raises(ValueError, match="unknown kernels backend"):
-            backend()
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        assert backend() in ("stdlib", "numpy")
-
-    def test_use_backend_scopes_and_restores(self):
-        before = backend()
-        with use_backend("stdlib"):
-            assert backend() == "stdlib"
-            matrix = TidsetMatrix.from_tidsets([3, 5])
-            assert matrix.backend == "stdlib"
-        assert backend() == before
-
-    def test_use_backend_auto_is_noop(self):
-        with use_backend("stdlib"):
-            with use_backend("auto"):
-                assert backend() == "stdlib"
-            with use_backend(None):
-                assert backend() == "stdlib"
-
-    @needs_numpy
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        set_backend(None)
-        assert backend() == "numpy"
-
-
-class TestWithoutNumpy:
-    """The kernels layer when numpy cannot be imported, simulated by failing
-    the probe.  NumPy is a required dependency (fusion itself needs it), but
-    the stdlib backend still packs and answers on its own."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        import importlib
-
-        # ``repro.kernels.backend`` the *attribute* is the accessor function
-        # (deliberate shadowing); go through importlib for the module.
-        backend_module = importlib.import_module("repro.kernels.backend")
-
-        def refuse():
-            raise ImportError("No module named 'numpy' (simulated)")
-
-        monkeypatch.setattr(backend_module, "_import_numpy", refuse)
-        _reset_probe_cache()
-        yield
-        _reset_probe_cache()
-
-    def test_falls_back_to_stdlib(self, no_numpy, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        set_backend(None)
-        assert available_backends() == ("stdlib",)
-        assert backend() == "stdlib"
-        matrix = TidsetMatrix.from_tidsets([0b101, 0b011])
-        assert matrix.backend == "stdlib"
-        assert matrix.popcounts() == [2, 2]
-
-    def test_requesting_numpy_errors_crisply(self, no_numpy):
-        with pytest.raises(ValueError, match="numpy is not installed"):
-            set_backend("numpy")
-        with pytest.raises(ValueError, match="numpy is not installed"):
-            with use_backend("numpy"):
-                pass  # pragma: no cover - the enter must already raise
-
-
-def _small_config():
-    from repro.core.config import PatternFusionConfig
-
-    return PatternFusionConfig(k=10, initial_pool_max_size=2, seed=0)
-
-
-@needs_numpy
 class TestEndToEndBitIdentity:
-    """Whole-pipeline agreement: backends never change mined output."""
-
-    def test_pattern_fusion_identical_across_backends(self):
-        from repro.core.pattern_fusion import pattern_fusion
-        from repro.datasets import diag_plus
-
-        db = diag_plus()
-        with use_backend("stdlib"):
-            cold = pattern_fusion(db, 20, _small_config())
-        with use_backend("numpy"):
-            fast = pattern_fusion(db, 20, _small_config())
-        assert [(p.items, p.tidset) for p in cold.patterns] == (
-            [(p.items, p.tidset) for p in fast.patterns]
-        )
-        assert cold.history == fast.history
-
-    def test_backend_config_knob_is_identity_neutral(self):
-        from dataclasses import replace
-
-        from repro.core.pattern_fusion import pattern_fusion
-        from repro.core.pattern_fusion import PatternFusionMinerConfig
-        from repro.datasets import diag_plus
-
-        db = diag_plus()
-        via_knob = pattern_fusion(
-            db, 20, replace(_small_config(), backend="stdlib")
-        )
-        ambient = pattern_fusion(db, 20, _small_config())
-        assert [(p.items, p.tidset) for p in via_knob.patterns] == (
-            [(p.items, p.tidset) for p in ambient.patterns]
-        )
-        # The knob never reaches content-hashed run identity.
-        config = PatternFusionMinerConfig(minsup=2, backend="stdlib")
-        assert "backend" not in config.identity_dict()
-        assert config.to_dict()["backend"] == "stdlib"
+    """The layers built on the kernels equal their big-int scans."""
 
     def test_closure_and_balls_agree(self):
-        from repro.core.distance import balls
+        from repro.core.distance import ball, balls
         from repro.datasets import diag_plus
         from repro.mining.results import make_pattern
 
         db = diag_plus()
         patterns = [make_pattern(db, [i]) for i in range(db.n_items)]
-        with use_backend("stdlib"):
-            slow_balls = balls(patterns[:5], patterns, 0.4)
-            slow_closures = [db.closure_of_tidset(p.tidset) for p in patterns]
-            slow_bulk = db.supports([p.items for p in patterns])
-        fresh = diag_plus()  # avoid any cached matrix crossing backends
-        with use_backend("numpy"):
-            fast_balls = balls(patterns[:5], patterns, 0.4)
-            fast_closures = [
-                fresh.closure_of_tidset(p.tidset) for p in patterns
+        assert balls(patterns[:5], patterns, 0.4) == [
+            ball(center, patterns, 0.4) for center in patterns[:5]
+        ]
+        for p in patterns:
+            shared = [
+                item for item in range(db.n_items)
+                if p.tidset & ~db.item_tidset(item) == 0
             ]
-            fast_bulk = fresh.supports([p.items for p in patterns])
-        assert slow_balls == fast_balls
-        assert slow_closures == fast_closures
-        assert slow_bulk == fast_bulk
+            assert db.closure_of_tidset(p.tidset) == frozenset(shared)
+        # Bulk supports are Lemma-1 AND reductions over big-int masks.
+        pairs = [p.items | q.items for p, q in zip(patterns, patterns[3:])]
+        assert db.tidsets(pairs) == [db.tidset(items) for items in pairs]
+        assert db.supports(pairs) == [db.support(items) for items in pairs]
+        assert db.tidsets([[]]) == [db.tidset([])]
+        with pytest.raises(ValueError, match="outside universe"):
+            db.tidsets([[0, db.n_items]])

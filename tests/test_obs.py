@@ -303,7 +303,7 @@ class TestEngineSpanMerge:
     def test_serial_and_parallel_traces_have_same_shape(self, traced):
         families = [
             metrics.REGISTRY.get(f"repro_fusion_{name}_total")
-            for name in ("seeds", "ball_queries", "fused_patterns", "dedup_dropped")
+            for name in ("seeds", "fused_patterns", "dedup_dropped")
         ]
 
         def shape(jobs):
@@ -336,7 +336,7 @@ class TestEngineSpanMerge:
 
         serial, parallel = shape(1), shape(2)
         assert serial == parallel
-        assert all(sum(delta.values()) > 0 for delta in serial[1][:3])
+        assert all(sum(delta.values()) > 0 for delta in serial[1][:2])
         # The greedy counters are live: passes accept members and shrink T,
         # and every ball counts and closes at least one running tidset.
         assert sum(span[2] for span in serial[0]) > 0
@@ -345,10 +345,9 @@ class TestEngineSpanMerge:
         # The ball_queries spans count members natively, equal at both job
         # counts: per round, the summed ball sizes, each seed in its own
         # ball.  Over the run that is the sum of the fuse_ball spans' balls.
-        seeds = [
-            r["attrs"]["seeds"] for r in traced.spans()
-            if r["name"] == "ball_queries"
-        ]
+        queries = [r for r in traced.spans() if r["name"] == "ball_queries"]
+        assert all(set(r["attrs"]) == {"seeds", "members"} for r in queries)
+        seeds = [r["attrs"]["seeds"] for r in queries]
         assert len(serial[2]) == len(seeds) > 0
         assert all(members >= n > 0 for members, n in zip(serial[2], seeds))
         assert sum(serial[2]) == sum(span[6] for span in serial[0])

@@ -13,7 +13,6 @@ from repro.cli import _pool_digest
 from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
 from repro.datasets import diag, diag_plus, quest_like, replace_like
 from repro.engine import ParallelExecutor, SerialExecutor
-from repro.kernels import available_backends, use_backend
 
 
 def pool_key(result):
@@ -112,7 +111,6 @@ class TestGoldenStream:
     whose greedy passes shrink the running tidset 0.96 times on average and
     whose fused patterns are item unions (``close_fused=False``), so the
     walk's resume-after-shrink path and the union path are pinned as well.
-    Both digests hold on every kernel backend.
     """
 
     CONFIG = PatternFusionConfig(k=10, tau=0.5, initial_pool_max_size=2, seed=3)
@@ -123,28 +121,22 @@ class TestGoldenStream:
     OPEN_DIGEST = "26603bf794d3a332"
 
     @staticmethod
-    def digests(db, minsup, config, jobs):
-        """The pool digest on every available kernel backend."""
-        digests = {}
-        for backend in available_backends():
-            with use_backend(backend):
-                if jobs is None:
-                    result = PatternFusion(db, minsup, config).run()
-                else:
-                    result = pattern_fusion(db, minsup, config, jobs=jobs)
-            digests[backend] = _pool_digest(result.patterns)
-        return digests
+    def digest(db, minsup, config, jobs):
+        """The pool digest, through the driver class when ``jobs`` is None."""
+        if jobs is None:
+            result = PatternFusion(db, minsup, config).run()
+        else:
+            result = pattern_fusion(db, minsup, config, jobs=jobs)
+        return _pool_digest(result.patterns)
 
     @pytest.mark.parametrize("jobs", [1, 2, None])
     def test_pool_digest(self, jobs):
-        digests = self.digests(diag_plus(), 20, self.CONFIG, jobs)
-        assert set(digests.values()) == {self.DIGEST}, digests
+        assert self.digest(diag_plus(), 20, self.CONFIG, jobs) == self.DIGEST
 
     @pytest.mark.parametrize("jobs", [1, 2, None])
     def test_open_pool_digest(self, jobs):
         db = quest_like(n_transactions=600, n_items=40, n_patterns=10, seed=2)
-        digests = self.digests(db, 0.02, self.OPEN_CONFIG, jobs)
-        assert set(digests.values()) == {self.OPEN_DIGEST}, digests
+        assert self.digest(db, 0.02, self.OPEN_CONFIG, jobs) == self.OPEN_DIGEST
 
 
 class TestParallelContract:
@@ -174,8 +166,8 @@ class TestParallelContract:
         assert all(p.size == 8 for p in result.patterns)
 
     def test_ball_index_path_agrees(self, synthetic_db):
-        # Force the pivot index on (tiny min-pool) and off; pools must match
-        # under the parallel driver exactly as they do serially.
+        # The ball-index knobs are inert: pools match under the parallel
+        # driver exactly as they do serially.
         base = dict(k=8, initial_pool_max_size=2, seed=11)
         with_index = PatternFusionConfig(**base, ball_index_min_pool=1)
         without_index = PatternFusionConfig(**base, use_ball_index=False)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PatternFusionConfig
-from repro.kernels import available_backends, use_backend
 from repro.sequences import (
     SequenceDatabase,
     SequencePattern,
@@ -20,6 +19,7 @@ from repro.sequences import (
     prefixspan,
     sequence_pattern_fusion,
 )
+from tests.conftest import on_kernel
 
 short_sequences = st.lists(st.integers(min_value=0, max_value=4), max_size=8)
 
@@ -230,13 +230,12 @@ class TestSequenceFusion:
         b = sequence_pattern_fusion(db, 15, config)
         assert {p.sequence for p in a.patterns} == {p.sequence for p in b.patterns}
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_pool_digest(self, backend):
+    @on_kernel
+    def test_pool_digest(self):
         """The sequence RNG stream and greedy passes are pinned.
 
         Its passes shrink the running tidset about once in four, so the
-        walk's shrink path is pinned too.  The digest holds on every
-        kernel backend.
+        walk's shrink path is pinned too.
         """
         db, _ = motif_sequences(
             n_sequences=80, motif_lengths=(8, 6), motif_support=0.3, seed=3
@@ -244,8 +243,7 @@ class TestSequenceFusion:
         config = PatternFusionConfig(
             k=10, tau=0.3, initial_pool_max_size=2, seed=4
         )
-        with use_backend(backend):
-            result = sequence_pattern_fusion(db, 8, config)
+        result = sequence_pattern_fusion(db, 8, config)
         key = sorted(
             (list(p.sequence), format(p.tidset, "x")) for p in result.patterns
         )

@@ -152,6 +152,15 @@ class TestErrors:
         ))
         assert code == 400 and "unknown miner" in message
 
+    def test_removed_backend_knob_400(self, served):
+        server, _, _ = served
+        code, message = error_of(lambda: post(
+            server.url + "/mine",
+            {"dataset": "diag", "miner": "pattern_fusion",
+             "config": {"minsup": 5, "backend": "numpy"}},
+        ))
+        assert code == 400 and "unknown config key(s) backend" in message
+
     def test_non_integer_limit_400(self, served):
         server, _, _ = served
         code, message = error_of(lambda: post(

@@ -78,7 +78,7 @@ class TestDebugVars:
         assert vars_doc["threads"]["count"] >= 1
         assert vars_doc["gc"]["counts"]
         assert "query_cache" in vars_doc and "run_cache" in vars_doc
-        assert vars_doc["kernel_backend"] in ("stdlib", "numpy")
+        assert vars_doc["kernel_backend"] == "numpy"
 
     def test_unknown_debug_route_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

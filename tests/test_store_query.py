@@ -1,12 +1,14 @@
 """Property tests for the query layer and the inverted item index.
 
 The contract: every composed query equals brute-force predicate filtering
-followed by the canonical colossal ranking — the index and the pivot-based
-ball query only skip work, never change answers.
+followed by the canonical colossal ranking — the inverted index and the
+packed-pool ball query only skip work, never change answers.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distance import tidset_distance
@@ -22,6 +24,35 @@ pools = st.lists(
     max_size=25,
 )
 itemsets = st.sets(st.integers(0, 12), min_size=1, max_size=4)
+
+#: Pool sizes around one and 32 machine words of position bits.
+WIDE_POOL_SIZES = (63, 64, 65, 2047, 2048, 2049)
+
+
+def wide_pool(size, seed):
+    """``size`` random patterns over the items ``itemsets`` draws from."""
+    rng = random.Random(seed)
+    return [
+        Pattern(
+            items=frozenset(rng.sample(range(13), rng.randint(1, 6))),
+            tidset=rng.randrange(1, 1 << 40),
+        )
+        for _ in range(size)
+    ]
+
+
+#: Small hypothesis pools, plus seeded pools of every wide size.
+index_pools = st.one_of(
+    pools,
+    st.builds(wide_pool, st.sampled_from(WIDE_POOL_SIZES), st.integers(0, 2**32)),
+)
+
+
+def with_wide_pools(test):
+    """Run ``test`` on one pool of every wide size, whatever hypothesis draws."""
+    for size in WIDE_POOL_SIZES:
+        test = example(wide_pool(size, size), {size % 13, 5})(test)
+    return test
 
 
 def brute(pool, query):
@@ -47,7 +78,8 @@ def brute(pool, query):
 
 class TestInvertedIndex:
     @settings(max_examples=60, deadline=None)
-    @given(pools, itemsets)
+    @given(index_pools, itemsets)
+    @with_wide_pools
     def test_containing_all_matches_subset_test(self, pool, items):
         index = InvertedItemIndex(pool)
         assert index.select(index.containing_all(items)) == [
@@ -55,7 +87,8 @@ class TestInvertedIndex:
         ]
 
     @settings(max_examples=60, deadline=None)
-    @given(pools, itemsets)
+    @given(index_pools, itemsets)
+    @with_wide_pools
     def test_containing_any_matches_intersection_test(self, pool, items):
         index = InvertedItemIndex(pool)
         assert index.select(index.containing_any(items)) == [
