@@ -102,7 +102,6 @@ def pytest_sessionfinish(session: pytest.Session) -> None:
 
 def run_once(request: pytest.FixtureRequest, key: str, producer):
     """Run ``producer`` once per session under ``key`` and return its value."""
-    cache = request.config.cache  # survives only within the run; fine
     store = getattr(request.session, "_repro_results", None)
     if store is None:
         store = {}

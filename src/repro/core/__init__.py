@@ -19,6 +19,7 @@ from repro.core.pattern_fusion import (
     PatternFusionResult,
     pattern_fusion,
 )
+from repro.core.pool import Pool
 
 __all__ = [
     "PatternFusionConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "fuse_ball",
     "FusionCandidate",
     "PatternBallIndex",
+    "Pool",
     "estimate_robustness",
     "core_descendant_hit_rate",
 ]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
+from repro.core.pool import Pool
 from repro.db.bitset import jaccard
-from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 
 if TYPE_CHECKING:
@@ -72,17 +72,19 @@ class Ball(Sequence[Pattern]):
     """One seed's CoreList as rows of its pool: a read-only pattern view.
 
     ``rows`` holds the members' positions in ``pool`` (an int64 array,
-    ascending as the ball queries return it).  Length, iteration, indexing and slicing behave as for the
-    list ``[pool[i] for i in rows]``, and a ball compares equal to that
-    list.  A fusion round ships ``rows`` to its workers and gathers the
-    members' tidsets from the pool matrix by row; patterns are looked up
-    only when something reads them.
+    ascending as the ball queries return it).  Length, iteration, indexing
+    and slicing behave as for the list ``[pool[i] for i in rows]``, and a
+    ball compares equal to that list.  A fusion round ships ``rows`` to its
+    workers and gathers the members' tidsets from the pool matrix by row;
+    patterns are looked up, or built from the pool's arrays, only when
+    something reads them.  A pattern list given as ``pool`` is packed into
+    a :class:`~repro.core.pool.Pool`.
     """
 
     __slots__ = ("pool", "rows")
 
     def __init__(self, pool: Sequence[Pattern], rows: np.ndarray) -> None:
-        self.pool = pool
+        self.pool = Pool.from_patterns(pool)
         self.rows = rows
 
     def __len__(self) -> int:
@@ -94,8 +96,7 @@ class Ball(Sequence[Pattern]):
         return self.pool[self.rows[index]]
 
     def __iter__(self) -> Iterator[Pattern]:
-        pool = self.pool
-        return (pool[row] for row in self.rows.tolist())
+        return iter(self.pool.patterns_at(self.rows))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Ball, list)):
@@ -110,23 +111,21 @@ def balls(
     centers: Sequence[Pattern],
     pool: Sequence[Pattern],
     radius: float,
-    matrix: TidsetMatrix | None = None,
 ) -> list[Ball]:
     """One ball per center, each exactly equal to :func:`ball` for that center.
 
-    The batched form of the range query: the pool's tidsets are packed into
-    one :class:`repro.kernels.TidsetMatrix` and every center's members come
-    from one :meth:`~repro.kernels.TidsetMatrix.rows_within` call, which
-    shares the pool's popcounts and scans whole distance rows as vectors.
-    Answers are bit-identical to per-pattern :func:`ball`
-    scans; members are in pool order.  ``matrix`` is the pool already
-    packed, when the caller holds it.
+    The batched form of the range query: every center's members come from
+    one :meth:`~repro.kernels.TidsetMatrix.rows_within` call over the
+    pool's tidset matrix, which shares the pool's popcounts and scans whole
+    distance rows as vectors.  A pattern list is packed into a
+    :class:`~repro.core.pool.Pool` first; a pool is scanned as it is.
+    Answers are bit-identical to per-pattern :func:`ball` scans; members
+    are in pool order.
     """
     if not centers:
         return []
-    if matrix is None:
-        matrix = TidsetMatrix.from_patterns(pool)
+    pool = Pool.from_patterns(pool)
     return [
         Ball(pool, rows)
-        for rows in matrix.rows_within([c.tidset for c in centers], radius)
+        for rows in pool.matrix.rows_within([c.tidset for c in centers], radius)
     ]

@@ -270,6 +270,7 @@ def fuse_ball(
         members = matrix.take(np.asarray(rows, dtype=np.intp)[keep])
     ball = GreedyBall(members, tau, minsup)
     closures: dict[int, frozenset[int]] = {}
+    member_items: list[frozenset[int]] | None = None
     best_by_items: dict[frozenset[int], FusionCandidate] = {}
     tidset_changes = accepted_total = 0
     for order in pass_orders(rng.getrandbits(64), len(keep), trials):
@@ -284,8 +285,10 @@ def fuse_ball(
             if items is None:
                 items = closures[tidset] = db.closure_of_tidset(tidset)
         else:
+            if member_items is None:  # the members read once, in bulk
+                member_items = [p.items for p in ball_members]
             items = seed.items.union(
-                *(ball_members[j].items for j in keep[accepted].tolist())
+                *(member_items[j] for j in keep[accepted].tolist())
             )
         candidate = FusionCandidate(
             pattern=Pattern(items=items, tidset=tidset), n_fused=1 + len(accepted)

@@ -7,6 +7,13 @@ space (Theorem 2), fuse every ball into super-patterns
 (:mod:`repro.core.fusion`), and make the fused patterns the next pool.  The
 loop ends when the pool has at most K patterns.
 
+Every pool the loop holds is a :class:`~repro.core.pool.Pool`: item-id and
+tidset-word arrays.  Phase 1 mines its pool straight into those arrays
+(:func:`repro.mining.levelwise.mine_pool`), so the hundreds of thousands of
+phase-1 patterns never become Python objects; each later round packs its
+fused patterns into one with :meth:`Pool.from_patterns`.  Elitism, the size
+signature, the fixpoint test and the per-round stats read the arrays.
+
 This module owns the loop (Algorithm 1); each round of Algorithm 2 is
 :func:`repro.engine.parallel_fusion.fusion_round`, the only implementation
 of it.  The round's per-seed work runs on an
@@ -24,6 +31,7 @@ with more than K still in the pool.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -34,6 +42,7 @@ from repro.api.base import Capabilities, Miner, MinerConfig
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
 from repro.core.distance import ball_radius
+from repro.core.pool import Pool
 # Not called here (the round is repro.engine.parallel_fusion.fusion_round);
 # re-exported because the perfbench layer tracer patches these names on
 # this module.
@@ -41,7 +50,7 @@ from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball  # noqa: F401
 from repro.db import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
-from repro.mining.levelwise import mine_up_to_size
+from repro.mining.levelwise import mine_pool
 from repro.mining.results import MiningResult, Pattern, largest_patterns
 from repro.obs import clock, metrics, trace
 from repro.resilience.checkpoint import (
@@ -127,7 +136,7 @@ def pattern_fusion(
     db: TransactionDatabase,
     minsup: float | int,
     config: PatternFusionConfig | None = None,
-    initial_pool: list[Pattern] | None = None,
+    initial_pool: Sequence[Pattern] | None = None,
     executor: "Executor | None" = None,
     checkpoint: CheckpointManager | None = None,
     jobs: int = 1,
@@ -143,9 +152,10 @@ def pattern_fusion(
     config:
         Algorithm parameters; defaults to :class:`PatternFusionConfig()`.
     initial_pool:
-        Optional pre-mined pool (phase 1 output).  When omitted, the complete
-        set of frequent patterns of size ≤ ``config.initial_pool_max_size``
-        is mined here.
+        Optional pre-mined pool (phase 1 output): a list of patterns or a
+        :class:`~repro.core.pool.Pool`.  When omitted, the complete set of
+        frequent patterns of size ≤ ``config.initial_pool_max_size`` is
+        mined here.
     executor:
         Optional :class:`repro.engine.executor.Executor` (a warm pool reused
         across runs) that each round's per-seed work is scheduled through;
@@ -203,18 +213,20 @@ class PatternFusion:
         self.executor = executor
         self.checkpoint = checkpoint
 
-    def mine_initial_pool(self) -> list[Pattern]:
+    def mine_initial_pool(self) -> Pool:
         """Phase 1: the complete set of patterns up to the configured size."""
         with trace.span(
             "initial_pool", max_size=self.config.initial_pool_max_size
         ) as span, _INITIAL_POOL_SECONDS.time():
-            result = mine_up_to_size(
+            pool = mine_pool(
                 self.db, self.minsup, self.config.initial_pool_max_size
             )
-            span.set(pool_size=len(result.patterns))
-        return result.patterns
+            span.set(pool_size=len(pool))
+        return pool
 
-    def run(self, initial_pool: list[Pattern] | None = None) -> PatternFusionResult:
+    def run(
+        self, initial_pool: Sequence[Pattern] | None = None
+    ) -> PatternFusionResult:
         """Phase 2: iterate Algorithm 2 until the pool fits in K patterns."""
         from repro.engine.executor import SerialExecutor
         from repro.engine.parallel_fusion import fusion_round
@@ -236,7 +248,7 @@ class PatternFusion:
                 # Mid-loop state of the interrupted run: phase 1 is skipped
                 # and the RNG cursor continues exactly where it stopped, so
                 # the remaining rounds replay the uninterrupted trajectory.
-                pool = decode_patterns(resumed["pool"])
+                pool = Pool.from_patterns(decode_patterns(resumed["pool"]))
                 initial_size = resumed["initial_size"]
                 iteration = resumed["iteration"]
                 stagnant = resumed["stagnant"]
@@ -247,7 +259,7 @@ class PatternFusion:
                 rng.setstate(decode_rng(resumed["rng"]))
             else:
                 pool = (
-                    list(initial_pool)
+                    Pool.from_patterns(initial_pool)
                     if initial_pool is not None
                     else self.mine_initial_pool()
                 )
@@ -255,7 +267,7 @@ class PatternFusion:
                 history = []
                 iteration = 0
                 stagnant = 0
-                signature = _size_signature(pool)
+                signature = pool.size_signature()
             radius = ball_radius(config.tau)
             while len(pool) > config.k and iteration < config.max_iterations:
                 iteration += 1
@@ -264,21 +276,22 @@ class PatternFusion:
                 with trace.span(
                     "fusion_round", iteration=iteration, pool_size=before
                 ) as round_span, _ROUND_SECONDS.time():
-                    new_pool = fusion_round(
+                    fused = fusion_round(
                         self.db, pool, radius, rng, config, self.minsup, executor
                     )
-                    round_span.set(pool_size_after=len(new_pool))
+                    round_span.set(pool_size_after=len(fused))
                 _ROUNDS.inc()
-                if not new_pool:
+                if not fused:
                     break
                 if config.elitism:
-                    new_pool = _with_elite(new_pool, pool, config.k)
-                fixpoint = {p.items for p in new_pool} == {p.items for p in pool}
+                    fused = _with_elite(fused, pool, config.k)
+                new_pool = Pool.from_patterns(fused)
+                fixpoint = new_pool.same_itemsets(pool)
                 pool = new_pool
                 history.append(_stats(iteration, before, pool, config.k))
                 if fixpoint:
                     break  # iterating further cannot change anything
-                new_signature = _size_signature(pool)
+                new_signature = pool.size_signature()
                 if new_signature == signature:
                     stagnant += 1
                     if stagnant >= config.stagnation_rounds:
@@ -295,12 +308,14 @@ class PatternFusion:
                     )
             if len(pool) > config.k:
                 # Guard fired with an oversized pool: keep the K most colossal.
-                pool = largest_patterns(pool, config.k)
-            root.set(iterations=iteration, final_pool=len(pool))
+                patterns = pool.largest(config.k)
+            else:
+                patterns = list(pool)
+            root.set(iterations=iteration, final_pool=len(patterns))
         if checkpoint is not None:
             checkpoint.clear()
         return PatternFusionResult(
-            patterns=pool,
+            patterns=patterns,
             config=config,
             minsup=self.minsup,
             initial_pool_size=initial_size,
@@ -326,7 +341,7 @@ class PatternFusion:
 
     def _checkpoint_state(
         self,
-        pool: list[Pattern],
+        pool: Pool,
         rng: random.Random,
         iteration: int,
         stagnant: int,
@@ -405,7 +420,7 @@ class FusionMiner(Miner):
     def fuse(
         self,
         db: TransactionDatabase,
-        initial_pool: list[Pattern] | None = None,
+        initial_pool: Sequence[Pattern] | None = None,
         checkpoint: CheckpointManager | None = None,
     ) -> PatternFusionResult:
         """Run and return the full result (history, iteration telemetry)."""
@@ -424,38 +439,26 @@ class FusionMiner(Miner):
         return self.fuse(db).as_mining_result()
 
 
-def _size_signature(pool: list[Pattern]) -> tuple[tuple[int, int], ...]:
-    """Pattern-size histogram of a pool, as a hashable sorted tuple."""
-    histogram: dict[int, int] = {}
-    for p in pool:
-        histogram[p.size] = histogram.get(p.size, 0) + 1
-    return tuple(sorted(histogram.items()))
-
-
 def _with_elite(
-    new_pool: list[Pattern], old_pool: list[Pattern], k: int
+    fused: list[Pattern], old_pool: Pool, k: int
 ) -> list[Pattern]:
     """Carry the ``k`` largest patterns of the old pool into the new one.
 
     Keeps recovery monotone: a colossal pattern found once cannot be lost to
     an unlucky seed draw later (see PatternFusionConfig.elitism).
     """
-    merged: dict[frozenset[int], Pattern] = {p.items: p for p in new_pool}
-    elite = largest_patterns(old_pool, k)
-    for pattern in elite:
+    merged: dict[frozenset[int], Pattern] = {p.items: p for p in fused}
+    for pattern in old_pool.largest(k):
         merged.setdefault(pattern.items, pattern)
     return list(merged.values())
 
 
-def _stats(
-    iteration: int, before: int, pool: list[Pattern], k: int
-) -> IterationStats:
-    sizes = [p.size for p in pool]
+def _stats(iteration: int, before: int, pool: Pool, k: int) -> IterationStats:
     return IterationStats(
         iteration=iteration,
         pool_size_before=before,
         pool_size_after=len(pool),
-        min_pattern_size=min(sizes),
-        max_pattern_size=max(sizes),
+        min_pattern_size=int(pool.sizes.min()),
+        max_pattern_size=int(pool.sizes.max()),
         seeds_drawn=min(k, before),
     )

@@ -96,9 +96,11 @@ class TransactionDatabase:
         self._item_tidsets: tuple[int, ...] = tuple(masks)
         self._item_matrix_cache: TidsetMatrix | None = None
 
-    def _item_matrix(self) -> TidsetMatrix:
-        """The item-tidset rows, packed on first use (tiny databases never
-        pay for it)."""
+    def item_matrix(self) -> TidsetMatrix:
+        """The item tidsets as one matrix, row ``i`` ↔ item ``i``.
+
+        Packed on first use (tiny databases never pay for it).
+        """
         if self._item_matrix_cache is None:
             self._item_matrix_cache = TidsetMatrix.from_tidsets(
                 self._item_tidsets, n_bits=len(self._transactions)
@@ -241,7 +243,7 @@ class TransactionDatabase:
             return frozenset(range(self._n_items))
         # One batched superset test over every item row (Galois adjoint):
         # item ∈ closure(t) iff t ⊆ tidset(item).
-        return frozenset(self._item_matrix().closure_items(tidset))
+        return frozenset(self.item_matrix().closure_items(tidset))
 
     def closure(self, itemset: Iterable[int]) -> frozenset[int]:
         """Galois closure of an itemset: all items shared by its supporters.
@@ -266,7 +268,7 @@ class TransactionDatabase:
             raise ValueError(f"minsup must be >= 1, got {minsup}")
         return [
             item
-            for item, count in enumerate(self._item_matrix().popcounts())
+            for item, count in enumerate(self.item_matrix().popcounts())
             if count >= minsup
         ]
 

@@ -15,13 +15,14 @@ while the run stays **deterministic for a fixed config.seed** and
   ``random.Random(child_seed)`` (which seeds the passes' PCG64 orders), so
   a worker's stream never depends on which worker it landed on or what ran
   before it.
-* Ball queries run on the driver through :meth:`PatternBallIndex.balls`,
-  which answers with pool rows (:class:`~repro.core.distance.Ball`), and
-  tasks carry only those row arrays.  The pool, its packed
-  :class:`~repro.kernels.TidsetMatrix` (the one the ball query already
-  built) and the database ship once per round as the executor's warm-up
-  payload, not per task; each task gathers its ball's rows from that
-  matrix instead of packing them again.  Because
+* Ball queries run on the driver through :meth:`PatternBallIndex.balls`
+  over the pool's own tidset matrix, which answers with pool rows
+  (:class:`~repro.core.distance.Ball`), and tasks carry only those row
+  arrays.  The pool — a :class:`~repro.core.pool.Pool`, so its item-id and
+  tidset-word arrays, not one object per pattern — and the database ship
+  once per round as the executor's warm-up payload, not per task; each
+  task gathers its ball's rows from the pool matrix instead of packing
+  them again, and builds a pattern only for its seed.  Because
   the pool evolves, each round re-warms the worker processes — effectively
   free under the ``fork`` start method (copy-on-write), but on
   spawn-only platforms every round pays worker interpreter startup, so
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,9 +52,9 @@ from repro.core.distance import Ball
 from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import FusionMiner, PatternFusionResult, pattern_fusion
+from repro.core.pool import Pool
 from repro.db.transaction_db import TransactionDatabase
 from repro.engine.executor import Executor, map_chunks, worker_payload
-from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 from repro.obs import metrics, trace
 from repro.obs.trace import TRACER
@@ -107,9 +109,8 @@ class _RoundPayload:
     """Per-round warm-up payload: everything tasks share, shipped once."""
 
     db: TransactionDatabase
-    pool: tuple[Pattern, ...]
-    matrix: TidsetMatrix
-    """The pool's tidsets, in pool order."""
+    pool: Pool
+    """Ships as its arrays; ``pool.matrix`` holds the tidsets in pool order."""
 
     tau: float
     minsup: int
@@ -141,7 +142,7 @@ def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
             trials=payload.trials,
             max_candidates=payload.max_candidates,
             close_fused=payload.close_fused,
-            matrix=payload.matrix,
+            matrix=payload.pool.matrix,
             rows=task.rows,
             seed_row=task.seed_index,
         )
@@ -172,7 +173,7 @@ def _fuse_task_chunk(chunk: list[FusionTask]) -> list:
 
 def fusion_round(
     db: TransactionDatabase,
-    pool: list[Pattern],
+    pool: Pool,
     radius: float,
     rng: random.Random,
     config: PatternFusionConfig,
@@ -188,7 +189,7 @@ def fusion_round(
     n_seeds = min(config.k, len(pool))
     seed_indices = rng.sample(range(len(pool)), k=n_seeds)
     child_seeds = [rng.randrange(1 << _CHILD_SEED_BITS) for _ in seed_indices]
-    centers = [pool[i] for i in seed_indices]
+    centers = pool.patterns_at(seed_indices)
     with trace.span("ball_queries", seeds=n_seeds) as query_span:
         index = PatternBallIndex(pool)
         seed_balls = index.balls(centers, radius)
@@ -204,8 +205,7 @@ def fusion_round(
     ]
     payload = _RoundPayload(
         db=db,
-        pool=tuple(pool),
-        matrix=index.matrix,
+        pool=pool,
         tau=config.tau,
         minsup=minsup,
         trials=config.fusion_trials,
@@ -235,7 +235,7 @@ def parallel_pattern_fusion(
     minsup: float | int,
     config: PatternFusionConfig | None = None,
     jobs: int = 1,
-    initial_pool: list[Pattern] | None = None,
+    initial_pool: Sequence[Pattern] | None = None,
     executor: Executor | None = None,
     checkpoint: CheckpointManager | None = None,
 ) -> PatternFusionResult:

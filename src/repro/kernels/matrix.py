@@ -133,6 +133,15 @@ class TidsetMatrix(ABC):
     def n_bits(self) -> int:
         """Width of the transaction-id universe."""
 
+    @property
+    @abstractmethod
+    def words(self) -> np.ndarray:
+        """The packed rows: an ``(n_rows, W)`` little-endian ``uint64`` array.
+
+        ``W = max(1, ceil(n_bits / 64))``, the layout
+        :meth:`from_words_buffer` takes.  Read it, never write to it.
+        """
+
     # ------------------------------------------------------------------
     # Row access
     # ------------------------------------------------------------------

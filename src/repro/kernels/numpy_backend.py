@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.kernels.matrix import TidsetMatrix
 
-__all__ = ["NumpyTidsetMatrix"]
+__all__ = ["NumpyTidsetMatrix", "word_popcounts"]
 
 #: Bit budget for the all-pairs distance matrix's unpacked bit planes (the
 #: float32 planes cost 5 bytes per bit): ~600 MiB of temporaries at most.
@@ -37,7 +37,7 @@ _PLANE_BUDGET_BITS = 128 * 1024 * 1024
 _POPCOUNT_LUT: np.ndarray | None = None
 
 
-def _word_popcounts(words: np.ndarray) -> np.ndarray:
+def word_popcounts(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a 2-D uint64 word array → int64 vector."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
@@ -108,6 +108,10 @@ class NumpyTidsetMatrix(TidsetMatrix):
     def n_bits(self) -> int:
         return self._n_bits
 
+    @property
+    def words(self) -> np.ndarray:
+        return self._words
+
     def row(self, index: int) -> int:
         if not 0 <= index < self._n_rows:
             raise IndexError(f"row {index} out of range [0, {self._n_rows})")
@@ -150,7 +154,7 @@ class NumpyTidsetMatrix(TidsetMatrix):
 
     def _pops_internal(self) -> np.ndarray:
         if self._pops is None:
-            self._pops = _word_popcounts(self._words)
+            self._pops = word_popcounts(self._words)
         return self._pops
 
     def popcounts(self) -> list[int]:
@@ -178,7 +182,7 @@ class NumpyTidsetMatrix(TidsetMatrix):
         ones = np.ones(self._n_words, dtype=np.float32)
         for query in queries:
             words, excess = self._pack_query(query)
-            query_pop = int(_word_popcounts(words[np.newaxis, :])[0]) + excess
+            query_pop = int(word_popcounts(words[np.newaxis, :])[0]) + excess
             np.bitwise_and(self._words, words, out=tmp)
             if matvec_sum:
                 np.bitwise_count(tmp, out=counts)
@@ -186,7 +190,7 @@ class NumpyTidsetMatrix(TidsetMatrix):
                     counts.astype(np.float32) @ ones
                 ).astype(np.int64)
             else:
-                intersections = _word_popcounts(tmp)
+                intersections = word_popcounts(tmp)
             yield intersections, query_pop
 
     def intersection_counts(self, query: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Zaki's equivalence-class traversal: extend a prefix itemset with each item
 from its candidate tail, intersecting tidsets as we descend.  With tidsets as
 int bitmasks the inner loop is a single ``&`` plus a popcount, which makes
-this the fastest complete miner in the package and the default engine behind
-:func:`repro.mining.levelwise.mine_up_to_size`'s correctness tests.
+this the fastest complete miner in the package and the reference that the
+NumPy phase-1 miner (:func:`repro.mining.levelwise.mine_pool`) must match
+pattern for pattern and in order.
 """
 
 from __future__ import annotations
