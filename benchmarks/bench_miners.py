@@ -1,8 +1,8 @@
 """A4 — miner micro-benchmarks on an unstructured QUEST-style workload.
 
-Times the three complete miners (level-wise, vertical DFS, FP-tree) and the
-closed/maximal/row-enumeration family on the same database, and asserts the
-structural relationships that make the comparisons meaningful.
+Times the complete miner (Eclat's vertical DFS) and the closed, maximal and
+top-k miners on the same database, and asserts the structural relationships
+that make the comparisons meaningful.
 """
 
 import pytest
@@ -10,11 +10,8 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.datasets.synthetic import quest_like
 from repro.mining import (
-    apriori,
-    carpenter_closed_patterns,
     closed_patterns,
     eclat,
-    fpgrowth,
     maximal_patterns,
     top_k_closed,
 )
@@ -46,43 +43,14 @@ def reference(request, db):
     return run_once(request, "quest-ref", lambda: eclat(db, MINSUP).itemsets())
 
 
-def test_bench_apriori(benchmark, db, reference):
-    result = benchmark(lambda: apriori(db, MINSUP))
-    assert result.itemsets() == reference
-
-
 def test_bench_eclat(benchmark, db, reference):
     result = benchmark(lambda: eclat(db, MINSUP))
-    assert result.itemsets() == reference
-
-
-def test_bench_fpgrowth(benchmark, db, reference):
-    result = benchmark(lambda: fpgrowth(db, MINSUP))
     assert result.itemsets() == reference
 
 
 def test_bench_closed(benchmark, db, reference):
     result = benchmark(lambda: closed_patterns(db, MINSUP))
     assert result.itemsets() <= reference
-
-
-def test_bench_carpenter(benchmark, request):
-    # CARPENTER's home turf is few rows × many columns, not the 800-row
-    # QUEST table (row enumeration over 800 rows is the wrong tool — that
-    # asymmetry is exactly why the algorithm exists).
-    wide = run_once(
-        request,
-        "quest-wide",
-        lambda: quest_like(
-            n_transactions=24, n_items=400, n_patterns=10,
-            mean_pattern_size=40, patterns_per_transaction=4, seed=23,
-        ),
-    )
-    closed_reference = closed_patterns(wide, 6).itemsets()
-    result = benchmark.pedantic(
-        lambda: carpenter_closed_patterns(wide, 6), rounds=2, iterations=1
-    )
-    assert result.itemsets() == closed_reference
 
 
 def test_bench_maximal(benchmark, db, reference):

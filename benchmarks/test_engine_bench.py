@@ -9,8 +9,7 @@ end-to-end agreement check at benchmark scale.
 
 On a multi-core host the jobs series shows the speedup; on single-core CI
 runners it records the scheduling overhead instead (the numbers are still
-recorded so regressions in either direction are visible).  A second group
-times the sharded bulk-support path for the same jobs series.
+recorded so regressions in either direction are visible).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core import PatternFusionConfig, pattern_fusion
 from repro.datasets.microarray import all_like
-from repro.engine import ShardedDatabase, make_executor
+from repro.engine import make_executor
 from repro.mining.levelwise import mine_up_to_size
 
 JOBS_SERIES = (1, 2, 4)
@@ -70,22 +69,3 @@ def test_bench_parallel_fusion(benchmark, workload, serial_pool, jobs):
     finally:
         executor.close()
     assert {p.items for p in result.patterns} == serial_pool
-
-
-@pytest.mark.parametrize("jobs", JOBS_SERIES)
-def test_bench_sharded_supports(benchmark, workload, jobs):
-    db, minsup, pool = workload
-    sharded = ShardedDatabase(db, n_shards=max(jobs, 2))
-    itemsets = [p.sorted_items() for p in pool[:400]]
-    expected = [p.support for p in pool[:400]]
-    executor = make_executor(jobs)
-    try:
-        counts = benchmark.pedantic(
-            lambda: sharded.supports(itemsets, executor=executor),
-            rounds=3,
-            iterations=1,
-            warmup_rounds=0,
-        )
-    finally:
-        executor.close()
-    assert counts == expected

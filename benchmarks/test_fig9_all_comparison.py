@@ -1,8 +1,8 @@
 """Benchmark for Figure 9: colossal recovery on ALL-sim.
 
 Prints the per-size complete-vs-Pattern-Fusion table and benchmarks the
-row-enumeration (CARPENTER) and item-enumeration (LCM-style) closed miners
-against each other on the microarray shape — few rows, thousands of columns.
+item-enumeration (LCM-style) closed miner on the microarray shape — few
+rows, thousands of columns.
 """
 
 import pytest

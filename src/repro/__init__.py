@@ -2,10 +2,10 @@
 
 A from-scratch reproduction of Zhu, Yan, Han, Yu & Cheng (ICDE 2007),
 including every substrate the paper relies on: a transaction-database layer,
-the complete-mining baselines it competes against (Apriori, Eclat, FP-growth,
-closed/maximal miners, TFP top-k, CARPENTER), the Pattern-Fusion core, the
-quality-evaluation model of Section 5, and generators for the paper's
-datasets — all behind one unified miner API (:mod:`repro.api`).
+the complete-mining baselines it competes against (Eclat, closed/maximal
+miners, TFP top-k), the Pattern-Fusion core, the quality-evaluation model
+of Section 5, and generators for the paper's datasets — all behind one
+unified miner API (:mod:`repro.api`).
 
 Quickstart::
 
@@ -53,7 +53,6 @@ from repro.db import TransactionDatabase, dataset_fingerprint
 from repro.engine import (
     ParallelExecutor,
     SerialExecutor,
-    ShardedDatabase,
     make_executor,
     parallel_pattern_fusion,
 )
@@ -69,10 +68,8 @@ from repro.obs import (
 from repro.mining import (
     MiningResult,
     Pattern,
-    apriori,
     closed_patterns,
     eclat,
-    fpgrowth,
     maximal_patterns,
     mine_up_to_size,
     top_k_closed,
@@ -144,7 +141,6 @@ __all__ = [
     "pattern_distance",
     "ball_radius",
     # engine
-    "ShardedDatabase",
     "SerialExecutor",
     "ParallelExecutor",
     "make_executor",
@@ -156,9 +152,7 @@ __all__ = [
     "approximate",
     "approximation_error",
     # complete/closed/maximal baselines
-    "apriori",
     "eclat",
-    "fpgrowth",
     "closed_patterns",
     "maximal_patterns",
     "top_k_closed",

@@ -35,13 +35,9 @@ __all__ = [
 #: Modules that define (and therefore register) adapter classes.  Imported
 #: on first registry access; order is irrelevant because listings sort.
 _ADAPTER_MODULES: tuple[str, ...] = (
-    "repro.mining.apriori",
     "repro.mining.eclat",
-    "repro.mining.fpgrowth",
     "repro.mining.closed",
-    "repro.mining.aclose",
     "repro.mining.maximal",
-    "repro.mining.carpenter",
     "repro.mining.topk",
     "repro.mining.levelwise",
     "repro.core.pattern_fusion",

@@ -74,7 +74,7 @@ from repro.api import (
 )
 from repro.core.pattern_fusion import FusionMiner, pattern_fusion
 from repro.db import TransactionDatabase, describe, read_fimi, write_fimi
-from repro.engine import PARTITIONERS, ShardedDatabase, make_executor
+from repro.engine import make_executor
 from repro.evaluation import approximate, summarize_approximation
 from repro.mining.results import (
     MiningResult,
@@ -87,10 +87,7 @@ __all__ = ["main", "build_parser"]
 
 #: Legacy ``--algorithm`` values; ``pool`` was the pre-registry spelling of
 #: the bounded-size complete miner.
-_LEGACY_ALGORITHMS = (
-    "apriori", "carpenter", "closed", "eclat", "fpgrowth", "maximal",
-    "pool", "topk",
-)
+_LEGACY_ALGORITHMS = ("closed", "eclat", "maximal", "pool", "topk")
 _LEGACY_NAME_ALIASES = {"pool": "levelwise"}
 
 
@@ -152,12 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print at most this many patterns")
     _add_persist_args(mine)
     _add_checkpoint_args(mine)
-    _add_engine_args(
-        mine,
-        jobs_help="worker processes for the sharded support audit "
-                  "(use `--set jobs=N` for miners with a jobs knob; implies "
-                  "--shards N when --shards is not given)",
-    )
+    # No --jobs: miners with a jobs knob take `--set jobs=N`.
+    _add_engine_args(mine, jobs_help=None)
 
     miners = sub.add_parser(
         "miners", help="list registered miners and their capabilities"
@@ -460,18 +453,15 @@ def _make_checkpoint(args: argparse.Namespace):
 
 def _add_engine_args(
     parser: argparse.ArgumentParser,
-    jobs_help: str = "worker processes; 1 = serial (default)",
+    jobs_help: str | None = "worker processes; 1 = serial (default)",
 ) -> None:
+    """The engine group; ``jobs_help=None`` leaves out ``--jobs``."""
     engine = parser.add_argument_group(
-        "engine", "parallel execution (results never depend on these)"
+        "engine", "execution (results never depend on these)"
     )
-    engine.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
-    engine.add_argument("--shards", type=_non_negative_int, default=0,
-                        help="audit result supports through an N-shard "
-                             "row partition of the database (0 = off)")
-    engine.add_argument("--partitioner", choices=PARTITIONERS,
-                        default="round-robin",
-                        help="row partitioner used with --shards")
+    if jobs_help is not None:
+        engine.add_argument("--jobs", type=_positive_int, default=1,
+                            help=jobs_help)
     engine.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top "
                              "cumulative functions (hot-path diagnosis)")
@@ -544,35 +534,6 @@ def _persist_result(
             result, db=db, miner=miner, config=config, fingerprint=fingerprint
         )
         print(f"stored run {run_id} in {args.store}")
-
-
-def _sharded_audit(
-    db: TransactionDatabase, patterns: list[Pattern], args: argparse.Namespace
-) -> int:
-    """Recount pattern supports through an N-shard partition (engine audit).
-
-    A disagreement can only mean a counting bug, so it is reported as a
-    non-zero exit; agreement prints one telemetry line.
-    """
-    n_shards = args.shards if args.shards > 0 else max(args.jobs, 1)
-    sharded = ShardedDatabase(db, n_shards, args.partitioner)
-    with make_executor(args.jobs) as executor:
-        mismatches = sharded.verify_patterns(
-            [(p.items, p.support) for p in patterns], executor=executor
-        )
-    if mismatches:
-        print(
-            f"sharded audit FAILED: {len(mismatches)} of {len(patterns)} "
-            f"supports disagree across {sharded.n_shards} shards",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"sharded audit: {len(patterns)} supports verified across "
-        f"{sharded.n_shards} {sharded.partitioner} shards "
-        f"(sizes {sharded.shard_sizes()}, jobs={args.jobs})"
-    )
-    return 0
 
 
 class _CliError(Exception):
@@ -652,28 +613,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         result = spec.cls(config).mine(db)
     _print_result(result, args.limit)
     _persist_result(result, db, args, spec.name, config.identity_dict())
-    if args.shards > 0 or args.jobs > 1:
-        if spec.capabilities.sequences:
-            # Sequence supports count subsequence embeddings, not itemset
-            # containment — the transaction-shard recount would compare
-            # different quantities, so there is nothing to audit.
-            print("sharded audit skipped: sequence supports are not "
-                  "itemset supports")
-            return 0
-        window = getattr(config, "window", None)
-        if (
-            spec.capabilities.streaming
-            and window is not None
-            and window < db.n_transactions
-        ):
-            # A bounded window mined only the last `window` rows, so the
-            # reported supports are window-local; recounting them against
-            # the full database would flag every pattern as a mismatch.
-            print(f"sharded audit skipped: supports are local to the final "
-                  f"{window}-row window, not the {db.n_transactions}-row "
-                  "database")
-            return 0
-        return _sharded_audit(db, result.patterns, args)
     return 0
 
 
@@ -727,8 +666,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         result.as_mining_result(), db, args, type(miner).name,
         miner.config.identity_dict(),
     )
-    if args.shards > 0:
-        return _sharded_audit(db, result.patterns, args)
     return 0
 
 
@@ -865,10 +802,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
         if checkpoint is not None:
             checkpoint.clear()
-    # Audit after the stream's executor has shut down, so the audit's own
-    # worker pool is the only one alive.
-    if args.shards > 0:
-        return _sharded_audit(driver.window.snapshot(), driver.patterns, args)
     return 0
 
 

@@ -1,10 +1,9 @@
-"""Parallel execution engine: sharded databases, worker pools, batched queries.
+"""Parallel execution engine: worker pools and the executor-scheduled fusion round.
 
 The scalability seam of the reproduction.  Everything here preserves exact
-answers — sharding merges to the same supports, the executor-scheduled
-fusion round produces the same pools for any job count — so callers opt into parallelism
-purely as a deployment decision (``jobs``/``shards`` knobs), never as an
-accuracy trade-off.
+answers — the fusion round produces the same pools for any job count — so
+callers opt into parallelism purely as a deployment decision (the ``jobs``
+knob), never as an accuracy trade-off.
 """
 
 from repro.engine.executor import (
@@ -21,12 +20,6 @@ from repro.engine.parallel_fusion import (
     fusion_round,
     parallel_pattern_fusion,
 )
-from repro.engine.sharding import (
-    PARTITIONERS,
-    ShardedDatabase,
-    round_robin_partition,
-    size_balanced_partition,
-)
 
 __all__ = [
     "Executor",
@@ -36,10 +29,6 @@ __all__ = [
     "map_chunks",
     "split_chunks",
     "worker_payload",
-    "ShardedDatabase",
-    "PARTITIONERS",
-    "round_robin_partition",
-    "size_balanced_partition",
     "fusion_round",
     "FusionTask",
     "parallel_pattern_fusion",

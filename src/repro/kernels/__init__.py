@@ -1,7 +1,7 @@
 """Tidset kernels: batched bitset math for every hot loop.
 
-The package's inner loops — Definition 6 distances, Theorem 2 ball queries,
-the closure operator — all reduce to popcount/AND/OR over tidsets.
+The package's inner loops — Theorem 2 ball queries under the Definition 6
+distance, the closure operator — all reduce to popcount/AND/OR over tidsets.
 :class:`TidsetMatrix` packs N tidsets once into an N×W ``uint64`` word
 array and answers those primitives for all rows per call, with vectorized
 popcount (:func:`numpy.bitwise_count`, or an 8-bit LUT on older NumPy).

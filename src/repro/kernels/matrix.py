@@ -2,20 +2,20 @@
 
 One matrix is built per pool (or per database's item tidsets) and then every
 hot-loop primitive — popcounts, intersection sizes against a query tidset,
-whole distance-matrix rows (Definition 6), the rows within a ball radius
-(Theorem 2), superset masks (the closure operator's test) — is answered for
-*all rows at once*.  This module is the NumPy-free front: the factories and
-the interface.  The one implementation, :mod:`repro.kernels.numpy_backend`,
-packs rows into an N×W ``uint64`` word array and is imported when the first
-matrix is built, so importing this module never loads NumPy.
+the rows within a Definition 6 ball radius (Theorem 2), superset masks (the
+closure operator's test) — is answered for *all rows at once*.  This module
+is the NumPy-free front: the factories and the interface.  The one
+implementation, :mod:`repro.kernels.numpy_backend`, packs rows into an N×W
+``uint64`` word array and is imported when the first matrix is built, so
+importing this module never loads NumPy.
 
 Every count is an exact integer and every distance is the same
 ``1 - |∩| / |∪|`` float64 division that
 :func:`repro.core.distance.tidset_distance` performs on big ints, so the
 kernels agree with the naive big-int formulation bit for bit; the property
 tests in ``tests/test_kernels.py`` pin this on random matrices.  Most
-primitives return plain Python values (``int`` masks, ``list`` of ``int``/
-``float``).  The two that feed fusion's inner loops return NumPy arrays,
+primitives return plain Python values (``int`` masks, ``list`` of ``int``).
+The two that feed fusion's inner loops return NumPy arrays,
 because their callers compute on arrays:
 :meth:`~TidsetMatrix.intersection_counts` (an int64 count per row) and
 :meth:`~TidsetMatrix.rows_within` (the row indices of each ball).
@@ -177,39 +177,15 @@ class TidsetMatrix(ABC):
         """``|row_i ∩ query|`` for every row, as an int64 array."""
 
     @abstractmethod
-    def jaccard_distance_rows(
-        self, queries: Sequence[int], empty: float = 0.0
-    ) -> list[list[float]]:
-        """Definition 6 distance of every row to every query tidset.
-
-        Returns one list per query: ``out[q][i] = 1 - |row_i ∩ q| /
-        |row_i ∪ q|``, with ``empty`` returned when both sets are empty
-        (the package's tidset-distance convention is 0.0: two patterns
-        occurring nowhere are indistinguishable).
-        """
-
-    @abstractmethod
     def rows_within(
         self, queries: Sequence[int], radius: float
     ) -> list[np.ndarray]:
         """The rows within ``radius`` of each query tidset (inclusive).
 
         Returns one ascending int64 array per query: the ``i`` with
-        ``jaccard_distance_rows([q])[0][i] <= radius``, the same float
-        expression, with two empty sets at distance 0.0.  This is the r(τ)
-        range query of Algorithm 2 answered as pool rows.
-        """
-
-    @abstractmethod
-    def jaccard_distance_matrix(self, empty: float = 0.0) -> np.ndarray:
-        """The full N×N pairwise Definition 6 distance matrix of the rows.
-
-        ``out[i][j] = 1 - |row_i ∩ row_j| / |row_i ∪ row_j|`` (``empty``
-        when both rows are empty); symmetric with a zero diagonal.  A 2-D
-        float64 array: materialising N² Python floats would dwarf the
-        computation itself, and matrix consumers (benchmarks, bulk
-        analysis) index rather than iterate.  Call ``tolist()`` if lists
-        are needed.
+        ``1 - |row_i ∩ q| / |row_i ∪ q| <= radius`` (Definition 6), with two
+        empty sets at distance 0.0.  This is the r(τ) range query of
+        Algorithm 2 answered as pool rows.
         """
 
     @abstractmethod

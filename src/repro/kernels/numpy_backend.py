@@ -5,11 +5,9 @@ whole matrix is one contiguous 2-D array and every primitive is a handful of
 vectorized word operations: AND broadcast against a packed query row,
 popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
 builds that predate it, which ``numpy>=1.24`` still allows), boolean row
-reductions for superset masks.  Intersection counts, distance rows and
-``rows_within`` share one cache-resident pass per query (preallocated
-temporaries, BLAS matvec row sums); the all-pairs distance matrix goes
-through a float32 bit-plane GEMM, which turns N² popcounts into one BLAS
-call while staying exact (counts < 2^24).
+reductions for superset masks.  Intersection counts and ``rows_within``
+share one cache-resident pass per query (preallocated temporaries, BLAS
+matvec row sums).
 
 Counts are exact integers and distances are the same ``1 - |∩| / |∪|``
 float64 division :func:`repro.core.distance.tidset_distance` performs on
@@ -29,10 +27,6 @@ import numpy as np
 from repro.kernels.matrix import TidsetMatrix
 
 __all__ = ["NumpyTidsetMatrix", "word_popcounts"]
-
-#: Bit budget for the all-pairs distance matrix's unpacked bit planes (the
-#: float32 planes cost 5 bytes per bit): ~600 MiB of temporaries at most.
-_PLANE_BUDGET_BITS = 128 * 1024 * 1024
 
 _POPCOUNT_LUT: np.ndarray | None = None
 
@@ -197,61 +191,22 @@ class NumpyTidsetMatrix(TidsetMatrix):
         (intersections, _), = self._intersections([query])
         return intersections
 
-    def _distances(
-        self, queries: Iterable[int], empty: float
-    ) -> Iterator[np.ndarray]:
-        """The float64 distance row of each query (``empty`` on no union)."""
+    def _distances(self, queries: Iterable[int]) -> Iterator[np.ndarray]:
+        """The float64 distance row of each query (0.0 where both are empty)."""
         pops = self._pops_internal()
         for intersections, query_pop in self._intersections(queries):
             unions = pops + query_pop - intersections
             with np.errstate(divide="ignore", invalid="ignore"):
                 distances = 1.0 - intersections / unions
-            yield np.where(unions == 0, empty, distances)
-
-    def jaccard_distance_rows(
-        self, queries: Sequence[int], empty: float = 0.0
-    ) -> list[list[float]]:
-        return [row.tolist() for row in self._distances(queries, empty)]
+            yield np.where(unions == 0, 0.0, distances)
 
     def rows_within(
         self, queries: Sequence[int], radius: float
     ) -> list[np.ndarray]:
         return [
             np.flatnonzero(row <= radius).astype(np.int64, copy=False)
-            for row in self._distances(queries, 0.0)
+            for row in self._distances(queries)
         ]
-
-    def jaccard_distance_matrix(self, empty: float = 0.0) -> np.ndarray:
-        if self._n_rows == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        if self._n_bits >= (1 << 24) or (
-            self._n_rows * self._n_words * 64 > _PLANE_BUDGET_BITS
-        ):
-            # Bit-plane GEMM would lose exactness past 2^24 bits per row
-            # (float32 integer range) or blow the memory budget; fall back
-            # to the row-at-a-time path (which drops to exact int64 sums in
-            # the same wide regime) and stack.
-            rows = self.jaccard_distance_rows(
-                [self.row(i) for i in range(self._n_rows)], empty=empty
-            )
-            return np.array(rows, dtype=np.float64)
-        # All-pairs intersections as one float32 GEMM over 0/1 bit planes:
-        # |row_i ∩ row_j| = Σ_b plane[i,b]·plane[j,b].  Counts are ≤ n_bits
-        # < 2^24, so every product and partial sum is an exact float32
-        # integer — bit-identical to the big-int popcounts.
-        planes = np.unpackbits(
-            self._words.view(np.uint8), axis=1, bitorder="little"
-        ).astype(np.float32)
-        intersections = (planes @ planes.T).astype(np.float64)
-        pops = self._pops_internal().astype(np.float64)
-        unions = np.add.outer(pops, pops)
-        unions -= intersections
-        # In-place from here on: the N² temporaries dominate the cost.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(intersections, unions, out=intersections)
-        np.subtract(1.0, intersections, out=intersections)
-        np.copyto(intersections, empty, where=(unions == 0.0))
-        return intersections
 
     def superset_mask(self, query: int) -> int:
         words, excess = self._pack_query(query)

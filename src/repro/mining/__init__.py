@@ -2,32 +2,23 @@
 
 All miners return :class:`repro.mining.results.MiningResult` over a shared
 :class:`repro.mining.results.Pattern` type, so their outputs are directly
-comparable (the test suite cross-checks them against each other).
+comparable (the test suite checks them against a brute-force enumerator).
 """
 
-from repro.mining.aclose import aclose, frequent_generators
-from repro.mining.apriori import apriori
-from repro.mining.carpenter import carpenter_closed_patterns
 from repro.mining.closed import closed_patterns, iter_closed_patterns
 from repro.mining.eclat import eclat
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.levelwise import mine_up_to_size
 from repro.mining.maximal import maximal_patterns
 from repro.mining.results import MiningResult, Pattern, make_pattern
 from repro.mining.topk import top_k_closed
 
 __all__ = [
-    "aclose",
-    "frequent_generators",
-    "apriori",
     "eclat",
-    "fpgrowth",
     "closed_patterns",
     "iter_closed_patterns",
     "maximal_patterns",
     "top_k_closed",
     "mine_up_to_size",
-    "carpenter_closed_patterns",
     "MiningResult",
     "Pattern",
     "make_pattern",

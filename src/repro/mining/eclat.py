@@ -48,8 +48,9 @@ def eclat(
 ) -> MiningResult:
     """Mine all frequent itemsets depth-first (Eclat).
 
-    Produces exactly the same pattern set as :func:`repro.mining.apriori.apriori`
-    (the property tests assert this); only the traversal order differs.
+    Produces exactly the itemsets with support ``>= minsup`` and at most
+    ``max_size`` items (the property tests check it against brute-force
+    enumeration).
     """
     absolute = db.absolute_minsup(minsup)
     patterns: list[Pattern] = []

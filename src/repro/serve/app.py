@@ -10,6 +10,7 @@ GET     ``/runs``          metadata summary of every stored run
 GET     ``/runs/<id>``     one run's metadata + patterns (``?limit=N``)
 POST    ``/mine``          mine through the store cache; body
                            ``{"dataset": ..., "miner": ..., "config": {...}}``
+                           (optional ``n`` in 2..``MAX_MINE_N``, ``seed``)
 POST    ``/query``         evaluate a query; body
                            ``{"run": id, "query": {...}}``
 GET     ``/debug/vars``    live-process vitals (RSS, GC, threads, uptime,
@@ -104,6 +105,11 @@ _ROUTES = frozenset(
 #: Largest request body the server reads; a bigger one is refused with a
 #: 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Largest ``n`` a ``/mine`` body may ask of the diag family: Diag_n is
+#: n rows of n - 1 items, so n is bounded before anything is built.  The
+#: paper's largest Diag is n = 40.
+MAX_MINE_N = 1000
 
 #: Hard ceilings for on-demand profiling requests (seconds, hz).
 MAX_PROFILE_SECONDS = 30.0
@@ -320,16 +326,20 @@ class PatternApp:
         if not isinstance(config, dict):
             raise _ApiError(400, "'config' must be an object of miner knobs")
         limit = body.get("limit", DEFAULT_LIMIT)
-        if not isinstance(limit, int) or isinstance(limit, bool):
+        if not _is_int(limit):
             raise _ApiError(400, f"'limit' must be an integer, got {limit!r}")
+        n = body.get("n", 40)
+        if not _is_int(n) or not 2 <= n <= MAX_MINE_N:
+            raise _ApiError(
+                400, f"'n' must be an integer in 2..{MAX_MINE_N}, got {n!r}"
+            )
+        seed = body.get("seed", 7)
+        if not _is_int(seed):
+            raise _ApiError(400, f"'seed' must be an integer, got {seed!r}")
         try:
             spec = get_miner_spec(miner)
             miner_config = spec.config_type.from_dict(config)
-            db = load_dataset(
-                dataset,
-                n=body.get("n", 40),
-                seed=body.get("seed", 7),
-            )
+            db = load_dataset(dataset, n=n, seed=seed)
         except (TypeError, ValueError) as exc:
             raise _ApiError(400, str(exc)) from None
         outcome = mine_cached(self.store, miner, db, miner_config)
@@ -410,6 +420,11 @@ class PatternServer(PatternApp):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` subclasses ``int`` but is not one here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _query_number(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import shutil
 from pathlib import Path
 
@@ -27,6 +28,28 @@ def figure3_transactions(duplicates: int = 100) -> list[list[int]]:
         [A, B, C, E, F],
     ]
     return [list(row) for row in rows for _ in range(duplicates)]
+
+
+def brute_force_frequent(
+    db: TransactionDatabase, minsup: float | int, max_size: int | None = None
+) -> dict[frozenset[int], int]:
+    """Every itemset with support >= ``minsup``, found by trying them all.
+
+    The oracle the miner tests check against: it counts each of the
+    ``2^n_items - 1`` nonempty itemsets (up to ``max_size`` items) with
+    ``db.support``, so it only takes databases of at most 8 items.
+    """
+    if db.n_items > 8:
+        raise ValueError(f"brute force takes <= 8 items, got {db.n_items}")
+    absolute = db.absolute_minsup(minsup)
+    largest = db.n_items if max_size is None else max_size
+    frequent: dict[frozenset[int], int] = {}
+    for size in range(1, largest + 1):
+        for items in itertools.combinations(range(db.n_items), size):
+            support = db.support(items)
+            if support >= absolute:
+                frequent[frozenset(items)] = support
+    return frequent
 
 
 def on_kernel(test):

@@ -17,12 +17,8 @@ from repro.datasets import diag, quest_like
 from repro.db import TransactionDatabase, write_fimi
 from repro.engine import ParallelExecutor, SerialExecutor, parallel_pattern_fusion
 from repro.mining import (
-    aclose,
-    apriori,
-    carpenter_closed_patterns,
     closed_patterns,
     eclat,
-    fpgrowth,
     maximal_patterns,
     mine_up_to_size,
     top_k_closed,
@@ -59,12 +55,8 @@ def pattern_key(result):
 
 
 LEGACY_CALLS = {
-    "apriori": lambda db: apriori(db, MINSUP),
     "eclat": lambda db: eclat(db, MINSUP),
-    "fpgrowth": lambda db: fpgrowth(db, MINSUP),
     "closed": lambda db: closed_patterns(db, MINSUP),
-    "aclose": lambda db: aclose(db, MINSUP),
-    "carpenter": lambda db: carpenter_closed_patterns(db, MINSUP),
     "maximal": lambda db: maximal_patterns(db, MINSUP),
     "levelwise": lambda db: mine_up_to_size(db, MINSUP, max_size=2),
     "topk": lambda db: top_k_closed(db, 4, min_size=2),

@@ -22,12 +22,8 @@ from repro.db import TransactionDatabase
 from repro.mining import closed_patterns, eclat, maximal_patterns
 
 EXPECTED_MINERS = {
-    "aclose",
-    "apriori",
-    "carpenter",
     "closed",
     "eclat",
-    "fpgrowth",
     "levelwise",
     "maximal",
     "parallel_pattern_fusion",
@@ -208,11 +204,11 @@ class TestConfigErrors:
             assert config_type.knob_names()[0] in message
 
     def test_miner_rejects_wrong_config_type(self):
+        from repro.mining.closed import ClosedConfig
         from repro.mining.eclat import EclatMiner
-        from repro.mining.apriori import AprioriConfig
 
         with pytest.raises(TypeError):
-            EclatMiner(AprioriConfig())
+            EclatMiner(ClosedConfig())
 
     def test_overrides_on_ready_config(self):
         from repro.mining.eclat import EclatConfig, EclatMiner

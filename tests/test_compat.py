@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.db import TransactionDatabase
+from tests.conftest import brute_force_frequent
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +28,8 @@ class TestLegacyImports:
             IncrementalPatternFusion,
             PatternFusion,
             PatternFusionConfig,
-            apriori,
             closed_patterns,
             eclat,
-            fpgrowth,
             maximal_patterns,
             mine_up_to_size,
             parallel_pattern_fusion,
@@ -41,8 +40,6 @@ class TestLegacyImports:
     def test_module_level_names(self):
         from repro.core.pattern_fusion import pattern_fusion  # noqa: F401
         from repro.engine.parallel_fusion import parallel_pattern_fusion  # noqa: F401
-        from repro.mining.aclose import aclose, frequent_generators  # noqa: F401
-        from repro.mining.carpenter import carpenter_closed_patterns  # noqa: F401
         from repro.mining.closed import iter_closed_patterns  # noqa: F401
         from repro.mining.levelwise import mine_up_to_size  # noqa: F401
         from repro.sequences import sequence_pattern_fusion  # noqa: F401
@@ -53,11 +50,10 @@ class TestLegacyCallSignatures:
     """Positional/keyword spellings used before the registry still work."""
 
     def test_simple_miners_positional(self, db):
-        from repro import apriori, eclat, fpgrowth
+        from repro import eclat
 
-        assert {p.items for p in eclat(db, 2).patterns} == {
-            p.items for p in apriori(db, 2).patterns
-        } == {p.items for p in fpgrowth(db, 2).patterns}
+        assert eclat(db, 2).support_map() == eclat(db, minsup=2).support_map()
+        assert eclat(db, 2).support_map() == brute_force_frequent(db, 2)
 
     def test_eclat_max_size_keyword(self, db):
         from repro import eclat
@@ -144,7 +140,7 @@ class TestLegacyCli:
 
     @pytest.mark.parametrize(
         "algorithm",
-        ["apriori", "eclat", "fpgrowth", "closed", "maximal", "carpenter"],
+        ["eclat", "closed", "maximal"],
     )
     def test_algorithm_flag(self, dat_file, capsys, algorithm):
         assert main(["mine", "--input", str(dat_file), "--minsup", "2",

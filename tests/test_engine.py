@@ -1,23 +1,14 @@
-"""Tests for the parallel engine substrate: executors and sharded databases."""
+"""Tests for the parallel engine substrate: executors and chunked dispatch."""
 
 import os
-import random
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.datasets import quest_like
-from repro.db import TransactionDatabase
 from repro.engine import (
-    PARTITIONERS,
     ParallelExecutor,
     SerialExecutor,
-    ShardedDatabase,
     make_executor,
-    round_robin_partition,
-    size_balanced_partition,
     split_chunks,
     worker_payload,
 )
@@ -177,130 +168,3 @@ class TestMakeExecutor:
     def test_invalid(self):
         with pytest.raises(ValueError):
             make_executor(0)
-
-
-class TestPartitioners:
-    def test_round_robin_covers_all_rows(self):
-        assignment = round_robin_partition(10, 3)
-        assert sorted(t for tids in assignment for t in tids) == list(range(10))
-        assert [len(t) for t in assignment] == [4, 3, 3]
-
-    def test_size_balanced_covers_all_rows(self):
-        sizes = [9, 1, 1, 1, 9, 1, 1, 1]
-        assignment = size_balanced_partition(sizes, 2)
-        assert sorted(t for tids in assignment for t in tids) == list(range(8))
-        loads = [sum(sizes[t] for t in tids) for tids in assignment]
-        assert loads == [12, 12]  # the two long rows split across shards
-
-    def test_size_balanced_deterministic(self):
-        sizes = [3, 1, 4, 1, 5, 9, 2, 6]
-        assert size_balanced_partition(sizes, 3) == size_balanced_partition(
-            sizes, 3
-        )
-
-    def test_unknown_partitioner_rejected(self):
-        db = TransactionDatabase([[0], [1]])
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            ShardedDatabase(db, 2, "hash")
-
-    def test_partitioner_names_exported(self):
-        assert set(PARTITIONERS) == {"round-robin", "size-balanced"}
-
-
-@pytest.fixture(scope="module")
-def sharding_db():
-    return quest_like(n_transactions=80, n_items=20, n_patterns=6, seed=9)
-
-
-class TestShardedDatabase:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
-    def test_support_equals_unsharded(self, sharding_db, n_shards, partitioner):
-        sharded = ShardedDatabase(sharding_db, n_shards, partitioner)
-        rng = random.Random(n_shards)
-        for _ in range(40):
-            items = rng.sample(range(sharding_db.n_items), rng.randint(1, 4))
-            assert sharded.support(items) == sharding_db.support(items)
-
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("n_shards", [2, 5])
-    def test_tidset_equals_unsharded(self, sharding_db, n_shards, partitioner):
-        sharded = ShardedDatabase(sharding_db, n_shards, partitioner)
-        rng = random.Random(n_shards)
-        for _ in range(20):
-            items = rng.sample(range(sharding_db.n_items), rng.randint(1, 3))
-            assert sharded.tidset(items) == sharding_db.tidset(items)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        rows=st.lists(
-            st.sets(st.integers(min_value=0, max_value=9)),
-            min_size=0,
-            max_size=16,
-        ),
-        n_shards=st.integers(min_value=1, max_value=6),
-        itemset=st.sets(
-            st.integers(min_value=0, max_value=9), min_size=1, max_size=4
-        ),
-        partitioner=st.sampled_from(PARTITIONERS),
-    )
-    def test_support_property(self, rows, n_shards, itemset, partitioner):
-        db = TransactionDatabase(rows, n_items=10)
-        sharded = ShardedDatabase(db, n_shards, partitioner)
-        assert sharded.support(itemset) == db.support(itemset)
-        assert sharded.tidset(itemset) == db.tidset(itemset)
-
-    def test_shards_partition_the_rows(self, sharding_db):
-        sharded = ShardedDatabase(sharding_db, 3)
-        assert sum(sharded.shard_sizes()) == sharding_db.n_transactions
-        seen = [t for tids in sharded.tid_maps for t in tids]
-        assert sorted(seen) == list(range(sharding_db.n_transactions))
-        for shard, tids in zip(sharded.shards, sharded.tid_maps):
-            for position, tid in enumerate(tids):
-                assert shard.transaction(position) == sharding_db.transaction(tid)
-
-    def test_frequent_items_equal(self, sharding_db):
-        sharded = ShardedDatabase(sharding_db, 4)
-        for minsup in (1, 5, 20):
-            assert sharded.frequent_items(minsup) == sharding_db.frequent_items(
-                minsup
-            )
-
-    def test_more_shards_than_rows_clamped(self):
-        db = TransactionDatabase([[0, 1], [1, 2]])
-        sharded = ShardedDatabase(db, 10)
-        assert sharded.n_shards == 2
-        assert sharded.support([1]) == 2
-
-    def test_supports_bulk_serial(self, sharding_db):
-        sharded = ShardedDatabase(sharding_db, 3)
-        itemsets = [[0], [1, 2], [0, 3, 4], [5]]
-        assert sharded.supports(itemsets) == [
-            sharding_db.support(items) for items in itemsets
-        ]
-
-    def test_supports_bulk_parallel(self, sharding_db):
-        sharded = ShardedDatabase(sharding_db, 4)
-        rng = random.Random(1)
-        itemsets = [
-            rng.sample(range(sharding_db.n_items), rng.randint(1, 3))
-            for _ in range(25)
-        ]
-        serial = sharded.supports(itemsets)
-        with ParallelExecutor(2) as executor:
-            parallel = sharded.supports(itemsets, executor=executor)
-        assert parallel == serial
-
-    def test_supports_empty_batch(self, sharding_db):
-        assert ShardedDatabase(sharding_db, 2).supports([]) == []
-
-    def test_verify_patterns(self, sharding_db):
-        sharded = ShardedDatabase(sharding_db, 3)
-        good = [([0], sharding_db.support([0])), ([1], sharding_db.support([1]))]
-        assert sharded.verify_patterns(good) == []
-        bad = good + [([2], sharding_db.support([2]) + 1)]
-        assert sharded.verify_patterns(bad) == [2]
-
-    def test_invalid_shard_count(self, sharding_db):
-        with pytest.raises(ValueError):
-            ShardedDatabase(sharding_db, 0)

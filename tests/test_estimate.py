@@ -1,56 +1,13 @@
-"""Tests for A-Close (generator-based closed mining) and the estimators."""
+"""Tests for the sampling estimators of robustness and core-descendant hit rate."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.core_pattern import robustness
 from repro.core.estimate import core_descendant_hit_rate, estimate_robustness
 from repro.db import TransactionDatabase
-from repro.mining import aclose, closed_patterns, frequent_generators
 from tests.conftest import A, B, C, E, F
-
-databases = st.lists(
-    st.lists(st.integers(min_value=0, max_value=7), max_size=6),
-    min_size=1,
-    max_size=12,
-).map(lambda rows: TransactionDatabase(rows, n_items=8))
-
-
-class TestAClose:
-    @given(databases, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_with_lcm_closed(self, db, minsup):
-        """Third closed-mining implementation, same answer."""
-        assert aclose(db, minsup).itemsets() == closed_patterns(db, minsup).itemsets()
-
-    def test_exact_on_market(self, tiny_db):
-        got = aclose(tiny_db, 2)
-        assert got.itemsets() == closed_patterns(tiny_db, 2).itemsets()
-        for p in got.patterns:
-            assert p.tidset == tiny_db.tidset(p.items)
-
-    def test_full_support_item_handled(self):
-        # Item 0 in every transaction: no generator contains it, yet all
-        # closed patterns (which all contain it) are still found.
-        db = TransactionDatabase([[0, 1], [0, 2], [0, 1, 2]], n_items=3)
-        got = aclose(db, 1)
-        assert got.itemsets() == closed_patterns(db, 1).itemsets()
-        for g in frequent_generators(db, 1):
-            assert 0 not in g.items
-
-    def test_generators_are_minimal(self, quest_db):
-        generators = frequent_generators(quest_db, 15)
-        support = {g.items: g.support for g in generators}
-        for g in generators:
-            for item in g.items:
-                subset = g.items - {item}
-                if subset:
-                    assert quest_db.support(subset) != g.support
-                else:
-                    assert g.support != quest_db.n_transactions
 
 
 class TestEstimateRobustness:

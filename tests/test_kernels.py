@@ -6,16 +6,19 @@ Two obligations are pinned here:
   counts, masks and distances of the naive big-int formulation
   (``(r & q).bit_count()``, :func:`tidset_distance`, ...) on random
   matrices, including ragged widths, empty tidsets, empty matrices, and
-  masks far beyond 64 bits.  Distances are compared with ``==``: the
-  kernels are bit-identical to the big-int math, not approximately equal.
+  masks far beyond 64 bits.  Distances are pinned through ``rows_within``
+  at every realized distance and one float below it, so each row's
+  distance must be bit-identical to the big-int math, not approximately
+  equal.
 * **Row selection** — ``take`` and ``rows_within`` equal packing the
-  selected rows and filtering the distance rows, respectively.
+  selected rows and filtering the big-int distances, respectively.
 
 Plus the paths that only run on some inputs or NumPy builds: the
 pre-2.0 popcount lookup table, rows of 2^24 bits and more, and the round
 payload pickled into spawned workers.
 """
 
+import math
 import random
 
 import pytest
@@ -35,15 +38,24 @@ tidset_ints = st.one_of(
 tidset_lists = st.lists(tidset_ints, max_size=12)
 
 
-def naive_distance_rows(rows, queries, empty=0.0):
-    """Definition 6 on big ints, ``empty`` for two empty sets."""
-    return [
-        [
-            empty if not (r | q) else 1.0 - (r & q).bit_count() / (r | q).bit_count()
-            for r in rows
-        ]
-        for q in queries
-    ]
+def assert_distances_exact(matrix, queries):
+    """Each row's kernel distance to each query is ``tidset_distance``'s float.
+
+    ``rows_within`` at a realized distance ``d`` keeps the rows at ``<= d``
+    and at the next float below ``d`` only those at ``< d``; a kernel
+    distance off by one ulp either way flips one of the two answers.
+    """
+    rows = matrix.rows()
+    for q in queries:
+        exact = [tidset_distance(q, r) for r in rows]
+        for d in set(exact):
+            below = math.nextafter(d, -math.inf)
+            assert matrix.rows_within([q], d)[0].tolist() == [
+                i for i, e in enumerate(exact) if e <= d
+            ]
+            assert matrix.rows_within([q], below)[0].tolist() == [
+                i for i, e in enumerate(exact) if e < d
+            ]
 
 
 class TestBackendAgreement:
@@ -65,31 +77,8 @@ class TestBackendAgreement:
     @settings(max_examples=150, deadline=None)
     @given(tidset_lists, st.lists(tidset_ints, max_size=6))
     def test_distance_rows_bit_identical(self, rows, queries):
-        matrix = TidsetMatrix.from_tidsets(rows)
-        # == on floats: bit-identical is the contract, not approximately.
-        assert matrix.jaccard_distance_rows(queries) == (
-            naive_distance_rows(rows, queries)
-        )
-        assert matrix.jaccard_distance_rows(queries) == [
-            [tidset_distance(q, r) for r in rows] for q in queries
-        ]
-        assert matrix.jaccard_distance_rows(queries, empty=1.0) == (
-            naive_distance_rows(rows, queries, empty=1.0)
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(tidset_lists, st.sampled_from([0.0, 1.0]))
-    def test_distance_matrix_agrees_elementwise(self, rows, empty):
-        got = TidsetMatrix.from_tidsets(rows).jaccard_distance_matrix(
-            empty=empty
-        )
-        want = naive_distance_rows(rows, rows, empty=empty)
-        n = len(rows)
-        assert got.shape == (n, n)
-        for i in range(n):
-            for j in range(n):
-                assert got[i][j] == want[i][j]  # bit-identical floats
-            assert got[i][i] in (0.0, empty)
+        # Queries include the rows themselves: all pairs of the matrix.
+        assert_distances_exact(TidsetMatrix.from_tidsets(rows), queries + rows)
 
     def test_empty_matrix(self):
         matrix = TidsetMatrix.from_tidsets([])
@@ -98,8 +87,6 @@ class TestBackendAgreement:
         assert matrix.intersection_counts(7).tolist() == []
         assert matrix.superset_mask(7) == 0
         assert matrix.closure_items(7) == []
-        assert matrix.jaccard_distance_rows([3]) == [[]]
-        assert matrix.jaccard_distance_matrix().shape == (0, 0)
 
 
 class TestReferenceSemantics:
@@ -117,9 +104,7 @@ class TestReferenceSemantics:
             assert matrix.superset_mask(q) == sum(
                 1 << i for i, r in enumerate(rows) if q & ~r == 0
             )
-            assert matrix.jaccard_distance_rows([q])[0] == [
-                tidset_distance(q, r) for r in rows
-            ]
+        assert_distances_exact(matrix, queries)
 
     @on_kernel
     def test_n_bits_validation(self):
@@ -224,9 +209,7 @@ class TestRowsWithin:
     @given(tidset_lists, st.lists(tidset_ints, max_size=6), st.data())
     def test_equals_distance_filter(self, rows, queries, data):
         matrix = TidsetMatrix.from_tidsets(rows)
-        realized = sorted(
-            {d for row in matrix.jaccard_distance_rows(queries) for d in row}
-        )
+        realized = sorted({tidset_distance(q, r) for q in queries for r in rows})
         radius = data.draw(st.one_of(
             st.sampled_from(FIXED_RADII),
             st.floats(-1.0, 2.0, allow_nan=False),
@@ -237,10 +220,9 @@ class TestRowsWithin:
 
     def test_radius_on_a_realized_distance(self):
         # Distances from 0b1111: 0.0, 0.25 (0b0111), 0.5 (0b0011), 1.0.
-        matrix = TidsetMatrix.from_tidsets(
-            [0b1111, 0b0111, 0b0011, 0b10000]
-        )
-        assert matrix.jaccard_distance_rows([0b1111]) == [[0.0, 0.25, 0.5, 1.0]]
+        rows = [0b1111, 0b0111, 0b0011, 0b10000]
+        matrix = TidsetMatrix.from_tidsets(rows)
+        assert [tidset_distance(0b1111, r) for r in rows] == [0.0, 0.25, 0.5, 1.0]
         for radius, expected in [
             (0.25, [0, 1]), (0.5, [0, 1, 2]), (0.4999, [0, 1]),
             (1.0, [0, 1, 2, 3]), (0.0, [0]), (-0.0, [0]), (-1e-12, []),
@@ -366,13 +348,7 @@ def test_pre2_numpy_lut_fallback(monkeypatch):
         assert matrix.intersection_counts(q).tolist() == [
             (r & q).bit_count() for r in rows
         ]
-    assert matrix.jaccard_distance_rows(queries) == (
-        naive_distance_rows(rows, queries)
-    )
-    reference = naive_distance_rows(rows, rows)
-    distances = matrix.jaccard_distance_matrix()
-    for i in range(len(rows)):
-        assert distances[i].tolist() == reference[i]
+    assert_distances_exact(matrix, queries + rows)
 
 
 class TestEndToEndBitIdentity:

@@ -1,9 +1,10 @@
-"""Cross-miner agreement: the strongest correctness evidence in the suite.
+"""Miner agreement against brute force: the strongest correctness evidence.
 
-Five independently implemented miners (Apriori, Eclat, FP-growth, LCM-style
-closed, CARPENTER row-enumeration) and the derived ones (maximal, top-k) are
-checked against each other on random databases.  Any bug that breaks one
-traversal but not another is caught here.
+The complete miners (Eclat and the NumPy level-wise pool miner), the
+LCM-style closed miner and the derived ones (maximal, top-k) are checked on
+random databases of at most 8 items against an oracle that enumerates every
+itemset and counts it (``tests.conftest.brute_force_frequent``).  Any bug in
+a traversal, a prune or a closure step shows up as a set difference here.
 """
 
 from hypothesis import given, settings
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 
 from repro.db import TransactionDatabase
 from repro.mining import (
-    apriori,
-    carpenter_closed_patterns,
     closed_patterns,
     eclat,
-    fpgrowth,
     maximal_patterns,
+    mine_up_to_size,
     top_k_closed,
 )
+from tests.conftest import brute_force_frequent
 
 databases = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), max_size=6),
@@ -32,40 +32,29 @@ minsups = st.integers(min_value=1, max_value=4)
 @given(databases, minsups)
 @settings(max_examples=60, deadline=None)
 def test_complete_miners_agree(db, minsup):
-    """Apriori ≡ Eclat ≡ FP-growth, itemset for itemset, support for support."""
-    a = apriori(db, minsup).support_map()
-    e = eclat(db, minsup).support_map()
-    f = fpgrowth(db, minsup).support_map()
-    assert a == e == f
+    """Eclat ≡ level-wise ≡ brute force, itemset for itemset, support for support."""
+    oracle = brute_force_frequent(db, minsup)
+    assert eclat(db, minsup).support_map() == oracle
+    assert mine_up_to_size(db, minsup, max_size=8).support_map() == oracle
 
 
 @given(databases, minsups)
 @settings(max_examples=60, deadline=None)
 def test_closed_is_closure_image_of_frequent(db, minsup):
     """Closed set == {closure(α) : α frequent}, with supports preserved."""
-    frequent = apriori(db, minsup)
-    expected = {db.closure(p.items) for p in frequent.patterns}
+    expected = {db.closure(items) for items in brute_force_frequent(db, minsup)}
     closed = closed_patterns(db, minsup)
     assert closed.itemsets() == expected
+    assert len(closed) == len(expected)  # each closed set emitted once
     for p in closed.patterns:
         assert p.support == db.support(p.items)
 
 
 @given(databases, minsups)
 @settings(max_examples=60, deadline=None)
-def test_carpenter_agrees_with_closed(db, minsup):
-    """Row enumeration and item enumeration land on the same closed set."""
-    assert (
-        carpenter_closed_patterns(db, minsup).itemsets()
-        == closed_patterns(db, minsup).itemsets()
-    )
-
-
-@given(databases, minsups)
-@settings(max_examples=60, deadline=None)
 def test_maximal_is_maximal_frequent(db, minsup):
     """Maximal set == frequent itemsets with no frequent proper superset."""
-    frequent = apriori(db, minsup).itemsets()
+    frequent = brute_force_frequent(db, minsup).keys()
     expected = {
         items
         for items in frequent
@@ -78,7 +67,7 @@ def test_maximal_is_maximal_frequent(db, minsup):
 @settings(max_examples=40, deadline=None)
 def test_containment_chain(db, minsup):
     """maximal ⊆ closed ⊆ frequent."""
-    frequent = apriori(db, minsup).itemsets()
+    frequent = set(brute_force_frequent(db, minsup))
     closed = closed_patterns(db, minsup).itemsets()
     maximal = maximal_patterns(db, minsup).itemsets()
     assert maximal <= closed <= frequent
@@ -100,7 +89,7 @@ def test_topk_matches_sorted_closed(db, k):
 def test_closed_set_determines_all_supports(db, minsup):
     """Any frequent itemset's support equals its smallest closed superset's."""
     closed = closed_patterns(db, minsup).patterns
-    for p in apriori(db, minsup).patterns:
-        covers = [c.support for c in closed if p.items <= c.items]
-        assert covers, f"no closed superset for {p}"
-        assert max(covers) == p.support
+    for items, support in brute_force_frequent(db, minsup).items():
+        covers = [c.support for c in closed if items <= c.items]
+        assert covers, f"no closed superset for {sorted(items)}"
+        assert max(covers) == support

@@ -1,6 +1,6 @@
 """Per-miner unit tests: hand-verified answers on tiny databases.
 
-The cross-miner agreement suite lives in test_miner_agreement.py; these tests
+The brute-force agreement suite lives in test_miner_agreement.py; these tests
 pin each algorithm to concrete, audited outputs and exercise its specific
 options (max_size caps, timeouts, top-k semantics).
 """
@@ -9,16 +9,14 @@ import pytest
 
 from repro.db import TransactionDatabase
 from repro.mining import (
-    apriori,
-    carpenter_closed_patterns,
     closed_patterns,
     eclat,
-    fpgrowth,
     maximal_patterns,
     mine_up_to_size,
     top_k_closed,
 )
 from repro.mining.levelwise import expected_pool_size_upper_bound
+from tests.conftest import brute_force_frequent
 
 
 @pytest.fixture
@@ -47,62 +45,52 @@ EXPECTED_FREQUENT_AT_2 = {
 }
 
 
-class TestApriori:
+class TestEclat:
     def test_exact_answer(self, market_db):
-        result = apriori(market_db, 2)
-        support = result.support_map()
+        assert eclat(market_db, 2).support_map() == brute_force_frequent(market_db, 2)
+
+    def test_expected_supports(self, market_db):
+        result = eclat(market_db, 2)
+        assert result.support_map() == {
+            k: v for k, v in EXPECTED_FREQUENT_AT_2.items() if v >= 2
+        }
+
+    def test_hand_checked_supports(self, market_db):
+        support = eclat(market_db, 2).support_map()
         assert support[frozenset([0])] == 4
         assert support[frozenset([0, 1])] == 3
         assert support[frozenset([1, 2])] == 2
         assert frozenset([0, 1, 2]) not in support
         assert frozenset([3]) not in support  # support 1
-        assert len(result) == 6
+        assert len(support) == 6
 
     def test_relative_threshold(self, market_db):
-        assert apriori(market_db, 0.4).itemsets() == apriori(market_db, 2).itemsets()
-
-    def test_max_size_cap(self, market_db):
-        result = apriori(market_db, 2, max_size=1)
-        assert all(p.size == 1 for p in result.patterns)
-        assert len(result) == 3
-
-    def test_minsup_above_db(self, market_db):
-        assert len(apriori(market_db, 6)) == 0
-
-    def test_supports_are_tidset_counts(self, market_db):
-        for p in apriori(market_db, 2).patterns:
-            assert p.support == market_db.support(p.items)
-
-
-class TestEclat:
-    def test_exact_answer(self, market_db):
-        assert eclat(market_db, 2).itemsets() == apriori(market_db, 2).itemsets()
+        assert eclat(market_db, 0.4).itemsets() == eclat(market_db, 2).itemsets()
 
     def test_max_size(self, market_db):
         result = eclat(market_db, 2, max_size=1)
         assert {p.size for p in result.patterns} == {1}
 
-    def test_empty_database(self):
-        db = TransactionDatabase([], n_items=3)
-        assert len(eclat(db, 1)) == 0
+    def test_max_size_cap(self, market_db):
+        result = eclat(market_db, 2, max_size=1)
+        assert all(p.size == 1 for p in result.patterns)
+        assert len(result) == 3
 
-
-class TestFPGrowth:
-    def test_exact_answer(self, market_db):
-        result = fpgrowth(market_db, 2)
-        assert result.support_map() == {
-            k: v for k, v in EXPECTED_FREQUENT_AT_2.items() if v >= 2
-        }
-
-    def test_max_size(self, market_db):
-        result = fpgrowth(market_db, 2, max_size=2)
+    def test_max_size_two(self, market_db):
+        result = eclat(market_db, 2, max_size=2)
         assert max(p.size for p in result.patterns) == 2
 
-    def test_single_path_shortcut(self):
-        # A database whose FP-tree is one chain exercises subset emission.
+    def test_minsup_above_db(self, market_db):
+        assert len(eclat(market_db, 6)) == 0
+
+    def test_supports_are_tidset_counts(self, market_db):
+        for p in eclat(market_db, 2).patterns:
+            assert p.support == market_db.support(p.items)
+
+    def test_single_path_database(self):
+        # Nested rows: every subset of the longest row is frequent.
         db = TransactionDatabase([[0, 1, 2]] * 3 + [[0, 1]] * 2 + [[0]], n_items=3)
-        result = fpgrowth(db, 2)
-        assert result.support_map() == {
+        assert eclat(db, 2).support_map() == {
             frozenset([0]): 6,
             frozenset([1]): 5,
             frozenset([0, 1]): 5,
@@ -111,6 +99,10 @@ class TestFPGrowth:
             frozenset([1, 2]): 3,
             frozenset([0, 1, 2]): 3,
         }
+
+    def test_empty_database(self):
+        db = TransactionDatabase([], n_items=3)
+        assert len(eclat(db, 1)) == 0
 
 
 class TestClosed:
@@ -143,6 +135,10 @@ class TestClosed:
         with pytest.raises(ValueError):
             closed_patterns(market_db, 0)
 
+    def test_empty_database(self):
+        db = TransactionDatabase([], n_items=3)
+        assert len(closed_patterns(db, 1)) == 0
+
 
 class TestMaximal:
     def test_exact_answer(self, market_db):
@@ -151,7 +147,7 @@ class TestMaximal:
                                      frozenset([1, 2])}
 
     def test_maximality_definition(self, market_db):
-        frequent = apriori(market_db, 2).itemsets()
+        frequent = brute_force_frequent(market_db, 2).keys()
         maximal = maximal_patterns(market_db, 2).itemsets()
         for items in maximal:
             assert items in frequent
@@ -217,32 +213,12 @@ class TestTopK:
             top_k_closed(market_db, 1, initial_minsup=0)
 
 
-class TestCarpenter:
-    def test_agrees_with_closed(self, market_db):
-        for minsup in (1, 2, 3):
-            a = carpenter_closed_patterns(market_db, minsup)
-            b = closed_patterns(market_db, minsup)
-            assert a.itemsets() == b.itemsets()
-
-    def test_long_rows_few_transactions(self):
-        # CARPENTER's home turf: 6 rows, 30 items.
-        rows = [list(range(0, 20)), list(range(5, 25)), list(range(10, 30)),
-                list(range(0, 15)), list(range(15, 30)), list(range(3, 23))]
-        db = TransactionDatabase(rows, n_items=30)
-        assert (
-            carpenter_closed_patterns(db, 2).itemsets()
-            == closed_patterns(db, 2).itemsets()
-        )
-
-    def test_empty_database(self):
-        db = TransactionDatabase([], n_items=3)
-        assert len(carpenter_closed_patterns(db, 1)) == 0
-
-
 class TestLevelwise:
     def test_complete_up_to_size(self, market_db):
         result = mine_up_to_size(market_db, 2, max_size=2)
-        assert result.itemsets() == apriori(market_db, 2, max_size=2).itemsets()
+        assert result.support_map() == brute_force_frequent(
+            market_db, 2, max_size=2
+        )
 
     def test_invalid_max_size(self, market_db):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ LRU, warm /mine cache hits, and the error paths (404/400/403).
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.datasets import diag_plus
 from repro.serve import PatternServer
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, MAX_MINE_N
 from repro.store import PatternStore, mine_cached
 from tests.conftest import V1_FUSION_RUN
 
@@ -169,6 +170,28 @@ class TestErrors:
              "config": {"minsup": 5}, "limit": "10"},
         ))
         assert code == 400 and "limit" in message
+
+    @pytest.mark.parametrize("n", [10**6, "40", True, 1])
+    def test_unbounded_or_non_integer_n_400(self, served, n):
+        """``n`` sizes Diag_n (n rows of n - 1 items): refused before any build."""
+        server, _, _ = served
+        started = time.perf_counter()
+        code, message = error_of(lambda: post(
+            server.url + "/mine",
+            {"dataset": "diag", "miner": "eclat",
+             "config": {"minsup": 5}, "n": n},
+        ))
+        assert code == 400 and f"2..{MAX_MINE_N}" in message
+        assert time.perf_counter() - started < 5.0
+
+    def test_non_integer_seed_400(self, served):
+        server, _, _ = served
+        code, message = error_of(lambda: post(
+            server.url + "/mine",
+            {"dataset": "quest", "miner": "eclat",
+             "config": {"minsup": 5}, "seed": "7"},
+        ))
+        assert code == 400 and "seed" in message
 
     def test_invalid_json_400(self, served):
         server, _, _ = served
