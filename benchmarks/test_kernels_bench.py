@@ -2,11 +2,12 @@
 
 The acceptance microbench of the kernels: the mined Replace-sim ≤2 pool
 (4,395-bit tidsets, one bit per transaction of the paper's Replace-sim),
-timed through :class:`repro.kernels.TidsetMatrix` for the three hot shapes
+timed through :class:`repro.kernels.TidsetMatrix` for the four hot shapes
 — ball queries (Theorem 2 range queries over Definition 6 distances), the
-closure operator, and an end-to-end ``pattern_fusion`` run.  Every timed
-shape also asserts its answers against the naive big-int formulation (or,
-end to end, the mined pool's invariants), so the trajectory file can never
+greedy fusion levels of one ball, the closure operator, and an end-to-end
+``pattern_fusion`` run.  Every timed shape also asserts its answers against
+the naive big-int formulation (the scalar greedy pass for the levels; end
+to end, the mined pool's invariants), so the trajectory file can never
 hide a semantic drift.
 
 Timings land in ``BENCH_kernels.json`` via the shared ``bench_io`` session
@@ -20,10 +21,12 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.ball_index import PatternBallIndex
 from repro.core.distance import ball, ball_radius
+from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import pattern_fusion
 from repro.core.config import PatternFusionConfig
 from repro.datasets.replace import replace_like
 from repro.mining.levelwise import mine_up_to_size
+from tests.test_fusion import scalar_fuse_ball
 
 N_BITS = 4395      # Replace-sim transaction count: one bit per transaction
 N_CENTERS = 100    # the paper's K: seeds per fusion round
@@ -55,6 +58,45 @@ def test_bench_ball_queries(benchmark, replace_pool):
     balls = benchmark.pedantic(query, rounds=3, iterations=1)
     benchmark.extra_info.update({"pool": len(patterns), "centers": len(centers)})
     assert balls[:5] == [ball(center, patterns, radius) for center in centers[:5]]
+
+
+def test_bench_greedy_levels(benchmark, replace_pool):
+    """``fuse_ball`` on the largest of 20 Replace-sim balls at τ 0.5.
+
+    The ball comes from the ball query with its counts, which become the
+    seed's level; every shrink level is derived from its parent.  The
+    fused patterns equal the scalar greedy pass's on the same orders.
+    """
+    db, patterns = replace_pool
+    _, truth = replace_like(seed=5)
+    minsup = truth.minsup_absolute
+    config = PatternFusionConfig()
+    index = PatternBallIndex(patterns)
+    centers = random.Random(4).sample(range(len(patterns)), 20)
+    balls = index.balls([patterns[c] for c in centers], ball_radius(config.tau))
+    seed_row, members = max(zip(centers, balls), key=lambda pair: len(pair[1]))
+    seed = patterns[seed_row]
+    settings = dict(
+        tau=config.tau, minsup=minsup, trials=config.fusion_trials,
+        max_candidates=config.max_candidates_per_seed,
+        close_fused=config.close_fused,
+    )
+
+    def fuse():
+        return fuse_ball(
+            db, seed, members, rng=random.Random(0), matrix=index.pool.matrix,
+            rows=members.rows, seed_row=seed_row, counts=members.counts,
+            **settings,
+        )
+
+    fused = benchmark.pedantic(fuse, rounds=10, iterations=1, warmup_rounds=1)
+    benchmark.extra_info.update({"ball": len(members), "fused": len(fused)})
+    expected = scalar_fuse_ball(
+        db, seed, list(members), rng=random.Random(0), **settings
+    )
+    assert [(p.items, p.tidset) for p in fused] == [
+        (p.items, p.tidset) for p in expected
+    ]
 
 
 def test_bench_closure(benchmark, replace_pool):

@@ -72,27 +72,39 @@ class Ball(Sequence[Pattern]):
     """One seed's CoreList as rows of its pool: a read-only pattern view.
 
     ``rows`` holds the members' positions in ``pool`` (an int64 array,
-    ascending as the ball queries return it).  Length, iteration, indexing
-    and slicing behave as for the list ``[pool[i] for i in rows]``, and a
-    ball compares equal to that list.  A fusion round ships ``rows`` to its
-    workers and gathers the members' tidsets from the pool matrix by row;
-    patterns are looked up, or built from the pool's arrays, only when
-    something reads them.  A pattern list given as ``pool`` is packed into
-    a :class:`~repro.core.pool.Pool`.
+    ascending as the ball queries return it).  ``counts``, when the ball
+    comes from a ball query, holds ``|D_center ∩ D_m|`` for each member in
+    step with ``rows`` (a narrow unsigned array, see
+    :meth:`~repro.kernels.TidsetMatrix.rows_within`); it is ``None`` for a
+    ball built from rows alone.  Length, iteration, indexing and slicing
+    behave as for the list ``[pool[i] for i in rows]``, and a ball compares
+    equal to that list.  A fusion round ships ``rows`` and ``counts`` to
+    its workers, which gather the members' tidsets from the pool matrix by
+    row and take the counts as the seed's level; patterns are looked up,
+    or built from the pool's arrays, only when something reads them.  A
+    pattern list given as ``pool`` is packed into a
+    :class:`~repro.core.pool.Pool`.
     """
 
-    __slots__ = ("pool", "rows")
+    __slots__ = ("pool", "rows", "counts")
 
-    def __init__(self, pool: Sequence[Pattern], rows: np.ndarray) -> None:
+    def __init__(
+        self,
+        pool: Sequence[Pattern],
+        rows: np.ndarray,
+        counts: np.ndarray | None = None,
+    ) -> None:
         self.pool = Pool.from_patterns(pool)
         self.rows = rows
+        self.counts = counts
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, index: int | slice) -> "Pattern | Ball":
         if isinstance(index, slice):
-            return Ball(self.pool, self.rows[index])
+            counts = None if self.counts is None else self.counts[index]
+            return Ball(self.pool, self.rows[index], counts)
         return self.pool[self.rows[index]]
 
     def __iter__(self) -> Iterator[Pattern]:
@@ -120,12 +132,15 @@ def balls(
     distance rows as vectors.  A pattern list is packed into a
     :class:`~repro.core.pool.Pool` first; a pool is scanned as it is.
     Answers are bit-identical to per-pattern :func:`ball` scans; members
-    are in pool order.
+    are in pool order, each ball carrying its members' intersection counts
+    with its center.
     """
     if not centers:
         return []
     pool = Pool.from_patterns(pool)
     return [
-        Ball(pool, rows)
-        for rows in pool.matrix.rows_within([c.tidset for c in centers], radius)
+        Ball(pool, rows, counts)
+        for rows, counts in pool.matrix.rows_within(
+            [c.tidset for c in centers], radius
+        )
     ]

@@ -29,9 +29,14 @@ support s and count c = |T ∩ D_m| is accepted iff ``c ≥ minsup`` and
   fl(τ·s))``.  Most accepts are of this kind.
 * **Other members** shrink T when they pass.  That is rare — about twice a
   pass on Replace-sim, never on ALL-sim at minsup 27 — so the counts of
-  every member against each distinct T are computed once per ball, by one
-  batched :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, and
-  shared by every pass that reaches that T.
+  every member against each distinct T (a *level*) are kept once per
+  ball and shared by every pass that reaches that T.  No level is counted
+  from scratch in a fusion round.  The seed's level is the ball query's
+  answer: it counted |D_seed ∩ D_m| for every pool row already.  A shrink
+  T′ = T ∩ D_m takes its parent's counts minus each member's popcount
+  over T ∖ T′, read on the nonzero words of T ∖ T′ only — a few dozen
+  transactions, where T itself fills nearly every word.  The ball is held
+  word-major, so those words are contiguous rows.
 
 Each T's counts become two masks once: the superset accepts, and the shrink
 candidates (``c ≥ minsup`` and ``not c < τ·s``).  Only a candidate's test
@@ -91,20 +96,37 @@ class GreedyBall:
     """A ball's members, ready for any number of greedy fusion passes.
 
     Member ``i`` is row ``i`` of ``matrix`` (in a fusion round, the ball's
-    rows taken from the pool matrix).  Counts come from its batched
-    :meth:`~repro.kernels.TidsetMatrix.intersection_counts`, an int64
-    array.  The counts and masks of each distinct running tidset are kept for the
-    ball's lifetime; ``levels`` says how many there are.
+    rows taken from the pool matrix).  The ball holds the members' words
+    word-major: one contiguous ``(W, n)`` copy, row ``w`` holding word
+    ``w`` of every member, so the words a level reads are contiguous rows
+    and a member's tidset is a column.  The counts and masks of each
+    distinct running tidset are kept for the ball's lifetime; ``levels``
+    says how many there are.
+
+    A level's counts come from one of three places, each exact:
+
+    * the ball query, for the seed's own tidset (:meth:`seed_level`);
+    * its parent: when a pass shrinks T to T′ = T ∩ D_m, ``counts(T′) =
+      counts(T) − |D_i ∩ (T ∖ T′)|``, counted over the nonzero words of
+      T ∖ T′ only.  That holds for any counted parent ⊇ T′, so a cached
+      level does not depend on which pass reached it first;
+    * otherwise, a count over the nonzero words of T.
+
+    Bits of T beyond the ball's width meet no member and are not read.
+    ``counted_words`` is the member × word units those counts scanned.
     """
 
     __slots__ = (
-        "_matrix", "_supports", "_floors", "_bars", "_tau", "_minsup", "_levels"
+        "_columns", "_width_mask", "_supports", "_floors", "_bars", "_tau",
+        "_minsup", "_levels", "_given", "_counted_words",
     )
 
     def __init__(self, matrix: TidsetMatrix, tau: float, minsup: int) -> None:
         import numpy as np
 
-        self._matrix = matrix
+        words = matrix.words
+        self._columns = _word_major(words)
+        self._width_mask = (1 << (64 * words.shape[1])) - 1
         self._supports = np.asarray(matrix.popcounts(), dtype=np.int64)
         # fl(τ·s): the core-ratio floor of each member against itself, and
         # the count a member needs to be a shrink candidate at all.
@@ -113,14 +135,42 @@ class GreedyBall:
         self._tau = tau
         self._minsup = minsup
         self._levels: dict[int, tuple[np.ndarray, ...]] = {}
+        self._given: dict[int, np.ndarray] = {}
+        self._counted_words = 0
 
     @property
     def levels(self) -> int:
         """How many distinct running tidsets have been counted."""
         return len(self._levels)
 
-    def _level(self, tidset: int, size: int) -> tuple[np.ndarray, ...]:
-        """Counts against ``tidset`` (of ``size`` ≥ minsup) and its masks.
+    @property
+    def counted_words(self) -> int:
+        """Member × word units scanned to count the levels so far."""
+        return self._counted_words
+
+    def seed_level(self, tidset: int, counts: Sequence[int] | np.ndarray) -> None:
+        """Take ``counts`` — ``|D_i ∩ tidset|`` per member — as ``tidset``'s.
+
+        A fusion round's ball query has already counted the seed against
+        every member; the level is built from these counts when a pass
+        first reaches ``tidset``, and nothing is counted again.
+        """
+        import numpy as np
+
+        self._given[tidset] = np.asarray(counts, dtype=np.int64)
+
+    def counts(self, tidset: int, parent: int | None = None) -> np.ndarray:
+        """``|D_i ∩ tidset|`` for every member, as an int64 array (cached).
+
+        With ``parent`` — a tidset ⊇ ``tidset`` — a new level is derived
+        from the parent's counts over the words where the two differ.
+        """
+        return self._level(tidset, parent)[0]
+
+    def _level(
+        self, tidset: int, parent: int | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """Counts against ``tidset`` and its masks.
 
         Returns the counts, the superset-accept mask, the shrink-candidate
         mask, and each member's support where it is a superset accept (0
@@ -128,15 +178,40 @@ class GreedyBall:
         """
         level = self._levels.get(tidset)
         if level is None:
-            import numpy as np
-
-            counts = self._matrix.intersection_counts(tidset)
+            counts = self._given.pop(tidset, None)
+            if counts is None:
+                if parent is None:
+                    counts = self._count(tidset)
+                else:
+                    counts = self._level(parent)[0] - self._count(parent ^ tidset)
+            size = tidset.bit_count()
             # ``x >= y`` is ``not x < y``: no operand is NaN.
             accepts = (counts == size) & (self._floors <= size)
             candidates = (counts != size) & (counts >= self._bars)
             lifts = accepts * self._supports
             level = self._levels[tidset] = (counts, accepts, candidates, lifts)
         return level
+
+    def _count(self, tidset: int) -> np.ndarray:
+        """``|D_i ∩ tidset|`` per member, over ``tidset``'s nonzero words."""
+        import numpy as np
+
+        from repro.kernels.numpy_backend import word_popcounts
+
+        n_words = self._columns.shape[0]
+        words = np.frombuffer(
+            (tidset & self._width_mask).to_bytes(8 * n_words, "little"),
+            dtype="<u8",
+        )
+        nonzero = words.nonzero()[0]
+        part = self._columns[nonzero]
+        part &= words[nonzero, np.newaxis]
+        self._counted_words += part.size
+        return word_popcounts(part, axis=0)
+
+    def _member(self, index: int) -> int:
+        """Member ``index``'s tidset, read from its column."""
+        return int.from_bytes(self._columns[:, index].tobytes(), "little")
 
     def walk(
         self, order: Sequence[int], tidset: int, ceiling: int
@@ -152,14 +227,14 @@ class GreedyBall:
         import numpy as np
 
         order = np.asarray(order, dtype=np.intp)
-        size = tidset.bit_count()
-        if size < self._minsup:
+        if tidset.bit_count() < self._minsup:
             # Every merge is a subset of T: nothing can be frequent.
             return tidset, order[:0], 0
         pieces = []
         changes = 0
+        parent = None
         while True:
-            counts, accepts, candidates, lifts = self._level(tidset, size)
+            counts, accepts, candidates, lifts = self._level(tidset, parent)
             positions = candidates[order].nonzero()[0]
             if positions.size:
                 head = order[:positions[-1] + 1]
@@ -181,12 +256,29 @@ class GreedyBall:
             pieces.append(walked[taken])
             changes += 1
             index = int(order[stop])
-            tidset &= self._matrix.row(index)
-            size = int(counts[index])
+            parent = tidset
+            tidset &= self._member(index)
             ceiling = max(int(ceilings[first]), int(self._supports[index]))
             order = order[stop + 1:]
         accepted = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         return tidset, accepted, changes
+
+
+#: Words per block of the word-major copy (128 KiB of uint64): each
+#: block's transpose stays in cache, where one whole-ball transpose
+#: strides through memory.
+_TRANSPOSE_WORDS = 1 << 14
+
+
+def _word_major(words: np.ndarray) -> np.ndarray:
+    """A C-contiguous ``(W, n)`` copy of an ``(n, W)`` word array."""
+    import numpy as np
+
+    columns = np.empty(words.shape[::-1], dtype=words.dtype)
+    block = max(1, _TRANSPOSE_WORDS // words.shape[1])
+    for start in range(0, len(words), block):
+        columns[:, start:start + block] = words[start:start + block].T
+    return columns
 
 
 def pass_orders(seed: int, n: int, trials: int) -> np.ndarray:
@@ -221,6 +313,7 @@ def fuse_ball(
     matrix: TidsetMatrix | None = None,
     rows: Sequence[int] | np.ndarray | None = None,
     seed_row: int | None = None,
+    counts: Sequence[int] | np.ndarray | None = None,
 ) -> list[Pattern]:
     """Fuse ``{seed} ∪ ball_members`` into at most ``max_candidates`` patterns.
 
@@ -242,17 +335,25 @@ def fuse_ball(
     by its row, without reading any member.  A fusion round passes its
     pool matrix, a :class:`~repro.core.distance.Ball`'s rows and the
     seed's pool row; its pool holds each itemset once, so both ways skip
-    the same member.  The result does not depend on how the members are
-    given.
+    the same member.
+
+    ``counts`` — ``|D_seed ∩ D_m|`` for each member, in step with
+    ``ball_members`` (a ball query's :attr:`~repro.core.distance.Ball.counts`)
+    — becomes the seed's level as it is (:meth:`GreedyBall.seed_level`);
+    without it that level is counted once here.  The result does not
+    depend on how the members are given, nor on whether ``counts`` is.
 
     Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
-    ``levels`` (distinct running tidsets counted) and ``closures`` (closure
+    ``levels`` (distinct running tidsets counted), ``counted_words``
+    (member × word units those levels scanned) and ``closures`` (closure
     calls) on the innermost open trace span.
     """
     import numpy as np
 
     if (matrix is None) != (rows is None):
         raise ValueError("matrix and rows must be given together")
+    if counts is not None and len(counts) != len(ball_members):
+        raise ValueError("counts must be in step with ball_members")
     if seed_row is None:
         keep = np.array(
             [j for j, p in enumerate(ball_members) if p.items != seed.items],
@@ -269,6 +370,9 @@ def fuse_ball(
     else:
         members = matrix.take(np.asarray(rows, dtype=np.intp)[keep])
     ball = GreedyBall(members, tau, minsup)
+    del members  # the ball keeps its own word-major copy
+    if counts is not None:
+        ball.seed_level(seed.tidset, np.asarray(counts)[keep])
     closures: dict[int, frozenset[int]] = {}
     member_items: list[frozenset[int]] | None = None
     best_by_items: dict[frozenset[int], FusionCandidate] = {}
@@ -298,7 +402,8 @@ def fuse_ball(
             best_by_items[items] = candidate
     trace.annotate(
         tidset_changes=tidset_changes, accepted=accepted_total,
-        levels=ball.levels, closures=len(closures),
+        levels=ball.levels, counted_words=ball.counted_words,
+        closures=len(closures),
     )
     candidates = list(best_by_items.values())
     if len(candidates) > max_candidates:

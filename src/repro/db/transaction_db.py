@@ -276,17 +276,6 @@ class TransactionDatabase:
     # Derived databases
     # ------------------------------------------------------------------
 
-    def transpose(self) -> "TransactionDatabase":
-        """Swap the roles of items and transactions (CARPENTER's TT view).
-
-        Row ``i`` of the transposed database lists the transaction ids that
-        contained item ``i`` in the original database.
-        """
-        rows: list[list[int]] = [
-            bitset.bitset_to_ids(mask) for mask in self._item_tidsets
-        ]
-        return TransactionDatabase(rows, n_items=len(self._transactions))
-
     def restrict_to_items(self, items: Sequence[int]) -> "TransactionDatabase":
         """Project every transaction onto ``items`` (ids are re-densified).
 

@@ -16,13 +16,17 @@ while the run stays **deterministic for a fixed config.seed** and
   a worker's stream never depends on which worker it landed on or what ran
   before it.
 * Ball queries run on the driver through :meth:`PatternBallIndex.balls`
-  over the pool's own tidset matrix, which answers with pool rows
-  (:class:`~repro.core.distance.Ball`), and tasks carry only those row
-  arrays.  The pool — a :class:`~repro.core.pool.Pool`, so its item-id and
-  tidset-word arrays, not one object per pattern — and the database ship
-  once per round as the executor's warm-up payload, not per task; each
-  task gathers its ball's rows from the pool matrix instead of packing
-  them again, and builds a pattern only for its seed.  Because
+  over the pool's own tidset matrix, which answers with pool rows and
+  their intersection counts with the seed
+  (:class:`~repro.core.distance.Ball`), and tasks carry only those two
+  arrays, the counts in the narrowest unsigned dtype that holds the
+  transaction count (uint8 on ALL-sim).  The pool — a
+  :class:`~repro.core.pool.Pool`, so its item-id and tidset-word arrays,
+  not one object per pattern — and the database ship once per round as
+  the executor's warm-up payload, not per task; each task gathers its
+  ball's rows from the pool matrix instead of packing them again, takes
+  the counts as its seed's greedy level instead of counting it again, and
+  builds a pattern only for its seed.  Because
   the pool evolves, each round re-warms the worker processes — effectively
   free under the ``fork`` start method (copy-on-write), but on
   spawn-only platforms every round pays worker interpreter startup, so
@@ -96,11 +100,15 @@ class FusionTask:
     """One seed's unit of work, shipped to whichever worker picks it up.
 
     ``rows`` is the seed's ball as ascending pool rows, the seed's own row
-    among them.  It is an array, so tasks compare by identity.
+    among them, and ``counts`` each row's intersection count with the seed
+    from the ball query, in the narrowest unsigned dtype that holds the
+    database's transaction count.  They are arrays, so tasks compare by
+    identity.
     """
 
     seed_index: int
     rows: np.ndarray
+    counts: np.ndarray
     child_seed: int
 
 
@@ -145,6 +153,7 @@ def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
             matrix=payload.pool.matrix,
             rows=task.rows,
             seed_row=task.seed_index,
+            counts=task.counts,
         )
         span.set(fused=len(fused))
     return fused
@@ -198,7 +207,10 @@ def fusion_round(
         query_span.set(members=sum(len(ball) for ball in seed_balls))
     _SEEDS.inc(n_seeds)
     tasks = [
-        FusionTask(seed_index=seed_index, rows=ball.rows, child_seed=child_seed)
+        FusionTask(
+            seed_index=seed_index, rows=ball.rows, counts=ball.counts,
+            child_seed=child_seed,
+        )
         for seed_index, ball, child_seed in zip(
             seed_indices, seed_balls, child_seeds
         )

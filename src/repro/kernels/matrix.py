@@ -15,10 +15,11 @@ Every count is an exact integer and every distance is the same
 kernels agree with the naive big-int formulation bit for bit; the property
 tests in ``tests/test_kernels.py`` pin this on random matrices.  Most
 primitives return plain Python values (``int`` masks, ``list`` of ``int``).
-The two that feed fusion's inner loops return NumPy arrays,
-because their callers compute on arrays:
+Two return NumPy arrays, because their callers compute on arrays:
 :meth:`~TidsetMatrix.intersection_counts` (an int64 count per row) and
-:meth:`~TidsetMatrix.rows_within` (the row indices of each ball).
+:meth:`~TidsetMatrix.rows_within` (the row indices of each ball, with
+their intersection counts, which fusion takes as each seed's first greedy
+level).
 """
 
 from __future__ import annotations
@@ -179,13 +180,17 @@ class TidsetMatrix(ABC):
     @abstractmethod
     def rows_within(
         self, queries: Sequence[int], radius: float
-    ) -> list[np.ndarray]:
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """The rows within ``radius`` of each query tidset (inclusive).
 
-        Returns one ascending int64 array per query: the ``i`` with
+        Returns one ``(rows, counts)`` pair per query.  ``rows`` is the
+        ascending int64 array of the ``i`` with
         ``1 - |row_i ∩ q| / |row_i ∪ q| <= radius`` (Definition 6), with two
-        empty sets at distance 0.0.  This is the r(τ) range query of
-        Algorithm 2 answered as pool rows.
+        empty sets at distance 0.0.  ``counts`` holds ``|row_i ∩ q|`` for
+        those rows, from the same pass, in the narrowest unsigned dtype
+        that holds ``n_bits``.  This is the r(τ) range query of Algorithm 2
+        answered as pool rows; the counts are the greedy passes' first
+        level.
         """
 
     @abstractmethod

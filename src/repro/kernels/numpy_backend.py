@@ -7,7 +7,8 @@ popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
 builds that predate it, which ``numpy>=1.24`` still allows), boolean row
 reductions for superset masks.  Intersection counts and ``rows_within``
 share one cache-resident pass per query (preallocated temporaries, BLAS
-matvec row sums).
+matvec row sums); ``rows_within`` hands back the counts of the rows it
+keeps.
 
 Counts are exact integers and distances are the same ``1 - |∩| / |∪|``
 float64 division :func:`repro.core.distance.tidset_distance` performs on
@@ -31,18 +32,24 @@ __all__ = ["NumpyTidsetMatrix", "word_popcounts"]
 _POPCOUNT_LUT: np.ndarray | None = None
 
 
-def word_popcounts(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a 2-D uint64 word array → int64 vector."""
+def word_popcounts(words: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Popcount of a 2-D uint64 word array summed along ``axis`` → int64.
+
+    ``axis=-1`` (the default) counts each row, ``axis=0`` each column.
+    The sum runs in the narrowest unsigned type that holds 64 bits per
+    summed word, which is exact and faster than an int64 accumulator.
+    """
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    # Pre-2.0 NumPy: 8-bit lookup table over the raw bytes.
+        total = np.min_scalar_type(64 * words.shape[axis])
+        return np.bitwise_count(words).sum(axis=axis, dtype=total).astype(np.int64)
+    # Pre-2.0 NumPy: 8-bit lookup table over the raw bytes of each word.
     global _POPCOUNT_LUT
     if _POPCOUNT_LUT is None:
         _POPCOUNT_LUT = np.array(
             [bin(value).count("1") for value in range(256)], dtype=np.uint8
         )
-    raw = words.reshape(*words.shape[:-1], -1).view(np.uint8)
-    return _POPCOUNT_LUT[raw].sum(axis=-1, dtype=np.int64)
+    raw = np.ascontiguousarray(words).view(np.uint8).reshape(*words.shape, 8)
+    return _POPCOUNT_LUT[raw].sum(axis=-1, dtype=np.int64).sum(axis=axis)
 
 
 class NumpyTidsetMatrix(TidsetMatrix):
@@ -191,22 +198,21 @@ class NumpyTidsetMatrix(TidsetMatrix):
         (intersections, _), = self._intersections([query])
         return intersections
 
-    def _distances(self, queries: Iterable[int]) -> Iterator[np.ndarray]:
-        """The float64 distance row of each query (0.0 where both are empty)."""
+    def rows_within(
+        self, queries: Sequence[int], radius: float
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         pops = self._pops_internal()
+        # Counts never exceed n_bits: uint8 on a 38-transaction database.
+        narrow = np.min_scalar_type(self._n_bits)
+        balls = []
         for intersections, query_pop in self._intersections(queries):
             unions = pops + query_pop - intersections
             with np.errstate(divide="ignore", invalid="ignore"):
                 distances = 1.0 - intersections / unions
-            yield np.where(unions == 0, 0.0, distances)
-
-    def rows_within(
-        self, queries: Sequence[int], radius: float
-    ) -> list[np.ndarray]:
-        return [
-            np.flatnonzero(row <= radius).astype(np.int64, copy=False)
-            for row in self._distances(queries)
-        ]
+            distances = np.where(unions == 0, 0.0, distances)
+            rows = np.flatnonzero(distances <= radius).astype(np.int64, copy=False)
+            balls.append((rows, intersections[rows].astype(narrow)))
+        return balls
 
     def superset_mask(self, query: int) -> int:
         words, excess = self._pack_query(query)

@@ -149,6 +149,37 @@ class TestBall:
                 assert got == want and list(got) == want
             assert answers == expected
 
+    @given(st.sampled_from([1, 2, 5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_are_center_intersections(self, n_words, data):
+        """A ball carries ``(center & member).bit_count()`` per member, in
+        the narrowest unsigned dtype that holds the pool's width; slices
+        keep rows and counts in step.  Centers may be wider than the pool."""
+        import numpy as np
+
+        full = (1 << (64 * n_words)) - 1
+        masks = data.draw(st.lists(st.integers(0, full), max_size=15))
+        pool = [Pattern(items=frozenset([i]), tidset=m) for i, m in enumerate(masks)]
+        wide = st.integers(0, full).map(
+            lambda low: low | (1 << (64 * n_words + 3))
+        )
+        centers = [
+            Pattern(items=frozenset([100 + i]), tidset=m)
+            for i, m in enumerate(data.draw(st.lists(
+                st.one_of(st.integers(0, full), wide), max_size=5
+            )))
+        ] + pool[:2]
+        radius = data.draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+        for answers in self.both_forms(pool, centers, radius):
+            for center, got in zip(centers, answers):
+                assert got.counts.dtype == np.min_scalar_type(
+                    max((m.bit_length() for m in masks), default=0)
+                )
+                assert got.counts.tolist() == [
+                    (center.tidset & member.tidset).bit_count() for member in got
+                ]
+                assert got[1:].counts.tolist() == got.counts[1:].tolist()
+
     def test_reads_like_a_list(self):
         pool = [
             Pattern(items=frozenset([i]), tidset=0b1111 ^ (1 << (i % 4)))

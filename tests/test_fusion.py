@@ -461,3 +461,180 @@ class TestCountWalkMatchesScalarPass:
                 rng=random.Random(0), trials=1, max_candidates=1,
                 close_fused=True, seed_row=0,
             )
+
+
+def nonzero_words(tidset, n_words):
+    """How many of ``tidset``'s first ``n_words`` 64-bit words are nonzero."""
+    return sum(1 for w in range(n_words) if (tidset >> (64 * w)) & (2**64 - 1))
+
+
+@st.composite
+def shrink_chains(draw):
+    """Members and a nested chain T0 ⊇ T1 ⊇ … of 1-, 2- or 5-word tidsets.
+
+    T0 may carry bits past the members' width (a seed wider than the
+    ball).  Each step clears bits within one word, bits in every word,
+    random bits, or ANDs in a member as a greedy shrink does.
+    """
+    n_words = draw(st.sampled_from([1, 2, 5]))
+    full = (1 << (64 * n_words)) - 1
+    word = st.integers(1, 2**64 - 1)
+    members = draw(st.lists(st.integers(0, full), max_size=12))
+    start = draw(st.one_of(st.just(full), st.integers(0, full)))
+    if draw(st.booleans()):
+        start |= draw(st.integers(1, 2**70)) << (64 * n_words)
+    chain = [start]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["one_word", "every_word", "any", "member"]))
+        if kind == "one_word":
+            clear = draw(word) << (64 * draw(st.integers(0, n_words - 1)))
+        elif kind == "every_word":
+            clear = sum(draw(word) << (64 * w) for w in range(n_words))
+        elif kind == "any":
+            clear = draw(st.integers(0, full))
+        else:
+            clear = ~draw(st.sampled_from(members)) if members else 0
+        chain.append(chain[-1] & ~clear)
+    return n_words, members, chain
+
+
+@on_kernel
+class TestIncrementalLevels:
+    """Levels from the ball query or from a parent are the counted ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=shrink_chains(), lut=st.booleans())
+    def test_derived_levels_are_intersection_counts(self, case, lut):
+        """Along a nested chain each level, derived from its parent, is
+        ``intersection_counts``; the derivation scans the members over the
+        nonzero words of the removed bits only.  ``lut`` counts with the
+        pre-2.0 NumPy lookup table."""
+        import numpy as np
+
+        n_words, members, chain = case
+        matrix = TidsetMatrix.from_tidsets(members, n_bits=64 * n_words)
+        ball = GreedyBall(matrix, 0.5, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            if lut:
+                patch.delattr(np, "bitwise_count")
+            self.assert_chain(ball, matrix, n_words, members, chain)
+
+    @staticmethod
+    def assert_chain(ball, matrix, n_words, members, chain):
+        assert ball.counts(chain[0]).tolist() == (
+            matrix.intersection_counts(chain[0]).tolist()
+        )
+        assert ball.counted_words == len(members) * nonzero_words(
+            chain[0], n_words
+        )
+        for parent, child in zip(chain, chain[1:]):
+            before, known = ball.counted_words, ball.levels
+            got = ball.counts(child, parent=parent)
+            assert got.tolist() == [(child & m).bit_count() for m in members]
+            fresh = ball.levels - known
+            assert ball.counted_words - before == fresh * len(members) * (
+                nonzero_words(parent ^ child, n_words)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=shrink_chains())
+    def test_any_counted_ancestor_is_a_parent(self, case):
+        """A level derived from its chain's first tidset equals the one
+        derived step by step."""
+        n_words, members, chain = case
+        matrix = TidsetMatrix.from_tidsets(members, n_bits=64 * n_words)
+        direct = GreedyBall(matrix, 0.5, 0)
+        direct.counts(chain[0])
+        assert direct.counts(chain[-1], parent=chain[0]).tolist() == (
+            matrix.intersection_counts(chain[-1]).tolist()
+        )
+
+    def test_seed_level_is_taken_as_given(self):
+        """Counts handed in are the seed's level: nothing is counted for it,
+        and a level no pass reaches is not one of ``levels``."""
+        tidsets = [0b0111, 0b1110, 0b0011]
+        matrix = TidsetMatrix.from_tidsets(tidsets)
+        ball = GreedyBall(matrix, 0.5, 2)
+        seed = 0b0111
+        ball.seed_level(seed, [(seed & t).bit_count() for t in tidsets])
+        ball.seed_level(0b1, [1, 0, 1])
+        assert ball.levels == 0
+        tidset, accepted, changes = ball.walk([0, 1, 2], seed, 3)
+        assert (tidset, accepted.tolist(), changes) == scalar_walk(
+            tidsets, [0, 1, 2], seed, 3, 0.5, 2
+        )
+        # The seed level was given; the one shrink (to 0b0110) was derived
+        # over the one word where it differs from the seed.
+        assert ball.levels == 2
+        assert ball.counted_words == len(tidsets)
+
+
+def fuse_traced(db, seed, members, **kwargs):
+    """``fuse_ball`` inside a ``fuse_ball`` span: the result and the span's
+    attributes."""
+    from repro.obs import trace
+
+    with trace.capture() as sink:
+        with trace.span("fuse_ball"):
+            fused = fuse_ball(db, seed, members, **kwargs)
+    record, = [r for r in sink.drain() if r["name"] == "fuse_ball"]
+    return [(p.items, p.tidset) for p in fused], record["attrs"]
+
+
+@on_kernel
+class TestSeedCountsFromTheBallQuery:
+    @settings(max_examples=200, deadline=None)
+    @given(case=fusion_cases())
+    def test_same_result_and_spans_with_and_without(self, case):
+        """Giving the seed's counts changes neither the pool nor the span's
+        work counts, except that the seed's level is not counted again."""
+        import numpy as np
+
+        db, pool, seed = case["db"], case["pool"], case["seed"]
+        rows = np.array(case["ball_rows"], dtype=np.int64)
+        matrix = TidsetMatrix.from_patterns(pool)
+        seed_row = pool.index(seed)
+        counts = np.array(
+            [(seed.tidset & pool[row].tidset).bit_count() for row in rows.tolist()],
+            dtype=np.min_scalar_type(matrix.n_bits),
+        )
+        kwargs = dict(
+            tau=case["tau"], minsup=case["minsup"], trials=case["trials"],
+            max_candidates=case["max_candidates"],
+            close_fused=case["close_fused"], matrix=matrix, rows=rows,
+            seed_row=seed_row,
+        )
+        members = Ball(pool, rows, counts)
+        rng = random.Random(case["rng_seed"])
+        plain, plain_attrs = fuse_traced(db, seed, members, rng=rng, **kwargs)
+        rng_given = random.Random(case["rng_seed"])
+        given_, given_attrs = fuse_traced(
+            db, seed, members, rng=rng_given, counts=counts, **kwargs
+        )
+        assert given_ == plain
+        assert rng_given.getstate() == rng.getstate()
+        saved = given_attrs.pop("counted_words")
+        spent = plain_attrs.pop("counted_words")
+        assert given_attrs == plain_attrs
+        others = int((rows != seed_row).sum())
+        reached = seed.support >= case["minsup"]
+        assert spent - saved == reached * others * nonzero_words(
+            seed.tidset, matrix.words.shape[1]
+        )
+        # A pattern list with its counts gives the same pool as well.
+        rng_list = random.Random(case["rng_seed"])
+        listed, _ = fuse_traced(
+            db, seed, list(members), rng=rng_list, counts=counts.tolist(),
+            **{k: v for k, v in kwargs.items()
+               if k not in ("matrix", "rows", "seed_row")},
+        )
+        assert listed == plain
+
+    def test_counts_must_be_in_step(self, block_db):
+        pool = pool_of_pairs(block_db, range(5))
+        with pytest.raises(ValueError, match="in step"):
+            fuse_ball(
+                block_db, pool[0], pool, tau=0.5, minsup=1,
+                rng=random.Random(0), trials=1, max_candidates=1,
+                close_fused=True, counts=[1, 2],
+            )

@@ -50,10 +50,10 @@ def assert_distances_exact(matrix, queries):
         exact = [tidset_distance(q, r) for r in rows]
         for d in set(exact):
             below = math.nextafter(d, -math.inf)
-            assert matrix.rows_within([q], d)[0].tolist() == [
+            assert rows_of(matrix, q, d) == [
                 i for i, e in enumerate(exact) if e <= d
             ]
-            assert matrix.rows_within([q], below)[0].tolist() == [
+            assert rows_of(matrix, q, below) == [
                 i for i, e in enumerate(exact) if e < d
             ]
 
@@ -184,15 +184,31 @@ def within_by_distance(matrix, queries, radius):
     ]
 
 
+def rows_of(matrix, query, radius):
+    """The rows ``rows_within`` keeps for one query, as a list."""
+    (rows, _), = matrix.rows_within([query], radius)
+    return rows.tolist()
+
+
 def assert_rows_within(matrix, queries, radius):
+    """The rows are the distance filter's; the counts are the big-int
+    intersection counts of those rows, in the narrowest unsigned dtype
+    that holds ``n_bits``."""
     import numpy as np
 
     got = matrix.rows_within(queries, radius)
-    assert all(isinstance(rows, np.ndarray) for rows in got)
-    assert all(rows.dtype == np.int64 for rows in got)
-    assert [rows.tolist() for rows in got] == (
+    assert all(isinstance(rows, np.ndarray) for rows, _ in got)
+    assert all(rows.dtype == np.int64 for rows, _ in got)
+    assert [rows.tolist() for rows, _ in got] == (
         within_by_distance(matrix, queries, radius)
     )
+    narrow = np.min_scalar_type(matrix.n_bits)
+    assert all(counts.dtype == narrow for _, counts in got)
+    tidsets = matrix.rows()
+    assert [counts.tolist() for _, counts in got] == [
+        [(q & tidsets[i]).bit_count() for i in rows.tolist()]
+        for q, (rows, _) in zip(queries, got)
+    ]
 
 
 #: Radii the fusion rounds use, plus the edges of the distance range.
@@ -227,7 +243,7 @@ class TestRowsWithin:
             (0.25, [0, 1]), (0.5, [0, 1, 2]), (0.4999, [0, 1]),
             (1.0, [0, 1, 2, 3]), (0.0, [0]), (-0.0, [0]), (-1e-12, []),
         ]:
-            assert matrix.rows_within([0b1111], radius)[0].tolist() == expected
+            assert rows_of(matrix, 0b1111, radius) == expected
 
     @pytest.mark.parametrize("tau", [0.5, 0.97])
     def test_ball_radii(self, tau):
@@ -244,18 +260,18 @@ class TestRowsWithin:
         matrix = TidsetMatrix.from_tidsets(rows)
         queries = [base, rows[5], rows[30]]
         assert_rows_within(matrix, queries, ball_radius(tau))
-        inside = matrix.rows_within([base], ball_radius(tau))[0]
+        inside = rows_of(matrix, base, ball_radius(tau))
         assert 1 < len(inside) < len(rows)
 
     def test_empty_tidsets(self):
         # Two empty sets are at 0.0 (union 0); empty vs. non-empty at 1.0.
         matrix = TidsetMatrix.from_tidsets([0, 0b1, 0, 0b110])
-        assert matrix.rows_within([0], 0.0)[0].tolist() == [0, 2]
-        assert matrix.rows_within([0], -0.1)[0].tolist() == []
-        assert matrix.rows_within([0b1], 0.0)[0].tolist() == [1]
+        assert rows_of(matrix, 0, 0.0) == [0, 2]
+        assert rows_of(matrix, 0, -0.1) == []
+        assert rows_of(matrix, 0b1, 0.0) == [1]
         assert_rows_within(matrix, [0, 0b1, 0b111], 0.5)
         empty = TidsetMatrix.from_tidsets([])
-        assert [r.tolist() for r in empty.rows_within([0, 5], 1.0)] == [[], []]
+        assert [r.tolist() for r, _ in empty.rows_within([0, 5], 1.0)] == [[], []]
         assert matrix.rows_within([], 1.0) == []
 
     def test_queries_wider_than_the_matrix(self):
@@ -266,8 +282,8 @@ class TestRowsWithin:
         for radius in FIXED_RADII:
             assert_rows_within(matrix, queries, radius)
         # 0b1011 against 0b1011 plus one bit past the matrix: 1 - 3/4.
-        assert matrix.rows_within(queries[:1], 0.25)[0].tolist() == [0]
-        assert matrix.rows_within(queries[:1], 0.2499)[0].tolist() == []
+        assert rows_of(matrix, queries[0], 0.25) == [0]
+        assert rows_of(matrix, queries[0], 0.2499) == []
 
     def test_at_least_2_24_bits(self):
         """Rows this wide skip the float32 matvec row sums (NumPy)."""
@@ -278,8 +294,8 @@ class TestRowsWithin:
         queries = [high | 0b1, 0b11, high | (1 << 40)]
         for radius in (ball_radius(0.5), ball_radius(0.97), 0.5, -0.5):
             assert_rows_within(matrix, queries, radius)
-        assert matrix.rows_within([high], 0.75)[0].tolist() == [0, 1, 3]
-        assert matrix.rows_within([high], 0.7)[0].tolist() == [1, 3]
+        assert rows_of(matrix, high, 0.75) == [0, 1, 3]
+        assert rows_of(matrix, high, 0.7) == [1, 3]
 
 
 def test_rows_within_pre2_numpy_lut_fallback(monkeypatch):

@@ -323,6 +323,7 @@ class TestEngineSpanMerge:
                     r["attrs"]["levels"],
                     r["attrs"]["closures"],
                     r["attrs"]["ball"],
+                    r["attrs"]["counted_words"],
                 )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
@@ -342,6 +343,14 @@ class TestEngineSpanMerge:
         assert sum(span[2] for span in serial[0]) > 0
         assert sum(span[3] for span in serial[0]) > 0
         assert all(span[4] > 0 and span[5] > 0 for span in serial[0])
+        # The seed's level comes from the ball query; every other level
+        # scans at most each word of each member but the seed.
+        n_words = max(1, -(-len(diag(8)) // 64))
+        assert sum(span[7] for span in serial[0]) > 0
+        assert all(
+            span[7] <= (span[4] - 1) * (span[6] - 1) * n_words
+            for span in serial[0]
+        )
         # The ball_queries spans count members natively, equal at both job
         # counts: per round, the summed ball sizes, each seed in its own
         # ball.  Over the run that is the sum of the fuse_ball spans' balls.

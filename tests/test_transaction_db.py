@@ -146,15 +146,6 @@ class TestFrequentItems:
 
 
 class TestDerivedDatabases:
-    def test_transpose_involution(self, tiny_db):
-        double = tiny_db.transpose().transpose()
-        assert double.transactions == tiny_db.transactions
-
-    def test_transpose_swaps_dimensions(self, tiny_db):
-        t = tiny_db.transpose()
-        assert t.n_transactions == tiny_db.n_items
-        assert t.n_items == tiny_db.n_transactions
-
     def test_restrict_to_items(self, tiny_db):
         restricted = tiny_db.restrict_to_items([2, 0])
         # new item 0 is old item 2; new item 1 is old item 0.
