@@ -3,7 +3,8 @@
 The acceptance microbench of the kernels: the mined Replace-sim ≤2 pool
 (4,395-bit tidsets, one bit per transaction of the paper's Replace-sim),
 timed through :class:`repro.kernels.TidsetMatrix` for the four hot shapes
-— ball queries (Theorem 2 range queries over Definition 6 distances), the
+— ball queries (Theorem 2 range queries over Definition 6 distances, also
+on ALL-sim's one-word tidsets), the
 greedy fusion levels of one ball, the closure operator, and an end-to-end
 ``pattern_fusion`` run.  Every timed shape also asserts its answers against
 the naive big-int formulation (the scalar greedy pass for the levels; end
@@ -24,8 +25,9 @@ from repro.core.distance import ball, ball_radius
 from repro.core.fusion import fuse_ball
 from repro.core.pattern_fusion import pattern_fusion
 from repro.core.config import PatternFusionConfig
+from repro.datasets.microarray import all_like
 from repro.datasets.replace import replace_like
-from repro.mining.levelwise import mine_up_to_size
+from repro.mining.levelwise import mine_pool, mine_up_to_size
 from tests.test_fusion import scalar_fuse_ball
 
 N_BITS = 4395      # Replace-sim transaction count: one bit per transaction
@@ -57,6 +59,33 @@ def test_bench_ball_queries(benchmark, replace_pool):
 
     balls = benchmark.pedantic(query, rounds=3, iterations=1)
     benchmark.extra_info.update({"pool": len(patterns), "centers": len(centers)})
+    assert balls[:5] == [ball(center, patterns, radius) for center in centers[:5]]
+
+
+@pytest.fixture(scope="module")
+def all_pool(request):
+    """ALL-sim's minsup-27, size ≤ 2 phase-1 pool: 173,746 one-word rows."""
+
+    def build():
+        db, _ = all_like(seed=11)
+        return mine_pool(db, 27, 2)
+
+    return run_once(request, "kernels-all-pool", build)
+
+
+def test_bench_ball_queries_one_word(benchmark, all_pool):
+    """The same range queries on one-word tidsets at τ 0.97 (Fig. 10)."""
+    radius = ball_radius(0.97)
+    rows = random.Random(3).sample(range(len(all_pool)), N_CENTERS)
+    centers = all_pool.patterns_at(rows)
+    index = PatternBallIndex(all_pool)
+
+    def query():
+        return index.balls(centers, radius)
+
+    balls = benchmark.pedantic(query, rounds=3, iterations=1)
+    benchmark.extra_info.update({"pool": len(all_pool), "centers": len(centers)})
+    patterns = list(all_pool)
     assert balls[:5] == [ball(center, patterns, radius) for center in centers[:5]]
 
 

@@ -5,9 +5,9 @@ Theorem 2 collects each seed's CoreList as the pool patterns within
 the tidset matrix of a :class:`~repro.core.pool.Pool` (packing a list of
 patterns into one when it is given a list); each query is then one
 vectorized :meth:`~repro.kernels.TidsetMatrix.rows_within` pass per center,
-answered as pool rows (:class:`~repro.core.distance.Ball`).  A fusion round
-builds one index over its pool and ships the same matrix to its greedy
-passes.
+answered as pool rows (:class:`~repro.core.distance.Ball`).  Each chunk of
+a fusion round queries its seeds through one index over the round's pool,
+and its greedy passes gather their balls from the same matrix.
 
 Answers equal the paper's brute-force scan
 (:func:`repro.core.distance.ball`); the tests assert it on random pools.

@@ -78,12 +78,11 @@ class Ball(Sequence[Pattern]):
     :meth:`~repro.kernels.TidsetMatrix.rows_within`); it is ``None`` for a
     ball built from rows alone.  Length, iteration, indexing and slicing
     behave as for the list ``[pool[i] for i in rows]``, and a ball compares
-    equal to that list.  A fusion round ships ``rows`` and ``counts`` to
-    its workers, which gather the members' tidsets from the pool matrix by
-    row and take the counts as the seed's level; patterns are looked up,
-    or built from the pool's arrays, only when something reads them.  A
-    pattern list given as ``pool`` is packed into a
-    :class:`~repro.core.pool.Pool`.
+    equal to that list.  A fusion round's greedy passes gather the
+    members' tidsets from the pool matrix by ``rows`` and take ``counts``
+    as the seed's level; patterns are looked up, or built from the pool's
+    arrays, only when something reads them.  A pattern list given as
+    ``pool`` is packed into a :class:`~repro.core.pool.Pool`.
     """
 
     __slots__ = ("pool", "rows", "counts")

@@ -95,11 +95,13 @@ class FusionCandidate:
 class GreedyBall:
     """A ball's members, ready for any number of greedy fusion passes.
 
-    Member ``i`` is row ``i`` of ``matrix`` (in a fusion round, the ball's
-    rows taken from the pool matrix).  The ball holds the members' words
-    word-major: one contiguous ``(W, n)`` copy, row ``w`` holding word
-    ``w`` of every member, so the words a level reads are contiguous rows
-    and a member's tidset is a column.  The counts and masks of each
+    Member ``i`` is row ``i`` of ``matrix``, or, when ``rows`` is given,
+    row ``rows[i]`` (in a fusion round, the ball's rows of the pool
+    matrix).  The ball holds the members' words word-major: one contiguous
+    ``(W, n)`` copy gathered straight from ``matrix``, row ``w`` holding
+    word ``w`` of every member, so the words a level reads are contiguous
+    rows and a member's tidset is a column.  The members' supports are the
+    matrix's cached popcounts.  The counts and masks of each
     distinct running tidset are kept for the ball's lifetime; ``levels``
     says how many there are.
 
@@ -121,13 +123,21 @@ class GreedyBall:
         "_minsup", "_levels", "_given", "_counted_words",
     )
 
-    def __init__(self, matrix: TidsetMatrix, tau: float, minsup: int) -> None:
+    def __init__(
+        self,
+        matrix: TidsetMatrix,
+        tau: float,
+        minsup: int,
+        rows: Sequence[int] | np.ndarray | None = None,
+    ) -> None:
         import numpy as np
 
-        words = matrix.words
-        self._columns = _word_major(words)
-        self._width_mask = (1 << (64 * words.shape[1])) - 1
-        self._supports = np.asarray(matrix.popcounts(), dtype=np.int64)
+        self._supports = matrix.row_popcounts
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            self._supports = self._supports[rows]
+        self._columns = _word_major(matrix.words, rows)
+        self._width_mask = (1 << (64 * self._columns.shape[0])) - 1
         # fl(τ·s): the core-ratio floor of each member against itself, and
         # the count a member needs to be a shrink candidate at all.
         self._floors = tau * self._supports
@@ -265,19 +275,21 @@ class GreedyBall:
 
 
 #: Words per block of the word-major copy (128 KiB of uint64): each
-#: block's transpose stays in cache, where one whole-ball transpose
-#: strides through memory.
+#: block's gather and transpose stay in cache, where one whole-ball
+#: transpose strides through memory.
 _TRANSPOSE_WORDS = 1 << 14
 
 
-def _word_major(words: np.ndarray) -> np.ndarray:
-    """A C-contiguous ``(W, n)`` copy of an ``(n, W)`` word array."""
+def _word_major(words: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """A C-contiguous ``(W, n)`` copy of ``words[rows]`` (all rows by default)."""
     import numpy as np
 
-    columns = np.empty(words.shape[::-1], dtype=words.dtype)
+    n = len(words) if rows is None else len(rows)
+    columns = np.empty((words.shape[1], n), dtype=words.dtype)
     block = max(1, _TRANSPOSE_WORDS // words.shape[1])
-    for start in range(0, len(words), block):
-        columns[:, start:start + block] = words[start:start + block].T
+    for start in range(0, n, block):
+        part = slice(start, start + block)
+        columns[:, part] = (words[part] if rows is None else words[rows[part]]).T
     return columns
 
 
@@ -329,8 +341,8 @@ def fuse_ball(
     draws from ``rng`` itself.
 
     ``matrix`` and ``rows`` — a matrix holding the ball's tidsets, and the
-    row of each member in it — let the members' rows be gathered with
-    :meth:`~repro.kernels.TidsetMatrix.take` instead of packed again.  The
+    row of each member in it — let :class:`GreedyBall` gather the members'
+    words from it instead of packing them again.  The
     seed itself is skipped: by its items, or, when ``seed_row`` is given,
     by its row, without reading any member.  A fusion round passes its
     pool matrix, a :class:`~repro.core.distance.Ball`'s rows and the
@@ -364,13 +376,14 @@ def fuse_ball(
     else:
         keep = np.flatnonzero(np.asarray(rows) != seed_row)
     if matrix is None:
-        members = TidsetMatrix.from_patterns(
-            [ball_members[j] for j in keep.tolist()]
+        ball = GreedyBall(
+            TidsetMatrix.from_patterns([ball_members[j] for j in keep.tolist()]),
+            tau, minsup,
         )
     else:
-        members = matrix.take(np.asarray(rows, dtype=np.intp)[keep])
-    ball = GreedyBall(members, tau, minsup)
-    del members  # the ball keeps its own word-major copy
+        ball = GreedyBall(
+            matrix, tau, minsup, rows=np.asarray(rows, dtype=np.intp)[keep]
+        )
     if counts is not None:
         ball.seed_level(seed.tidset, np.asarray(counts)[keep])
     closures: dict[int, frozenset[int]] = {}

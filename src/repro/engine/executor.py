@@ -16,13 +16,14 @@ Two executors implement the interface:
   re-implementation to drift.
 * :class:`ParallelExecutor` fans chunks across a ``ProcessPoolExecutor``
   (processes, not threads: support counting and fusion are CPU-bound pure
-  Python).  The payload ships **once per worker at warm-up** through the
-  pool initializer — never per task — and the pool is kept alive and reused
-  while the payload object is unchanged (a *changed* payload re-creates the
-  worker pool: copy-on-write-cheap under ``fork``, worker startup cost under
-  ``spawn``).  On hosts where process pools are
-  unavailable (restricted sandboxes), it degrades to the serial path with a
-  warning instead of failing, so callers never need their own fallback.
+  Python).  One pool serves the executor's lifetime: it is created at the
+  first dispatch (and again only after a failure resets it), and the
+  payload ships **with each chunk**, so a new payload — each fusion round
+  has one — reuses the warm workers instead of forking new ones.  A worker
+  installs the payload around its chunk and drops it afterwards.  On hosts
+  where process pools are unavailable (restricted sandboxes), it degrades
+  to the serial path with a warning instead of failing, so callers never
+  need their own fallback.
 
 Dispatch is *supervised* (:mod:`repro.resilience.supervised`): a worker
 death, injected fault, or deadline expiry fails only the chunks that were
@@ -36,6 +37,7 @@ takes the permanent serial degrade of earlier revisions.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 import warnings
@@ -76,7 +78,7 @@ _CHUNKS = metrics.counter(
 )
 _POOL_WARMUPS = metrics.counter(
     "repro_executor_pool_warmups_total",
-    "Worker-pool creations (payload warm-ups shipped)",
+    "Worker-pool creations (one per executor, plus one per failure reset)",
 )
 _DEGRADED = metrics.counter(
     "repro_executor_degraded_total",
@@ -84,24 +86,20 @@ _DEGRADED = metrics.counter(
 )
 
 # The one piece of protocol state: the payload of the current map_reduce
-# call, per thread.  In a worker process the pool initializer sets it (tasks
-# run on that same thread); under the serial executor, map_reduce itself
-# sets and restores it.  Per thread, so concurrent in-process calls — the
-# threaded HTTP server mines on many handler threads — never read each
-# other's payload.
+# call, per thread.  In a worker process each chunk sets and clears it
+# around itself (tasks run on that one thread); under the serial executor,
+# map_reduce itself sets and restores it.  Per thread, so concurrent
+# in-process calls — the threaded HTTP server mines on many handler
+# threads — never read each other's payload.
 _PAYLOAD = threading.local()
 
-_UNSET = object()
 
+def _init_worker(fault_action: Any = None) -> None:
+    """Pool initializer: apply a shipped ``executor.warmup`` fault.
 
-def _init_worker(payload: Any, fault_action: Any = None) -> None:
-    """Pool initializer: install the shared payload in this worker.
-
-    ``fault_action`` is a shipped ``executor.warmup`` fault (chaos testing):
-    the driver consulted its schedule at pool creation and every worker of
-    that pool generation applies the chosen action here.
+    Chaos testing only: the driver consulted its schedule at pool creation
+    and every worker of that pool generation applies the chosen action.
     """
-    _swap_payload(payload)
     apply_action(fault_action)
 
 
@@ -117,20 +115,22 @@ def worker_payload() -> Any:
     return getattr(_PAYLOAD, "value", None)
 
 
-def _invoke_chunk(fn: Callable[[Any], Any], chunk: Any, fault_action: Any = None) -> Any:
+def _invoke_chunk(
+    payload: Any, fn: Callable[[Any], Any], chunk: Any, fault_action: Any = None
+) -> Any:
     """Worker entry of a supervised dispatch: apply the shipped fault, run ``fn``.
 
     The fault action (if any) was chosen by the *driver's* schedule for this
     specific dispatch attempt — kill exits the worker, delay sleeps, raise
-    throws ``FaultInjected`` — then the chunk runs exactly as unsupervised
-    code would.
+    throws ``FaultInjected`` — then the chunk runs with ``payload``
+    installed, exactly as unsupervised code would.
     """
     apply_action(fault_action)
-    return fn(chunk)
+    return _run_chunk_inline(fn, chunk, payload)
 
 
 def _run_chunk_inline(fn: Callable[[Any], Any], chunk: Any, payload: Any) -> Any:
-    """Run one chunk in the driver with ``payload`` installed (serial fallback)."""
+    """Run one chunk with ``payload`` installed, then restore the previous one."""
     previous = _swap_payload(payload)
     try:
         return fn(chunk)
@@ -199,7 +199,7 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Process-pool execution with payload warm-up and payload-keyed reuse.
+    """Process-pool execution on one warm pool, the payload shipped per chunk.
 
     Parameters
     ----------
@@ -208,8 +208,8 @@ class ParallelExecutor(Executor):
         path without ever forking.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
-        available (payload warm-up is then copy-on-write-cheap) and the
-        platform default elsewhere.
+        available (the one pool start is then cheap) and the platform
+        default elsewhere.
     retry:
         The :class:`~repro.resilience.RetryPolicy` governing supervised
         dispatch (retries, backoff, reshard, deadline).  Defaults to the
@@ -228,7 +228,6 @@ class ParallelExecutor(Executor):
         self.retry = retry if retry is not None else RetryPolicy()
         self._start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
-        self._payload: Any = _UNSET
         self._serial = SerialExecutor()
         self._degraded = False
 
@@ -239,28 +238,24 @@ class ParallelExecutor(Executor):
             method = "fork" if "fork" in available else None
         return multiprocessing.get_context(method)
 
-    def _ensure_pool(self, payload: Any) -> ProcessPoolExecutor:
-        """A warm pool whose workers hold ``payload`` (reused when unchanged)."""
-        if self._pool is not None and payload is self._payload:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The executor's warm pool, created on first use or after a reset."""
+        if self._pool is not None:
             return self._pool
-        self._shutdown_pool()
         warmup_fault = fault_schedule().check("executor.warmup")
-        pool = ProcessPoolExecutor(
+        self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
             mp_context=self._context(),
             initializer=_init_worker,
-            initargs=(payload, warmup_fault),
+            initargs=(warmup_fault,),
         )
         _POOL_WARMUPS.inc()
-        self._pool = pool
-        self._payload = payload
-        return pool
+        return self._pool
 
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-            self._payload = _UNSET
 
     def _reset_pool(self, kill: bool = False) -> None:
         """Discard the current pool so the next dispatch builds a fresh one.
@@ -271,7 +266,6 @@ class ParallelExecutor(Executor):
         """
         pool = self._pool
         self._pool = None
-        self._payload = _UNSET
         if pool is None:
             return
         if kill:
@@ -303,14 +297,14 @@ class ParallelExecutor(Executor):
         ), _MAP_REDUCE_SECONDS.time(executor="process"):
             try:
                 results = run_supervised(
-                    pool_factory=lambda: self._pool_or_unavailable(payload),
+                    pool_factory=self._pool_or_unavailable,
                     reset_pool=self._reset_pool,
                     fn=fn,
                     chunks=chunks,
                     policy=self.retry,
                     faults=faults if faults else None,
                     serial_fn=lambda chunk: _run_chunk_inline(fn, chunk, payload),
-                    invoke=_invoke_chunk,
+                    invoke=functools.partial(_invoke_chunk, payload),
                 )
             except _PoolUnavailable as error:
                 # Only infrastructure failure degrades: worker deaths and
@@ -321,7 +315,7 @@ class ParallelExecutor(Executor):
                 return self._degrade(error.error, fn, chunks, merge, payload)
         return merge(results)
 
-    def _pool_or_unavailable(self, payload: Any) -> ProcessPoolExecutor:
+    def _pool_or_unavailable(self) -> ProcessPoolExecutor:
         """``_ensure_pool`` with creation failures wrapped for the degrade path.
 
         The wrapper keeps ``run_supervised`` able to re-raise ``fn``'s own
@@ -329,7 +323,7 @@ class ParallelExecutor(Executor):
         them for a missing pool.
         """
         try:
-            return self._ensure_pool(payload)
+            return self._ensure_pool()
         except (OSError, BrokenProcessPool) as error:
             raise _PoolUnavailable(error) from error
 

@@ -15,22 +15,18 @@ while the run stays **deterministic for a fixed config.seed** and
   ``random.Random(child_seed)`` (which seeds the passes' PCG64 orders), so
   a worker's stream never depends on which worker it landed on or what ran
   before it.
-* Ball queries run on the driver through :meth:`PatternBallIndex.balls`
-  over the pool's own tidset matrix, which answers with pool rows and
-  their intersection counts with the seed
-  (:class:`~repro.core.distance.Ball`), and tasks carry only those two
-  arrays, the counts in the narrowest unsigned dtype that holds the
-  transaction count (uint8 on ALL-sim).  The pool — a
-  :class:`~repro.core.pool.Pool`, so its item-id and tidset-word arrays,
-  not one object per pattern — and the database ship once per round as
-  the executor's warm-up payload, not per task; each task gathers its
-  ball's rows from the pool matrix instead of packing them again, takes
-  the counts as its seed's greedy level instead of counting it again, and
-  builds a pattern only for its seed.  Because
-  the pool evolves, each round re-warms the worker processes — effectively
-  free under the ``fork`` start method (copy-on-write), but on
-  spawn-only platforms every round pays worker interpreter startup, so
-  expect ``jobs > 1`` to help there only when rounds are expensive.
+* Each task is a seed's pool row and child seed, nothing more.  The pool
+  — a :class:`~repro.core.pool.Pool`, so its item-id and tidset-word
+  arrays, not one object per pattern — the database and the ball radius
+  ship with each chunk as the executor's payload; the executor's worker
+  processes stay warm across rounds, so a round forks nothing.  A chunk
+  answers its seeds' ``r(τ)`` ball queries itself, in one
+  :meth:`PatternBallIndex.balls` call over the pool's own tidset matrix
+  (pool rows and their intersection counts with the seed, see
+  :class:`~repro.core.distance.Ball`), so the queries run in parallel
+  and no ball crosses the pipe.  Each seed's greedy passes then gather
+  its ball's rows from the pool matrix, take the counts as the seed's
+  greedy level, and build a pattern only for the seed.
 * Per-seed results are merged in seed order (first occurrence of an itemset
   wins).
 
@@ -45,13 +41,12 @@ import random
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.api.registry import register
 from repro.core.ball_index import PatternBallIndex
 from repro.core.config import PatternFusionConfig
 from repro.core.distance import Ball
-# Not called here (the round queries through PatternBallIndex); kept as a
+# Not called here (the tasks query through PatternBallIndex); kept as a
 # module attribute because the perfbench layer tracer patches it by name.
 from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball
@@ -63,9 +58,6 @@ from repro.mining.results import Pattern
 from repro.obs import metrics, trace
 from repro.obs.trace import TRACER
 from repro.resilience.checkpoint import CheckpointManager
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "fusion_round",
@@ -95,31 +87,27 @@ _DEDUP_DROPPED = metrics.counter(
 )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class FusionTask:
     """One seed's unit of work, shipped to whichever worker picks it up.
 
-    ``rows`` is the seed's ball as ascending pool rows, the seed's own row
-    among them, and ``counts`` each row's intersection count with the seed
-    from the ball query, in the narrowest unsigned dtype that holds the
-    database's transaction count.  They are arrays, so tasks compare by
-    identity.
+    ``seed_index`` is the seed's pool row; its ball is queried where the
+    task runs.  ``child_seed`` seeds the task's private RNG.
     """
 
     seed_index: int
-    rows: np.ndarray
-    counts: np.ndarray
     child_seed: int
 
 
 @dataclass(frozen=True, slots=True)
 class _RoundPayload:
-    """Per-round warm-up payload: everything tasks share, shipped once."""
+    """Per-round payload: everything a round's tasks share."""
 
     db: TransactionDatabase
     pool: Pool
     """Ships as its arrays; ``pool.matrix`` holds the tidsets in pool order."""
 
+    radius: float
     tau: float
     minsup: int
     trials: int
@@ -133,17 +121,27 @@ class _RoundPayload:
     task's result for driver-side :meth:`~repro.obs.trace.Tracer.ingest`."""
 
 
-def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
-    seed = payload.pool[task.seed_index]
-    members = Ball(payload.pool, task.rows)
+def _query_balls(payload: "_RoundPayload", seeds: list[Pattern]) -> list[Ball]:
+    """The seeds' balls, from one ball-index call over the pool."""
+    with trace.span("ball_queries", seeds=len(seeds)) as span:
+        seed_balls = PatternBallIndex(payload.pool).balls(seeds, payload.radius)
+        # Summed ball sizes, seeds included: an exact work count whose sum
+        # over a round is the same for every jobs value.
+        span.set(members=sum(len(ball) for ball in seed_balls))
+    return seed_balls
+
+
+def _fuse_one(
+    payload: "_RoundPayload", task: FusionTask, seed: Pattern, ball: Ball
+) -> list[Pattern]:
     with trace.span(
-        "fuse_ball", pattern_size=seed.size, ball=len(members),
+        "fuse_ball", pattern_size=seed.size, ball=len(ball),
         seed_index=task.seed_index,
     ) as span:
         fused = fuse_ball(
             payload.db,
             seed,
-            members,
+            ball,
             tau=payload.tau,
             minsup=payload.minsup,
             rng=random.Random(task.child_seed),
@@ -151,32 +149,39 @@ def _fuse_one(payload: "_RoundPayload", task: FusionTask) -> list[Pattern]:
             max_candidates=payload.max_candidates,
             close_fused=payload.close_fused,
             matrix=payload.pool.matrix,
-            rows=task.rows,
+            rows=ball.rows,
             seed_row=task.seed_index,
-            counts=task.counts,
+            counts=ball.counts,
         )
         span.set(fused=len(fused))
     return fused
 
 
 def _fuse_task_chunk(chunk: list[FusionTask]) -> list:
-    """Worker body: run the fusion passes for each task in the chunk.
+    """Worker body: query the chunk's balls, then fuse each seed's ball.
 
-    Returns one entry per task: the fused patterns, or — when the driver
-    asked for tracing — a ``(patterns, span_records)`` pair so the driver
-    can stitch each task's spans into its own trace.  The per-task envelope
-    (rather than per-chunk) is what lets :func:`map_chunks` flatten results
-    without a separate side channel.
+    One ball-index call serves the whole chunk, so its queries share the
+    kernel's temporaries.  Returns one entry per task: the fused patterns,
+    or — when the driver asked for tracing — a ``(patterns, span_records)``
+    pair so the driver can stitch each task's spans into its own trace; the
+    first task's records also carry the chunk's ``ball_queries`` span.  The
+    per-task envelope (rather than per-chunk) is what lets
+    :func:`map_chunks` flatten results without a separate side channel.
     """
     payload: _RoundPayload = worker_payload()
+    seeds = payload.pool.patterns_at([task.seed_index for task in chunk])
+    if not payload.trace:
+        seed_balls = _query_balls(payload, seeds)
+        return [
+            _fuse_one(payload, *work) for work in zip(chunk, seeds, seed_balls)
+        ]
+    with trace.capture() as sink:
+        seed_balls = _query_balls(payload, seeds)
     results: list = []
-    for task in chunk:
-        if payload.trace:
-            with trace.capture() as sink:
-                fused = _fuse_one(payload, task)
-            results.append((fused, sink.drain()))
-        else:
-            results.append(_fuse_one(payload, task))
+    for work in zip(chunk, seeds, seed_balls):
+        with trace.capture() as task_sink:
+            fused = _fuse_one(payload, *work)
+        results.append((fused, sink.drain() + task_sink.drain()))
     return results
 
 
@@ -198,26 +203,15 @@ def fusion_round(
     n_seeds = min(config.k, len(pool))
     seed_indices = rng.sample(range(len(pool)), k=n_seeds)
     child_seeds = [rng.randrange(1 << _CHILD_SEED_BITS) for _ in seed_indices]
-    centers = pool.patterns_at(seed_indices)
-    with trace.span("ball_queries", seeds=n_seeds) as query_span:
-        index = PatternBallIndex(pool)
-        seed_balls = index.balls(centers, radius)
-        # Summed ball sizes, seeds included: an exact work count, the same
-        # for every jobs value.
-        query_span.set(members=sum(len(ball) for ball in seed_balls))
     _SEEDS.inc(n_seeds)
     tasks = [
-        FusionTask(
-            seed_index=seed_index, rows=ball.rows, counts=ball.counts,
-            child_seed=child_seed,
-        )
-        for seed_index, ball, child_seed in zip(
-            seed_indices, seed_balls, child_seeds
-        )
+        FusionTask(seed_index=seed_index, child_seed=child_seed)
+        for seed_index, child_seed in zip(seed_indices, child_seeds)
     ]
     payload = _RoundPayload(
         db=db,
         pool=pool,
+        radius=radius,
         tau=config.tau,
         minsup=minsup,
         trials=config.fusion_trials,

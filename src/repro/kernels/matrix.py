@@ -9,13 +9,15 @@ implementation, :mod:`repro.kernels.numpy_backend`, packs rows into an N×W
 ``uint64`` word array and is imported when the first matrix is built, so
 importing this module never loads NumPy.
 
-Every count is an exact integer and every distance is the same
-``1 - |∩| / |∪|`` float64 division that
-:func:`repro.core.distance.tidset_distance` performs on big ints, so the
-kernels agree with the naive big-int formulation bit for bit; the property
+Every count is an exact integer, and a ball keeps exactly the rows whose
+``1 - |∩| / |∪|`` — the float64 division that
+:func:`repro.core.distance.tidset_distance` performs on big ints — is
+within the radius, so the kernels agree with the naive big-int
+formulation bit for bit; the property
 tests in ``tests/test_kernels.py`` pin this on random matrices.  Most
 primitives return plain Python values (``int`` masks, ``list`` of ``int``).
-Two return NumPy arrays, because their callers compute on arrays:
+Three answer NumPy arrays, because their callers compute on arrays:
+:attr:`~TidsetMatrix.row_popcounts` (an int64 popcount per row),
 :meth:`~TidsetMatrix.intersection_counts` (an int64 count per row) and
 :meth:`~TidsetMatrix.rows_within` (the row indices of each ball, with
 their intersection counts, which fusion takes as each seed's first greedy
@@ -160,18 +162,25 @@ class TidsetMatrix(ABC):
         """A new matrix of the selected rows, in the given order.
 
         Equal to :meth:`from_tidsets` of the same rows at the same
-        ``n_bits``, but a gather rather than a re-pack: a fusion round
-        packs its pool once and every ball takes its rows from that
-        matrix.  Repeated indices repeat rows.
+        ``n_bits``, but a gather rather than a re-pack.  Repeated indices
+        repeat rows.
         """
 
     # ------------------------------------------------------------------
     # Batched primitives
     # ------------------------------------------------------------------
 
+    @property
     @abstractmethod
+    def row_popcounts(self) -> np.ndarray:
+        """``|row_i|`` for every row as an int64 array (computed once, cached).
+
+        Read it, never write to it.
+        """
+
     def popcounts(self) -> list[int]:
-        """``|row_i|`` for every row (computed once, cached)."""
+        """``|row_i|`` for every row, as a list."""
+        return self.row_popcounts.tolist()
 
     @abstractmethod
     def intersection_counts(self, query: int) -> np.ndarray:

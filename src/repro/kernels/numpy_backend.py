@@ -7,13 +7,18 @@ popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
 builds that predate it, which ``numpy>=1.24`` still allows), boolean row
 reductions for superset masks.  Intersection counts and ``rows_within``
 share one cache-resident pass per query (preallocated temporaries, BLAS
-matvec row sums); ``rows_within`` hands back the counts of the rows it
-keeps.
+matvec row sums for rows of several words); ``rows_within`` hands back the
+counts of the rows it keeps.
 
-Counts are exact integers and distances are the same ``1 - |∩| / |∪|``
-float64 division :func:`repro.core.distance.tidset_distance` performs on
-big ints, so results are bit-identical to the naive big-int math (see
-:mod:`repro.kernels.matrix`).
+Counts are exact integers.  ``rows_within`` never divides per row: a row
+is within ``r`` of the query iff its intersection count reaches
+``need[|∪|]``, the least count ``i`` whose distance ``1 - i / |∪|`` — the
+same float64 division :func:`repro.core.distance.tidset_distance` performs
+on big ints — is ``<= r``.  For a fixed union size that distance is
+monotone in ``i`` (correctly rounded division and subtraction are), so the
+one integer compare keeps exactly the rows the distance filter keeps, and
+results are bit-identical to the naive big-int math (see
+:mod:`repro.kernels.matrix`).  The table is built once per call.
 
 This module is imported when the first matrix is built, so importing the
 package never loads numpy (the greedy fusion passes import it lazily too).
@@ -21,7 +26,7 @@ package never loads numpy (the greedy fusion passes import it lazily too).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -153,65 +158,78 @@ class NumpyTidsetMatrix(TidsetMatrix):
     # Batched primitives
     # ------------------------------------------------------------------
 
-    def _pops_internal(self) -> np.ndarray:
+    @property
+    def row_popcounts(self) -> np.ndarray:
         if self._pops is None:
             self._pops = word_popcounts(self._words)
         return self._pops
 
-    def popcounts(self) -> list[int]:
-        return self._pops_internal().tolist()
-
     def _intersections(
-        self, queries: Iterable[int]
-    ) -> Iterator[tuple[np.ndarray, int]]:
-        """``(|row_i ∩ q|`` as int64, ``|q|)`` for each query, one pass each.
+        self, packed: Sequence[tuple[np.ndarray, int]]
+    ) -> Iterator[np.ndarray]:
+        """``|row_i ∩ q|`` per row for each packed query, one pass each.
 
-        Per-query passes over preallocated word-sized temporaries: the
-        whole packed matrix stays cache-resident across queries, where a
-        broadcast over many queries at once would stream a Q×N×W temporary
-        through main memory instead.  When exact, the row sum rides a BLAS
-        matvec (per-word counts ≤ 64 and n_bits < 2^24, so every float32
+        Counts come in the narrowest unsigned dtype that holds ``n_bits``,
+        in a buffer the next query may reuse.  Per-query passes over
+        preallocated word-sized temporaries: the whole packed matrix stays
+        cache-resident across queries, where a broadcast over many queries
+        at once would stream a Q×N×W temporary through main memory
+        instead.  One-word rows take their counts straight from the
+        popcount; wider rows sum theirs with a BLAS matvec when that is
+        exact (per-word counts ≤ 64 and n_bits < 2^24, so every float32
         partial sum is an exactly-represented integer); otherwise — pre-2.0
         NumPy, or rows too wide for float32 integer range — the generic
         int64 popcount reduction runs instead.
         """
-        matvec_sum = (
-            hasattr(np, "bitwise_count") and self._n_bits < (1 << 24)
-        )
+        narrow = np.min_scalar_type(self._n_bits)
+        native = hasattr(np, "bitwise_count")
+        matvec_sum = native and self._n_bits < (1 << 24)
         tmp = np.empty_like(self._words)
         counts = np.empty(self._words.shape, dtype=np.uint8)
         ones = np.ones(self._n_words, dtype=np.float32)
-        for query in queries:
-            words, excess = self._pack_query(query)
-            query_pop = int(word_popcounts(words[np.newaxis, :])[0]) + excess
+        for words, _ in packed:
             np.bitwise_and(self._words, words, out=tmp)
-            if matvec_sum:
+            if native and self._n_words == 1:  # n_bits ≤ 64: already uint8
                 np.bitwise_count(tmp, out=counts)
-                intersections = (
-                    counts.astype(np.float32) @ ones
-                ).astype(np.int64)
+                yield counts[:, 0]
+            elif matvec_sum:
+                np.bitwise_count(tmp, out=counts)
+                yield (counts.astype(np.float32) @ ones).astype(narrow)
             else:
-                intersections = word_popcounts(tmp)
-            yield intersections, query_pop
+                yield word_popcounts(tmp).astype(narrow)
 
     def intersection_counts(self, query: int) -> np.ndarray:
-        (intersections, _), = self._intersections([query])
-        return intersections
+        intersections, = self._intersections([self._pack_query(query)])
+        return intersections.astype(np.int64)
 
     def rows_within(
         self, queries: Sequence[int], radius: float
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        pops = self._pops_internal()
-        # Counts never exceed n_bits: uint8 on a 38-transaction database.
-        narrow = np.min_scalar_type(self._n_bits)
+        if not queries:
+            return []
+        packed = [self._pack_query(query) for query in queries]
+        query_pops = [
+            int(word_popcounts(words[np.newaxis, :])[0]) + excess
+            for words, excess in packed
+        ]
+        largest = int(self.row_popcounts.max(initial=0)) + max(query_pops)
+        need = _least_counts(largest, radius)
+        # Union sizes never exceed ``largest``: uint8 on a 38-transaction
+        # database.
+        unions = np.empty(self._n_rows, dtype=np.min_scalar_type(largest))
+        pops = self.row_popcounts.astype(unions.dtype)
+        needed = np.empty(self._n_rows, dtype=need.dtype)
+        keep = np.empty(self._n_rows, dtype=bool)
         balls = []
-        for intersections, query_pop in self._intersections(queries):
-            unions = pops + query_pop - intersections
-            with np.errstate(divide="ignore", invalid="ignore"):
-                distances = 1.0 - intersections / unions
-            distances = np.where(unions == 0, 0.0, distances)
-            rows = np.flatnonzero(distances <= radius).astype(np.int64, copy=False)
-            balls.append((rows, intersections[rows].astype(narrow)))
+        for intersections, query_pop in zip(
+            self._intersections(packed), query_pops
+        ):
+            np.add(pops, query_pop, out=unions)
+            np.subtract(unions, intersections, out=unions)
+            np.take(need, unions, out=needed)
+            np.greater_equal(intersections, needed, out=keep)
+            rows = np.flatnonzero(keep).astype(np.int64, copy=False)
+            balls.append((rows, intersections[rows]))
         return balls
 
     def superset_mask(self, query: int) -> int:
@@ -221,3 +239,34 @@ class NumpyTidsetMatrix(TidsetMatrix):
         return self._positions_mask(
             ((words & ~self._words) == 0).all(axis=1)
         )
+
+
+def _least_counts(largest: int, radius: float) -> np.ndarray:
+    """``need[u]``: the least count ``i`` with ``1.0 - i / u <= radius``.
+
+    One entry per union size ``u`` in ``0..largest``; two empty sets are at
+    distance 0.0, so ``need[0]`` is 0 when ``0.0 <= radius``.  Where no
+    count qualifies, ``need[u] = u + 1``, which no count reaches.  A
+    closed-form guess, ``ceil(u·(1 − r))``, is corrected by the exact
+    float64 test until it is the boundary: the test is monotone in ``i``,
+    so the least ``i`` that passes is where ``i − 1`` fails.
+    """
+    sizes = np.arange(largest + 1, dtype=np.int64)
+    dtype = np.min_scalar_type(largest + 1)
+    if not radius >= 0.0:  # negative or NaN: not even equal sets qualify
+        return (sizes + 1).astype(dtype)
+    u = sizes[1:]
+    need = np.clip(np.ceil(u * (1.0 - radius)), 0, u).astype(np.int64)
+    # ``need = u`` always passes (distance 0.0 <= radius), so the
+    # corrections stay inside ``0..u``.
+    while True:
+        down = (need > 0) & (1.0 - (need - 1) / u <= radius)
+        if not down.any():
+            break
+        need -= down
+    while True:
+        up = ~(1.0 - need / u <= radius)
+        if not up.any():
+            break
+        need += up
+    return np.concatenate(([0], need)).astype(dtype)

@@ -88,7 +88,7 @@ def mine_pool(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     absolute = db.absolute_minsup(minsup)
     matrix = db.item_matrix()
-    supports = np.asarray(matrix.popcounts(), dtype=np.int64)
+    supports = matrix.row_popcounts
     frequent = np.flatnonzero(supports >= absolute)
     items = frequent[:, np.newaxis]
     words = matrix.words[frequent]

@@ -108,7 +108,7 @@ def run_supervised(
     pool_factory:
         Returns a warm ``ProcessPoolExecutor``-shaped pool (``submit``).
         Called at the top of every wave; after a reset it must build a
-        fresh pool with the same payload.  Exceptions propagate — a pool
+        fresh pool.  Exceptions propagate — a pool
         that cannot even be *created* is the caller's degrade case.
     reset_pool:
         ``reset_pool(kill)`` discards the current pool; ``kill=True`` means
@@ -129,7 +129,8 @@ def run_supervised(
         completes.
     invoke:
         The picklable worker entry ``invoke(fn, chunk, action)`` — supplied
-        by the executor module so workers import it from a stable location.
+        by the executor module so workers import it from a stable location;
+        it carries the call's payload to the worker with each chunk.
     sleep:
         Backoff sleep hook (tests stub it out).
     """

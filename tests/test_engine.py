@@ -29,6 +29,11 @@ def _pid_chunk(chunk):
     return [os.getpid() for _ in chunk]
 
 
+def _pid_and_payload_chunk(chunk):
+    offset = worker_payload()
+    return [(os.getpid(), x + offset) for x in chunk]
+
+
 def _raise_oserror_chunk(chunk):
     raise FileNotFoundError("missing input for chunk")
 
@@ -120,6 +125,28 @@ class TestParallelExecutor:
                 _chunk_with_payload, [[1], [2], [3], [4]], _flatten, payload=10
             )
         assert out == [11, 12, 13, 14]
+
+    def test_one_warm_pool_serves_every_payload(self):
+        # Each fusion round has a new payload; the workers must stay the
+        # same and answer each call with that call's payload.
+        from repro.obs import metrics
+
+        warmups = metrics.REGISTRY.get("repro_executor_pool_warmups_total")
+        before = sum(warmups.collect().values())
+        pids = set()
+        with ParallelExecutor(2) as executor:
+            for payload in (10, 20, 30):
+                out = executor.map_reduce(
+                    _pid_and_payload_chunk, [[1], [2], [3], [4]], _flatten,
+                    payload=payload,
+                )
+                assert [value for _, value in out] == [
+                    x + payload for x in (1, 2, 3, 4)
+                ]
+                pids.update(pid for pid, _ in out)
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2  # the same two workers across the calls
+        assert sum(warmups.collect().values()) - before == 1
 
     def test_single_chunk_stays_in_process(self):
         with ParallelExecutor(2) as executor:

@@ -298,6 +298,56 @@ class TestRowsWithin:
         assert rows_of(matrix, high, 0.7) == [1, 3]
 
 
+def boundary_radii(matrix, queries):
+    """Every distance ``1 - i/u`` a realized union size ``u`` allows, one
+    ulp either side of each, and the edges of the distance range."""
+    radii = {0.0, -0.0, 1.0, 2.0, math.inf, -1e-12}
+    for q in queries:
+        for row in matrix.rows():
+            union = (q | row).bit_count()
+            for count in range(union + 1 if union else 0):
+                d = 1.0 - count / union
+                radii.update(
+                    (d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf))
+                )
+    return sorted(radii)
+
+
+@on_kernel
+class TestIntegerBallTest:
+    """``rows_within`` compares counts with a per-union table instead of
+    dividing per row; it keeps exactly the distance filter's rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([1, 5, 38, 64, 65, 130]),
+        st.lists(st.integers(min_value=0, max_value=2**130), max_size=8),
+        st.lists(st.integers(min_value=0, max_value=2**200), max_size=4),
+        st.data(),
+    )
+    def test_equals_distance_filter_at_every_boundary(
+        self, n_bits, raw_rows, raw_queries, data
+    ):
+        # One-word (n_bits ≤ 64) and multi-word matrices; empty rows and
+        # queries; queries up to 70 bits wider than the matrix.
+        rows = [row & ((1 << n_bits) - 1) for row in raw_rows] + [0]
+        queries = [0] + [q & ((1 << (n_bits + 70)) - 1) for q in raw_queries]
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits)
+        radius = data.draw(st.sampled_from(boundary_radii(matrix, queries)))
+        assert_rows_within(matrix, queries, radius)
+        assert [rows.tolist() for rows, _ in matrix.rows_within(queries, radius)] == (
+            within_by_distance(matrix, queries, radius)
+        )
+
+    def test_every_boundary_of_a_small_matrix(self):
+        # All union sizes 0..12 occur; every boundary radius is tried.
+        rows = [(1 << n) - 1 for n in range(7)] + [0b111111 << 6]
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=12)
+        queries = [0, 0b111111, 0b111111 << 6, (1 << 12) - 1, 1 << 80]
+        for radius in boundary_radii(matrix, queries):
+            assert_rows_within(matrix, queries, radius)
+
+
 def test_rows_within_pre2_numpy_lut_fallback(monkeypatch):
     """Without numpy.bitwise_count the LUT row sums give the same rows."""
     import numpy as np

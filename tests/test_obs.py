@@ -294,7 +294,9 @@ class TestEngineSpanMerge:
         by_id = {r["span_id"]: r for r in records}
         fuse_spans = [r for r in records if r["name"] == "fuse_ball"]
         assert fuse_spans, "no fuse_ball spans captured"
-        for record in fuse_spans:
+        query_spans = [r for r in records if r["name"] == "ball_queries"]
+        assert query_spans, "no ball_queries spans captured"
+        for record in fuse_spans + query_spans:
             parent = by_id.get(record["parent_id"])
             assert parent is not None, "worker span not stitched into trace"
             assert parent["name"] == "fusion_round"
@@ -328,12 +330,22 @@ class TestEngineSpanMerge:
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
             )
-            members = [
-                r["attrs"]["members"]
-                for r in traced.spans()
-                if r["name"] == "ball_queries"
-            ]
-            return spans, deltas, members
+            # The ball_queries spans are per chunk, so their number depends
+            # on jobs; their per-round sums of seeds and members do not.
+            records = traced.spans()
+            rounds = {
+                r["span_id"]: r["attrs"]["iteration"]
+                for r in records
+                if r["name"] == "fusion_round"
+            }
+            per_round = {iteration: [0, 0] for iteration in rounds.values()}
+            for r in records:
+                if r["name"] == "ball_queries":
+                    assert set(r["attrs"]) == {"seeds", "members"}
+                    sums = per_round[rounds[r["parent_id"]]]
+                    sums[0] += r["attrs"]["seeds"]
+                    sums[1] += r["attrs"]["members"]
+            return spans, deltas, sorted(per_round.items())
 
         serial, parallel = shape(1), shape(2)
         assert serial == parallel
@@ -351,15 +363,16 @@ class TestEngineSpanMerge:
             span[7] <= (span[4] - 1) * (span[6] - 1) * n_words
             for span in serial[0]
         )
-        # The ball_queries spans count members natively, equal at both job
-        # counts: per round, the summed ball sizes, each seed in its own
-        # ball.  Over the run that is the sum of the fuse_ball spans' balls.
-        queries = [r for r in traced.spans() if r["name"] == "ball_queries"]
-        assert all(set(r["attrs"]) == {"seeds", "members"} for r in queries)
-        seeds = [r["attrs"]["seeds"] for r in queries]
-        assert len(serial[2]) == len(seeds) > 0
-        assert all(members >= n > 0 for members, n in zip(serial[2], seeds))
-        assert sum(serial[2]) == sum(span[6] for span in serial[0])
+        # The ball_queries spans count members natively; per round their
+        # sums are equal at both job counts: the seeds drawn and the summed
+        # ball sizes, each seed in its own ball.  Over the run the members
+        # are the sum of the fuse_ball spans' balls.
+        assert serial[2]
+        assert all(members >= seeds > 0 for _, (seeds, members) in serial[2])
+        assert sum(seeds for _, (seeds, _) in serial[2]) == len(serial[0])
+        assert sum(members for _, (_, members) in serial[2]) == sum(
+            span[6] for span in serial[0]
+        )
 
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):
