@@ -1,12 +1,13 @@
-"""Streaming — per-slide incremental maintenance vs full re-fusion.
+"""Streaming — the incremental driver vs full re-fusion on every slide.
 
 Replays a Diag⁺-style stream (diagonal-explosion rows, then the planted
 colossal block) through a sliding window three ways:
 
 * ``incremental-auto`` — the streaming driver with its default policy:
-  delta revalidation every slide, Algorithm 2 only on pool invalidation;
-* ``incremental-always`` — the driver re-fusing every slide (phase 1 still
-  maintained incrementally, so the saving isolates the ≤L-pool mining);
+  phase 1 mined cold every slide, Algorithm 2 only on pool invalidation;
+* ``incremental-always`` — the driver re-fusing every slide: the same
+  phase 1 and Algorithm 2 the cold baseline runs, plus the driver's
+  bookkeeping;
 * ``full`` — the naive deployment: cold ``pattern_fusion`` (phase 1 + phase
   2) on every slide's window snapshot, same per-slide seeds.
 

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_args(stream)
     _add_engine_args(
         stream,
-        jobs_help="worker processes for revalidation and re-fusion "
+        jobs_help="worker processes for the re-fusions "
                   "(results are identical for any value)",
     )
 

@@ -206,7 +206,7 @@ class GreedyBall:
         """``|D_i ∩ tidset|`` per member, over ``tidset``'s nonzero words."""
         import numpy as np
 
-        from repro.kernels.numpy_backend import word_popcounts
+        from repro.kernels.matrix import word_popcounts
 
         n_words = self._columns.shape[0]
         words = np.frombuffer(

@@ -208,6 +208,16 @@ class Pool(Sequence[Pattern]):
             _distinct_rows(self.items, width), _distinct_rows(other.items, width)
         )
 
+    def shared_itemsets(self, other: "Pool") -> int:
+        """How many distinct itemsets both pools hold."""
+        import numpy as np
+
+        width = max(self.items.shape[1], other.items.shape[1])
+        both = np.vstack([
+            _distinct_rows(self.items, width), _distinct_rows(other.items, width)
+        ])
+        return len(both) - len(_distinct_rows(both, width))
+
 
 def _distinct_rows(items: np.ndarray, width: int) -> np.ndarray:
     """The distinct rows of ``items`` padded with −1 to ``width``, sorted."""

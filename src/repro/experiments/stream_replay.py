@@ -1,18 +1,19 @@
-"""Streaming experiment: incremental maintenance vs per-slide cold re-mining.
+"""Streaming experiment: the incremental driver vs a cold run on every slide.
 
 Replays a Diag⁺-style stream — the diagonal-explosion rows first, then the
 planted colossal block — through a sliding window, and at every slide runs
 both drivers:
 
 * **incremental** — :class:`repro.streaming.IncrementalPatternFusion`
-  (carried pools, delta revalidation, re-fusion only on invalidation), and
+  (phase 1 mined cold on every slide, the fused pool carried, Algorithm 2
+  re-run only on invalidation), and
 * **full** — a cold :func:`repro.core.pattern_fusion.pattern_fusion` on the
   slide's window snapshot (phase 1 re-mined from scratch), with the same
   per-slide seed.
 
 Whenever the incremental driver re-fuses, its pool must be bit-identical to
 the cold run (the subsystem's core guarantee); the ``agree`` column records
-that check, and the timing columns show what the maintenance actually buys.
+that check, and the timing columns show what carrying the fused pool buys.
 The largest-pattern trajectory captures the drift story: the window starts
 inside the diagonal explosion and ends on the colossal block.
 """

@@ -3,31 +3,41 @@
 One matrix is built per pool (or per database's item tidsets) and then every
 hot-loop primitive — popcounts, intersection sizes against a query tidset,
 the rows within a Definition 6 ball radius (Theorem 2), superset masks (the
-closure operator's test) — is answered for *all rows at once*.  This module
-is the NumPy-free front: the factories and the interface.  The one
-implementation, :mod:`repro.kernels.numpy_backend`, packs rows into an N×W
-``uint64`` word array and is imported when the first matrix is built, so
-importing this module never loads NumPy.
+closure operator's test) — is answered for *all rows at once*.  Each tidset
+occupies ``W = ceil(n_bits / 64)`` little-endian words, so the whole matrix
+is one contiguous N×W ``uint64`` array and every primitive is a handful of
+vectorized word operations: AND broadcast against a packed query row,
+popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
+builds that predate it, which ``numpy>=1.24`` still allows), boolean row
+reductions for superset masks.  Intersection counts and ``rows_within``
+share one cache-resident pass per query (preallocated temporaries, BLAS
+matvec row sums for rows of several words).
 
-Every count is an exact integer, and a ball keeps exactly the rows whose
-``1 - |∩| / |∪|`` — the float64 division that
-:func:`repro.core.distance.tidset_distance` performs on big ints — is
-within the radius, so the kernels agree with the naive big-int
-formulation bit for bit; the property
-tests in ``tests/test_kernels.py`` pin this on random matrices.  Most
-primitives return plain Python values (``int`` masks, ``list`` of ``int``).
-Three answer NumPy arrays, because their callers compute on arrays:
-:attr:`~TidsetMatrix.row_popcounts` (an int64 popcount per row),
+Counts are exact integers.  ``rows_within`` never divides per row: a row
+is within ``r`` of the query iff its intersection count reaches
+``need[|∪|]``, the least count ``i`` whose distance ``1 - i / |∪|`` — the
+same float64 division :func:`repro.core.distance.tidset_distance` performs
+on big ints — is ``<= r``.  For a fixed union size that distance is
+monotone in ``i`` (correctly rounded division and subtraction are), so the
+one integer compare keeps exactly the rows the distance filter keeps, and
+results are bit-identical to the naive big-int math; the property tests in
+``tests/test_kernels.py`` pin this on random matrices.  The table is built
+once per call.
+
+Most primitives return plain Python values (``int`` masks, ``list`` of
+``int``).  Three answer NumPy arrays, because their callers compute on
+arrays: :attr:`~TidsetMatrix.row_popcounts` (an int64 popcount per row),
 :meth:`~TidsetMatrix.intersection_counts` (an int64 count per row) and
 :meth:`~TidsetMatrix.rows_within` (the row indices of each ball, with
 their intersection counts, which fusion takes as each seed's first greedy
 level).
+
+NumPy is imported when the first matrix is built, not when this module is.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.db.bitset import bitset_to_ids
@@ -38,7 +48,7 @@ if TYPE_CHECKING:  # avoid an import cycle at runtime
 
     from repro.mining.results import Pattern
 
-__all__ = ["TidsetMatrix"]
+__all__ = ["TidsetMatrix", "word_popcounts"]
 
 # Builds inside engine worker processes land in *their* registries and stay
 # there; this series reflects driver/serial construction only.
@@ -46,15 +56,48 @@ _MATRIX_BUILDS = metrics.counter(
     "repro_kernel_matrix_builds_total", "TidsetMatrix constructions"
 )
 
+_POPCOUNT_LUT: np.ndarray | None = None
 
-class TidsetMatrix(ABC):
+
+def word_popcounts(words: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Popcount of a 2-D uint64 word array summed along ``axis`` → int64.
+
+    ``axis=-1`` (the default) counts each row, ``axis=0`` each column.
+    The sum runs in the narrowest unsigned type that holds 64 bits per
+    summed word, which is exact and faster than an int64 accumulator.
+    """
+    import numpy as np
+
+    if hasattr(np, "bitwise_count"):
+        total = np.min_scalar_type(64 * words.shape[axis])
+        return np.bitwise_count(words).sum(axis=axis, dtype=total).astype(np.int64)
+    # Pre-2.0 NumPy: 8-bit lookup table over the raw bytes of each word.
+    global _POPCOUNT_LUT
+    if _POPCOUNT_LUT is None:
+        _POPCOUNT_LUT = np.array(
+            [bin(value).count("1") for value in range(256)], dtype=np.uint8
+        )
+    raw = np.ascontiguousarray(words).view(np.uint8).reshape(*words.shape, 8)
+    return _POPCOUNT_LUT[raw].sum(axis=-1, dtype=np.int64).sum(axis=axis)
+
+
+class TidsetMatrix:
     """Immutable matrix of N tidsets over a ``n_bits``-wide transaction universe.
 
-    Build once with :meth:`from_tidsets` / :meth:`from_patterns`; every query
-    method is read-only and side-effect free.  Row order is construction
-    order, and the row masks returned by :meth:`superset_mask` are big-int
-    bitmasks over *row positions*, bit ``i`` ↔ row ``i``.
+    Build once with :meth:`from_tidsets` / :meth:`from_patterns` /
+    :meth:`from_words_buffer`; every query method is read-only and side-effect
+    free.  Row order is construction order, and the row masks returned by
+    :meth:`superset_mask` are big-int bitmasks over *row positions*, bit
+    ``i`` ↔ row ``i``.
     """
+
+    __slots__ = ("_words", "_n_bits", "_pops")
+
+    def __init__(self, words: np.ndarray, n_bits: int) -> None:
+        """Wrap a packed ``(rows, W)`` word array (see :attr:`words`)."""
+        self._words = words
+        self._n_bits = n_bits
+        self._pops: np.ndarray | None = None
 
     @staticmethod
     def from_tidsets(
@@ -65,7 +108,7 @@ class TidsetMatrix(ABC):
         ``n_bits`` fixes the universe width (it must cover every tidset);
         by default the width of the widest tidset is used.
         """
-        from repro.kernels.numpy_backend import NumpyTidsetMatrix
+        import numpy as np
 
         rows = list(tidsets)
         widest = 0
@@ -81,8 +124,14 @@ class TidsetMatrix(ABC):
             raise ValueError(
                 f"n_bits={n_bits} but a tidset has bit length {widest}"
             )
+        n_words = max(1, -(-n_bits // 64))
+        if rows:
+            buffer = b"".join(row.to_bytes(n_words * 8, "little") for row in rows)
+            words = np.frombuffer(buffer, dtype="<u8").reshape(len(rows), n_words)
+        else:
+            words = np.zeros((0, n_words), dtype=np.uint64)
         _MATRIX_BUILDS.inc()
-        return NumpyTidsetMatrix(rows, n_bits)
+        return TidsetMatrix(words, n_bits)
 
     @staticmethod
     def from_words_buffer(buffer: Any, n_rows: int, n_bits: int) -> "TidsetMatrix":
@@ -90,12 +139,14 @@ class TidsetMatrix(ABC):
 
         ``buffer`` is any bytes-like of exactly ``n_rows * W * 8`` bytes
         (``W = max(1, ceil(n_bits / 64))``), row ``i`` occupying words
-        ``[i*W, (i+1)*W)`` — the layout ``NumpyTidsetMatrix`` packs and the
-        binary run format (:mod:`repro.store.binfmt`) stores on disk.  The
-        matrix is a **zero-copy view** of the buffer (a memoryview over an
-        ``mmap`` keeps the mapping alive).
+        ``[i*W, (i+1)*W)`` — the layout :attr:`words` holds and the binary
+        run format (:mod:`repro.store.binfmt`) stores on disk.  The matrix
+        is a **zero-copy view** of the buffer: over an ``mmap`` the file
+        pages *are* the matrix (read-only; no primitive writes to the
+        words), and the array's base reference keeps the mapping alive, so
+        a binary-format cold open is O(1) in the pool size.
         """
-        from repro.kernels.numpy_backend import NumpyTidsetMatrix
+        import numpy as np
 
         n_words = max(1, -(-n_bits // 64))
         view = memoryview(buffer)
@@ -105,7 +156,8 @@ class TidsetMatrix(ABC):
                 f"{n_words} words need {n_rows * n_words * 8}"
             )
         _MATRIX_BUILDS.inc()
-        return NumpyTidsetMatrix.from_words_buffer(view, n_rows, n_bits)
+        words = np.frombuffer(view, dtype="<u8", count=n_rows * n_words)
+        return TidsetMatrix(words.reshape(n_rows, n_words), n_bits)
 
     @staticmethod
     def from_patterns(
@@ -127,66 +179,120 @@ class TidsetMatrix(ABC):
         return f"{type(self).__name__}({self.n_rows} x {self.n_bits} bits)"
 
     @property
-    @abstractmethod
     def n_rows(self) -> int:
         """Number of packed tidsets."""
+        return self._words.shape[0]
 
     @property
-    @abstractmethod
     def n_bits(self) -> int:
         """Width of the transaction-id universe."""
+        return self._n_bits
 
     @property
-    @abstractmethod
     def words(self) -> np.ndarray:
         """The packed rows: an ``(n_rows, W)`` little-endian ``uint64`` array.
 
         ``W = max(1, ceil(n_bits / 64))``, the layout
         :meth:`from_words_buffer` takes.  Read it, never write to it.
         """
+        return self._words
 
     # ------------------------------------------------------------------
     # Row access
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def row(self, index: int) -> int:
         """Row ``index`` as a big-int tidset bitmask."""
+        if not 0 <= index < self.n_rows:
+            raise IndexError(f"row {index} out of range [0, {self.n_rows})")
+        return int.from_bytes(self._words[index].tobytes(), "little")
 
     def rows(self) -> list[int]:
         """Every row as a big-int tidset bitmask, in row order."""
         return [self.row(i) for i in range(self.n_rows)]
 
-    @abstractmethod
-    def take(self, rows: Sequence[int]) -> "TidsetMatrix":
-        """A new matrix of the selected rows, in the given order.
+    # ------------------------------------------------------------------
+    # Query packing
+    # ------------------------------------------------------------------
 
-        Equal to :meth:`from_tidsets` of the same rows at the same
-        ``n_bits``, but a gather rather than a re-pack.  Repeated indices
-        repeat rows.
+    def _pack_query(self, query: int) -> tuple[np.ndarray, int]:
+        """Pack a query tidset into W words; return (words, excess-bit count).
+
+        Bits beyond the matrix width cannot intersect any row; they only
+        matter for union sizes and (non-)superset answers, so their popcount
+        travels separately.
         """
+        import numpy as np
+
+        if query < 0:
+            raise ValueError("tidsets are non-negative integers")
+        n_words = self._words.shape[1]
+        low = query & ((1 << (n_words * 64)) - 1)
+        words = np.frombuffer(low.to_bytes(n_words * 8, "little"), dtype="<u8")
+        return words, (query >> (n_words * 64)).bit_count()
 
     # ------------------------------------------------------------------
     # Batched primitives
     # ------------------------------------------------------------------
 
     @property
-    @abstractmethod
     def row_popcounts(self) -> np.ndarray:
         """``|row_i|`` for every row as an int64 array (computed once, cached).
 
         Read it, never write to it.
         """
+        if self._pops is None:
+            self._pops = word_popcounts(self._words)
+        return self._pops
 
     def popcounts(self) -> list[int]:
         """``|row_i|`` for every row, as a list."""
         return self.row_popcounts.tolist()
 
-    @abstractmethod
+    def _intersections(
+        self, packed: Sequence[tuple[np.ndarray, int]]
+    ) -> Iterator[np.ndarray]:
+        """``|row_i ∩ q|`` per row for each packed query, one pass each.
+
+        Counts come in the narrowest unsigned dtype that holds ``n_bits``,
+        in a buffer the next query may reuse.  Per-query passes over
+        preallocated word-sized temporaries: the whole packed matrix stays
+        cache-resident across queries, where a broadcast over many queries
+        at once would stream a Q×N×W temporary through main memory
+        instead.  One-word rows take their counts straight from the
+        popcount; wider rows sum theirs with a BLAS matvec when that is
+        exact (per-word counts ≤ 64 and n_bits < 2^24, so every float32
+        partial sum is an exactly-represented integer); otherwise — pre-2.0
+        NumPy, or rows too wide for float32 integer range — the generic
+        int64 popcount reduction runs instead.
+        """
+        import numpy as np
+
+        narrow = np.min_scalar_type(self._n_bits)
+        native = hasattr(np, "bitwise_count")
+        matvec_sum = native and self._n_bits < (1 << 24)
+        n_words = self._words.shape[1]
+        tmp = np.empty_like(self._words)
+        counts = np.empty(self._words.shape, dtype=np.uint8)
+        ones = np.ones(n_words, dtype=np.float32)
+        for words, _ in packed:
+            np.bitwise_and(self._words, words, out=tmp)
+            if native and n_words == 1:  # n_bits ≤ 64: already uint8
+                np.bitwise_count(tmp, out=counts)
+                yield counts[:, 0]
+            elif matvec_sum:
+                np.bitwise_count(tmp, out=counts)
+                yield (counts.astype(np.float32) @ ones).astype(narrow)
+            else:
+                yield word_popcounts(tmp).astype(narrow)
+
     def intersection_counts(self, query: int) -> np.ndarray:
         """``|row_i ∩ query|`` for every row, as an int64 array."""
+        import numpy as np
 
-    @abstractmethod
+        intersections, = self._intersections([self._pack_query(query)])
+        return intersections.astype(np.int64)
+
     def rows_within(
         self, queries: Sequence[int], radius: float
     ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -201,10 +307,46 @@ class TidsetMatrix(ABC):
         answered as pool rows; the counts are the greedy passes' first
         level.
         """
+        import numpy as np
 
-    @abstractmethod
+        if not queries:
+            return []
+        packed = [self._pack_query(query) for query in queries]
+        query_pops = [
+            int(word_popcounts(words[np.newaxis, :])[0]) + excess
+            for words, excess in packed
+        ]
+        largest = int(self.row_popcounts.max(initial=0)) + max(query_pops)
+        need = _least_counts(largest, radius)
+        # Union sizes never exceed ``largest``: uint8 on a 38-transaction
+        # database.
+        n_rows = self.n_rows
+        unions = np.empty(n_rows, dtype=np.min_scalar_type(largest))
+        pops = self.row_popcounts.astype(unions.dtype)
+        needed = np.empty(n_rows, dtype=need.dtype)
+        keep = np.empty(n_rows, dtype=bool)
+        balls = []
+        for intersections, query_pop in zip(
+            self._intersections(packed), query_pops
+        ):
+            np.add(pops, query_pop, out=unions)
+            np.subtract(unions, intersections, out=unions)
+            np.take(need, unions, out=needed)
+            np.greater_equal(intersections, needed, out=keep)
+            rows = np.flatnonzero(keep).astype(np.int64, copy=False)
+            balls.append((rows, intersections[rows]))
+        return balls
+
     def superset_mask(self, query: int) -> int:
         """Row-position bitmask of the rows that contain ``query`` (⊇)."""
+        import numpy as np
+
+        words, excess = self._pack_query(query)
+        if excess:
+            return 0  # the query has ids no row's universe even covers
+        selected = ((words & ~self._words) == 0).all(axis=1)
+        packed = np.packbits(selected, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def closure_items(self, query: int) -> list[int]:
         """Row indices whose row is a superset of ``query``, ascending.
@@ -213,3 +355,36 @@ class TidsetMatrix(ABC):
         tidsets, these are exactly the items of ``closure(query)``.
         """
         return bitset_to_ids(self.superset_mask(query))
+
+
+def _least_counts(largest: int, radius: float) -> np.ndarray:
+    """``need[u]``: the least count ``i`` with ``1.0 - i / u <= radius``.
+
+    One entry per union size ``u`` in ``0..largest``; two empty sets are at
+    distance 0.0, so ``need[0]`` is 0 when ``0.0 <= radius``.  Where no
+    count qualifies, ``need[u] = u + 1``, which no count reaches.  A
+    closed-form guess, ``ceil(u·(1 − r))``, is corrected by the exact
+    float64 test until it is the boundary: the test is monotone in ``i``,
+    so the least ``i`` that passes is where ``i − 1`` fails.
+    """
+    import numpy as np
+
+    sizes = np.arange(largest + 1, dtype=np.int64)
+    dtype = np.min_scalar_type(largest + 1)
+    if not radius >= 0.0:  # negative or NaN: not even equal sets qualify
+        return (sizes + 1).astype(dtype)
+    u = sizes[1:]
+    need = np.clip(np.ceil(u * (1.0 - radius)), 0, u).astype(np.int64)
+    # ``need = u`` always passes (distance 0.0 <= radius), so the
+    # corrections stay inside ``0..u``.
+    while True:
+        down = (need > 0) & (1.0 - (need - 1) / u <= radius)
+        if not down.any():
+            break
+        need -= down
+    while True:
+        up = ~(1.0 - need / u <= radius)
+        if not up.any():
+            break
+        need += up
+    return np.concatenate(([0], need)).astype(dtype)

@@ -82,7 +82,7 @@ def mine_pool(
 
     from repro.core.pool import Pool
     from repro.kernels import TidsetMatrix
-    from repro.kernels.numpy_backend import word_popcounts
+    from repro.kernels.matrix import word_popcounts
 
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")

@@ -22,7 +22,7 @@ Layout of ``patterns.bin`` (all integers little-endian)::
     table       per pattern: n_items u32, then n_items sorted item ids u64
     (padding)   zeros up to the next 64-byte boundary
     words       n_patterns x n_words uint64 rows, row i = tidset i packed
-                exactly like NumpyTidsetMatrix (little-endian words)
+                exactly like TidsetMatrix.words (little-endian words)
 
 Three checksums, split along the zero-copy boundary: ``header_crc`` covers
 the header's first 96 bytes and ``body_crc`` the meta/table/padding bytes —

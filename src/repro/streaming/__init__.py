@@ -4,9 +4,10 @@ The live-traffic workload layer: transactions arrive as a stream
 (:mod:`repro.streaming.sources`), a :class:`SlidingWindowDatabase` maintains
 the vertical view incrementally (:mod:`repro.streaming.window`), an
 :class:`IncrementalPatternFusion` driver keeps the colossal pattern pool
-current across window slides without re-mining from cold
-(:mod:`repro.streaming.incremental`), and a :class:`DriftReport` records the
-per-slide pattern births/deaths telemetry (:mod:`repro.streaming.report`).
+current across window slides, re-running Algorithm 2 only on a slide that
+changes some pool membership (:mod:`repro.streaming.incremental`), and a
+:class:`DriftReport` records the per-slide pattern births/deaths telemetry
+(:mod:`repro.streaming.report`).
 """
 
 from repro.streaming.incremental import IncrementalPatternFusion, slide_seed

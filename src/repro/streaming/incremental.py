@@ -2,32 +2,26 @@
 
 A naive streaming deployment re-runs Algorithm 1 from cold on every window
 slide: re-mine the complete ≤L initial pool, then iterate Algorithm 2 until
-the pool fits in K.  :class:`IncrementalPatternFusion` maintains the state a
-slide actually changes:
+the pool fits in K.  Phase 1 is the cheap half (the columnar
+:func:`repro.mining.levelwise.mine_pool` on the window snapshot), so
+:class:`IncrementalPatternFusion` mines it cold on every slide and saves on
+Algorithm 2 instead:
 
 * The **initial pool** (the complete set of frequent patterns of size ≤ L,
-  the paper's phase-1 output) is carried across slides.  Supports are
-  *revalidated against the delta*: each carried tidset is shifted past the
-  evicted rows and extended with the batch's containment bits — O(pool ×
-  batch) work, batched through an :class:`~repro.engine.executor.Executor`,
-  instead of O(pool × window) re-counting.  Deaths are the entries that fell
-  below threshold; births are re-seeded from the *invalidated region only* —
-  by support monotonicity, a pattern newly frequent after a slide must be
-  contained in an arriving transaction (evictions only lose support), so
-  candidate enumeration walks subsets of the arrival rows alone.
-* The **fused pool** (the colossal output) is revalidated the same way.  A
-  slide that changes no pool membership carries the fused pool forward with
-  refreshed supports; a slide that *invalidates* (any birth or death)
-  re-fuses — but warm: phase 1 is already maintained, so only Algorithm 2
-  runs, seeded by the slide's entry in a deterministic per-slide RNG
-  schedule (:func:`slide_seed`).
+  the paper's phase-1 output) is mined from the slide's window snapshot.
+  Its births and deaths are the itemsets it gained and lost against the
+  previous slide's pool.
+* The **fused pool** (the colossal output) has its supports recounted on
+  the snapshot.  A slide with no birth and no death in either pool carries
+  the fused pool forward with those supports; any other slide
+  *invalidates* and re-fuses: Algorithm 2 runs on the slide's ≤L pool,
+  seeded by the slide's entry in a deterministic per-slide RNG schedule
+  (:func:`slide_seed`).
 
-Because the maintained initial pool is kept *exactly* equal to the cold
-phase-1 output — same patterns, same tidsets, same (Eclat DFS ≡
-lexicographic) order — every re-fusion slide is bit-identical to a cold
+A re-fused slide therefore runs exactly what a cold
 :func:`repro.core.pattern_fusion.pattern_fusion` run on the current window
-with that slide's seed, for any executor job count.  The agreement tests
-assert exactly this.
+with that slide's seed runs, so its pool is bit-identical to that run's, for
+any executor job count.  The agreement tests assert exactly this.
 """
 
 from __future__ import annotations
@@ -39,16 +33,10 @@ from repro.api.base import Capabilities, Miner
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
 from repro.core.pattern_fusion import PatternFusion, PatternFusionMinerConfig
-from repro.db.bitset import intersect_all
+from repro.core.pool import Pool
 from repro.db.transaction_db import TransactionDatabase
-from repro.engine.executor import (
-    Executor,
-    SerialExecutor,
-    make_executor,
-    map_chunks,
-    worker_payload,
-)
-from repro.mining.levelwise import mine_up_to_size
+from repro.engine.executor import Executor, SerialExecutor, make_executor
+from repro.mining.levelwise import mine_pool
 from repro.mining.results import MiningResult, Pattern, largest_patterns
 from repro.obs import clock, metrics, trace
 from repro.resilience.checkpoint import (
@@ -69,8 +57,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Slide telemetry: every slide lands exactly one decision sample, labelled
-# with *why* the maintenance path was chosen — the reasons mirror the
-# rebuild/refuse conditions in :meth:`IncrementalPatternFusion.slide`.
+# with *why* its path was chosen — the reasons mirror the conditions in
+# :meth:`IncrementalPatternFusion.slide`.  "rebuild" is the first slide.
 _SLIDE_DECISIONS = metrics.counter(
     "repro_stream_slide_decisions_total",
     "Window slides by maintenance decision (rebuild/refuse/carry) and reason",
@@ -103,36 +91,6 @@ def slide_seed(seed: int | None, slide: int) -> int:
     return x & ((1 << 63) - 1)
 
 
-def _shift_chunk(chunk: list[tuple[frozenset[int], int]]) -> list[int]:
-    """Worker body: revalidate carried tidsets against the slide delta.
-
-    The payload is ``(kept_rows, evicted, base_len)``: the batch rows that
-    survived into the window, how many window-local positions the old rows
-    shifted down, and the local position the first kept row landed on.
-    Each carried ``(items, tidset)`` maps to its new-window tidset without
-    touching the window itself.
-
-    The kept rows are transposed once into per-item position masks (a
-    miniature vertical database over the delta), so each carried itemset's
-    bits are a Lemma-1 AND reduction instead of a scan over every kept row.
-    """
-    kept_rows, evicted, base_len = worker_payload()
-    masks: dict[int, int] = {}
-    for position, row in enumerate(kept_rows):
-        bit = 1 << position
-        for item in row:
-            masks[item] = masks.get(item, 0) | bit
-    universe = (1 << len(kept_rows)) - 1
-    out: list[int] = []
-    for items, tidset in chunk:
-        # An item in no arriving row has an empty mask, emptying the AND.
-        delta = intersect_all(
-            (masks.get(item, 0) for item in items), start=universe
-        )
-        out.append((tidset >> evicted) | (delta << base_len))
-    return out
-
-
 class IncrementalPatternFusion:
     """Maintain Pattern-Fusion output over a sliding transaction window.
 
@@ -148,9 +106,9 @@ class IncrementalPatternFusion:
         Algorithm parameters.  ``config.seed`` anchors the per-slide RNG
         schedule; every other knob applies to each re-fusion unchanged.
     executor:
-        Optional engine executor for the batched revalidation and the
-        re-fusion rounds.  Defaults to a :class:`SerialExecutor`; results
-        are identical for any executor, so jobs is purely a speed knob.
+        Optional engine executor for the re-fusion rounds.  Defaults to a
+        :class:`SerialExecutor`; results are identical for any executor,
+        so jobs is purely a speed knob.
     policy:
         ``"auto"`` (default) re-fuses only on invalidation — a slide that
         changes some pool membership — and otherwise carries the fused pool
@@ -161,11 +119,11 @@ class IncrementalPatternFusion:
         capacity wins); by default a fresh window of ``capacity`` is created.
     checkpoint:
         Optional :class:`~repro.resilience.CheckpointManager`.  Driver state
-        — window rows, slide count, both maintained pools — is durably
-        persisted every ``checkpoint.interval`` slides, and a matching
-        checkpoint on disk is restored at construction, so a killed stream
-        continues from its last slide.  The per-slide RNG schedule is
-        stateless (:func:`slide_seed`), so the resumed stream's pools stay
+        — window rows, slide count, the fused pool — is durably persisted
+        every ``checkpoint.interval`` slides, and a matching checkpoint on
+        disk is restored at construction, so a killed stream continues from
+        its last slide.  The per-slide RNG schedule is stateless
+        (:func:`slide_seed`), so the resumed stream's pools stay
         bit-identical to an uninterrupted run fed the same batches.
     """
 
@@ -187,11 +145,10 @@ class IncrementalPatternFusion:
         self.executor = executor if executor is not None else SerialExecutor()
         self.policy = policy
         self.report = DriftReport()
-        self._initial: dict[frozenset[int], int] = {}
+        self._initial = Pool.from_patterns([])
         self._patterns: list[Pattern] = []
         self._slides = 0
         self._minsup_abs: int | None = None
-        self._stream_span = (self.window.start, self.window.end)
         self._checkpoint = checkpoint
         if checkpoint is not None:
             if checkpoint.identity is None:
@@ -211,8 +168,8 @@ class IncrementalPatternFusion:
 
     @property
     def initial_pool(self) -> list[Pattern]:
-        """The maintained complete ≤L pool, in cold (lexicographic) order."""
-        return self._initial_pool_ordered()
+        """The window's complete ≤L pool, in cold (lexicographic) order."""
+        return list(self._initial)
 
     @property
     def slides(self) -> int:
@@ -240,80 +197,57 @@ class IncrementalPatternFusion:
         return self.report
 
     def slide(self, batch: Iterable[Iterable[int]]) -> SlideStats:
-        """Ingest one batch, maintain both pools, and record telemetry."""
+        """Ingest one batch, update both pools, and record telemetry."""
         started = clock.monotonic()
         with trace.span("stream_slide", index=self._slides) as slide_span:
-            arrivals = [frozenset(row) for row in batch]
+            arrivals = list(batch)
             window = self.window
-            # Any append *or* evict outside slide() desynchronises carried
-            # tidsets; both move one of the stream positions.
-            out_of_band = (window.start, window.end) != self._stream_span
-            w_before = len(window)
-            capacity = window.capacity
-            if capacity is not None:
-                overflow = max(0, w_before + len(arrivals) - capacity)
-                evicted_old = min(w_before, overflow)
-            else:
-                evicted_old = 0
-            surviving_old = w_before - evicted_old
-            # A batch larger than the capacity turns the whole window over
-            # (surviving_old == 0), which takes the rebuild path below — so
-            # the revalidation delta is always exactly the arrivals.
-            kept = arrivals
-            evicted_total = window.extend(arrivals)
+            evicted = window.extend(arrivals)
+            snapshot = window.snapshot()
             minsup_abs = window.absolute_minsup(self.minsup) if len(window) else 1
-
-            # The decision taxonomy: each slide takes exactly one path, and
-            # the first matching reason names why (ordering mirrors the
-            # rebuild condition below).
-            if out_of_band:
-                reason = "out_of_band"
-            elif self._minsup_abs is None:
-                reason = "cold_start"
-            elif surviving_old == 0:
-                reason = "window_turnover"
-            elif minsup_abs < self._minsup_abs:
-                reason = "minsup_drop"
-            else:
-                reason = None
-            rebuild = reason is not None
-            before_items = {p.items for p in self._patterns}
-            if rebuild:
-                initial, revalidated, initial_births, initial_deaths, pool_deaths = (
-                    self._rebuild(minsup_abs)
-                )
-            else:
-                initial, revalidated, initial_births, initial_deaths, pool_deaths = (
-                    self._revalidate(kept, evicted_old, surviving_old, minsup_abs)
-                )
+            initial = mine_pool(
+                snapshot, minsup_abs, self.config.initial_pool_max_size
+            )
+            shared = initial.shared_itemsets(self._initial)
+            initial_births = len(initial) - shared
+            initial_deaths = len(self._initial) - shared
             self._initial = initial
 
-            invalidated = bool(
-                rebuild or initial_births or initial_deaths or pool_deaths
-            )
-            refused = self.policy == "always" or invalidated
-            if rebuild:
-                decision = "rebuild"
-            elif refused:
-                decision = "refuse"
-                reason = "invalidated" if invalidated else "policy_always"
+            carried = [
+                Pattern(items=pattern.items, tidset=tidset)
+                for pattern, tidset in zip(
+                    self._patterns,
+                    snapshot.tidsets([p.items for p in self._patterns]),
+                )
+                if tidset.bit_count() >= minsup_abs
+            ]
+            pool_deaths = len(self._patterns) - len(carried)
+
+            # Each slide takes exactly one path; the reason names why.
+            if self._minsup_abs is None:
+                decision, reason = "rebuild", "cold_start"
+            elif initial_births or initial_deaths or pool_deaths:
+                decision, reason = "refuse", "invalidated"
+            elif self.policy == "always":
+                decision, reason = "refuse", "policy_always"
             else:
                 decision, reason = "carry", "validated"
+            refused = decision != "carry"
             _SLIDE_DECISIONS.inc(decision=decision, reason=reason)
             slide_span.set(decision=decision, reason=reason)
-            if refused and initial:
+            before_items = {p.items for p in self._patterns}
+            if refused and len(initial):
                 config = self.config.reseeded(
                     slide_seed(self.config.seed, self._slides)
                 )
                 runner = PatternFusion(
-                    window.snapshot(), minsup_abs, config, executor=self.executor
+                    snapshot, minsup_abs, config, executor=self.executor
                 )
-                result = runner.run(initial_pool=self._initial_pool_ordered())
-                self._patterns = list(result.patterns)
+                self._patterns = list(runner.run(initial_pool=initial).patterns)
             elif refused:
                 self._patterns = []  # nothing frequent: the pool is empty
             else:
-                self._patterns = revalidated
+                self._patterns = carried
 
             after_items = {p.items for p in self._patterns}
             top = self.largest(1)
@@ -322,7 +256,7 @@ class IncrementalPatternFusion:
             stats = SlideStats(
                 index=self._slides,
                 arrived=len(arrivals),
-                evicted=evicted_total,
+                evicted=evicted,
                 window_size=len(window),
                 minsup=minsup_abs,
                 initial_pool_size=len(initial),
@@ -332,7 +266,7 @@ class IncrementalPatternFusion:
                 births=len(after_items - before_items),
                 deaths=len(before_items - after_items),
                 refused=refused,
-                rebuilt=rebuild,
+                rebuilt=decision == "rebuild",
                 largest_size=top[0].size if top else 0,
                 largest_support=top[0].support if top else 0,
                 seconds=seconds,
@@ -340,7 +274,6 @@ class IncrementalPatternFusion:
             self.report.record(stats)
             self._slides += 1
             self._minsup_abs = minsup_abs
-            self._stream_span = (window.start, window.end)
             if self._checkpoint is not None:
                 self._checkpoint.offer(self.state_dict)
             return stats
@@ -363,26 +296,26 @@ class IncrementalPatternFusion:
         """The complete driver state, JSON-shaped.
 
         Window rows are stored oldest-first, exactly the arrival order of
-        the current window — window-local tidsets (bit ``i`` = row ``i``)
-        stay valid against the rebuilt window, and the original stream span
-        is carried so the out-of-band check remains coherent after resume.
+        the current window, so window-local tidsets (bit ``i`` = row ``i``)
+        stay valid against the rebuilt window.  The ≤L pool is not stored:
+        :meth:`load_state` mines it again from the rows.
         """
         return {
             "kind": "stream",
             "rows": [sorted(row) for row in self.window.transactions],
-            "span": [self.window.start, self.window.end],
             "slides": self._slides,
             "minsup_abs": self._minsup_abs,
-            "initial": [
-                [sorted(items), format(tidset, "x")]
-                for items, tidset in self._initial.items()
-            ],
             "patterns": encode_patterns(self._patterns),
             "report": [asdict(stats) for stats in self.report.slides],
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into this (fresh) driver."""
+        """Restore :meth:`state_dict` output into this (fresh) driver.
+
+        The last slide's ≤L pool is mined again from the stored rows at the
+        stored threshold.  A stored ``initial`` pool, which older
+        checkpoints carry, is ignored.
+        """
         if state.get("kind") != "stream":
             raise ValueError(
                 f"not a streaming checkpoint: kind={state.get('kind')!r}"
@@ -393,160 +326,15 @@ class IncrementalPatternFusion:
         self._slides = int(state["slides"])
         minsup_abs = state["minsup_abs"]
         self._minsup_abs = None if minsup_abs is None else int(minsup_abs)
-        self._initial = {
-            frozenset(items): int(tidset_hex, 16)
-            for items, tidset_hex in state["initial"]
-        }
+        if self._minsup_abs is not None:
+            self._initial = mine_pool(
+                window.snapshot(), self._minsup_abs,
+                self.config.initial_pool_max_size,
+            )
         self._patterns = decode_patterns(state["patterns"])
         self.report = DriftReport()
         for entry in state["report"]:
             self.report.record(SlideStats(**entry))
-        # The rebuilt window restarts its global positions at zero; adopting
-        # its span keeps the next slide's out-of-band check consistent.
-        self._stream_span = (window.start, window.end)
-
-    # ------------------------------------------------------------------
-    # Pool maintenance
-    # ------------------------------------------------------------------
-
-    def _initial_pool_ordered(self) -> list[Pattern]:
-        """The maintained ≤L pool in the cold miner's output order.
-
-        Eclat descends items in ascending id order, so its DFS preorder is
-        exactly lexicographic order on sorted item tuples — which is what
-        makes a re-fusion from this list bit-identical to a cold run.
-        """
-        return [
-            Pattern(items=items, tidset=tidset)
-            for items, tidset in sorted(
-                self._initial.items(), key=lambda entry: tuple(sorted(entry[0]))
-            )
-        ]
-
-    def _rebuild(
-        self, minsup_abs: int
-    ) -> tuple[dict[frozenset[int], int], list[Pattern], int, int, int]:
-        """Cold path: re-mine the ≤L pool and re-count the fused pool.
-
-        Taken on the first slide, when the whole window turned over, when
-        the absolute threshold dropped (a shrinking window can newly qualify
-        patterns with *no* arrival support, breaking the delta-only re-seed
-        argument), or when the window was mutated outside ``slide()``.
-        """
-        mined = mine_up_to_size(
-            self.window.snapshot(), minsup_abs, self.config.initial_pool_max_size
-        ) if len(self.window) else None
-        initial = (
-            {p.items: p.tidset for p in mined.patterns} if mined is not None else {}
-        )
-        births = sum(1 for items in initial if items not in self._initial)
-        deaths = sum(1 for items in self._initial if items not in initial)
-        revalidated: list[Pattern] = []
-        pool_deaths = 0
-        for pattern in self._patterns:
-            tidset = self.window.tidset(pattern.items) if len(self.window) else 0
-            if tidset.bit_count() >= minsup_abs:
-                revalidated.append(Pattern(items=pattern.items, tidset=tidset))
-            else:
-                pool_deaths += 1
-        return initial, revalidated, births, deaths, pool_deaths
-
-    def _revalidate(
-        self,
-        kept: list[frozenset[int]],
-        evicted_old: int,
-        surviving_old: int,
-        minsup_abs: int,
-    ) -> tuple[dict[frozenset[int], int], list[Pattern], int, int, int]:
-        """Incremental path: shift carried tidsets past the delta, then re-seed.
-
-        One batched executor pass revalidates the ≤L pool and the fused pool
-        together (they share the slide's delta payload); births are then
-        enumerated from the arrival rows only.
-        """
-        entries = list(self._initial.items())
-        pool_entries = [(p.items, p.tidset) for p in self._patterns]
-        combined = entries + pool_entries
-        if combined:
-            payload = (tuple(kept), evicted_old, surviving_old)
-            shifted = map_chunks(self.executor, _shift_chunk, combined, payload)
-        else:
-            shifted = []
-        initial: dict[frozenset[int], int] = {}
-        initial_deaths = 0
-        for (items, _), tidset in zip(entries, shifted[: len(entries)]):
-            if tidset.bit_count() >= minsup_abs:
-                initial[items] = tidset
-            else:
-                initial_deaths += 1
-        revalidated: list[Pattern] = []
-        pool_deaths = 0
-        for (items, _), tidset in zip(pool_entries, shifted[len(entries) :]):
-            if tidset.bit_count() >= minsup_abs:
-                revalidated.append(Pattern(items=items, tidset=tidset))
-            else:
-                pool_deaths += 1
-        initial_births = self._reseed(kept, initial, minsup_abs)
-        return initial, revalidated, initial_births, initial_deaths, pool_deaths
-
-    def _reseed(
-        self,
-        kept: list[frozenset[int]],
-        initial: dict[frozenset[int], int],
-        minsup_abs: int,
-    ) -> int:
-        """Restore ≤L-pool completeness by walking the invalidated region.
-
-        Any itemset newly frequent after the slide gained support from the
-        delta (evictions only lose support, and the threshold did not drop —
-        that case rebuilds), so it is a subset of some arrival row.  A
-        per-row DFS over frequent items with Apriori pruning therefore
-        enumerates every possible birth; window tidsets confirm each one.
-        """
-        max_size = self.config.initial_pool_max_size
-        frequent = set(self.window.frequent_items(minsup_abs))
-        births = 0
-        seen_rows: set[frozenset[int]] = set()
-        for row in kept:
-            candidates = sorted(row & frequent)
-            row_key = frozenset(candidates)
-            if not candidates or row_key in seen_rows:
-                continue
-            seen_rows.add(row_key)
-            births += self._grow(
-                (), self.window.universe, candidates, 0, initial, minsup_abs,
-                max_size,
-            )
-        return births
-
-    def _grow(
-        self,
-        prefix: tuple[int, ...],
-        prefix_tidset: int,
-        candidates: list[int],
-        start: int,
-        initial: dict[frozenset[int], int],
-        minsup_abs: int,
-        max_size: int,
-    ) -> int:
-        """DFS one row's subset lattice, pruning infrequent extensions."""
-        births = 0
-        for index in range(start, len(candidates)):
-            item = candidates[index]
-            tidset = prefix_tidset & self.window.item_tidset(item)
-            if tidset.bit_count() < minsup_abs:
-                continue  # Apriori: every superset through this branch is out
-            items = prefix + (item,)
-            key = frozenset(items)
-            if key not in initial:
-                initial[key] = tidset
-                births += 1
-            if len(items) < max_size:
-                births += self._grow(
-                    items, tidset, candidates, index + 1, initial, minsup_abs,
-                    max_size,
-                )
-        return births
 
 
 @dataclass(frozen=True, slots=True)
@@ -584,10 +372,10 @@ class StreamFusionMiner(Miner):
     Pattern-Fusion run with the slide-0 seed
     (``slide_seed(config.seed, 0)``), which the agreement tests pin.
 
-    Pass ``executor=`` to drive the batched revalidation and re-fusions
-    through a shared worker pool (it takes precedence over ``config.jobs``
-    and its lifetime stays with the caller); otherwise one is created from
-    ``config.jobs`` and closed by :meth:`close`.
+    Pass ``executor=`` to drive the re-fusions through a shared worker pool
+    (it takes precedence over ``config.jobs`` and its lifetime stays with
+    the caller); otherwise one is created from ``config.jobs`` and closed by
+    :meth:`close`.
     """
 
     name = "stream_fusion"

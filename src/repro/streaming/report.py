@@ -1,7 +1,7 @@
 """Per-slide drift telemetry for the streaming Pattern-Fusion driver.
 
 Each window slide yields one :class:`SlideStats` record — what arrived, what
-was evicted, how the maintained pools reacted (births/deaths), whether the
+was evicted, how the pools reacted (births/deaths), whether the
 slide triggered a re-fusion, and where the largest pattern stands.  A
 :class:`DriftReport` collects the records and renders them as the fixed-width
 table the ``repro stream`` subcommand prints, plus the series accessors
@@ -31,7 +31,7 @@ class SlideStats:
     minsup: int
     """Absolute minimum support resolved against the new window."""
     initial_pool_size: int
-    """Size of the maintained complete ≤L pool after the slide."""
+    """Size of the window's complete ≤L pool after the slide."""
     initial_births: int
     """≤L patterns that became frequent this slide."""
     initial_deaths: int
@@ -45,7 +45,7 @@ class SlideStats:
     refused: bool
     """Whether Algorithm 2 re-ran this slide (vs carrying the pool)."""
     rebuilt: bool
-    """Whether the ≤L pool was re-mined from scratch (cold path)."""
+    """Whether this was the stream's first slide (the cold start)."""
     largest_size: int
     """Size of the largest fused pattern (0 for an empty pool)."""
     largest_support: int

@@ -315,6 +315,45 @@ class TestStreamResume:
             )
 
 
+class TestStreamLegacyState:
+    def test_resume_ignores_a_stored_initial_pool(self, tmp_path):
+        import itertools
+
+        config = PatternFusionConfig(k=8, seed=5)
+        clean = IncrementalPatternFusion(90, 6, config)
+        clean.run(_drift_source())
+
+        path = tmp_path / "stream.json"
+        first = IncrementalPatternFusion(
+            90, 6, config, checkpoint=CheckpointManager(path)
+        )
+        first.run(_drift_source(), max_slides=3)
+        doc = json.loads(path.read_text())
+        assert "initial" not in doc["state"]
+        # Older checkpoints also stored the ≤L pool and the stream span.
+        doc["state"]["initial"] = [
+            [p.sorted_items(), format(p.tidset, "x")] for p in first.initial_pool
+        ]
+        doc["state"]["span"] = [first.window.start, first.window.end]
+        path.write_text(json.dumps(doc))
+
+        resumed = IncrementalPatternFusion(
+            90, 6, config, checkpoint=CheckpointManager(path)
+        )
+        assert resumed.slides == 3
+        assert _pool_key(resumed.initial_pool) == _pool_key(first.initial_pool)
+        resumed.run(itertools.islice(iter(_drift_source()), 3, None))
+        assert _pool_key(resumed.patterns) == _pool_key(clean.patterns)
+
+        def untimed(report):
+            return [
+                {key: value for key, value in row.items() if key != "seconds"}
+                for row in report.as_dicts()
+            ]
+
+        assert untimed(resumed.report) == untimed(clean.report)
+
+
 _MINE_ARGS = [
     "mine", "--dataset", "quest", "--minsup", "6",
     "--miner", "pattern_fusion", "--set", "k=10", "--set", "seed=7",

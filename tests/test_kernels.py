@@ -10,8 +10,8 @@ Two obligations are pinned here:
   at every realized distance and one float below it, so each row's
   distance must be bit-identical to the big-int math, not approximately
   equal.
-* **Row selection** — ``take`` and ``rows_within`` equal packing the
-  selected rows and filtering the big-int distances, respectively.
+* **Row selection** — ``rows_within`` equals filtering the big-int
+  distances.
 
 Plus the paths that only run on some inputs or NumPy builds: the
 pre-2.0 popcount lookup table, rows of 2^24 bits and more, and the round
@@ -123,56 +123,6 @@ class TestReferenceSemantics:
         ]
         matrix = TidsetMatrix.from_patterns(pool)
         assert matrix.rows() == [p.tidset for p in pool]
-
-
-@on_kernel
-class TestTake:
-    """``take(rows)`` is ``from_tidsets`` of the same rows, without re-packing."""
-
-    @staticmethod
-    def assert_same(taken, packed, queries):
-        assert taken.n_rows == packed.n_rows == len(taken)
-        assert taken.n_bits == packed.n_bits
-        assert taken.rows() == packed.rows()
-        assert taken.popcounts() == packed.popcounts()
-        for query in queries:
-            assert taken.intersection_counts(query).tolist() == (
-                packed.intersection_counts(query).tolist()
-            )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(tidset_ints, min_size=1, max_size=12),
-        st.data(),
-        st.lists(tidset_ints, max_size=3),
-        st.booleans(),
-    )
-    def test_equals_packing_the_subset(self, rows, data, queries, warm):
-        matrix = TidsetMatrix.from_tidsets(rows)
-        if warm:
-            matrix.popcounts()  # the cached popcounts are gathered too
-        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
-        packed = TidsetMatrix.from_tidsets(
-            [rows[i] for i in picks], n_bits=matrix.n_bits
-        )
-        self.assert_same(matrix.take(picks), packed, queries)
-
-    def test_empty_and_repeated_indices(self):
-        from repro.mining.results import Pattern
-
-        pool = [
-            Pattern(items=frozenset({i}), tidset=(1 << (70 * i)) | 1)
-            for i in range(4)
-        ]
-        matrix = TidsetMatrix.from_patterns(pool)
-        queries = [1, (1 << 140) | 1, (1 << 300) - 1]
-        for picks in ([], (), [2, 2, 0, 2], range(4)):
-            packed = TidsetMatrix.from_patterns(
-                [pool[i] for i in picks], n_bits=matrix.n_bits
-            )
-            self.assert_same(matrix.take(picks), packed, queries)
-        assert matrix.take([]).rows() == []
-        assert matrix.take([3, 3]).rows() == [pool[3].tidset] * 2
 
 
 def within_by_distance(matrix, queries, radius):

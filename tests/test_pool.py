@@ -129,13 +129,18 @@ class TestPoolAgainstListCode:
     @settings(max_examples=150, deadline=None)
     def test_fixpoint_decision(self, first, second, rng):
         """``same_itemsets`` is the set comparison the loop made on lists,
-        duplicates and reorderings included."""
+        duplicates and reorderings included; ``shared_itemsets`` is the size
+        of the intersection."""
         shuffled = list(first) + first[: len(first) // 2]
         rng.shuffle(shuffled)
         for other in (second, shuffled):
             want = {p.items for p in first} == {p.items for p in other}
             got = Pool.from_patterns(first).same_itemsets(Pool.from_patterns(other))
             assert got == want
+            shared = {p.items for p in first} & {p.items for p in other}
+            assert Pool.from_patterns(first).shared_itemsets(
+                Pool.from_patterns(other)
+            ) == len(shared)
 
     def test_fixpoint_across_pool_kinds(self):
         db = TransactionDatabase([[0, 1, 2], [0, 1], [1, 2], [0, 2, 3]])

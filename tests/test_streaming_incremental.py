@@ -27,6 +27,17 @@ def _pool_key(patterns):
     return [(p.sorted_items(), p.tidset) for p in patterns]
 
 
+def _assert_outcome(driver, stats):
+    """Supports are the window's, and a refused slide is the cold run."""
+    snapshot = driver.window.snapshot()
+    assert all(p.tidset == snapshot.tidset(p.items) for p in driver.patterns)
+    assert stats.rebuilt == (stats.index == 0)
+    if stats.refused:
+        config = CONFIG.reseeded(slide_seed(CONFIG.seed, stats.index))
+        cold = PatternFusion(snapshot, stats.minsup, config).run()
+        assert _pool_key(driver.patterns) == _pool_key(cold.patterns)
+
+
 class TestColdAgreement:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("policy", ["auto", "always"])
@@ -53,11 +64,18 @@ class TestColdAgreement:
         from repro.mining.levelwise import mine_up_to_size
 
         driver = IncrementalPatternFusion(capacity=14, minsup=4, config=CONFIG)
-        driver.run(ReplaySource(_stream_rows(), batch_size=4))
-        mined = mine_up_to_size(
-            driver.window.snapshot(), 4, CONFIG.initial_pool_max_size
-        ).patterns
-        assert _pool_key(driver.initial_pool) == _pool_key(mined)
+        previous = set()
+        for batch in ReplaySource(_stream_rows(), batch_size=4):
+            stats = driver.slide(batch)
+            mined = mine_up_to_size(
+                driver.window.snapshot(), 4, CONFIG.initial_pool_max_size
+            ).patterns
+            assert _pool_key(driver.initial_pool) == _pool_key(mined)
+            itemsets = {p.items for p in mined}
+            assert stats.initial_births == len(itemsets - previous)
+            assert stats.initial_deaths == len(previous - itemsets)
+            previous = itemsets
+        assert driver.slides > 1
 
     def test_every_slide_cold_equivalent_under_always_policy(self):
         rows = _stream_rows()
@@ -117,12 +135,12 @@ class TestIncrementalMechanics:
 
     def test_departing_items_record_deaths(self):
         driver = IncrementalPatternFusion(capacity=4, minsup=2, config=CONFIG)
-        driver.slide([[0, 1], [0, 1], [0, 1], [0, 1]])
+        _assert_outcome(driver, driver.slide([[0, 1], [0, 1], [0, 1], [0, 1]]))
         assert driver.patterns
         stats = driver.slide([[2, 3], [2, 3], [2, 3], [2, 3]])
         # The whole window turned over: every old pattern died.
-        assert stats.deaths >= 1
-        assert stats.rebuilt  # full turnover takes the cold path
+        assert stats.deaths >= 1 and stats.refused
+        _assert_outcome(driver, stats)
         assert all(p.items <= frozenset([2, 3]) for p in driver.patterns)
         assert driver.largest(1)[0].items == frozenset([2, 3])
 
@@ -130,33 +148,31 @@ class TestIncrementalMechanics:
         driver = IncrementalPatternFusion(capacity=3, minsup=2, config=CONFIG)
         driver.slide([[0, 1], [0, 1], [0, 1]])
         stats = driver.slide([[4, 5], [4, 5], [4, 5], [4, 5]])
-        assert stats.rebuilt
-        assert stats.window_size == 3
+        assert stats.window_size == 3 and stats.refused
+        _assert_outcome(driver, stats)
+        assert driver.largest(1)[0].items == frozenset([4, 5])
 
     def test_out_of_band_append_rebuilds(self):
         driver = IncrementalPatternFusion(capacity=None, minsup=1, config=CONFIG)
         driver.slide([[0, 1], [0, 1]])
         driver.window.append([2])  # behind the driver's back
         stats = driver.slide([[0, 1]])
-        assert stats.rebuilt
+        assert stats.initial_births >= 1 and stats.refused  # {2} is frequent
+        _assert_outcome(driver, stats)
 
     def test_out_of_band_evict_rebuilds_with_correct_supports(self):
-        # Evicting behind the driver's back moves window.start but not
-        # window.end; carried tidsets would be misaligned by one position if
-        # the driver revalidated incrementally.  It must rebuild instead —
-        # and end up with the true supports.
+        # Evicting behind the driver's back moves the window's oldest row;
+        # the slide still counts every support on the window as it is.
         driver = IncrementalPatternFusion(capacity=None, minsup=1, config=CONFIG)
         driver.slide([[0, 1], [0, 1]])
         driver.window.evict()
         stats = driver.slide([[0, 1]])
-        assert stats.rebuilt
-        snapshot = driver.window.snapshot()
-        assert all(p.tidset == snapshot.tidset(p.items) for p in driver.patterns)
+        _assert_outcome(driver, stats)
+        assert all(p.support == 2 for p in driver.patterns)
 
     def test_threshold_drop_rebuilds(self):
-        # A relative threshold over a shrinking window can qualify patterns
-        # with no arrival support; shrinkage only happens out-of-band, which
-        # itself forces the rebuild — the threshold guard is defense in depth.
+        # A relative threshold over a window shrunk out-of-band qualifies
+        # patterns with no arrival support; the slide's pool must hold them.
         window = SlidingWindowDatabase()
         driver = IncrementalPatternFusion(
             capacity=None, minsup=0.6, config=CONFIG, window=window
@@ -165,8 +181,9 @@ class TestIncrementalMechanics:
         for _ in range(3):
             window.evict()  # shrink out-of-band: two rows remain
         stats = driver.slide([])
-        assert stats.rebuilt
-        assert stats.minsup == 2
+        assert stats.minsup == 2 and stats.refused
+        assert frozenset([2]) in {p.items for p in driver.initial_pool}
+        _assert_outcome(driver, stats)
 
     def test_telemetry_shape(self):
         driver = IncrementalPatternFusion(capacity=10, minsup=2, config=CONFIG)
