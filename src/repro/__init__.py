@@ -85,7 +85,6 @@ from repro.resilience import (
 from repro.serve import PatternServer
 from repro.sequences import (
     SequenceDatabase,
-    SequenceFusionResult,
     SequenceMiningResult,
     SequencePattern,
     prefixspan,
@@ -197,6 +196,5 @@ __all__ = [
     "SequenceMiningResult",
     "prefixspan",
     "sequence_pattern_fusion",
-    "SequenceFusionResult",
     "__version__",
 ]

@@ -63,6 +63,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.kinds import ITEMSETS, PatternKind
 from repro.db.transaction_db import TransactionDatabase
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
@@ -326,6 +327,7 @@ def fuse_ball(
     rows: Sequence[int] | np.ndarray | None = None,
     seed_row: int | None = None,
     counts: Sequence[int] | np.ndarray | None = None,
+    kind: PatternKind = ITEMSETS,
 ) -> list[Pattern]:
     """Fuse ``{seed} ∪ ball_members`` into at most ``max_candidates`` patterns.
 
@@ -334,6 +336,9 @@ def fuse_ball(
     With ``close_fused`` the pattern is additionally extended to its closure
     (support set unchanged, so the core conditions still hold); without it
     the pattern is the union of the fused members' items.
+
+    The closure is ``kind.close``; a tidset that closes to no pattern
+    yields none, and a sequence's closure need not contain the seed.
 
     ``trials`` passes of :class:`GreedyBall` run over the orders of
     :func:`pass_orders`, seeded by one ``rng.getrandbits(64)`` per call;
@@ -386,39 +391,42 @@ def fuse_ball(
         )
     if counts is not None:
         ball.seed_level(seed.tidset, np.asarray(counts)[keep])
-    closures: dict[int, frozenset[int]] = {}
+    closures: dict[int, Pattern | None] = {}
     member_items: list[frozenset[int]] | None = None
-    best_by_items: dict[frozenset[int], FusionCandidate] = {}
+    best_by_key: dict = {}
     tidset_changes = accepted_total = 0
     for order in pass_orders(rng.getrandbits(64), len(keep), trials):
         tidset, accepted, changes = ball.walk(order, seed.tidset, seed.support)
         tidset_changes += changes
         accepted_total += len(accepted)
         if close_fused:
-            # Closure can only add items; the support set is untouched.
             # Passes often end on one tidset (all of them, when none
             # shrinks T), so each distinct one is closed once.
-            items = closures.get(tidset)
-            if items is None:
-                items = closures[tidset] = db.closure_of_tidset(tidset)
+            if tidset not in closures:
+                closures[tidset] = kind.close(db, tidset)
+            pattern = closures[tidset]
+            if pattern is None:
+                continue
         else:
             if member_items is None:  # the members read once, in bulk
                 member_items = [p.items for p in ball_members]
-            items = seed.items.union(
-                *(member_items[j] for j in keep[accepted].tolist())
+            pattern = Pattern(
+                items=seed.items.union(
+                    *(member_items[j] for j in keep[accepted].tolist())
+                ),
+                tidset=tidset,
             )
-        candidate = FusionCandidate(
-            pattern=Pattern(items=items, tidset=tidset), n_fused=1 + len(accepted)
-        )
-        existing = best_by_items.get(items)
+        candidate = FusionCandidate(pattern=pattern, n_fused=1 + len(accepted))
+        key = kind.key(pattern)
+        existing = best_by_key.get(key)
         if existing is None or candidate.n_fused > existing.n_fused:
-            best_by_items[items] = candidate
+            best_by_key[key] = candidate
     trace.annotate(
         tidset_changes=tidset_changes, accepted=accepted_total,
         levels=ball.levels, counted_words=ball.counted_words,
         closures=len(closures),
     )
-    candidates = list(best_by_items.values())
+    candidates = list(best_by_key.values())
     if len(candidates) > max_candidates:
         candidates = weighted_sample_without_replacement(
             candidates,

@@ -9,14 +9,14 @@ loop ends when the pool has at most K patterns.
 
 Every pool the loop holds is a :class:`~repro.core.pool.Pool`: item-id and
 tidset-word arrays.  Phase 1 mines its pool straight into those arrays
-(:func:`repro.mining.levelwise.mine_pool`), so the hundreds of thousands of
-phase-1 patterns never become Python objects; each later round packs its
-fused patterns into one with :meth:`Pool.from_patterns`.  Elitism, the size
-signature, the fixpoint test and the per-round stats read the arrays.
+(:func:`repro.mining.levelwise.mine_pool` for itemsets), so the hundreds of
+thousands of phase-1 patterns never become Python objects; each later round
+packs its fused patterns into one with :meth:`Pool.from_patterns`.  Elitism,
+the size signature, the fixpoint test and the per-round stats read the arrays.
 
-This module owns the loop (Algorithm 1); each round of Algorithm 2 is
-:func:`repro.engine.parallel_fusion.fusion_round`, the only implementation
-of it.  The round's per-seed work runs on an
+This module owns the loop (Algorithm 1), for itemsets and sequences alike
+(:mod:`repro.core.kinds`); each round of Algorithm 2 is
+:func:`repro.engine.parallel_fusion.fusion_round`.  The round's work runs on an
 :class:`~repro.engine.executor.Executor` — a ``SerialExecutor`` unless one
 is given or ``jobs > 1`` — and the pool is the same for every job count.
 
@@ -42,24 +42,17 @@ from repro.api.base import Capabilities, Miner, MinerConfig
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
 from repro.core.distance import ball_radius
+from repro.core.kinds import ITEMSETS, PatternKind
 from repro.core.pool import Pool
 # Not called here (the round is repro.engine.parallel_fusion.fusion_round);
 # re-exported because the perfbench layer tracer patches these names on
 # this module.
 from repro.core.distance import balls  # noqa: F401
 from repro.core.fusion import fuse_ball  # noqa: F401
-from repro.db import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
-from repro.mining.levelwise import mine_pool
-from repro.mining.results import MiningResult, Pattern, largest_patterns
+from repro.mining.results import MiningResult, Pattern
 from repro.obs import clock, metrics, trace
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    decode_patterns,
-    decode_rng,
-    encode_patterns,
-    encode_rng,
-)
+from repro.resilience.checkpoint import CheckpointManager, decode_rng, encode_rng
 from repro.resilience.faults import schedule as fault_schedule
 
 __all__ = [
@@ -103,9 +96,9 @@ class PatternFusionResult:
     """Outcome of a Pattern-Fusion run.
 
     ``patterns`` is the final pool (≤ K patterns unless the iteration guard
-    truncated it — then exactly K).  ``history`` records one entry per
-    iteration, in order; its ``min_pattern_size`` series is non-decreasing
-    (Lemma 5), which the property tests assert.
+    truncated it — then exactly K), of ``kind``.  ``history`` records one
+    entry per iteration, in order; its ``min_pattern_size`` series is
+    non-decreasing (Lemma 5), which the property tests assert.
     """
 
     patterns: list[Pattern]
@@ -115,21 +108,27 @@ class PatternFusionResult:
     iterations: int
     elapsed_seconds: float
     history: list[IterationStats] = field(default_factory=list)
+    kind: PatternKind = ITEMSETS
 
     def __len__(self) -> int:
         return len(self.patterns)
 
     def as_mining_result(self) -> MiningResult:
-        """Adapter so evaluation code treats this like any miner's output."""
+        """Adapter so evaluation code treats this like any miner's output:
+        each pattern as its item set (a sequence's order is dropped)."""
+        key = self.kind.key
         return MiningResult(
             algorithm="pattern-fusion",
             minsup=self.minsup,
-            patterns=list(self.patterns),
+            patterns=[
+                Pattern(items=frozenset(key(p)), tidset=p.tidset)
+                for p in self.patterns
+            ],
             elapsed_seconds=self.elapsed_seconds,
         )
 
     def largest(self, k: int = 1) -> list[Pattern]:
-        return largest_patterns(self.patterns, k)
+        return Pool.from_patterns(self.patterns, self.kind).largest(k)
 
 
 def pattern_fusion(
@@ -146,7 +145,8 @@ def pattern_fusion(
     Parameters
     ----------
     db:
-        The transaction database.
+        The transaction database, or a
+        :class:`~repro.sequences.SequenceDatabase` to fuse sequences.
     minsup:
         Relative (float in (0,1]) or absolute (int ≥ 1) minimum support.
     config:
@@ -212,13 +212,17 @@ class PatternFusion:
         self.minsup = db.absolute_minsup(minsup)
         self.executor = executor
         self.checkpoint = checkpoint
+        # The kind of pattern the database holds (repro.core.kinds).
+        self.kind: PatternKind = getattr(db, "pattern_kind", ITEMSETS)
+        if self.kind is not ITEMSETS and not self.config.close_fused:
+            raise ValueError("close_fused=False fuses by item union: itemsets only")
 
     def mine_initial_pool(self) -> Pool:
         """Phase 1: the complete set of patterns up to the configured size."""
         with trace.span(
             "initial_pool", max_size=self.config.initial_pool_max_size
         ) as span, _INITIAL_POOL_SECONDS.time():
-            pool = mine_pool(
+            pool = self.kind.mine_pool(
                 self.db, self.minsup, self.config.initial_pool_max_size
             )
             span.set(pool_size=len(pool))
@@ -231,7 +235,7 @@ class PatternFusion:
         from repro.engine.executor import SerialExecutor
         from repro.engine.parallel_fusion import fusion_round
 
-        config = self.config
+        config, kind = self.config, self.kind
         executor = self.executor if self.executor is not None else SerialExecutor()
         rng = random.Random(config.seed)
         start = clock.monotonic()
@@ -248,7 +252,11 @@ class PatternFusion:
                 # Mid-loop state of the interrupted run: phase 1 is skipped
                 # and the RNG cursor continues exactly where it stopped, so
                 # the remaining rounds replay the uninterrupted trajectory.
-                pool = Pool.from_patterns(decode_patterns(resumed["pool"]))
+                pool = Pool.from_patterns(
+                    [kind.build(row, int(tidset, 16))
+                     for row, tidset in resumed["pool"]],
+                    kind,
+                )
                 initial_size = resumed["initial_size"]
                 iteration = resumed["iteration"]
                 stagnant = resumed["stagnant"]
@@ -259,7 +267,7 @@ class PatternFusion:
                 rng.setstate(decode_rng(resumed["rng"]))
             else:
                 pool = (
-                    Pool.from_patterns(initial_pool)
+                    Pool.from_patterns(initial_pool, kind)
                     if initial_pool is not None
                     else self.mine_initial_pool()
                 )
@@ -285,7 +293,7 @@ class PatternFusion:
                     break
                 if config.elitism:
                     fused = _with_elite(fused, pool, config.k)
-                new_pool = Pool.from_patterns(fused)
+                new_pool = Pool.from_patterns(fused, kind)
                 fixpoint = new_pool.same_itemsets(pool)
                 pool = new_pool
                 history.append(_stats(iteration, before, pool, config.k))
@@ -322,6 +330,7 @@ class PatternFusion:
             iterations=iteration,
             elapsed_seconds=clock.monotonic() - start,
             history=history,
+            kind=kind,
         )
 
     def _checkpoint_identity(self) -> dict:
@@ -336,7 +345,7 @@ class PatternFusion:
             "algorithm": "pattern_fusion",
             "config": asdict(self.config),
             "minsup": self.minsup,
-            "dataset": dataset_fingerprint(self.db),
+            "dataset": self.kind.fingerprint(self.db),
         }
 
     def _checkpoint_state(
@@ -352,7 +361,13 @@ class PatternFusion:
         """The complete mid-loop driver state, JSON-shaped."""
         return {
             "kind": "fusion",
-            "pool": encode_patterns(pool),
+            # Each pattern as [its pool row, "tidset-hex"].
+            "pool": [
+                [row[:size], format(p.tidset, "x")]
+                for row, size, p in zip(
+                    pool.items.tolist(), pool.sizes.tolist(), pool
+                )
+            ],
             "rng": encode_rng(rng.getstate()),
             "iteration": iteration,
             "stagnant": stagnant,
@@ -447,9 +462,10 @@ def _with_elite(
     Keeps recovery monotone: a colossal pattern found once cannot be lost to
     an unlucky seed draw later (see PatternFusionConfig.elitism).
     """
-    merged: dict[frozenset[int], Pattern] = {p.items: p for p in fused}
+    key = old_pool.kind.key
+    merged = {key(p): p for p in fused}
     for pattern in old_pool.largest(k):
-        merged.setdefault(pattern.items, pattern)
+        merged.setdefault(key(pattern), pattern)
     return list(merged.values())
 
 

@@ -8,14 +8,14 @@ the phase-1 pool (the complete set of frequent patterns up to a small size)
 runs to hundreds of thousands of patterns.  :class:`Pool` keeps:
 
 * ``items`` — an ``(n, width)`` int64 array, row ``i`` holding pattern
-  ``i``'s item ids in ascending order, padded with −1;
+  ``i``'s item ids, padded with −1: ascending, or for sequences in order;
 * ``matrix`` — the tidsets as one :class:`~repro.kernels.TidsetMatrix`,
   row ``i`` ↔ pattern ``i``, which the ball queries scan and the greedy
   passes gather their balls from;
 * ``sizes`` and ``supports`` — int64 arrays derived from those two.
 
 A pool still reads as a ``Sequence[Pattern]``: ``pool[i]`` builds the
-:class:`~repro.mining.results.Pattern` when something reads it.  A pool made
+pattern (:mod:`repro.core.kinds`) when something reads it.  A pool made
 by :meth:`Pool.from_patterns` keeps the patterns it was given, hands those
 back, and derives its item and support arrays from them when they are
 first read (a ball query over a pattern list reads only the matrix).  A
@@ -31,6 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from typing import TYPE_CHECKING
 
+from repro.core.kinds import ITEMSETS, PatternKind
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
 
@@ -43,11 +44,12 @@ __all__ = ["Pool"]
 class Pool(Sequence[Pattern]):
     """An immutable pattern pool: ``items`` rows and ``matrix`` rows in step.
 
-    Row order is pool order.  Items within a row ascend, so two rows hold
-    the same itemset exactly when they are equal.
+    Row order is pool order.  ``kind`` is the kind of pattern it holds; a
+    row holds its pattern's key in the kind's order, so two rows hold the
+    same pattern exactly when they are equal.
     """
 
-    __slots__ = ("_matrix", "_items", "_supports", "_patterns", "_sizes")
+    __slots__ = ("_matrix", "_items", "_supports", "_patterns", "_sizes", "kind")
 
     def __init__(
         self,
@@ -55,6 +57,7 @@ class Pool(Sequence[Pattern]):
         items: np.ndarray | None = None,
         supports: np.ndarray | None = None,
         patterns: list[Pattern] | None = None,
+        kind: PatternKind = ITEMSETS,
     ) -> None:
         """``items`` and ``supports`` may be left out when ``patterns``
         (the pool's patterns, in row order) is given."""
@@ -63,9 +66,12 @@ class Pool(Sequence[Pattern]):
         self._supports = supports
         self._patterns = patterns
         self._sizes: np.ndarray | None = None
+        self.kind = kind
 
     @classmethod
-    def from_patterns(cls, patterns: Iterable[Pattern]) -> "Pool":
+    def from_patterns(
+        cls, patterns: Iterable[Pattern], kind: PatternKind = ITEMSETS
+    ) -> "Pool":
         """Pack ``patterns`` in their order; a pool is returned as it is.
 
         The tidsets are packed with :meth:`TidsetMatrix.from_patterns` at
@@ -75,11 +81,13 @@ class Pool(Sequence[Pattern]):
         if isinstance(patterns, Pool):
             return patterns
         patterns = list(patterns)
-        return cls(TidsetMatrix.from_patterns(patterns), patterns=patterns)
+        return cls(
+            TidsetMatrix.from_patterns(patterns), patterns=patterns, kind=kind
+        )
 
     def __reduce__(self) -> tuple:
         # The arrays only: a worker builds any pattern it reads.
-        return (Pool, (self._matrix, self.items, self.supports))
+        return (Pool, (self._matrix, self.items, self.supports, None, self.kind))
 
     # ------------------------------------------------------------------
     # Arrays
@@ -87,9 +95,9 @@ class Pool(Sequence[Pattern]):
 
     @property
     def items(self) -> np.ndarray:
-        """Item ids, one ascending row per pattern, padded with −1."""
+        """Item ids, one row per pattern in the kind's order, padded with −1."""
         if self._items is None:
-            self._items = _item_rows(self._patterns)
+            self._items = _item_rows(self._patterns, self.kind)
         return self._items
 
     @property
@@ -131,9 +139,8 @@ class Pool(Sequence[Pattern]):
         if self._patterns is not None:
             return self._patterns[index]
         row = range(len(self))[index]  # IndexError and negative indices
-        return Pattern(
-            items=frozenset(self._items[row, :self.sizes[row]].tolist()),
-            tidset=self._matrix.row(row),
+        return self.kind.build(
+            self._items[row, :self.sizes[row]].tolist(), self._matrix.row(row)
         )
 
     def __iter__(self) -> Iterator[Pattern]:
@@ -150,10 +157,11 @@ class Pool(Sequence[Pattern]):
         index = np.asarray(rows, dtype=np.intp)
         width = self._matrix.words.shape[1] * 8
         raw = self._matrix.words[index].tobytes()
+        build = self.kind.build
         return [
-            Pattern(
-                items=frozenset(row[:size]),
-                tidset=int.from_bytes(raw[j * width:(j + 1) * width], "little"),
+            build(
+                row[:size],
+                int.from_bytes(raw[j * width:(j + 1) * width], "little"),
             )
             for j, (row, size) in enumerate(
                 zip(self._items[index].tolist(), self.sizes[index].tolist())
@@ -165,12 +173,13 @@ class Pool(Sequence[Pattern]):
     # ------------------------------------------------------------------
 
     def largest(self, k: int) -> list[Pattern]:
-        """The ``k`` most colossal patterns, as ``largest_patterns(pool, k)``.
+        """The ``k`` most colossal patterns: for itemsets, as
+        ``largest_patterns(pool, k)``.
 
-        Larger patterns first, then higher support, then ascending item
-        ids (:func:`~repro.mining.results.colossal_rank_key`).  Rows of
+        Larger patterns first, then higher support, then the rows (for
+        itemsets, :func:`~repro.mining.results.colossal_rank_key`).  Rows of
         equal size are padded alike, so their item columns compare as the
-        item tuples do.
+        rows do.
         """
         import numpy as np
 
@@ -196,7 +205,7 @@ class Pool(Sequence[Pattern]):
         return tuple(zip(sizes.tolist(), counts.tolist()))
 
     def same_itemsets(self, other: "Pool") -> bool:
-        """Whether both pools hold the same set of itemsets."""
+        """Whether both pools hold the same set of patterns."""
         import numpy as np
 
         # Different size sets decide it without padding a phase-1 pool out
@@ -209,7 +218,7 @@ class Pool(Sequence[Pattern]):
         )
 
     def shared_itemsets(self, other: "Pool") -> int:
-        """How many distinct itemsets both pools hold."""
+        """How many distinct patterns both pools hold."""
         import numpy as np
 
         width = max(self.items.shape[1], other.items.shape[1])
@@ -230,18 +239,19 @@ def _distinct_rows(items: np.ndarray, width: int) -> np.ndarray:
     return rows[fresh]
 
 
-def _item_rows(patterns: list[Pattern]) -> np.ndarray:
-    """The patterns' items as ascending rows padded with −1 (≥ 1 column)."""
+def _item_rows(patterns: list[Pattern], kind: PatternKind) -> np.ndarray:
+    """The patterns' rows padded with −1 (≥ 1 column)."""
     import numpy as np
 
-    sizes = np.fromiter(map(len, (p.items for p in patterns)), dtype=np.int64,
+    sizes = np.fromiter(map(len, map(kind.key, patterns)), dtype=np.int64,
                         count=len(patterns))
     top = np.iinfo(np.int64).max  # sorts after every item id, then becomes −1
     rows = np.full((len(patterns), int(sizes.max(initial=1))), top, dtype=np.int64)
     rows[np.arange(rows.shape[1]) < sizes[:, np.newaxis]] = np.fromiter(
-        chain.from_iterable(p.items for p in patterns), dtype=np.int64,
+        chain.from_iterable(map(kind.key, patterns)), dtype=np.int64,
         count=int(sizes.sum()),
     )
-    rows.sort(axis=1)
+    if not kind.ordered:
+        rows.sort(axis=1)
     rows[rows == top] = -1
     return rows

@@ -29,9 +29,10 @@ def absolute_minsup(sigma: float | int, n_transactions: int) -> int:
     ``sigma`` in ``(0, 1]`` is treated as the paper's relative threshold σ
     and rounded up; an integer ``sigma >= 1`` is already absolute.  A
     threshold of 0 is rejected: "frequent" must mean at least one
-    supporting transaction.  Shared by :class:`TransactionDatabase` and the
-    streaming :class:`repro.streaming.window.SlidingWindowDatabase` so both
-    resolve thresholds identically.
+    supporting transaction.  Shared by :class:`TransactionDatabase`, the
+    streaming :class:`repro.streaming.window.SlidingWindowDatabase` and
+    :class:`repro.sequences.SequenceDatabase`, so all three resolve
+    thresholds identically.
     """
     if sigma <= 0:
         raise ValueError(f"minimum support must be positive, got {sigma}")

@@ -27,8 +27,11 @@ while the run stays **deterministic for a fixed config.seed** and
   and no ball crosses the pipe.  Each seed's greedy passes then gather
   its ball's rows from the pool matrix, take the counts as the seed's
   greedy level, and build a pattern only for the seed.
-* Per-seed results are merged in seed order (first occurrence of an itemset
-  wins).
+* Per-seed results are merged in seed order (first occurrence of a
+  pattern wins).
+
+The pool carries its kind of pattern (:mod:`repro.core.kinds`), which
+closes each fused tidset and keys the merge.
 
 :func:`parallel_pattern_fusion` and the ``parallel_pattern_fusion`` miner
 are deprecated aliases of :func:`~repro.core.pattern_fusion.pattern_fusion`
@@ -135,8 +138,8 @@ def _fuse_one(
     payload: "_RoundPayload", task: FusionTask, seed: Pattern, ball: Ball
 ) -> list[Pattern]:
     with trace.span(
-        "fuse_ball", pattern_size=seed.size, ball=len(ball),
-        seed_index=task.seed_index,
+        "fuse_ball", pattern_size=int(payload.pool.sizes[task.seed_index]),
+        ball=len(ball), seed_index=task.seed_index,
     ) as span:
         fused = fuse_ball(
             payload.db,
@@ -152,6 +155,7 @@ def _fuse_one(
             rows=ball.rows,
             seed_row=task.seed_index,
             counts=ball.counts,
+            kind=payload.pool.kind,
         )
         span.set(fused=len(fused))
     return fused
@@ -220,7 +224,8 @@ def fusion_round(
         trace=TRACER.enabled,
     )
     fused_lists = map_chunks(executor, _fuse_task_chunk, tasks, payload)
-    fused_by_items: dict[frozenset[int], Pattern] = {}
+    key = pool.kind.key
+    fused_by_key: dict = {}
     produced = 0
     for entry in fused_lists:
         if payload.trace:
@@ -230,10 +235,10 @@ def fusion_round(
             fused = entry
         produced += len(fused)
         for pattern in fused:
-            fused_by_items.setdefault(pattern.items, pattern)
+            fused_by_key.setdefault(key(pattern), pattern)
     _FUSED.inc(produced)
-    _DEDUP_DROPPED.inc(produced - len(fused_by_items))
-    return list(fused_by_items.values())
+    _DEDUP_DROPPED.inc(produced - len(fused_by_key))
+    return list(fused_by_key.values())
 
 
 def parallel_pattern_fusion(

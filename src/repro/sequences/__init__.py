@@ -1,8 +1,11 @@
-"""Sequential-pattern extension: Pattern-Fusion beyond itemsets (Section 8)."""
+"""Sequential-pattern extension: Pattern-Fusion beyond itemsets (Section 8).
+
+Fusion itself is the itemset loop, run with the sequence kind
+(:data:`repro.core.kinds.SEQUENCES`).
+"""
 
 from repro.sequences.datasets import motif_sequences
 from repro.sequences.fusion import (
-    SequenceFusionResult,
     common_pattern_of_tidset,
     longest_common_subsequence,
     sequence_pattern_fusion,
@@ -18,7 +21,6 @@ __all__ = [
     "is_subsequence",
     "prefixspan",
     "sequence_pattern_fusion",
-    "SequenceFusionResult",
     "longest_common_subsequence",
     "common_pattern_of_tidset",
     "motif_sequences",

@@ -1,47 +1,33 @@
 """Pattern-Fusion for sequential patterns — the paper's Section 8 direction.
 
-Everything distance-related transfers verbatim: support sets are bitsets
-over sequence ids, Dist (Definition 6) and the r(τ) ball bound (Theorem 2)
-never look inside the pattern.  The only itemset-specific ingredient of
-fusion is the *merge*: itemsets fuse by union, but two subsequences have no
-unique smallest common supersequence.  The sequential analogue used here is
-the dual move, and it is exactly what the closure step already does for
-itemsets: given the fused support set, take the **maximal pattern common to
-all supporting sequences** — a greedy longest-common-subsequence fold over
-the supporters.  Like the itemset closure, it is a function of the support
-set alone and can only lengthen the pattern.
-
-The algorithm below mirrors Algorithms 1 and 2: mine an initial pool of
-short patterns, then repeatedly draw K seeds, collect each seed's r(τ) ball,
-intersect ball members' support sets while the intersection stays frequent
-and core-compatible, and emit the common-subsequence pattern of the fused
-support set.
+Support sets are bitsets over sequence ids, and Dist (Definition 6) and the
+r(τ) ball bound (Theorem 2) never look inside the pattern, so sequences run
+the itemset loop and round (:func:`sequence_pattern_fusion`).  Only the
+merge differs: two subsequences have no unique smallest common
+supersequence, so a fused support set is closed instead, to the greedy
+longest-common-subsequence fold over its supporters
+(:func:`common_pattern_of_tidset`), with that pattern's own support set.
+Unlike the itemset closure, the fold is not maximal, and it need not
+contain the seed: each pairwise LCS keeps one of many common subsequences
+(multiple-sequence LCS is NP-hard).
 """
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from repro.api.base import Capabilities, Miner
+from repro.api.base import Capabilities, Miner, MinerConfig
 from repro.api.registry import register
 from repro.core.config import PatternFusionConfig
-from repro.core.distance import ball_radius, tidset_distance
-from repro.core.fusion import GreedyBall
-from repro.core.pattern_fusion import PatternFusionMinerConfig
+from repro.core.pattern_fusion import PatternFusionResult, pattern_fusion
 from repro.db import bitset
 from repro.db.transaction_db import TransactionDatabase
-from repro.kernels import TidsetMatrix
-from repro.mining.results import MiningResult, Pattern
-from repro.sequences.prefixspan import prefixspan
-from repro.sequences.results import SequencePattern
+from repro.mining.results import MiningResult
 from repro.sequences.sequence_db import SequenceDatabase
 
 __all__ = [
     "longest_common_subsequence",
     "common_pattern_of_tidset",
-    "SequenceFusionResult",
     "sequence_pattern_fusion",
     "SequenceFusionConfig",
     "SequenceFusionMiner",
@@ -100,136 +86,43 @@ def common_pattern_of_tidset(db: SequenceDatabase, tidset: int) -> tuple[int, ..
     return common
 
 
-@dataclass(slots=True)
-class SequenceFusionResult:
-    """Outcome of a sequential Pattern-Fusion run."""
-
-    patterns: list[SequencePattern]
-    config: PatternFusionConfig
-    minsup: int
-    initial_pool_size: int
-    iterations: int
-    elapsed_seconds: float = 0.0
-    history: list[tuple[int, int]] = field(default_factory=list)
-    """(pool size, min pattern length) per iteration — Lemma 5's series."""
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def largest(self, k: int = 1) -> list[SequencePattern]:
-        ranked = sorted(
-            self.patterns, key=lambda p: (-p.length, -p.support, p.sequence)
-        )
-        return ranked[:k]
+#: Pattern-Fusion over a :class:`SequenceDatabase`: the one loop, which
+#: reads the sequence kind off the database.  ``config.close_fused`` must
+#: stay True.
+sequence_pattern_fusion = pattern_fusion
 
 
-def sequence_pattern_fusion(
-    db: SequenceDatabase,
-    minsup: float | int,
-    config: PatternFusionConfig | None = None,
-    initial_pool: list[SequencePattern] | None = None,
-) -> SequenceFusionResult:
-    """Run Pattern-Fusion over a sequence database.
+@dataclass(frozen=True, slots=True)
+class SequenceFusionConfig(MinerConfig):
+    """The knobs the fusion loop reads for sequences, plus ``minsup`` and
+    ``jobs``, with :class:`PatternFusionConfig`'s defaults and validation."""
 
-    Accepts the same :class:`PatternFusionConfig` as the itemset algorithm;
-    ``close_fused`` is implicit (the common-subsequence step *is* the
-    closure analogue and is always applied).
-    """
-    config = config or PatternFusionConfig()
-    absolute = db.absolute_minsup(minsup)
-    rng = random.Random(config.seed)
-    start = time.perf_counter()
-    if initial_pool is None:
-        pool_result = prefixspan(
-            db, absolute, max_length=config.initial_pool_max_size
-        )
-        pool = pool_result.patterns
-    else:
-        pool = list(initial_pool)
-    initial_size = len(pool)
-    radius = ball_radius(config.tau)
-    history: list[tuple[int, int]] = []
-    iteration = 0
-    while len(pool) > config.k and iteration < config.max_iterations:
-        iteration += 1
-        new_pool = _fusion_round(db, pool, radius, absolute, config, rng)
-        if not new_pool:
-            break
-        if config.elitism:
-            merged = {p.sequence: p for p in new_pool}
-            elite = sorted(
-                pool, key=lambda p: (-p.length, -p.support, p.sequence)
-            )[: config.k]
-            for p in elite:
-                merged.setdefault(p.sequence, p)
-            new_pool = list(merged.values())
-        fixpoint = {p.sequence for p in new_pool} == {p.sequence for p in pool}
-        pool = new_pool
-        history.append((len(pool), min(p.length for p in pool)))
-        if fixpoint:
-            break
-    if len(pool) > config.k:
-        pool = sorted(
-            pool, key=lambda p: (-p.length, -p.support, p.sequence)
-        )[: config.k]
-    return SequenceFusionResult(
-        patterns=pool,
-        config=config,
-        minsup=absolute,
-        initial_pool_size=initial_size,
-        iterations=iteration,
-        elapsed_seconds=time.perf_counter() - start,
-        history=history,
-    )
+    # Pools are identical for every jobs value.
+    EXECUTION_KNOBS = ("jobs",)
 
+    minsup: float | int = 2
+    jobs: int = 1
+    k: int = 100
+    tau: float = 0.5
+    initial_pool_max_size: int = 3
+    fusion_trials: int = 8
+    max_candidates_per_seed: int = 5
+    elitism: bool = True
+    max_iterations: int = 50
+    stagnation_rounds: int = 3
+    seed: int | None = None
 
-def _fusion_round(
-    db: SequenceDatabase,
-    pool: list[SequencePattern],
-    radius: float,
-    minsup: int,
-    config: PatternFusionConfig,
-    rng: random.Random,
-) -> list[SequencePattern]:
-    """One sequential Algorithm-2 round: seeds → balls → fused patterns.
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        self.fusion_config()  # validates the algorithm knobs
 
-    The greedy passes are the itemset driver's (:class:`GreedyBall`), with
-    the same acceptance rule; their orders still come from ``rng.shuffle``.
-    The seed stays in its own ball and in the shuffle: its tidset contains
-    every running tidset and its support never exceeds the ceiling, so
-    accepting it changes nothing.
-    """
-    n_seeds = min(config.k, len(pool))
-    seeds = rng.sample(pool, k=n_seeds)
-    fused_by_sequence: dict[tuple[int, ...], SequencePattern] = {}
-    for seed in seeds:
-        members = [
-            p for p in pool if tidset_distance(seed.tidset, p.tidset) <= radius
-        ]
-        ball = GreedyBall(
-            TidsetMatrix.from_tidsets(p.tidset for p in members),
-            config.tau, minsup,
-        )
-        for _ in range(config.fusion_trials):
-            order = list(range(len(members)))
-            rng.shuffle(order)
-            tidset, _, _ = ball.walk(order, seed.tidset, seed.support)
-            sequence = common_pattern_of_tidset(db, tidset)
-            if sequence and sequence not in fused_by_sequence:
-                # The common pattern may be supported beyond the fused tidset.
-                fused_by_sequence[sequence] = SequencePattern(
-                    sequence=sequence, tidset=db.tidset(sequence)
-                )
-    return list(fused_by_sequence.values())
-
-
-class SequenceFusionConfig(PatternFusionMinerConfig):
-    """Sequence-fusion knobs: identical to the itemset driver's.
-
-    ``close_fused`` is carried but implicit here — the common-subsequence
-    step *is* the closure analogue and is always applied (see
-    :func:`sequence_pattern_fusion`).
-    """
+    def fusion_config(self) -> PatternFusionConfig:
+        """The algorithm-level config (drops ``minsup`` and ``jobs``)."""
+        return PatternFusionConfig(**{
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name not in ("minsup", "jobs")
+        })
 
 
 @register
@@ -250,28 +143,23 @@ class SequenceFusionMiner(Miner):
 
     name = "sequence_fusion"
     summary = "Pattern-Fusion over sequences (LCS-fold fusion, PrefixSpan pool)"
-    capabilities = Capabilities(colossal=True, sequences=True)
+    capabilities = Capabilities(colossal=True, parallel=True, sequences=True)
     config_type = SequenceFusionConfig
 
     def mine_sequences(
         self, db: "SequenceDatabase | TransactionDatabase"
-    ) -> SequenceFusionResult:
+    ) -> PatternFusionResult:
         """Run on a sequence (or adapted transaction) database."""
         if isinstance(db, TransactionDatabase):
             db = SequenceDatabase(
                 [sorted(row) for row in db.transactions], n_items=db.n_items
             )
         config: SequenceFusionConfig = self.config  # type: ignore[assignment]
-        return sequence_pattern_fusion(db, config.minsup, config.fusion_config())
+        return pattern_fusion(
+            db, config.minsup, config.fusion_config(), jobs=config.jobs
+        )
 
     def mine(self, db: "SequenceDatabase | TransactionDatabase") -> MiningResult:
-        result = self.mine_sequences(db)
-        return MiningResult(
-            algorithm="sequence-fusion",
-            minsup=result.minsup,
-            patterns=[
-                Pattern(items=frozenset(p.sequence), tidset=p.tidset)
-                for p in result.patterns
-            ],
-            elapsed_seconds=result.elapsed_seconds,
-        )
+        result = self.mine_sequences(db).as_mining_result()
+        result.algorithm = "sequence-fusion"
+        return result

@@ -6,8 +6,8 @@ same two roles its itemset cousins serve:
 
 * the complete baseline that drowns when colossal subsequences hide under
   an explosive mid-length pattern population, and
-* with ``max_length``, the initial-pool miner for the sequential
-  Pattern-Fusion of :mod:`repro.sequences.fusion`.
+* with ``max_length``, the phase-1 pool miner of Pattern-Fusion over
+  sequences (:data:`repro.core.kinds.SEQUENCES`).
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from repro.sequences.sequence_db import is_subsequence
+
 __all__ = ["SequencePattern", "SequenceMiningResult"]
 
 
@@ -38,16 +40,11 @@ class SequencePattern:
 
     def is_subsequence_of(self, other: "SequencePattern") -> bool:
         """True when this pattern embeds (order-preservingly) in ``other``."""
-        return _embeds(self.sequence, other.sequence)
+        return is_subsequence(self.sequence, other.sequence)
 
     def __str__(self) -> str:
         inner = ",".join(str(i) for i in self.sequence)
         return f"<{inner}>#{self.support}"
-
-
-def _embeds(needle: tuple[int, ...], haystack: tuple[int, ...]) -> bool:
-    it = iter(haystack)
-    return all(item in it for item in needle)
 
 
 @dataclass(slots=True)
@@ -69,14 +66,3 @@ class SequenceMiningResult:
         """The bare sequences, for set-level comparisons."""
         return {p.sequence for p in self.patterns}
 
-    def of_length_at_least(self, min_length: int) -> list[SequencePattern]:
-        """Patterns with |s| ≥ ``min_length`` (the colossal slice)."""
-        return [p for p in self.patterns if p.length >= min_length]
-
-    def largest(self, k: int = 1) -> list[SequencePattern]:
-        """The ``k`` longest patterns (support, then lexicographic tiebreak)."""
-        ranked = sorted(
-            self.patterns,
-            key=lambda p: (-p.length, -p.support, p.sequence),
-        )
-        return ranked[:k]

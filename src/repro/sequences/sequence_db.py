@@ -8,9 +8,12 @@ sequence ids, so all of Pattern-Fusion's tidset machinery applies verbatim.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
 
+from repro.core.kinds import SEQUENCES
 from repro.db import bitset
+from repro.db.transaction_db import absolute_minsup
 
 __all__ = ["SequenceDatabase", "is_subsequence"]
 
@@ -32,6 +35,9 @@ class SequenceDatabase:
     n_items:
         Item-universe size; inferred from the data when omitted.
     """
+
+    pattern_kind = SEQUENCES
+    """Pattern-Fusion fuses sequences here (:mod:`repro.core.kinds`)."""
 
     def __init__(
         self,
@@ -91,12 +97,6 @@ class SequenceDatabase:
     def sequence(self, sid: int) -> tuple[int, ...]:
         return self._sequences[sid]
 
-    def item_mask(self, item: int) -> int:
-        """Sequences mentioning ``item`` anywhere (a support superset)."""
-        if not 0 <= item < self._n_items:
-            raise ValueError(f"item {item} outside universe of {self._n_items}")
-        return self._item_masks[item]
-
     def tidset(self, pattern: Sequence[int]) -> int:
         """Support set of a sequential pattern, as a bitset.
 
@@ -123,17 +123,14 @@ class SequenceDatabase:
 
     def absolute_minsup(self, sigma: float | int) -> int:
         """Same threshold convention as the itemset database."""
-        if sigma <= 0:
-            raise ValueError(f"minimum support must be positive, got {sigma}")
-        if isinstance(sigma, int) or sigma > 1:
-            absolute = int(sigma)
-            if absolute != sigma:
-                raise ValueError(
-                    f"absolute minimum support must be integral, got {sigma}"
-                )
-        else:
-            absolute = int(-(-sigma * len(self._sequences) // 1))
-        return max(1, absolute)
+        return absolute_minsup(sigma, len(self._sequences))
+
+    def fingerprint(self) -> str:
+        """SHA-256 of the universe size and the sequences in database order,
+        for checkpoint identities: tidsets name sequences by position, so
+        reordering the sequences, or the items within one, changes it."""
+        content = repr((self._n_items, self._sequences)).encode()
+        return hashlib.sha256(content).hexdigest()
 
     def frequent_items(self, minsup: int) -> list[int]:
         """Items mentioned by at least ``minsup`` sequences."""

@@ -2,7 +2,7 @@
 
 A :class:`Query` is an immutable conjunction of operators::
 
-    Query().superset_of([3, 7]).min_support(20).min_size(5).top(10)
+    Query().superset([3, 7]).support_at_least(20).size_at_least(5).limit(10)
     Query().contains(1, 2)                     # any-of
     Query().within([3, 7, 12], radius=0.25)    # distance ball (Definition 6)
 

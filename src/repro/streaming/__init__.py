@@ -1,8 +1,8 @@
 """Streaming subsystem: sliding-window databases and incremental Pattern-Fusion.
 
 The live-traffic workload layer: transactions arrive as a stream
-(:mod:`repro.streaming.sources`), a :class:`SlidingWindowDatabase` maintains
-the vertical view incrementally (:mod:`repro.streaming.window`), an
+(:mod:`repro.streaming.sources`), a :class:`SlidingWindowDatabase` holds
+the current window's rows (:mod:`repro.streaming.window`), an
 :class:`IncrementalPatternFusion` driver keeps the colossal pattern pool
 current across window slides, re-running Algorithm 2 only on a slide that
 changes some pool membership (:mod:`repro.streaming.incremental`), and a

@@ -1,24 +1,13 @@
-"""A sliding window of transactions with incrementally-maintained bitsets.
+"""A sliding window of transactions.
 
 :class:`SlidingWindowDatabase` is the mutable counterpart of
 :class:`repro.db.transaction_db.TransactionDatabase`: transactions ``append``
-at the back and ``evict`` from the front (FIFO), and the vertical view — per
-item, the bitset of window-local transaction ids containing it — is updated
-in place instead of being rebuilt.  An append touches only the appended
-row's items; an evict touches only the evicted row's items.
+at the back and ``evict`` from the front (FIFO).  The streaming driver mines
+each slide from :meth:`SlidingWindowDatabase.snapshot`, so the window keeps
+its rows and nothing else.
 
 Window-local transaction ids follow arrival order (the oldest surviving row
-is tid 0), exactly matching the :meth:`SlidingWindowDatabase.snapshot` built
-from the same rows, so tidsets taken from the window and tidsets taken from
-a snapshot are interchangeable — the property the incremental Pattern-Fusion
-driver leans on.
-
-Internally, item masks are kept in *stream* coordinates offset by the count
-of evictions since the last renormalisation: evicting clears one bit and
-bumps the offset rather than shifting every mask.  The offset is folded back
-into the masks (one ``>>`` per item) whenever it exceeds the window length,
-so the amortised cost per eviction stays O(|row| + n_items/window) and mask
-widths stay O(window) on unbounded streams.
+is tid 0), exactly as in the snapshot built from the same rows.
 """
 
 from __future__ import annotations
@@ -30,13 +19,9 @@ from repro.db.transaction_db import TransactionDatabase, absolute_minsup
 
 __all__ = ["SlidingWindowDatabase"]
 
-# Renormalisation floor: never fold the offset for fewer than this many
-# evictions, so tiny windows do not shift masks on every evict.
-_MIN_RENORMALIZE = 64
-
 
 class SlidingWindowDatabase:
-    """Mutable FIFO window over a transaction stream, with vertical bitsets.
+    """Mutable FIFO window over a transaction stream.
 
     Parameters
     ----------
@@ -58,8 +43,7 @@ class SlidingWindowDatabase:
             raise ValueError(f"n_items must be >= 0, got {n_items}")
         self._capacity = capacity
         self._rows: deque[frozenset[int]] = deque()
-        self._masks: list[int] = [0] * n_items
-        self._offset = 0
+        self._n_items = n_items
         self._appends = 0
         self._evictions = 0
 
@@ -74,7 +58,7 @@ class SlidingWindowDatabase:
         cap = "∞" if self._capacity is None else str(self._capacity)
         return (
             f"SlidingWindowDatabase({len(self)}/{cap} transactions, "
-            f"{len(self._masks)} items, stream position {self._appends})"
+            f"{self._n_items} items, stream position {self._appends})"
         )
 
     @property
@@ -90,27 +74,16 @@ class SlidingWindowDatabase:
     @property
     def n_items(self) -> int:
         """Size of the item universe seen so far."""
-        return len(self._masks)
+        return self._n_items
 
     @property
     def transactions(self) -> tuple[frozenset[int], ...]:
         """The horizontal view, oldest first (window-local tid order)."""
         return tuple(self._rows)
 
-    @property
-    def start(self) -> int:
-        """Global stream position of the oldest window row (= total evictions)."""
-        return self._evictions
-
-    @property
-    def end(self) -> int:
-        """Global stream position one past the newest row (= total appends)."""
-        return self._appends
-
-    @property
-    def universe(self) -> int:
-        """Bitset of all window-local transaction ids."""
-        return (1 << len(self._rows)) - 1
+    def absolute_minsup(self, sigma: float | int) -> int:
+        """Resolve a threshold against the *current* window length."""
+        return absolute_minsup(sigma, len(self._rows))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -128,12 +101,7 @@ class SlidingWindowDatabase:
                 raise ValueError(f"item ids must be non-negative, got {item}")
         if self._capacity is not None and len(self._rows) >= self._capacity:
             self.evict()
-        top = max(row, default=-1)
-        if top >= len(self._masks):
-            self._masks.extend([0] * (top + 1 - len(self._masks)))
-        bit = 1 << (self._offset + len(self._rows))
-        for item in row:
-            self._masks[item] |= bit
+        self._n_items = max(self._n_items, max(row, default=-1) + 1)
         self._rows.append(row)
         position = self._appends
         self._appends += 1
@@ -147,68 +115,11 @@ class SlidingWindowDatabase:
         return self._evictions - before
 
     def evict(self) -> frozenset[int]:
-        """Remove and return the oldest window row.
-
-        Clears the row's bit from its items' masks and advances the stream
-        offset; masks are renormalised (shifted back to offset 0) once the
-        offset outgrows the window, keeping their width O(window).
-        """
+        """Remove and return the oldest window row."""
         if not self._rows:
             raise IndexError("evict from an empty window")
-        row = self._rows.popleft()
-        bit = 1 << self._offset
-        for item in row:
-            self._masks[item] &= ~bit
-        self._offset += 1
         self._evictions += 1
-        if self._offset >= max(_MIN_RENORMALIZE, len(self._rows)):
-            shift = self._offset
-            self._masks = [mask >> shift for mask in self._masks]
-            self._offset = 0
-        return row
-
-    # ------------------------------------------------------------------
-    # Queries (window-local, mirroring TransactionDatabase)
-    # ------------------------------------------------------------------
-
-    def item_tidset(self, item: int) -> int:
-        """Bitset of window-local tids of transactions containing ``item``."""
-        if not 0 <= item < len(self._masks):
-            raise ValueError(f"item {item} outside universe of {len(self._masks)}")
-        return self._masks[item] >> self._offset
-
-    def tidset(self, itemset: Iterable[int]) -> int:
-        """Support set of an itemset within the window, as a local bitset."""
-        result = self.universe
-        for item in itemset:
-            result &= self.item_tidset(item)
-            if result == 0:
-                return 0
-        return result
-
-    def support(self, itemset: Iterable[int]) -> int:
-        """Absolute support of an itemset within the current window."""
-        return self.tidset(itemset).bit_count()
-
-    def relative_support(self, itemset: Iterable[int]) -> float:
-        """Relative support within the window (0.0 for an empty window)."""
-        if not self._rows:
-            return 0.0
-        return self.support(itemset) / len(self._rows)
-
-    def absolute_minsup(self, sigma: float | int) -> int:
-        """Resolve a threshold against the *current* window length."""
-        return absolute_minsup(sigma, len(self._rows))
-
-    def frequent_items(self, minsup: int) -> list[int]:
-        """Item ids with window support ≥ ``minsup``, ascending by id."""
-        if minsup < 1:
-            raise ValueError(f"minsup must be >= 1, got {minsup}")
-        return [
-            item
-            for item, mask in enumerate(self._masks)
-            if (mask >> self._offset).bit_count() >= minsup
-        ]
+        return self._rows.popleft()
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -218,8 +129,7 @@ class SlidingWindowDatabase:
         """An immutable :class:`TransactionDatabase` of the current window.
 
         Window-local tid ``t`` of the snapshot is the window's ``t``-th
-        oldest row, so tidsets computed against the snapshot equal tidsets
-        computed against the live window.  Costs O(window content); the
-        window keeps no reference to the snapshot.
+        oldest row.  Costs O(window content); the window keeps no reference
+        to the snapshot.
         """
-        return TransactionDatabase(self._rows, n_items=len(self._masks))
+        return TransactionDatabase(self._rows, n_items=self._n_items)

@@ -334,7 +334,7 @@ class TestStreamLegacyState:
         doc["state"]["initial"] = [
             [p.sorted_items(), format(p.tidset, "x")] for p in first.initial_pool
         ]
-        doc["state"]["span"] = [first.window.start, first.window.end]
+        doc["state"]["span"] = [3 * 30 - len(first.window), 3 * 30]
         path.write_text(json.dumps(doc))
 
         resumed = IncrementalPatternFusion(

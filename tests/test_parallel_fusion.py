@@ -3,21 +3,28 @@
 The engine's headline guarantee: for a fixed config seed the final pool is
 identical for every worker count.  These tests pin that across the three
 dataset families the paper uses (synthetic QUEST-style, Diag-style,
-Replace-sim-style), check ``jobs`` against an explicit executor and no
-executor at all, and pin the round's RNG stream to a golden digest.
+Replace-sim-style) and a sequence database, check ``jobs`` against an
+explicit executor and no executor at all, and pin the round's RNG stream to
+a golden digest.
 """
 
 import pytest
 
 from repro.cli import _pool_digest
 from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
+from repro.core.kinds import SEQUENCES
 from repro.datasets import diag, diag_plus, quest_like, replace_like
 from repro.engine import ParallelExecutor, SerialExecutor
+from repro.sequences import motif_sequences
 
 
 def pool_key(result):
     """Canonical form of a final pool for equality checks."""
-    return sorted((p.sorted_items(), p.tidset) for p in result.patterns)
+    sequences = result.kind is SEQUENCES
+    return sorted(
+        (p.sequence if sequences else p.sorted_items(), p.tidset)
+        for p in result.patterns
+    )
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +43,19 @@ def replace_db():
     return db
 
 
+@pytest.fixture(scope="module")
+def motif_db():
+    db, _motifs = motif_sequences(
+        n_sequences=80, motif_lengths=(8, 6), motif_support=0.3, seed=3
+    )
+    return db
+
+
 CASES = [
     ("synthetic_db", 10, PatternFusionConfig(k=8, initial_pool_max_size=2, seed=3)),
     ("diag_db", 8, PatternFusionConfig(k=6, initial_pool_max_size=2, seed=1)),
     ("replace_db", 0.03, PatternFusionConfig(k=10, initial_pool_max_size=2, seed=7)),
+    ("motif_db", 8, PatternFusionConfig(k=10, tau=0.3, initial_pool_max_size=2, seed=4)),
 ]
 
 

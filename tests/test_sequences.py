@@ -2,13 +2,22 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import create_miner
 from repro.core import PatternFusionConfig
+from repro.resilience import (
+    CheckpointManager,
+    FaultInjected,
+    FaultSchedule,
+    set_fault_schedule,
+)
+from repro.resilience.checkpoint import CheckpointError
 from repro.sequences import (
     SequenceDatabase,
     SequencePattern,
@@ -220,8 +229,15 @@ class TestSequenceFusion:
         result = sequence_pattern_fusion(
             db, 25, PatternFusionConfig(k=8, seed=3)
         )
-        mins = [entry[1] for entry in result.history]
+        mins = [entry.min_pattern_size for entry in result.history]
         assert mins == sorted(mins)
+
+    def test_as_mining_result_projects_to_item_sets(self):
+        db, _ = motif_sequences(n_sequences=60, motif_lengths=(10,), seed=6)
+        result = sequence_pattern_fusion(db, 15, PatternFusionConfig(k=5, seed=7))
+        projected = result.as_mining_result()
+        assert projected.itemsets() == {frozenset(p.sequence) for p in result.patterns}
+        assert [p.tidset for p in projected] == [p.tidset for p in result.patterns]
 
     def test_deterministic(self):
         db, _ = motif_sequences(n_sequences=60, motif_lengths=(10,), seed=6)
@@ -234,8 +250,8 @@ class TestSequenceFusion:
     def test_pool_digest(self):
         """The sequence RNG stream and greedy passes are pinned.
 
-        Its passes shrink the running tidset about once in four, so the
-        walk's shrink path is pinned too.
+        On this database every seed ends on the same pool, so the digest
+        covers the per-round history too, which differs from seed to seed.
         """
         db, _ = motif_sequences(
             n_sequences=80, motif_lengths=(8, 6), motif_support=0.3, seed=3
@@ -247,8 +263,96 @@ class TestSequenceFusion:
         key = sorted(
             (list(p.sequence), format(p.tidset, "x")) for p in result.patterns
         )
-        digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:16]
-        assert digest == "f978c623b6ac59f5"
+        history = [asdict(entry) for entry in result.history]
+        digest = hashlib.sha256(json.dumps([key, history]).encode()).hexdigest()
+        assert digest[:16] == "3a652bbb58fc3c2a"
+
+
+def _knob_db():
+    db, _ = motif_sequences(
+        n_sequences=40, motif_lengths=(4, 4), motif_support=0.3,
+        noise_items=8, seed=69,
+    )
+    return db
+
+
+class TestSequenceFusionKnobs:
+    BASE = dict(minsup=6, k=5, tau=0.3, initial_pool_max_size=2, seed=8)
+    # One other value per knob; each changes the pool or the round count.
+    CHANGED = dict(
+        minsup=7, k=4, tau=0.9, initial_pool_max_size=1, fusion_trials=1,
+        max_candidates_per_seed=1, elitism=False, max_iterations=1,
+        stagnation_rounds=1, seed=9,
+    )
+
+    @staticmethod
+    def output(db, **knobs):
+        result = create_miner("sequence_fusion", **knobs).mine_sequences(db)
+        pool = sorted((p.sequence, p.tidset) for p in result.patterns)
+        return pool, result.iterations
+
+    def test_every_knob_is_live(self):
+        config_type = create_miner("sequence_fusion").config_type
+        knobs = set(config_type.knob_names())
+        assert knobs == set(self.CHANGED) | set(config_type.EXECUTION_KNOBS)
+        db = _knob_db()
+        base = self.output(db, **self.BASE)
+        for name, value in self.CHANGED.items():
+            assert self.output(db, **{**self.BASE, name: value}) != base, name
+
+    def test_close_fused_false_refused(self):
+        with pytest.raises(ValueError, match="itemsets only"):
+            sequence_pattern_fusion(
+                _knob_db(), 6, PatternFusionConfig(k=5, close_fused=False)
+            )
+
+
+class TestSequenceCheckpoint:
+    CONFIG = PatternFusionConfig(k=10, tau=0.3, initial_pool_max_size=2, seed=4)
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return motif_sequences(
+            n_sequences=80, motif_lengths=(8, 6), motif_support=0.3, seed=3
+        )[0]
+
+    def crash(self, db, path):
+        """A run stopped by a fault at its third round, with a checkpoint."""
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=3,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                sequence_pattern_fusion(
+                    db, 8, self.CONFIG, checkpoint=CheckpointManager(path)
+                )
+        finally:
+            set_fault_schedule(previous)
+        assert path.exists()
+
+    def test_resume_is_bit_identical(self, db, tmp_path):
+        reference = sequence_pattern_fusion(db, 8, self.CONFIG)
+        path = tmp_path / "ckpt.json"
+        self.crash(db, path)
+        resumed = sequence_pattern_fusion(
+            db, 8, self.CONFIG, checkpoint=CheckpointManager(path), jobs=2
+        )
+        assert [(p.sequence, p.tidset) for p in resumed.patterns] == [
+            (p.sequence, p.tidset) for p in reference.patterns
+        ]
+        assert resumed.history == reference.history
+        assert not path.exists()
+
+    def test_reordered_items_refused(self, db, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self.crash(db, path)
+        reversed_db = SequenceDatabase(
+            [row[::-1] for row in db.sequences], n_items=db.n_items
+        )
+        with pytest.raises(CheckpointError, match="different run"):
+            sequence_pattern_fusion(
+                reversed_db, 8, self.CONFIG, checkpoint=CheckpointManager(path)
+            )
 
 
 class TestMotifDataset:

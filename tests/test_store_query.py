@@ -202,3 +202,21 @@ class TestQueryWireFormat:
         assert query.superset_of == (4, 5)
         tightened = query.support_at_least(4).support_at_least(2)
         assert tightened.min_support == 4
+
+
+def test_module_docstring_examples_run():
+    """Every ``Query()`` example of the module docstring builds and runs."""
+    import repro.store.query as module
+
+    examples = [
+        line.split("#")[0].strip()
+        for line in module.__doc__.splitlines()
+        if line.strip().startswith("Query()")
+    ]
+    assert len(examples) == 3
+    center = Pattern(items=frozenset({3, 7, 12}), tidset=0b1111)
+    pool = [center, Pattern(items=frozenset({1, 3, 7, 8, 9}), tidset=(1 << 25) - 1)]
+    for source in examples:
+        query = eval(source, {"Query": Query})
+        answer = run_query(pool, query)
+        assert answer and answer == brute(pool, query), source
