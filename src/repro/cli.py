@@ -82,6 +82,7 @@ from repro.mining.results import (
     colossal_rank_key,
     make_pattern,
 )
+from repro.sequences.fusion import SequenceFusionMiner
 
 __all__ = ["main", "build_parser"]
 
@@ -597,20 +598,20 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         spec = get_miner_spec(name)
         config = _build_mine_config(spec, args)
         checkpoint = _make_checkpoint(args)
-        if checkpoint is not None and not issubclass(spec.cls, FusionMiner):
+        if checkpoint is not None and not issubclass(
+            spec.cls, (FusionMiner, SequenceFusionMiner)
+        ):
             raise _CliError(
-                "--checkpoint is supported for the round-based fusion miner "
-                f"pattern_fusion, not {spec.name!r}"
+                "--checkpoint is supported for the round-based fusion miners "
+                f"pattern_fusion and sequence_fusion, not {spec.name!r}"
             )
     except (_CliError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
     db = _load_database(args)
     print(describe(db))
-    if checkpoint is not None:
-        result = spec.cls(config).fuse(db, checkpoint=checkpoint).as_mining_result()
-    else:
-        result = spec.cls(config).mine(db)
+    miner = spec.cls(config)
+    result = miner.mine(db) if checkpoint is None else miner.mine(db, checkpoint)
     _print_result(result, args.limit)
     _persist_result(result, db, args, spec.name, config.identity_dict())
     return 0

@@ -63,11 +63,6 @@ class PatternFusionConfig:
         many consecutive iterations — the pool has saturated (every fusion
         reproduces patterns of the same sizes), so further rounds only
         reshuffle equivalent answers.
-    use_ball_index / ball_index_min_pool / ball_index_pivots:
-        Inert: they change neither results nor work, since every round
-        queries one packed pool matrix (:mod:`repro.core.ball_index`).
-        They stay validated fields because stored ``pattern_fusion`` run
-        ids, cache keys and ``meta.json`` configs include them.
     seed:
         Seed for the random draws; runs are deterministic given a seed.
     """
@@ -81,9 +76,6 @@ class PatternFusionConfig:
     elitism: bool = True
     max_iterations: int = 50
     stagnation_rounds: int = 3
-    use_ball_index: bool = True
-    ball_index_min_pool: int = 4096
-    ball_index_pivots: int = 8
     seed: int | None = None
 
     def reseeded(self, seed: int | None) -> "PatternFusionConfig":
@@ -119,12 +111,4 @@ class PatternFusionConfig:
         if self.stagnation_rounds < 1:
             raise ValueError(
                 f"stagnation_rounds must be >= 1, got {self.stagnation_rounds}"
-            )
-        if self.ball_index_min_pool < 0:
-            raise ValueError(
-                f"ball_index_min_pool must be >= 0, got {self.ball_index_min_pool}"
-            )
-        if self.ball_index_pivots < 0:
-            raise ValueError(
-                f"ball_index_pivots must be >= 0, got {self.ball_index_pivots}"
             )

@@ -433,10 +433,7 @@ class FusionMiner(Miner):
         self.executor = executor
 
     def fuse(
-        self,
-        db: TransactionDatabase,
-        initial_pool: Sequence[Pattern] | None = None,
-        checkpoint: CheckpointManager | None = None,
+        self, db: TransactionDatabase, checkpoint: CheckpointManager | None = None
     ) -> PatternFusionResult:
         """Run and return the full result (history, iteration telemetry)."""
         config: PatternFusionMinerConfig = self.config  # type: ignore[assignment]
@@ -444,14 +441,15 @@ class FusionMiner(Miner):
             db,
             config.minsup,
             config.fusion_config(),
-            initial_pool=initial_pool,
             executor=self.executor,
             checkpoint=checkpoint,
             jobs=config.jobs,
         )
 
-    def mine(self, db: TransactionDatabase) -> MiningResult:
-        return self.fuse(db).as_mining_result()
+    def mine(
+        self, db: TransactionDatabase, checkpoint: CheckpointManager | None = None
+    ) -> MiningResult:
+        return self.fuse(db, checkpoint).as_mining_result()
 
 
 def _with_elite(

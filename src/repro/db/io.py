@@ -62,8 +62,3 @@ def write_fimi(db: TransactionDatabase, path: str | Path) -> None:
     """Write a database to disk in FIMI format."""
     Path(path).write_text(format_fimi(db))
 
-
-def write_transactions(transactions: Iterable[Iterable[int]], path: str | Path) -> None:
-    """Write raw transactions (no database construction) in FIMI format."""
-    lines = [" ".join(str(i) for i in sorted(set(row))) for row in transactions]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.db.io import format_fimi
 from repro.db.transaction_db import TransactionDatabase
 
 __all__ = ["DatabaseStats", "dataset_fingerprint", "describe"]
@@ -24,12 +25,13 @@ __all__ = ["DatabaseStats", "dataset_fingerprint", "describe"]
 def dataset_fingerprint(db: TransactionDatabase) -> str:
     """Stable content hash of a database (64 hex chars).
 
-    SHA-256 over the item universe size and the *sorted* encoded rows (each
-    row its sorted item ids).  Sorting makes the fingerprint invariant to
-    transaction order — any row permutation mines the same pattern sets, so
-    permuted copies should hit the same cache entries — while any change to
-    the rows themselves, the row multiset, or the universe size changes the
-    hash.  The pattern store's ``mine_cached`` keys on this value.
+    SHA-256 over the item universe size and the database's FIMI text
+    (:func:`~repro.db.io.format_fimi`: each row its sorted item ids, the
+    rows *in database order*).  Stored tidsets name rows by position, so a
+    permuted copy of the rows is a different dataset to every layer that
+    keys on this value: the pattern store's ``mine_cached``, stored run ids
+    and itemset checkpoints.  Any change to the rows, their order, or the
+    universe size changes the hash.
 
     The hash is content-sized work, and :class:`TransactionDatabase` is
     immutable — so the value is memoized on the exact class (never on
@@ -41,15 +43,8 @@ def dataset_fingerprint(db: TransactionDatabase) -> str:
         cached = getattr(db, "_fingerprint_cache", None)
         if cached is not None:
             return cached
-    rows = sorted(
-        " ".join(str(item) for item in sorted(row)) for row in db.transactions
-    )
-    digest = hashlib.sha256()
-    digest.update(f"fimi-v1 {db.n_transactions} {db.n_items}\n".encode())
-    for row in rows:
-        digest.update(row.encode())
-        digest.update(b"\n")
-    fingerprint = digest.hexdigest()
+    header = f"fimi-v1 {db.n_transactions} {db.n_items}\n"
+    fingerprint = hashlib.sha256((header + format_fimi(db)).encode()).hexdigest()
     if type(db) is TransactionDatabase:
         db._fingerprint_cache = fingerprint
     return fingerprint

@@ -271,7 +271,7 @@ class ParallelFusionMiner(FusionMiner):
     """Deprecated registry alias of the ``pattern_fusion`` miner.
 
     Same config type and same pools; only the name differs, so runs stored
-    under ``parallel_pattern_fusion`` keep their run ids and cache hits.
+    under ``parallel_pattern_fusion`` keep run ids and cache keys of their own.
     """
 
     name = "parallel_pattern_fusion"

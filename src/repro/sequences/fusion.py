@@ -23,6 +23,7 @@ from repro.core.pattern_fusion import PatternFusionResult, pattern_fusion
 from repro.db import bitset
 from repro.db.transaction_db import TransactionDatabase
 from repro.mining.results import MiningResult
+from repro.resilience.checkpoint import CheckpointManager
 from repro.sequences.sequence_db import SequenceDatabase
 
 __all__ = [
@@ -147,7 +148,8 @@ class SequenceFusionMiner(Miner):
     config_type = SequenceFusionConfig
 
     def mine_sequences(
-        self, db: "SequenceDatabase | TransactionDatabase"
+        self, db: SequenceDatabase | TransactionDatabase,
+        checkpoint: CheckpointManager | None = None,
     ) -> PatternFusionResult:
         """Run on a sequence (or adapted transaction) database."""
         if isinstance(db, TransactionDatabase):
@@ -156,10 +158,14 @@ class SequenceFusionMiner(Miner):
             )
         config: SequenceFusionConfig = self.config  # type: ignore[assignment]
         return pattern_fusion(
-            db, config.minsup, config.fusion_config(), jobs=config.jobs
+            db, config.minsup, config.fusion_config(),
+            checkpoint=checkpoint, jobs=config.jobs,
         )
 
-    def mine(self, db: "SequenceDatabase | TransactionDatabase") -> MiningResult:
-        result = self.mine_sequences(db).as_mining_result()
+    def mine(
+        self, db: SequenceDatabase | TransactionDatabase,
+        checkpoint: CheckpointManager | None = None,
+    ) -> MiningResult:
+        result = self.mine_sequences(db, checkpoint).as_mining_result()
         result.algorithm = "sequence-fusion"
         return result

@@ -23,6 +23,7 @@ from repro.store.binfmt import (
     BIN_VERSION,
     BinaryFormatError,
     BinaryRun,
+    pool_image,
     read_binary_run,
     write_binary_run,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "BIN_VERSION",
     "BinaryFormatError",
     "BinaryRun",
+    "pool_image",
     "read_binary_run",
     "write_binary_run",
     "FORMAT_VERSION",

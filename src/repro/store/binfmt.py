@@ -35,8 +35,8 @@ opens (``PatternStore.open_matrix``), where
 bit-flipped file is rejected with a :class:`BinaryFormatError` naming
 what failed, never misread.  Reloads are bit-identical to the saved pool
 (the property tests in ``tests/test_store.py`` and ``tests/test_binfmt.py``
-pin this), and run ids stay content hashes of the v1 encoding, so
-migrating an old text-payload run never changes its id.
+pin this).  A save builds the image once (:func:`pool_image`), hashes it
+for the run id and writes those bytes (:func:`write_binary_run`).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ import mmap
 import os
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.kernels.matrix import TidsetMatrix
 from repro.resilience.faults import schedule as fault_schedule
@@ -60,6 +61,8 @@ __all__ = [
     "BIN_VERSION",
     "BinaryFormatError",
     "BinaryRun",
+    "PoolImage",
+    "pool_image",
     "read_binary_run",
     "write_binary_run",
 ]
@@ -93,8 +96,42 @@ def _n_words_for(n_bits: int) -> int:
     return max(1, -(-n_bits // 64))
 
 
+@dataclass(frozen=True, slots=True)
+class PoolImage:
+    """A pool as the bytes ``patterns.bin`` stores: every region but the
+    header and the embedded meta, which :func:`write_binary_run` adds."""
+
+    n_patterns: int
+    n_bits: int
+    table: bytes
+    words: bytes
+
+    def pieces(self) -> tuple[bytes, bytes, bytes]:
+        """What a run id hashes: ``n_bits``, the item table, the words."""
+        return (self.n_bits.to_bytes(8, "little"), self.table, self.words)
+
+
+def pool_image(patterns: Iterable["Pattern"]) -> PoolImage:
+    """Encode a pool: per pattern its sorted item ids in the table and its
+    tidset as one little-endian row of ``n_words`` words, in pool order."""
+    patterns = list(patterns)
+    if any(p.tidset < 0 for p in patterns):
+        raise ValueError("tidsets are non-negative integers")
+    n_bits = max((p.tidset.bit_length() for p in patterns), default=0)
+    width = _n_words_for(n_bits) * 8
+
+    table = bytearray()
+    for pattern in patterns:
+        items = pattern.sorted_items()
+        if items and (items[0] < 0 or items[-1] >> 64):
+            raise ValueError(f"item ids {items[0]}..{items[-1]} exceed a u64")
+        table += struct.pack(f"<I{len(items)}Q", len(items), *items)
+    words = b"".join(p.tidset.to_bytes(width, "little") for p in patterns)
+    return PoolImage(len(patterns), n_bits, bytes(table), words)
+
+
 def write_binary_run(
-    path: str | Path, meta: dict[str, Any], patterns: list["Pattern"]
+    path: str | Path, meta: dict[str, Any], image: PoolImage
 ) -> Path:
     """Write a run's binary payload atomically (temp file + rename).
 
@@ -102,36 +139,17 @@ def write_binary_run(
     the store still treats ``meta.json`` as canonical.  Returns ``path``.
     """
     path = Path(path)
-    n_patterns = len(patterns)
-    n_bits = 0
-    for pattern in patterns:
-        if pattern.tidset < 0:
-            raise ValueError("tidsets are non-negative integers")
-        n_bits = max(n_bits, pattern.tidset.bit_length())
-    n_words = _n_words_for(n_bits)
-    width = n_words * 8
-
+    table, words = image.table, image.words
     meta_blob = json.dumps(meta, sort_keys=True).encode()
-    table = bytearray()
-    for pattern in patterns:
-        items = pattern.sorted_items()
-        for item in items:
-            if not 0 <= item < 1 << 64:
-                raise ValueError(f"item id {item} does not fit in a u64")
-        table += _U32.pack(len(items))
-        if items:
-            table += struct.pack(f"<{len(items)}Q", *items)
-
     meta_offset = _HEADER.size
     table_offset = meta_offset + len(meta_blob)
     words_offset = -(-(table_offset + len(table)) // _WORD_ALIGN) * _WORD_ALIGN
     padding = words_offset - (table_offset + len(table))
-    words = b"".join(p.tidset.to_bytes(width, "little") for p in patterns)
 
-    body = meta_blob + bytes(table) + b"\x00" * padding
+    body = meta_blob + table + b"\x00" * padding
     header_head = _HEADER.pack(
         BIN_MAGIC, BIN_VERSION, _HEADER.size,
-        n_patterns, n_bits, n_words,
+        image.n_patterns, image.n_bits, _n_words_for(image.n_bits),
         meta_offset, len(meta_blob), table_offset, len(table),
         words_offset, len(words),
         zlib.crc32(words), zlib.crc32(body), 0,

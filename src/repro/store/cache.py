@@ -2,12 +2,12 @@
 
 ``mine_cached`` is the store-backed front door to every registered miner:
 the first call mines and persists; every later call with the same dataset
-content (by :func:`repro.db.stats.dataset_fingerprint` — transaction order
-does not matter) and the same config loads the persisted pool instead, *bit
-identically* — tidsets, pool order, timings and all.  Correct for every
-miner in the registry because each is deterministic given its config (the
-RNG-driven fusion miners carry their seed in the config, so the seed is part
-of the cache key).
+content (by :func:`repro.db.stats.dataset_fingerprint` — rows in order:
+tidsets name rows by position) and the same config loads the persisted
+pool instead, *bit identically* — tidsets, pool order, timings and all.
+Correct for every miner in the registry because each is deterministic given
+its config (the RNG-driven fusion miners carry their seed in the config, so
+the seed is part of the cache key).
 
 Also home of the small :class:`LRUCache` the serving layer uses for hot
 query results — plain ``OrderedDict`` mechanics with hit/miss telemetry, no

@@ -8,15 +8,15 @@ plus its pool in the binary payload (:mod:`repro.store.binfmt`).
 
 The **v1 line encoding** spells a pool one pattern per line: sorted item
 ids, then the tidset as hex, ``"3 7 12|1f"``.  It is the ``patterns`` list
-of ``repro mine --out`` documents, the payload of stores written before the
-binary format (read only by :meth:`repro.store.PatternStore.migrate`), and
-the input of every run id.  Tidsets and line order make a reload
-*bit-identical*, RNG-ordered fusion pools included.
+of ``repro mine --out`` documents and the payload of stores written before
+the binary format (read only by :meth:`repro.store.PatternStore.migrate`).
+Tidsets and line order make a reload *bit-identical*, RNG-ordered fusion
+pools included.
 
-Run ids are **content hashes** (SHA-256, truncated): a function of the
-v1 encoding plus the identity-bearing metadata, with wall-clock timings
-excluded — so re-mining the same dataset with the same config lands on the
-same run id, which is what the mining cache dedups on.
+Run ids are **content hashes** (SHA-256, truncated) of the identity-bearing
+metadata and the pool's binary image (a migrated run: its v1 text), with
+timings excluded — so re-mining the same dataset with the same config lands
+on the same run id, which is what the mining cache dedups on.
 
 ``FORMAT_VERSION`` gates compatibility: documents written by a newer format
 are refused with a crisp error instead of being misread.
@@ -27,13 +27,12 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.mining.results import MiningResult, Pattern
 
 __all__ = [
     "FORMAT_VERSION",
-    "encode_lines",
     "encode_patterns",
     "decode_patterns",
     "result_to_document",
@@ -49,21 +48,17 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def encode_lines(patterns: Iterable[Pattern]) -> Iterator[str]:
-    """Patterns → v1 lines, ``"items|tidsethex\\n"`` one per pattern.
+def encode_patterns(patterns: Iterable[Pattern]) -> str:
+    """Patterns → v1 payload text, ``"items|tidsethex\\n"`` per pattern.
 
     Items are written sorted (the itemset is a set; sorting is the canonical
     spelling), lines keep the pool's order (fusion pools are RNG-ordered and
     must reload exactly), and the tidset is lowercase hex without ``0x``.
     """
-    for pattern in patterns:
-        items = " ".join(str(item) for item in pattern.sorted_items())
-        yield f"{items}|{pattern.tidset:x}\n"
-
-
-def encode_patterns(patterns: Iterable[Pattern]) -> str:
-    """Patterns → v1 payload text: :func:`encode_lines` joined."""
-    return "".join(encode_lines(patterns))
+    return "".join(
+        f"{' '.join(map(str, p.sorted_items()))}|{p.tidset:x}\n"
+        for p in patterns
+    )
 
 
 def decode_patterns(text: str) -> list[Pattern]:
@@ -167,7 +162,7 @@ def _canonical(data: Any) -> bytes:
 
 
 def content_run_id(
-    payload: Iterable[str],
+    payload: Iterable[bytes],
     miner: str | None,
     algorithm: str,
     minsup: int,
@@ -176,10 +171,9 @@ def content_run_id(
 ) -> str:
     """The content-addressed run id: SHA-256 over identity, not timing.
 
-    ``payload`` is the pool's v1 encoding as consecutive pieces — the
-    :func:`encode_lines` stream, or the whole text — hashed in order, so a
-    big pool is never joined into one string.
-    Two saves of the same pool mined the same way produce the same id (the
+    ``payload`` is the pool's encoding as byte pieces hashed in order: a
+    save's :meth:`~repro.store.binfmt.PoolImage.pieces`, or v1 text.  Two
+    saves of the same pool mined the same way produce the same id (the
     store turns the second into a no-op); changing any pattern, the order
     of an RNG-sensitive pool, the config, the miner, or the dataset
     changes it.
@@ -195,7 +189,7 @@ def content_run_id(
     }))
     digest.update(b"\x00")
     for piece in payload:
-        digest.update(piece.encode())
+        digest.update(piece)
     return digest.hexdigest()[:16]
 
 

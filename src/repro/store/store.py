@@ -7,11 +7,11 @@ Layout::
     <root>/runs/<run_id>/patterns.bin # the pool: checksummed, mmap-able words
     <root>/streams/<name>.jsonl       # appended DriftReport slides
 
-Run ids are content hashes (:func:`repro.store.format.content_run_id`), so
-the store is append-only and idempotent: saving the same run twice is a
-no-op returning the same id, and nothing in a run directory is ever
-rewritten.  Writes go through a temp-file + rename so a crashed save leaves
-no half-written run visible.
+Run ids are content hashes (:func:`repro.store.format.content_run_id`) of
+the binary image a save writes, so the store is append-only and
+idempotent: saving the same run twice is a no-op returning the same id, and
+nothing in a run directory is ever rewritten.  Writes go through a temp-file
++ rename so a crashed save leaves no half-written run visible.
 
 ``patterns.bin`` (:mod:`repro.store.binfmt`) is a run's only payload;
 :meth:`PatternStore.open_matrix` is the serving tier's cold-open path: the
@@ -19,7 +19,7 @@ pool as a mapped :class:`~repro.kernels.TidsetMatrix` without materialising
 any big-int.  Stores written before the binary format hold each pool as v1
 text (``patterns.txt``); every reader refuses such a run with an error
 naming ``repro store migrate``, and :meth:`PatternStore.migrate` — the only
-reader of that text — upgrades it in place without changing its id.
+reader of that text — upgrades it in place, keeping the id the text hashes to.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.store.binfmt import (
     BinaryRun,
     _atomic_write,
     _fsync_dir,
+    pool_image,
     read_binary_run,
     write_binary_run,
 )
@@ -53,7 +54,7 @@ from repro.store.format import (
     check_format,
     content_run_id,
     decode_patterns,
-    encode_lines,
+    encode_patterns,
 )
 
 __all__ = ["StoredRun", "PatternStore"]
@@ -186,9 +187,10 @@ class PatternStore:
             dataset = {"fingerprint": fingerprint}
         with trace.span("store_save", patterns=len(result.patterns)) as span, \
                 _SAVE_SECONDS.time():
+            image = pool_image(result.patterns)
             run_id = content_run_id(
-                encode_lines(result.patterns), miner, result.algorithm,
-                result.minsup, config, fingerprint,
+                image.pieces(), miner, result.algorithm, result.minsup,
+                config, fingerprint,
             )
             span.set(run_id=run_id)
             run_dir = self._runs_dir / run_id
@@ -211,7 +213,7 @@ class PatternStore:
                 "created": time.time(),
             }
             run_dir.mkdir(parents=True, exist_ok=True)
-            write_binary_run(run_dir / "patterns.bin", meta, result.patterns)
+            write_binary_run(run_dir / "patterns.bin", meta, image)
             # meta.json lands last: its presence marks the run complete.
             _write_json(run_dir / "meta.json", meta, indent=2)
             _SAVES.inc(outcome="written")
@@ -317,8 +319,8 @@ class PatternStore:
         A ``patterns.bin`` already beside the text (an interrupted
         migration, or a save by a version that wrote both payloads) is
         rewritten from the verified text.  Returns the ids upgraded, so a
-        second call returns ``[]``.  Run ids never change: they hash the v1
-        encoding, which is recomputed, not read.
+        second call returns ``[]``.  Run ids never change: a v1 run's id
+        hashes its v1 text, which is re-encoded and hashed, not read.
         """
         targets = [run_id] if run_id is not None else self.run_ids()
         migrated: list[str] = []
@@ -330,7 +332,7 @@ class PatternStore:
                 continue
             patterns = decode_patterns(text_path.read_text())
             recomputed = content_run_id(
-                encode_lines(patterns),
+                [encode_patterns(patterns).encode()],
                 meta.get("miner"),
                 meta["algorithm"],
                 meta["minsup"],
@@ -342,7 +344,7 @@ class PatternStore:
                     f"run {target}: v1 payload re-hashes to {recomputed}; "
                     "refusing to migrate a corrupt run"
                 )
-            write_binary_run(run_dir / "patterns.bin", meta, patterns)
+            write_binary_run(run_dir / "patterns.bin", meta, pool_image(patterns))
             text_path.unlink()
             _fsync_dir(run_dir)
             _MIGRATIONS.inc()

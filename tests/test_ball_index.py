@@ -88,29 +88,6 @@ class TestEffectiveness:
         assert all(p in pool for p in got)
 
 
-class TestFusionIntegration:
-    def test_index_and_brute_agree_end_to_end(self):
-        """The inert ball-index knobs leave Pattern-Fusion results alone."""
-        from repro.core import PatternFusionConfig, pattern_fusion
-        from repro.datasets import diag
-
-        db = diag(30)
-        base = dict(k=20, initial_pool_max_size=2, seed=11)
-        runs = [
-            pattern_fusion(db, 15, PatternFusionConfig(**base, **knobs))
-            for knobs in (
-                {},
-                dict(use_ball_index=True, ball_index_min_pool=0),
-                dict(use_ball_index=False, ball_index_pivots=0),
-            )
-        ]
-        for run in runs[1:]:
-            assert [(p.items, p.tidset) for p in run.patterns] == [
-                (p.items, p.tidset) for p in runs[0].patterns
-            ]
-            assert run.history == runs[0].history
-
-
 def brute_balls(centers, pool, radius):
     return [ball(center, pool, radius) for center in centers]
 

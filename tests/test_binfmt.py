@@ -26,7 +26,10 @@ from repro.mining.results import MiningResult, Pattern
 from repro.store import (
     BinaryFormatError,
     PatternStore,
+    content_run_id,
     decode_patterns,
+    encode_patterns,
+    pool_image,
     read_binary_run,
     write_binary_run,
 )
@@ -58,7 +61,7 @@ def pool():
 def bin_file(tmp_path, pool):
     path = tmp_path / "patterns.bin"
     meta = {"algorithm": "test", "minsup": 2, "n_patterns": len(pool)}
-    write_binary_run(path, meta, pool)
+    write_binary_run(path, meta, pool_image(pool))
     return path
 
 
@@ -81,20 +84,20 @@ class TestRoundTrip:
 
     def test_empty_pool(self, tmp_path):
         path = tmp_path / "empty.bin"
-        write_binary_run(path, {"algorithm": "x", "minsup": 1}, [])
+        write_binary_run(path, {"algorithm": "x", "minsup": 1}, pool_image([]))
         run = read_binary_run(path)
         assert len(run) == 0
         assert run.patterns() == []
 
-    def test_itemset_too_wide_refused(self, tmp_path):
+    def test_itemset_too_wide_refused(self):
         bad = [Pattern(items=frozenset({1 << 64}), tidset=1)]
         with pytest.raises(ValueError, match="u64"):
-            write_binary_run(tmp_path / "bad.bin", {}, bad)
+            pool_image(bad)
 
-    def test_negative_tidset_refused(self, tmp_path):
+    def test_negative_tidset_refused(self):
         bad = [Pattern(items=frozenset({1}), tidset=-1)]
         with pytest.raises(ValueError, match="non-negative"):
-            write_binary_run(tmp_path / "bad.bin", {}, bad)
+            pool_image(bad)
 
     def test_deferred_words_verify_passes_on_clean_file(self, bin_file):
         read_binary_run(bin_file).verify_words()  # must not raise
@@ -249,13 +252,39 @@ class TestStoreIntegration:
             PatternStore(v1_store).migrate(V1_FUSION_RUN)
         assert sorted(os.listdir(run_dir)) == ["meta.json", "patterns.txt"]
 
-    @pytest.mark.parametrize("run_id", [V1_FUSION_RUN, V1_EMPTY_RUN])
-    def test_saved_pool_keeps_the_fixture_run_id(self, tmp_path, run_id):
-        """Run ids still hash the v1 encoding: the same pool, the same id."""
-        meta = PatternStore(V1_STORE).meta(run_id)
-        result = MiningResult(meta["algorithm"], meta["minsup"], v1_pool(run_id))
-        saved = PatternStore(tmp_path / "store").save(
-            result, miner=meta["miner"], config=meta["config"],
-            fingerprint=meta["dataset"]["fingerprint"],
+    def test_migrate_keeps_both_v1_ids(self, v1_store):
+        """A migrated run keeps the id its v1 lines hash to."""
+        store = PatternStore(v1_store)
+        store.migrate()
+        assert store.run_ids() == sorted([V1_EMPTY_RUN, V1_FUSION_RUN])
+        for run_id in (V1_FUSION_RUN, V1_EMPTY_RUN):
+            run = store.load(run_id)
+            text = encode_patterns(run.patterns).encode()
+            assert content_run_id(
+                [text], run.miner, run.meta["algorithm"], run.meta["minsup"],
+                run.config, run.fingerprint,
+            ) == run_id == run.meta["run_id"]
+
+    def test_saved_pool_gets_the_binary_id_once(self, tmp_path):
+        """A save hashes its binary image; saving again is a no-op."""
+        meta = PatternStore(V1_STORE).meta(V1_FUSION_RUN)
+        result = MiningResult(
+            meta["algorithm"], meta["minsup"], v1_pool(V1_FUSION_RUN)
         )
-        assert saved == run_id
+        store = PatternStore(tmp_path / "store")
+
+        def save():
+            return store.save(
+                result, miner=meta["miner"], config=meta["config"],
+                fingerprint=meta["dataset"]["fingerprint"],
+            )
+
+        run_id = save()
+        assert run_id == "f5ec791924426ec9"
+        run_dir = store.root / "runs" / run_id
+        written = {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()}
+        assert save() == run_id
+        assert store.run_ids() == [run_id]
+        assert {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()} == (
+            written
+        )

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import PatternFusion, PatternFusionConfig, pattern_fusion
 from repro.datasets import quest_like
+from repro.db import TransactionDatabase
 from repro.mining import Pattern
 from repro.resilience import (
     CheckpointManager,
@@ -242,6 +243,28 @@ class TestFusionCrashResume:
         finally:
             set_fault_schedule(previous)
 
+    def test_checkpoint_on_permuted_rows_refused(self, db, tmp_path):
+        """Tidsets name rows by position: the same rows in another order
+        are another dataset, so the checkpoint does not resume there."""
+        path = tmp_path / "ckpt.json"
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=2,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                pattern_fusion(
+                    db, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
+                )
+        finally:
+            set_fault_schedule(previous)
+        rows = list(db.transactions)
+        random.Random(0).shuffle(rows)
+        permuted = TransactionDatabase(rows, n_items=db.n_items)
+        with pytest.raises(CheckpointError, match="different run"):
+            pattern_fusion(
+                permuted, 6, _CONFIG, jobs=1, checkpoint=CheckpointManager(path)
+            )
+
     def test_checkpoint_with_removed_backend_knob_refused(self, db, tmp_path):
         """A checkpoint from a config that still had ``backend`` (its
         identity is ``asdict(config)``, so it carries ``"backend": "auto"``)
@@ -427,6 +450,35 @@ class TestCheckpointCli:
         ])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
+
+    def test_sequence_fusion_resumes_the_clean_pool(self, tmp_path, capsys):
+        args = [
+            "mine", "--dataset", "quest", "--minsup", "20",
+            "--miner", "sequence_fusion", "--set", "k=10",
+            "--set", "initial_pool_max_size=2", "--set", "seed=0",
+            "--limit", "10",
+        ]
+
+        def pool_rows():
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if line.startswith("  ")]
+
+        assert main(args) == 0
+        clean = pool_rows()
+        ckpt = str(tmp_path / "c.json")
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=2,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                main([*args, "--checkpoint", ckpt])
+        finally:
+            set_fault_schedule(previous)
+        assert Path(ckpt).exists()
+        capsys.readouterr()
+        assert main([*args, "--checkpoint", ckpt, "--resume"]) == 0
+        assert pool_rows() == clean
+        assert not Path(ckpt).exists()
 
     def test_fresh_run_discards_stale_checkpoint(self, tmp_path, capsys):
         stale = tmp_path / "c.json"

@@ -180,13 +180,3 @@ class TestParallelContract:
         result = pattern_fusion(diag_db, 8, config, jobs=4)
         assert result.patterns
         assert all(p.size == 8 for p in result.patterns)
-
-    def test_ball_index_path_agrees(self, synthetic_db):
-        # The ball-index knobs are inert: pools match under the parallel
-        # driver exactly as they do serially.
-        base = dict(k=8, initial_pool_max_size=2, seed=11)
-        with_index = PatternFusionConfig(**base, ball_index_min_pool=1)
-        without_index = PatternFusionConfig(**base, use_ball_index=False)
-        a = pattern_fusion(synthetic_db, 10, with_index, jobs=2)
-        b = pattern_fusion(synthetic_db, 10, without_index, jobs=2)
-        assert pool_key(a) == pool_key(b)

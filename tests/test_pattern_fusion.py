@@ -177,3 +177,56 @@ class TestConfigValidation:
         config = PatternFusionConfig()
         assert config.k == 100
         assert config.tau == 0.5
+
+
+class TestPatternFusionKnobs:
+    """The itemset twin of the sequence miner's knob test: every
+    ``pattern_fusion`` knob changes the pool or the round count, or is an
+    execution knob."""
+
+    BASE = dict(minsup=6, k=10, tau=0.5, initial_pool_max_size=2, seed=8)
+    # One other value per knob; each changes the pool or the round count
+    # on the planted itemset database.
+    CHANGED = dict(
+        minsup=7, k=4, tau=0.9, initial_pool_max_size=1, fusion_trials=1,
+        max_candidates_per_seed=1, close_fused=False, elitism=False,
+        max_iterations=1, seed=9,
+    )
+    # An itemset round fuses every seed into closed supersets of itself, so
+    # a pool whose size histogram stands still has stopped changing at all
+    # and ends on the fixpoint test first.  The same miner shows the knob
+    # on the sequence database of the sequence knob test.
+    SEQUENCE_BASE = dict(minsup=6, k=5, tau=0.3, initial_pool_max_size=2, seed=8)
+    SEQUENCE_CHANGED = dict(stagnation_rounds=1)
+
+    @staticmethod
+    def output(db, **knobs):
+        from repro.api import create_miner
+
+        result = create_miner("pattern_fusion", **knobs).fuse(db)
+        ordered = result.kind.ordered
+        pool = sorted(
+            (p.sequence if ordered else p.sorted_items(), p.tidset)
+            for p in result.patterns
+        )
+        return pool, result.iterations
+
+    def test_every_knob_is_live(self, quest_db):
+        from repro.api import create_miner
+        from tests.test_sequences import _knob_db
+
+        config_type = create_miner("pattern_fusion").config_type
+        knobs = set(config_type.knob_names())
+        assert knobs == (
+            set(self.CHANGED) | set(self.SEQUENCE_CHANGED)
+            | set(config_type.EXECUTION_KNOBS)
+        )
+        for db, base_knobs, changed in (
+            (quest_db, self.BASE, self.CHANGED),
+            (_knob_db(), self.SEQUENCE_BASE, self.SEQUENCE_CHANGED),
+        ):
+            base = self.output(db, **base_knobs)
+            for name, value in changed.items():
+                assert self.output(db, **{**base_knobs, name: value}) != base, (
+                    name
+                )

@@ -6,6 +6,10 @@ audit recounted what ``db.support`` gives; all are gone.  A caller that
 still names one gets the registry's ``unknown miner`` error (exit 2 on the
 CLI, 400 over HTTP), never a traceback.  The store never consults the
 registry, so runs saved under a removed name stay listable and queryable.
+
+The same holds for the three ball-index knobs of ``pattern_fusion``
+(``use_ball_index``, ``ball_index_min_pool``, ``ball_index_pivots``),
+which changed neither pools nor work: naming one is an unknown config key.
 """
 
 import json
@@ -68,6 +72,22 @@ def test_removed_miner_fails_cleanly(name, dat_file, server, capsys):
         {"dataset": "diag", "miner": name, "config": {"minsup": 5}},
     )
     assert status == 400 and "unknown miner" in body["error"]
+
+
+@pytest.mark.parametrize(
+    "knob", ["use_ball_index", "ball_index_min_pool", "ball_index_pivots"]
+)
+def test_removed_knob_is_an_unknown_key(knob, dat_file, server, capsys):
+    base = ["mine", "--input", str(dat_file), "--minsup", "2"]
+    assert main([*base, "--miner", "pattern_fusion", "--set", f"{knob}=1"]) == 2
+    assert f"unknown config key(s) {knob}" in capsys.readouterr().err
+
+    status, body = post_status(
+        server.url + "/mine",
+        {"dataset": "diag", "miner": "pattern_fusion",
+         "config": {"minsup": 5, knob: 1}},
+    )
+    assert status == 400 and "unknown config key" in body["error"]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -12,6 +12,7 @@ The headline guarantees under test:
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -95,7 +96,7 @@ class TestPayloadFormat:
 
 class TestContentIds:
     def test_identical_content_identical_id(self):
-        args = ("0 1|f\n", "eclat", "eclat", 2, {"minsup": 2}, "abc")
+        args = ((b"0 1", b"|f\n"), "eclat", "eclat", 2, {"minsup": 2}, "abc")
         assert content_run_id(*args) == content_run_id(*args)
 
     @pytest.mark.parametrize("field, value", [
@@ -106,7 +107,9 @@ class TestContentIds:
         base = ["0 1|f\n", "eclat", "eclat", 2, {"minsup": 2}, "abc"]
         changed = list(base)
         changed[field] = value
-        assert content_run_id(*base) != content_run_id(*changed)
+        assert content_run_id([base[0].encode()], *base[1:]) != content_run_id(
+            [changed[0].encode()], *changed[1:]
+        )
 
     def test_cache_key_requires_full_provenance(self):
         assert cache_key(None, "eclat", {}) is None
@@ -116,10 +119,13 @@ class TestContentIds:
 
 
 class TestFingerprint:
-    def test_row_permutation_invariant(self):
+    def test_row_order_sensitive(self):
+        """Tidsets name rows by position, so a permutation is new data."""
         a = TransactionDatabase([[1, 2], [2, 3], [0]], n_items=4)
         b = TransactionDatabase([[0], [2, 3], [1, 2]], n_items=4)
-        assert dataset_fingerprint(a) == dataset_fingerprint(b)
+        c = TransactionDatabase([[2, 1], [3, 2], [0]], n_items=4)
+        assert dataset_fingerprint(a) != dataset_fingerprint(b)
+        assert dataset_fingerprint(a) == dataset_fingerprint(c)
 
     def test_content_sensitive(self):
         a = TransactionDatabase([[1, 2], [2, 3]], n_items=4)
@@ -256,20 +262,23 @@ class TestMineCached:
         b = mine_cached(store, "eclat", diag(11), minsup=4)
         assert not a.hit and not b.hit
 
-    def test_row_permutation_hits(self, tmp_path):
-        """Fingerprint sorts rows, so a permuted copy reuses the cache."""
-        db = diag(10)
-        permuted = TransactionDatabase(
-            list(reversed(db.transactions)), n_items=db.n_items
-        )
+    def test_row_permutation_misses(self, tmp_path, quest_db):
+        """A permuted copy mines its own pool: a hit would hand back
+        tidsets that name the original row positions."""
+        rows = list(quest_db.transactions)
+        random.Random(0).shuffle(rows)
+        permuted = TransactionDatabase(rows, n_items=quest_db.n_items)
         store = PatternStore(tmp_path / "store")
-        cold = mine_cached(store, "eclat", db, minsup=4)
-        warm = mine_cached(store, "eclat", permuted, minsup=4)
-        assert warm.hit
-        # Itemsets agree even though tidsets are window-position relative.
+        cold = mine_cached(store, "closed", quest_db, minsup=6)
+        warm = mine_cached(store, "closed", permuted, minsup=6)
+        assert not cold.hit and not warm.hit
+        assert warm.run_id != cold.run_id
         assert {p.items for p in warm.result.patterns} == {
             p.items for p in cold.result.patterns
         }
+        assert all(
+            permuted.tidset(p.items) == p.tidset for p in warm.result.patterns
+        )
 
     def test_jobs_is_execution_not_identity(self, tmp_path):
         """Worker count never changes the pool, so it never splits the cache."""
@@ -292,7 +301,7 @@ class TestMineCached:
                 PatternStore(tmp_path / "store"), "parallel_pattern_fusion",
                 diag_plus(), minsup=20, k=10, initial_pool_max_size=2, seed=0,
             )
-        assert outcome.run_id == "5a69ee6875a15fea"
+        assert outcome.run_id == "1ce1b0ed8352a477"
 
     def test_identity_dict_excludes_only_execution_knobs(self):
         from repro.api import get_miner_spec
