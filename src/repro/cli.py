@@ -32,13 +32,15 @@ Subcommands
     clean serial reference — the resilience layer's acceptance drill.
     ``--list-points`` names the injection points.
 ``serve``
-    Serve a pattern store over the HTTP JSON API — threaded in-process
+    Serve a pattern store over the HTTP JSON API — one in-process worker
     by default (:class:`repro.serve.PatternServer`), or ``--workers N``
-    for the pre-forked production tier with bounded request queues and
-    crash-respawn supervision (:class:`repro.serve.PreforkServer`).
-    Either mode exposes the live diagnostics endpoints (``/debug/vars``,
-    ``/debug/trace``, ``/debug/profile``) and honors ``--trace`` /
-    ``--trace-file`` in every worker process.
+    for the pre-forked production tier with crash-respawn supervision
+    (:class:`repro.serve.PreforkServer`).  Both modes run the same worker
+    loop, with a bounded request queue (``--queue-depth``; overflow is
+    answered 503) and ``--threads`` handler threads, and both drain on
+    SIGTERM/Ctrl-C.  Either mode exposes the live diagnostics endpoints
+    (``/debug/vars``, ``/debug/trace``, ``/debug/profile``) and honors
+    ``--trace`` / ``--trace-file`` in every worker process.
 ``bench``
     Perf-regression tooling over the committed ``BENCH_*.json``
     trajectories: ``bench diff <old> <new>`` compares metric-by-metric
@@ -318,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the POST /mine endpoint (read-only)")
     serve.add_argument("--workers", type=_non_negative_int, default=0,
                        help="pre-fork this many worker processes sharing the "
-                            "socket (0 = threaded single process; POSIX only)")
+                            "socket (0 = one in-process worker; POSIX only)")
     serve.add_argument("--queue-depth", type=_positive_int, default=64,
                        help="per-worker bounded request queue; overflow is "
-                            "answered 503 (prefork mode)")
+                            "answered 503")
     serve.add_argument("--threads", type=_positive_int, default=8,
-                       help="handler threads per worker (prefork mode)")
+                       help="handler threads per worker")
 
     chaos = sub.add_parser(
         "chaos",
@@ -987,57 +989,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except _CliError as error:
         print(error, file=sys.stderr)
         return 2
-    if args.workers:
-        return _serve_prefork(store, args)
-    from repro.serve import PatternServer
+    from repro.serve import PatternServer, PreforkServer
 
-    server = PatternServer(
-        store,
+    loop = dict(
         host=args.host,
         port=args.port,
+        queue_depth=args.queue_depth,
+        threads=args.threads,
         cache_size=args.cache_size,
         allow_mine=not args.no_mine,
     )
+    if args.workers:
+        try:
+            server = PreforkServer(
+                store,
+                workers=args.workers,
+                trace_stderr=args.trace,
+                trace_file=args.trace_file,
+                **loop,
+            )
+        except RuntimeError as error:  # no os.fork on this platform
+            print(error, file=sys.stderr)
+            return 2
+        mode = f"{args.workers} pre-forked workers"
+    else:
+        server = PatternServer(store, **loop)
+        mode = "1 in-process worker"
     print(
         f"serving {len(store)} runs from {args.store} on {server.url} "
-        "(GET /health /metrics /miners /runs /runs/<id> /debug/vars "
-        "/debug/trace, POST /mine /query /debug/profile; Ctrl-C stops)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.close()
-    return 0
-
-
-def _serve_prefork(store, args: argparse.Namespace) -> int:
-    from repro.serve import PreforkServer
-
-    try:
-        server = PreforkServer(
-            store,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            threads=args.threads,
-            cache_size=args.cache_size,
-            allow_mine=not args.no_mine,
-            trace_stderr=args.trace,
-            trace_file=args.trace_file,
-        )
-    except RuntimeError as error:  # no os.fork on this platform
-        print(error, file=sys.stderr)
-        return 2
-    print(
-        f"serving {len(store)} runs from {args.store} on {server.url} "
-        f"({args.workers} pre-forked workers, queue depth "
-        f"{args.queue_depth}, {args.threads} threads each; "
-        "/debug/vars /debug/trace /debug/profile answer fleet-wide; "
-        "SIGTERM/Ctrl-C drains)",
+        f"({mode}, queue depth {args.queue_depth}, {args.threads} threads "
+        "each; GET /health /metrics /miners /runs /runs/<id> /debug/vars "
+        "/debug/trace, POST /mine /query /debug/profile; SIGTERM/Ctrl-C "
+        "drains)",
         flush=True,
     )
     server.serve_forever()

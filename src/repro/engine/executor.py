@@ -89,8 +89,8 @@ _DEGRADED = metrics.counter(
 # call, per thread.  In a worker process each chunk sets and clears it
 # around itself (tasks run on that one thread); under the serial executor,
 # map_reduce itself sets and restores it.  Per thread, so concurrent
-# in-process calls — the threaded HTTP server mines on many handler
-# threads — never read each other's payload.
+# in-process calls — the HTTP server mines on many handler threads —
+# never read each other's payload.
 _PAYLOAD = threading.local()
 
 

@@ -10,7 +10,8 @@ GET     ``/runs``          metadata summary of every stored run
 GET     ``/runs/<id>``     one run's metadata + patterns (``?limit=N``)
 POST    ``/mine``          mine through the store cache; body
                            ``{"dataset": ..., "miner": ..., "config": {...}}``
-                           (optional ``n`` in 2..``MAX_MINE_N``, ``seed``)
+                           (``dataset`` one of ``BUILTIN_DATASETS``;
+                           optional ``n`` in 2..``MAX_MINE_N``, ``seed``)
 POST    ``/query``         evaluate a query; body
                            ``{"run": id, "query": {...}}``
 GET     ``/debug/vars``    live-process vitals (RSS, GC, threads, uptime,
@@ -39,9 +40,10 @@ in-process LRUs in front of the disk — loaded runs (payload + prebuilt
 caches are safe because the store is content-addressed and append-only: a
 run id's content can never change under a cached entry (deleting a run
 *under* the cache is detected and answered 404, with the entry dropped).
-:class:`PatternServer` wraps the app in the stdlib ``ThreadingHTTPServer``
-— one thread per connection, no framework; the pre-forked production tier
-(:mod:`repro.serve.prefork`) shares the same app across worker processes.
+Both servers in :mod:`repro.serve.prefork` host the app through one
+serving loop, :class:`~repro.serve.prefork.WorkerServer` (accept, a bounded
+queue, a handler-thread pool, 503 on overflow): :class:`PatternServer`
+runs one in-process, and the pre-forked tier runs one per worker process.
 
 Pattern records on the wire carry ``items``, ``size``, ``support``, and the
 ``tidset`` as hex — everything needed to rebuild the exact in-memory
@@ -54,24 +56,25 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from http.server import BaseHTTPRequestHandler
+from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.api.pipeline import load_dataset
+from repro.api.pipeline import BUILTIN_DATASETS, load_dataset
 from repro.api.registry import get_miner_spec, miner_names
 from repro.mining.results import Pattern
-from repro.obs import clock, diag, metrics, profile, trace
+from repro.obs import clock, metrics, profile, trace
 from repro.obs.logs import get_logger
-from repro.obs.metrics import REGISTRY
 from repro.store.cache import LRUCache, mine_cached
 from repro.store.format import FORMAT_VERSION
 from repro.store.index import InvertedItemIndex
 from repro.store.query import Query, run_query
 from repro.store.store import PatternStore, StoredRun
 
-__all__ = ["PatternApp", "PatternServer", "pattern_record"]
+if TYPE_CHECKING:
+    from repro.serve.prefork import WorkerServer
+
+__all__ = ["PatternApp", "pattern_record"]
 
 #: Default number of pattern records embedded in /mine and /runs/<id> bodies.
 DEFAULT_LIMIT = 50
@@ -166,11 +169,12 @@ def _run_summary(meta: dict[str, Any]) -> dict[str, Any]:
 class PatternApp:
     """The HTTP-free serving core: dispatch, validation, and the LRUs.
 
-    One app instance is shared by every handler thread of a
-    :class:`PatternServer` — and, in the pre-forked tier, by every worker
-    *process* (built and warmed before the fork so the caches' pages are
-    inherited copy-on-write).  ``allow_mine=False`` turns ``/mine`` off
-    for read-only deployments.
+    One app instance is shared by every handler thread of a worker loop
+    — and, in the pre-forked tier, by every worker *process* (built and
+    warmed before the fork so the caches' pages are inherited
+    copy-on-write).  ``allow_mine=False`` turns ``/mine`` off for
+    read-only deployments; otherwise ``/mine`` mines only the built-in
+    datasets (``BUILTIN_DATASETS``), never a server-side file.
     """
 
     def __init__(
@@ -318,9 +322,13 @@ class PatternApp:
         if not isinstance(miner, str):
             raise _ApiError(400, "body must carry a 'miner' name string")
         dataset = body.get("dataset")
-        if not isinstance(dataset, str):
+        # Names only: a path would make the server read (and echo in its
+        # parse error) any file it can open.
+        if dataset not in BUILTIN_DATASETS:
             raise _ApiError(
-                400, "body must carry a 'dataset' (built-in name or file path)"
+                400,
+                "'dataset' must be a built-in dataset name "
+                f"({', '.join(BUILTIN_DATASETS)}), got {dataset!r}",
             )
         config = body.get("config", {})
         if not isinstance(config, dict):
@@ -355,73 +363,6 @@ class PatternApp:
         }
 
 
-class PatternServer(PatternApp):
-    """A :class:`PatternApp` behind the stdlib ``ThreadingHTTPServer``.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`port` —
-    the tests and the ``repro serve`` banner do).  Use as a context
-    manager, or call :meth:`start` / :meth:`close` explicitly.  For
-    multi-process serving see :class:`repro.serve.prefork.PreforkServer`.
-    """
-
-    def __init__(
-        self,
-        store: PatternStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        cache_size: int = 256,
-        allow_mine: bool = True,
-    ) -> None:
-        super().__init__(store, cache_size=cache_size, allow_mine=allow_mine)
-        self._httpd = _StoreHTTPServer((host, port), _Handler, app=self)
-        self._thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the kernel's choice)."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "PatternServer":
-        """Serve on a daemon thread and return immediately."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
-        self._httpd.serve_forever()
-
-    def close(self) -> None:
-        """Stop serving and release the socket."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "PatternServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def _is_int(value: Any) -> bool:
     """A JSON integer (``bool`` subclasses ``int`` but is not one here)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -443,16 +384,16 @@ def _query_number(
 
 
 def _handle_debug(
-    server: "_StoreHTTPServer", method: str, path: str,
+    server: "WorkerServer", method: str, path: str,
     query: dict[str, list[str]],
 ) -> tuple[int, dict[str, Any]]:
     """Dispatch one ``/debug/*`` request against the *server* layer.
 
     Debug endpoints live on the server, not the app: they report
     process-level state (queue depths, the metrics spool, sibling
-    workers) the HTTP-free :class:`PatternApp` knows nothing about.  The
-    prefork tier's worker server overrides the three ``debug_*`` hooks to
-    answer for the whole fleet.
+    workers) the HTTP-free :class:`PatternApp` knows nothing about.  With
+    a metrics spool the worker's ``debug_*`` hooks answer for the whole
+    pre-forked fleet.
     """
     parts = [part for part in path.split("/") if part]
     if method == "GET" and parts == ["debug", "vars"]:
@@ -484,73 +425,10 @@ def _limit_of(query: dict[str, list[str]]) -> int | None:
     return None if limit < 0 else limit
 
 
-class _StoreHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the app reference for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(self, address, handler, app: PatternApp) -> None:
-        self.app = app
-        # The ring /debug/trace reads; zero-cost until tracing is enabled.
-        diag.ensure_trace_ring()
-        super().__init__(address, handler)
-
-    def render_metrics(self) -> str:
-        """What ``GET /metrics`` returns: this process's registry.
-
-        The pre-forked tier's worker server overrides this to merge every
-        worker's spooled snapshot into one exposition.
-        """
-        return REGISTRY.render()
-
-    # ------------------------------------------------------------------
-    # /debug/* hooks (the prefork WorkerServer overrides all three to
-    # answer for the whole fleet via the metrics spool)
-    # ------------------------------------------------------------------
-
-    def debug_vars_extra(self) -> dict[str, Any]:
-        """Layer-specific additions to this process's /debug/vars doc."""
-        return {
-            "query_cache": self.app.query_cache.stats(),
-            "run_cache": self.app.run_cache.stats(),
-        }
-
-    def debug_vars_by_worker(self) -> dict[str, Any]:
-        """Per-worker vitals; single-process servers report as ``self``."""
-        return {"self": diag.debug_vars(extra=self.debug_vars_extra())}
-
-    def debug_trace(self, limit: int) -> dict[str, Any]:
-        spans = diag.recent_spans(limit)
-        return {
-            "tracing_enabled": trace.TRACER.enabled,
-            "count": len(spans),
-            "spans": spans,
-        }
-
-    def debug_profile(self, seconds: float, hz: float) -> dict[str, Any]:
-        prof = profile.profile_for(seconds, hz)
-        return {
-            "seconds": seconds,
-            "hz": hz,
-            "workers": ["self"],
-            "n_samples": prof.n_samples,
-            "phases": prof.phase_samples(),
-            "collapsed": prof.collapsed(),
-        }
-
-    def current_queue_wait(self) -> float | None:
-        """Seconds the in-progress request waited in an accept queue.
-
-        ``None`` here: the threaded server has no queue.  The prefork
-        worker loop records per-request waits for its access log.
-        """
-        return None
-
-
 class _Handler(BaseHTTPRequestHandler):
-    """Parse HTTP, delegate to :meth:`PatternServer.handle`, write JSON."""
+    """Parse HTTP, delegate to :meth:`PatternApp.handle`, write JSON."""
 
-    server: _StoreHTTPServer
+    server: "WorkerServer"
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format: str, *args: object) -> None:

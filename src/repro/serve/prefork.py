@@ -1,15 +1,18 @@
-"""The pre-forked production serving tier: N worker processes, one socket.
+"""The serving loop, run in-process or by N pre-forked worker processes.
 
-Python's GIL caps a :class:`~repro.serve.app.PatternServer` at roughly one
-core; the production tier forks instead.  The supervisor binds the
+:class:`WorkerServer` is the one accept loop: it feeds a **bounded**
+request queue drained by a small handler-thread pool, and answers a raw
+``503`` the instant the queue is full: backpressure by design, not by
+timeout.  :class:`PatternServer` runs one in-process.
+
+Python's GIL caps a :class:`PatternServer` at roughly one core; the
+production tier forks instead.  The supervisor binds the
 listening socket, builds **one** :class:`~repro.serve.app.PatternApp` and
 warms its caches — including the store's mmap'd binary run matrices
 (:mod:`repro.store.binfmt`) — then forks ``workers`` processes that
 inherit the listening fd and the warm pages copy-on-write.  Each worker
-accepts on the shared socket (the kernel load-balances accepts), feeds a
-**bounded** request queue drained by a small handler-thread pool, and
-answers a raw ``503`` the instant the queue is full: backpressure by
-design, not by timeout.
+runs a :class:`WorkerServer` on the shared socket (the kernel
+load-balances accepts).
 
 Supervision: the parent reaps children; an unexpected exit is logged,
 counted (``repro_prefork_worker_restarts_total``), and answered with a
@@ -44,9 +47,8 @@ Tracing passes through: ``--trace``/``--trace-file`` reach the workers,
 each writing its own ``<file>.worker<i>`` JSON-lines file (inherited file
 handles are never shared across the fork).
 
-``repro serve --workers N --queue-depth M`` is the CLI front door;
-:class:`WorkerServer` is also usable in-process (no fork) for
-deterministic backpressure tests.
+``repro serve [--workers N] --queue-depth M --threads T`` is the CLI
+front door: ``--workers 0`` (the default) runs a :class:`PatternServer`.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from repro.serve.app import PatternApp, _Handler
 from repro.serve.metrics import MetricsSpool
 from repro.store.store import PatternStore
 
-__all__ = ["PreforkServer", "WorkerServer"]
+__all__ = ["PatternServer", "PreforkServer", "WorkerServer"]
 
 _LOG = get_logger("serve.prefork")
 
@@ -130,17 +132,14 @@ _REJECT_RESPONSE = (
 class WorkerServer:
     """One worker: accept loop → bounded queue → handler-thread pool.
 
-    Reuses the exact :class:`~repro.serve.app._Handler` of the threaded
-    server (this object stands in as its ``server``: it carries ``app``
-    and ``render_metrics``).  ``queue_depth`` bounds the accepted-but-
-    unhandled backlog — an accept that finds the queue full is answered
-    with a canned ``503`` and closed immediately, so overload degrades
-    into fast rejections instead of unbounded memory and latency.
+    This object is the ``server`` of every :class:`~repro.serve.app._Handler`
+    it runs: it carries ``app`` and the hooks the handler calls
+    (``render_metrics``, ``current_queue_wait`` and the ``debug_*``
+    hooks).  ``queue_depth`` bounds the accepted-but-unhandled backlog —
+    an accept that finds the queue full is answered with a canned ``503``
+    and closed immediately, so overload degrades into fast rejections
+    instead of unbounded memory and latency.
     """
-
-    #: Matches ThreadingHTTPServer's contract; _Handler never reads it,
-    #: but symmetry keeps the stand-in honest.
-    daemon_threads = True
 
     def __init__(
         self,
@@ -408,6 +407,85 @@ class WorkerServer:
                 if self.spool is not None:
                     if self.spool.maybe_flush(self.worker_id):
                         self._flush_vars()
+
+
+class PatternServer(PatternApp):
+    """A :class:`PatternApp` served by one in-process :class:`WorkerServer`.
+
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port` —
+    the tests and the ``repro serve`` banner do).  Use as a context
+    manager, or call :meth:`start` / :meth:`close` explicitly.  For
+    multi-process serving see :class:`PreforkServer`.
+    """
+
+    def __init__(
+        self,
+        store: PatternStore,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        cache_size: int = 256,
+        allow_mine: bool = True,
+        queue_depth: int = 64,
+        threads: int = 8,
+    ) -> None:
+        super().__init__(store, cache_size=cache_size, allow_mine=allow_mine)
+        self._worker = WorkerServer(
+            socket.create_server((host, port)), self,
+            queue_depth=queue_depth, threads=threads, worker_id="self",
+        )
+        self._thread: threading.Thread | None = None
+
+    @property
+    def host(self) -> str:
+        return self._worker.socket.getsockname()[0]
+
+    @property
+    def port(self) -> int:
+        """The bound port (resolves ``port=0`` to the kernel's choice)."""
+        return self._worker.socket.getsockname()[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "PatternServer":
+        """Serve on a daemon thread and return immediately."""
+        if self._thread is not None:
+            raise RuntimeError("server already started")
+        self._thread = threading.Thread(
+            target=self._worker.serve_forever, name="repro-serve", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the main thread until SIGTERM/SIGINT; drains, then closes."""
+        previous = {
+            signum: signal.signal(
+                signum, lambda signum, frame: self._worker.drain()
+            )
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            self._worker.serve_forever()
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)  # type: ignore[arg-type]
+            self.close()
+
+    def close(self) -> None:
+        """Drain the queued requests, then release the socket."""
+        self._worker.drain()
+        if self._thread is not None:
+            self._thread.join(timeout=self._worker.conn_timeout)
+            self._thread = None
+        self._worker.socket.close()
+
+    def __enter__(self) -> "PatternServer":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 class PreforkServer:

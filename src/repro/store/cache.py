@@ -102,10 +102,10 @@ def mine_cached(
 class LRUCache:
     """A bounded least-recently-used map with hit/miss telemetry.
 
-    Thread-safe: the serving layer shares one instance across the
-    ``ThreadingHTTPServer``'s handler threads, so every operation holds one
-    internal lock.  ``capacity=0`` disables caching (every ``get`` misses,
-    ``put`` is a no-op) so callers can turn the cache off without branching.
+    Thread-safe: the serving layer shares one instance across a worker's
+    handler threads, so every operation holds one internal lock.
+    ``capacity=0`` disables caching (every ``get`` misses, ``put`` is a
+    no-op) so callers can turn the cache off without branching.
     """
 
     def __init__(self, capacity: int) -> None:

@@ -96,9 +96,11 @@ def quest_db() -> TransactionDatabase:
     return quest_like(n_transactions=120, n_items=24, n_patterns=8, seed=42)
 
 
-#: A store from before the binary format: v1 ``patterns.txt`` payloads only.
-#: Its runs are ``mine_cached(store, "pattern_fusion", diag_plus(), minsup=20,
-#: k=10, initial_pool_max_size=2, seed=0)`` and the empty pool of
+#: A store from before the binary format: v1 ``patterns.txt`` payloads only,
+#: kept only as a format fixture.  Its fusion run is the pool an earlier
+#: version mined with ``mine_cached(store, "pattern_fusion", diag_plus(),
+#: minsup=20, k=10, initial_pool_max_size=2, seed=0)``; that call mines a
+#: different pool today.  Its other run is the empty pool of
 #: ``mine_cached(store, "eclat", diag(10), minsup=11)``.
 V1_STORE = Path(__file__).parent / "fixtures" / "v1_store"
 V1_FUSION_RUN = "927ebcdfd3f455ec"

@@ -231,7 +231,7 @@ class TestServeParser:
         assert args.port == 8753
         assert args.cache_size == 256
         assert not args.no_mine
-        assert args.workers == 0  # threaded single process by default
+        assert args.workers == 0  # one in-process worker by default
         assert args.queue_depth == 64
         assert args.threads == 8
 

@@ -80,7 +80,7 @@ class TestSerialExecutor:
 
     def test_concurrent_threads_see_their_own_payload(self):
         # Every Pattern-Fusion run without an executor goes through a
-        # SerialExecutor, and the threaded HTTP server runs mines
+        # SerialExecutor, and the HTTP server's handler threads run mines
         # concurrently: one thread's payload must never leak into another's
         # call.  Thread "a" reads its payload while "b" is inside its call.
         a_inside, b_inside, a_read = (threading.Event() for _ in range(3))

@@ -184,6 +184,17 @@ class TestErrors:
         assert code == 400 and f"2..{MAX_MINE_N}" in message
         assert time.perf_counter() - started < 5.0
 
+    def test_file_path_dataset_400_without_reading_it(self, served, tmp_path):
+        """/mine takes built-in names only: a server-side path is never read."""
+        server, _, _ = served
+        secret = tmp_path / "secret.txt"
+        secret.write_text("hunter2 password line\n")
+        code, message = error_of(lambda: post(
+            server.url + "/mine", {"dataset": str(secret), "miner": "eclat"},
+        ))
+        assert code == 400 and "hunter2" not in message
+        assert "diag-plus" in message  # the built-ins are listed
+
     def test_non_integer_seed_400(self, served):
         server, _, _ = served
         code, message = error_of(lambda: post(
@@ -246,8 +257,8 @@ class TestErrors:
 class TestContentLength:
     """Bad or oversized bodies get a 4xx: no traceback, no blocked handler.
 
-    Threaded and pre-forked serving share one request handler, so these
-    cases cover both tiers.
+    Both serve modes run the same worker loop and request handler, so
+    these cases cover both.
     """
 
     @pytest.mark.parametrize("value, status", [

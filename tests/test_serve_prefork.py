@@ -6,7 +6,8 @@ distinct worker pids, ``GET /metrics`` merges per-worker series, a
 SIGKILLed worker is respawned and counted, and SIGTERM drains to a clean
 exit.  The bounded-queue 503 is deterministic only in-process, where the
 test can hold the single handler thread hostage and watch the queue
-fill — so that one drives :class:`WorkerServer` directly, no fork.
+fill — so that one drives :class:`WorkerServer` with no fork, both on its
+own and inside the default :class:`PatternServer`.
 """
 
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import diag_plus
-from repro.serve import PatternApp, WorkerServer
+from repro.serve import PatternApp, PatternServer, WorkerServer
 from repro.store import PatternStore, mine_cached
 
 pytestmark = pytest.mark.skipif(
@@ -48,7 +49,7 @@ def _populate(root) -> PatternStore:
     return store
 
 
-def _launch(store_root, *extra, env_extra=None):
+def _launch(store_root, *extra, env_extra=None, workers=2):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -57,7 +58,8 @@ def _launch(store_root, *extra, env_extra=None):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", "--store", str(store_root),
-            "--workers", "2", "--queue-depth", "8", "--port", "0", *extra,
+            "--workers", str(workers), "--queue-depth", "8", "--port", "0",
+            *extra,
         ],
         # stderr carries an access-log line per request; never share an
         # undrained pipe with it or the server blocks mid-test.
@@ -231,9 +233,10 @@ class TestCrashLoopThrottle:
 
 
 class TestDrain:
-    def test_sigterm_drains_to_clean_exit(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_sigterm_drains_to_clean_exit(self, tmp_path, workers):
         store = _populate(tmp_path / "store")
-        proc, url = _launch(store.root)
+        proc, url = _launch(store.root, workers=workers)
         status, _ = _get(url, "/health")
         assert status == 200
         proc.send_signal(signal.SIGTERM)
@@ -245,21 +248,40 @@ class TestDrain:
             _get(url, "/health", timeout=2)
 
 
+def _bare_worker(store):
+    """A WorkerServer on its own listener: (worker, port, start, stop)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    worker = WorkerServer(
+        listener, PatternApp(store),
+        queue_depth=1, threads=1, conn_timeout=5.0,
+    )
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+
+    def stop():
+        worker.drain()
+        thread.join(timeout=15)
+        listener.close()
+        assert not thread.is_alive()
+
+    return worker, listener.getsockname()[1], thread.start, stop
+
+
+def _default_server(store):
+    """The WorkerServer inside ``repro serve``'s default PatternServer."""
+    server = PatternServer(store, port=0, queue_depth=1, threads=1)
+    return server._worker, server.port, server.start, server.close
+
+
 class TestBackpressure:
-    def test_full_queue_answers_503(self, tmp_path):
+    @pytest.mark.parametrize("serve", [_bare_worker, _default_server])
+    def test_full_queue_answers_503(self, tmp_path, serve):
         """Deterministic in-process overload: one handler thread, queue of 1."""
         store = _populate(tmp_path / "store")
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        worker = WorkerServer(
-            listener, PatternApp(store),
-            queue_depth=1, threads=1, conn_timeout=5.0,
-        )
+        worker, port, start, stop = serve(store)
         from repro.serve.prefork import _CONNECTIONS
 
         accepted_before = _CONNECTIONS.value()
-        thread = threading.Thread(target=worker.serve_forever, daemon=True)
-        thread.start()
+        start()
         try:
             # The blocker sends nothing: the lone handler thread sits in
             # the request read until we close the connection.
@@ -291,7 +313,4 @@ class TestBackpressure:
             blocker.close()
             filler.close()
         finally:
-            worker.drain()
-            thread.join(timeout=15)
-            listener.close()
-        assert not thread.is_alive()
+            stop()
