@@ -4,8 +4,9 @@ The story this example tells:
 
 1. install a deterministic fault schedule that murders a worker on every
    other chunk dispatch, mine in parallel anyway, and verify the pool is
-   bit-identical to a clean serial run — retries, reshards, and serial
-   fallbacks are all visible in the metrics afterwards;
+   bit-identical to a clean serial run — the engine re-sends each failed
+   chunk to a fresh pool (up to three tries, then runs it in the driver),
+   and the failures and retries are visible in the metrics afterwards;
 2. crash a fusion run mid-flight (an injected raise at round 3), then
    resume it from its checkpoint and watch it replay the uninterrupted
    trajectory exactly;
@@ -26,7 +27,6 @@ from repro import (
     CheckpointManager,
     FaultInjected,
     FaultSchedule,
-    RetryPolicy,
     set_fault_schedule,
 )
 from repro.core import PatternFusionConfig, pattern_fusion
@@ -50,7 +50,7 @@ reference = pattern_fusion(db, 6, config, jobs=1)
 
 set_fault_schedule(FaultSchedule.parse("kill@executor.chunk:first=1,every=2"))
 try:
-    with ParallelExecutor(2, retry=RetryPolicy(backoff_base=0.01)) as executor:
+    with ParallelExecutor(2) as executor:
         chaotic = pattern_fusion(db, 6, config, executor=executor)
 finally:
     set_fault_schedule(None)  # back to whatever $REPRO_FAULTS says

@@ -78,7 +78,6 @@ from repro.resilience import (
     CheckpointManager,
     FaultInjected,
     FaultSchedule,
-    RetryPolicy,
     fault_points,
     set_fault_schedule,
 )
@@ -178,7 +177,6 @@ __all__ = [
     "dataset_fingerprint",
     "PatternServer",
     # resilience
-    "RetryPolicy",
     "CheckpointManager",
     "FaultSchedule",
     "FaultInjected",

@@ -1,6 +1,6 @@
 """Composable pipelines: dataset → miner → evaluation → report.
 
-The declarative surface the experiments and the quickstart build on::
+The declarative surface the quickstart builds on::
 
     report = (
         Pipeline()

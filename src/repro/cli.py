@@ -1100,8 +1100,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     families = (
         "repro_faults_injected_total", "repro_retries_total",
-        "repro_chunk_failures_total", "repro_chunk_reshards_total",
-        "repro_chunk_serial_fallbacks_total", "repro_checkpoint_saves_total",
+        "repro_chunk_failures_total", "repro_chunk_serial_fallbacks_total",
+        "repro_checkpoint_saves_total",
     )
     lines = [
         line for line in metrics.REGISTRY.render().splitlines()

@@ -241,7 +241,9 @@ class PatternFusion:
         start = clock.monotonic()
         faults = fault_schedule()
         checkpoint = self.checkpoint
-        if checkpoint is not None and checkpoint.identity is None:
+        if checkpoint is not None:
+            # The run's own identity always wins: a caller-set one would let
+            # this run resume a checkpoint mined on another config or database.
             checkpoint.identity = self._checkpoint_identity()
         resumed = checkpoint.load() if checkpoint is not None else None
         with trace.span(

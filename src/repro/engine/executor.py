@@ -25,14 +25,13 @@ Two executors implement the interface:
   to the serial path with a warning instead of failing, so callers never
   need their own fallback.
 
-Dispatch is *supervised* (:mod:`repro.resilience.supervised`): a worker
-death, injected fault, or deadline expiry fails only the chunks that were
-in flight — completed results are banked, failed chunks retried on a fresh
-pool under the executor's :class:`~repro.resilience.RetryPolicy`, reshard-
-split on repeated failure, and only exhausted retries run serially.  The
-merged output is bit-identical to serial for any failure schedule.  Only a
-pool that cannot be (re)created at all — fork or semaphores forbidden —
-takes the permanent serial degrade of earlier revisions.
+Dispatch retries failed chunks (:func:`supervised_dispatch`): a worker
+death or an injected fault fails only the chunks that were in flight.
+Completed results are banked, failed chunks are re-sent to a fresh pool in
+the next wave, and a chunk that fails :data:`MAX_ATTEMPTS` times runs in
+the driver.  The merged output is bit-identical to serial for any failure
+schedule.  Only a pool that cannot be (re)created at all — fork or
+semaphores forbidden — takes the permanent serial degrade.
 """
 
 from __future__ import annotations
@@ -42,14 +41,17 @@ import multiprocessing
 import threading
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, TypeVar
 
 from repro.obs import metrics, trace
-from repro.resilience.faults import apply_action, schedule as fault_schedule
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.supervised import run_supervised
+from repro.resilience.faults import (
+    FaultInjected,
+    FaultSchedule,
+    apply_action,
+    schedule as fault_schedule,
+)
 
 __all__ = [
     "Executor",
@@ -84,6 +86,26 @@ _DEGRADED = metrics.counter(
     "repro_executor_degraded_total",
     "Pool-infrastructure failures that forced the serial fallback",
 )
+_RETRIES = metrics.counter(
+    "repro_retries_total",
+    "Chunk redispatches after a transient failure",
+)
+_FAILURES = metrics.counter(
+    "repro_chunk_failures_total",
+    "Transient chunk failures seen by the supervised dispatcher",
+    ("kind",),
+)
+_SERIAL_FALLBACKS = metrics.counter(
+    "repro_chunk_serial_fallbacks_total",
+    "Chunks that exhausted retries and ran serially in the driver",
+)
+
+#: Tries a chunk gets on the pool; a chunk that fails them all runs in the
+#: driver, the one executor left that a worker failure cannot take down.
+MAX_ATTEMPTS = 3
+
+#: Dispatch-side injection point (driver-consulted; action ships to worker).
+CHUNK_POINT = "executor.chunk"
 
 # The one piece of protocol state: the payload of the current map_reduce
 # call, per thread.  In a worker process each chunk sets and clears it
@@ -118,7 +140,7 @@ def worker_payload() -> Any:
 def _invoke_chunk(
     payload: Any, fn: Callable[[Any], Any], chunk: Any, fault_action: Any = None
 ) -> Any:
-    """Worker entry of a supervised dispatch: apply the shipped fault, run ``fn``.
+    """Worker entry of :func:`supervised_dispatch`: apply the fault, run ``fn``.
 
     The fault action (if any) was chosen by the *driver's* schedule for this
     specific dispatch attempt — kill exits the worker, delay sleeps, raise
@@ -136,6 +158,83 @@ def _run_chunk_inline(fn: Callable[[Any], Any], chunk: Any, payload: Any) -> Any
         return fn(chunk)
     finally:
         _swap_payload(previous)
+
+
+def supervised_dispatch(
+    chunks: Sequence[Any],
+    *,
+    pool_factory: Callable[[], Any],
+    reset_pool: Callable[[], None],
+    invoke: Callable[[Any, Any], Any],
+    serial_fn: Callable[[Any], Any],
+    faults: FaultSchedule | None = None,
+) -> list[Any]:
+    """Run every chunk on a pool, in waves; per-chunk results in chunk order.
+
+    Each wave submits ``invoke(chunk, action)`` for every pending chunk to
+    ``pool_factory()`` and waits for all of them.  Finished chunks are
+    banked and never recomputed.  A chunk whose worker raised
+    :class:`~repro.resilience.FaultInjected` or died (``BrokenProcessPool``)
+    is sent again in the next wave; a broken pool is discarded with
+    ``reset_pool()`` so the next wave gets a fresh one.  After
+    :data:`MAX_ATTEMPTS` waves the chunks still pending run through
+    ``serial_fn`` in the driver, outside the fault envelope, so the call
+    always finishes.  Any other exception is a real bug in the chunk
+    function and propagates unchanged.
+
+    ``faults`` is consulted here, in the driver, once per dispatch (point
+    ``executor.chunk``), so kill rules stay bounded across pool
+    generations; the chosen action ships with the chunk.  Creation errors
+    from ``pool_factory`` propagate: a pool that cannot be built at all is
+    the caller's degrade case.
+    """
+    results: list[Any] = [None] * len(chunks)
+    pending = list(range(len(chunks)))
+    retries = failures = 0
+    with trace.span("supervised_dispatch", chunks=len(chunks)) as span:
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            if not pending:
+                break
+            if attempt > 1:
+                retries += len(pending)
+                _RETRIES.inc(len(pending))
+            pool = pool_factory()
+            futures: dict[Future, int] = {}
+            failed: list[int] = []
+            broken = False
+            for index in pending:
+                action = (
+                    faults.check(CHUNK_POINT, attempt=attempt) if faults else None
+                )
+                try:
+                    futures[pool.submit(invoke, chunks[index], action)] = index
+                except (BrokenProcessPool, RuntimeError):
+                    broken = True
+                    failed.append(index)
+            wait(futures)
+            for future, index in futures.items():
+                try:
+                    results[index] = future.result()
+                    continue
+                except FaultInjected:
+                    kind = "fault"
+                except BrokenProcessPool:
+                    kind = "broken_pool"
+                    broken = True
+                failures += 1
+                _FAILURES.inc(kind=kind)
+                failed.append(index)
+            if broken:
+                reset_pool()
+            pending = sorted(failed)
+        for index in pending:
+            results[index] = serial_fn(chunks[index])
+        if pending:
+            _SERIAL_FALLBACKS.inc(len(pending))
+        span.set(
+            retries=retries, failures=failures, serial_fallbacks=len(pending)
+        )
+    return results
 
 
 class _PoolUnavailable(Exception):
@@ -210,22 +309,12 @@ class ParallelExecutor(Executor):
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (the one pool start is then cheap) and the platform
         default elsewhere.
-    retry:
-        The :class:`~repro.resilience.RetryPolicy` governing supervised
-        dispatch (retries, backoff, reshard, deadline).  Defaults to the
-        policy's defaults: 3 attempts, reshard after 2, no deadline.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        start_method: str | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, jobs: int, start_method: str | None = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.retry = retry if retry is not None else RetryPolicy()
         self._start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
         self._serial = SerialExecutor()
@@ -257,29 +346,6 @@ class ParallelExecutor(Executor):
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def _reset_pool(self, kill: bool = False) -> None:
-        """Discard the current pool so the next dispatch builds a fresh one.
-
-        ``kill=True`` hard-terminates the worker processes first: the
-        supervised dispatcher calls it on deadline expiry, when the workers
-        are presumed hung and a graceful shutdown would block forever.
-        """
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        if kill:
-            processes = list((getattr(pool, "_processes", None) or {}).values())
-            for process in processes:
-                process.terminate()
-            for process in processes:
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-
     def map_reduce(
         self,
         fn: Callable[[Any], Any],
@@ -296,20 +362,18 @@ class ParallelExecutor(Executor):
             "map_reduce", executor="process", chunks=len(chunks), jobs=self.jobs
         ), _MAP_REDUCE_SECONDS.time(executor="process"):
             try:
-                results = run_supervised(
+                results = supervised_dispatch(
+                    chunks,
                     pool_factory=self._pool_or_unavailable,
-                    reset_pool=self._reset_pool,
-                    fn=fn,
-                    chunks=chunks,
-                    policy=self.retry,
-                    faults=faults if faults else None,
+                    reset_pool=self._shutdown_pool,
+                    invoke=functools.partial(_invoke_chunk, payload, fn),
                     serial_fn=lambda chunk: _run_chunk_inline(fn, chunk, payload),
-                    invoke=functools.partial(_invoke_chunk, payload),
+                    faults=faults if faults else None,
                 )
             except _PoolUnavailable as error:
                 # Only infrastructure failure degrades: worker deaths and
-                # injected faults are absorbed by the supervised retry loop,
-                # and an exception raised by ``fn`` inside a worker (even an
+                # injected faults are absorbed by the retry waves, and an
+                # exception raised by ``fn`` inside a worker (even an
                 # OSError subclass) propagates to the caller unchanged,
                 # leaving the pool healthy.
                 return self._degrade(error.error, fn, chunks, merge, payload)
@@ -318,7 +382,7 @@ class ParallelExecutor(Executor):
     def _pool_or_unavailable(self) -> ProcessPoolExecutor:
         """``_ensure_pool`` with creation failures wrapped for the degrade path.
 
-        The wrapper keeps ``run_supervised`` able to re-raise ``fn``'s own
+        The wrapper keeps ``supervised_dispatch`` able to re-raise ``fn``'s own
         exceptions (even OSError subclasses) without the executor mistaking
         them for a missing pool.
         """
@@ -354,17 +418,13 @@ class ParallelExecutor(Executor):
         return f"ParallelExecutor(jobs={self.jobs}, {state})"
 
 
-def make_executor(
-    jobs: int = 1,
-    start_method: str | None = None,
-    retry: RetryPolicy | None = None,
-) -> Executor:
+def make_executor(jobs: int = 1, start_method: str | None = None) -> Executor:
     """The canonical jobs→executor mapping used by the CLI and drivers."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
         return SerialExecutor()
-    return ParallelExecutor(jobs, start_method=start_method, retry=retry)
+    return ParallelExecutor(jobs, start_method=start_method)
 
 
 def map_chunks(

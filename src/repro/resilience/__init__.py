@@ -1,21 +1,20 @@
 """Fault tolerance for the parallel engine, streaming, store, and serving.
 
-Three pieces, composable and individually inert when unused:
+Two pieces, individually inert when unused:
 
-* :mod:`repro.resilience.retry` + :mod:`repro.resilience.supervised` — the
-  :class:`RetryPolicy` and supervised dispatcher that let
-  ``ParallelExecutor.map_reduce`` survive worker loss: failed chunks are
-  retried on a fresh pool, reshard-split on repeated failure, and only
-  exhausted retries run serially — with the merged result bit-identical to
-  a serial run for any failure schedule.
 * :mod:`repro.resilience.checkpoint` — durable (fsync + atomic replace)
   round/slide checkpoints so a SIGKILL'd fusion or streaming run resumes
   from its last round instead of restarting, reproducing the uninterrupted
-  run's pool and run id exactly.
+  run's pool and run id exactly.  Its
+  :func:`~repro.resilience.checkpoint.atomic_write` is also the store's
+  one durable writer.
 * :mod:`repro.resilience.faults` — the seeded :class:`FaultSchedule`
   (``$REPRO_FAULTS``) that injects kill / delay / raise / corrupt actions
-  at named points, deterministically, so the two properties above are
-  testable instead of aspirational (``repro chaos``).
+  at named points, deterministically, so recovery is testable instead of
+  aspirational (``repro chaos``).
+
+The chunk retry loop that lets ``ParallelExecutor.map_reduce`` survive
+worker loss lives next to its one caller, in :mod:`repro.engine.executor`.
 """
 
 from repro.resilience.checkpoint import (
@@ -36,8 +35,6 @@ from repro.resilience.faults import (
     schedule,
     set_fault_schedule,
 )
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.supervised import run_supervised
 
 __all__ = [
     "CheckpointError",
@@ -46,14 +43,12 @@ __all__ = [
     "FaultInjected",
     "FaultRule",
     "FaultSchedule",
-    "RetryPolicy",
     "apply_action",
     "decode_patterns",
     "decode_rng",
     "encode_patterns",
     "encode_rng",
     "fault_points",
-    "run_supervised",
     "schedule",
     "set_fault_schedule",
 ]

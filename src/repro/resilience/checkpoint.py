@@ -3,10 +3,11 @@
 A :class:`CheckpointManager` owns one JSON checkpoint file and the three
 operations a driver loop needs: ``load()`` on entry (resume), ``offer()``
 after each unit of progress (round / slide — throttled by ``interval``),
-and ``clear()`` on success.  Writes are atomic *and durable*: serialized to
-a temp file, ``fsync``'d, ``os.replace``'d over the target, directory
-``fsync``'d — a SIGKILL at any instant leaves either the previous complete
-checkpoint or the new one, never a torn file.
+and ``clear()`` on success.  Writes go through :func:`atomic_write`, the
+one durable writer the store shares: serialized to a temp file,
+``fsync``'d, ``os.replace``'d over the target, directory ``fsync``'d — a
+SIGKILL at any instant leaves either the previous complete checkpoint or
+the new one, never a torn file.
 
 Each checkpoint embeds an *identity* (config + dataset fingerprint, chosen
 by the driver).  ``load()`` refuses a checkpoint whose identity differs
@@ -34,10 +35,12 @@ from repro.resilience.faults import schedule as fault_schedule
 __all__ = [
     "CheckpointError",
     "CheckpointManager",
+    "atomic_write",
     "decode_patterns",
     "decode_rng",
     "encode_patterns",
     "encode_rng",
+    "fsync_dir",
 ]
 
 _FORMAT = 1
@@ -102,7 +105,10 @@ class CheckpointManager:
         rounds of progress.
     identity:
         JSON-able dict pinning what run this checkpoint belongs to.
-        :meth:`load` raises :class:`CheckpointError` on mismatch.
+        :meth:`load` raises :class:`CheckpointError` on mismatch.  For
+        library drivers that use the manager on their own: the fusion and
+        streaming drivers always replace it with their config-and-dataset
+        identity.
     """
 
     def __init__(
@@ -162,15 +168,7 @@ class CheckpointManager:
             fault_schedule().fire("checkpoint.save")
             payload = json.dumps(doc, separators=(",", ":")).encode()
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
+            atomic_write(self.path, payload)
         _SAVES.inc()
         _BYTES.set(len(payload))
 
@@ -182,15 +180,37 @@ class CheckpointManager:
             pass
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry so the rename itself survives power loss."""
+def atomic_write(path: Path, data: bytes) -> None:
+    """Durably write via temp file + fsync + rename; the one durable writer.
+
+    Checkpoints and every store file go through it.  Readers never see
+    partial content (the rename is atomic), and the data is flushed
+    *before* the rename lands — without the fsync a crash right after
+    ``os.replace`` can leave the new name pointing at zero-length data, the
+    torn state the atomic write exists to prevent.  Orphaned ``.tmp<pid>``
+    files from a killed writer are swept by
+    :meth:`repro.store.PatternStore.gc_temp_files`.
+    """
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+
+
+def fsync_dir(directory: Path) -> None:
+    """Flush a directory entry so a rename or unlink survives power loss."""
     try:
         fd = os.open(directory, os.O_RDONLY)
-    except OSError:
+    except OSError:  # pragma: no cover - exotic filesystems
         return
     try:
         os.fsync(fd)
-    except OSError:
+    except OSError:  # pragma: no cover - fsync on dirs unsupported
         pass
     finally:
         os.close(fd)

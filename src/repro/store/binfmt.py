@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.kernels.matrix import TidsetMatrix
+from repro.resilience.checkpoint import atomic_write
 from repro.resilience.faults import schedule as fault_schedule
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.mining
@@ -156,45 +157,10 @@ def write_binary_run(
     )[:-4]
     header = header_head + _U32.pack(zlib.crc32(header_head))
 
-    _atomic_write(
+    atomic_write(
         path, fault_schedule().corrupting("store.write", header + body + words)
     )
     return path
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Durably write via temp file + fsync + rename; the store's one writer.
-
-    Readers never see partial content (the rename is atomic), and the data
-    is flushed *before* the rename lands — without the fsync a crash right
-    after ``os.replace`` can leave the new name pointing at zero-length
-    data, the torn state the atomic write exists to prevent.  Orphaned
-    ``.tmp<pid>`` files from a killed writer are swept by
-    :meth:`repro.store.PatternStore.gc_temp_files`.
-    """
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry so a rename or unlink survives power loss."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs unsupported
-        pass
-    finally:
-        os.close(fd)
 
 
 class BinaryRun:

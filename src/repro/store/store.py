@@ -37,13 +37,12 @@ from repro.db.stats import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
 from repro.mining.results import MiningResult, Pattern
 from repro.obs import metrics, trace
+from repro.resilience.checkpoint import atomic_write, fsync_dir
 from repro.resilience.faults import schedule as fault_schedule
 from repro.store.binfmt import (
     BIN_VERSION,
     BinaryFormatError,
     BinaryRun,
-    _atomic_write,
-    _fsync_dir,
     pool_image,
     read_binary_run,
     write_binary_run,
@@ -346,7 +345,7 @@ class PatternStore:
                 )
             write_binary_run(run_dir / "patterns.bin", meta, pool_image(patterns))
             text_path.unlink()
-            _fsync_dir(run_dir)
+            fsync_dir(run_dir)
             _MIGRATIONS.inc()
             migrated.append(target)
         return migrated
@@ -529,4 +528,4 @@ class PatternStore:
 def _write_json(path: Path, document: Any, indent: int | None = None) -> None:
     """Atomically write a JSON document (one ``store.write`` fault point)."""
     fault_schedule().fire("store.write")
-    _atomic_write(path, (json.dumps(document, indent=indent) + "\n").encode())
+    atomic_write(path, (json.dumps(document, indent=indent) + "\n").encode())

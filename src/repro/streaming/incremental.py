@@ -76,8 +76,7 @@ def slide_seed(seed: int | None, slide: int) -> int:
     job counts; distinct slides get decorrelated Algorithm 2 RNG streams
     even for adjacent indices.  ``seed=None`` maps to base 0 (the streaming
     driver is always deterministic — an unseeded config pins the schedule
-    rather than randomizing it, matching the fusion round's ball-index
-    convention).
+    rather than randomizing it).
     """
     if slide < 0:
         raise ValueError(f"slide must be >= 0, got {slide}")
@@ -151,8 +150,9 @@ class IncrementalPatternFusion:
         self._minsup_abs: int | None = None
         self._checkpoint = checkpoint
         if checkpoint is not None:
-            if checkpoint.identity is None:
-                checkpoint.identity = self._checkpoint_identity()
+            # Always the driver's identity: a caller-set one would let this
+            # stream resume a checkpoint written under another config.
+            checkpoint.identity = self._checkpoint_identity()
             state = checkpoint.load()
             if state is not None:
                 self.load_state(state)

@@ -243,6 +243,28 @@ class TestFusionCrashResume:
         finally:
             set_fault_schedule(previous)
 
+    def test_caller_identity_cannot_resume_another_database(self, db, tmp_path):
+        """The driver's identity replaces one the caller set on the manager,
+        so two runs sharing ``identity=`` do not share a checkpoint."""
+        path = tmp_path / "ckpt.json"
+        previous = set_fault_schedule(
+            FaultSchedule.parse("raise@fusion.round:first=2,times=1")
+        )
+        try:
+            with pytest.raises(FaultInjected):
+                pattern_fusion(
+                    db, 6, _CONFIG, jobs=1,
+                    checkpoint=CheckpointManager(path, identity={"run": 1}),
+                )
+        finally:
+            set_fault_schedule(previous)
+        other = quest_like(n_transactions=120, n_items=24, n_patterns=8, seed=43)
+        with pytest.raises(CheckpointError, match="different run"):
+            pattern_fusion(
+                other, 6, _CONFIG, jobs=1,
+                checkpoint=CheckpointManager(path, identity={"run": 1}),
+            )
+
     def test_checkpoint_on_permuted_rows_refused(self, db, tmp_path):
         """Tidsets name rows by position: the same rows in another order
         are another dataset, so the checkpoint does not resume there."""
@@ -335,6 +357,21 @@ class TestStreamResume:
         with pytest.raises(CheckpointError, match="different run"):
             IncrementalPatternFusion(
                 90, 7, config, checkpoint=CheckpointManager(path)
+            )
+
+
+    def test_stream_caller_identity_cannot_resume_another_config(self, tmp_path):
+        path = tmp_path / "stream.json"
+        config = PatternFusionConfig(k=8, seed=5)
+        driver = IncrementalPatternFusion(
+            90, 6, config,
+            checkpoint=CheckpointManager(path, identity={"run": 1}),
+        )
+        driver.run(_drift_source(), max_slides=2)
+        with pytest.raises(CheckpointError, match="different run"):
+            IncrementalPatternFusion(
+                90, 7, config,
+                checkpoint=CheckpointManager(path, identity={"run": 1}),
             )
 
 

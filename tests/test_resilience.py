@@ -1,11 +1,11 @@
-"""Fault injection, retry policy, and supervised chunk dispatch.
+"""Fault injection and the engine's chunk retry loop.
 
-Three layers, tested bottom-up: the deterministic :class:`FaultSchedule`
-(spec grammar, hit counting, seeded probability, byte corruption), the
-:class:`RetryPolicy` backoff math, and :func:`run_supervised` against both
-a scripted fake pool (failure-kind unit tests) and the real
-:class:`ParallelExecutor` (worker kills, injected raises, warm-up kills,
-exhaustion).  The headline property — a kill-per-round fusion run is
+Two layers, tested bottom-up: the deterministic :class:`FaultSchedule`
+(spec grammar, hit counting, seeded probability, byte corruption), and
+:func:`~repro.engine.executor.supervised_dispatch` against both a scripted
+fake pool (failure-kind unit tests) and the real :class:`ParallelExecutor`
+(worker kills, injected raises, warm-up kills, exhaustion after the fixed
+``MAX_ATTEMPTS``).  The headline property — a kill-per-round fusion run is
 bit-identical to serial — is pinned at the bottom, plus the ``repro
 chaos`` CLI front door over the same drill.
 """
@@ -17,15 +17,19 @@ import pytest
 from repro.cli import main
 from repro.core import PatternFusionConfig, pattern_fusion
 from repro.engine import ParallelExecutor, SerialExecutor
-from repro.engine.executor import map_chunks, split_chunks
+from repro.engine.executor import (
+    MAX_ATTEMPTS,
+    map_chunks,
+    split_chunks,
+    supervised_dispatch,
+)
+from repro.obs import metrics
 from repro.resilience import (
     FaultInjected,
     FaultSchedule,
-    RetryPolicy,
     fault_points,
     set_fault_schedule,
 )
-from repro.resilience.supervised import run_supervised
 
 
 # Worker bodies must be top-level so the process pool can pickle them by
@@ -168,155 +172,68 @@ class TestFaultScheduleFiring:
             assert point in points
 
 
-class TestRetryPolicy:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"backoff_base": -1.0},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.5},
-        {"chunk_deadline": 0.0},
-        {"reshard_after": 0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_first_attempt_never_waits(self):
-        assert RetryPolicy().delay(1) == 0.0
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3, jitter=0.0
-        )
-        assert policy.delay(2) == pytest.approx(0.1)
-        assert policy.delay(3) == pytest.approx(0.2)
-        assert policy.delay(4) == pytest.approx(0.3)  # capped
-        assert policy.delay(9) == pytest.approx(0.3)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.5, seed=3)
-        delays = {policy.delay(2, salt=4) for _ in range(5)}
-        assert len(delays) == 1
-        (delay,) = delays
-        assert 0.1 <= delay <= 0.1 * 1.5
-        # Different salts decorrelate, same policy reproduces.
-        assert policy.delay(2, salt=5) != delay
-        assert RetryPolicy(backoff_base=0.1, jitter=0.5, seed=3).delay(
-            2, salt=4
-        ) == delay
-
-
 class _ScriptedPool:
-    """A fake pool whose submit() resolves chunks via a scripted callable."""
+    """A fake pool whose submit() resolves a chunk in-process, at once."""
 
-    def __init__(self, script):
-        self.script = script
-
-    def submit(self, invoke, fn, chunk, action):
+    def submit(self, invoke, chunk, action):
         future: Future = Future()
         try:
-            future.set_result(self.script(fn, chunk, action))
+            future.set_result(invoke(chunk, action))
         except BaseException as error:  # noqa: BLE001 - routed into the future
             future.set_exception(error)
         return future
 
 
-def _supervise(script, chunks, policy=None, faults=None, resets=None):
-    pool = _ScriptedPool(script)
-    return run_supervised(
+def _supervise(script, chunks, faults=None):
+    """Dispatch ``chunks`` with ``script(chunk, action)`` as the worker entry."""
+    pool = _ScriptedPool()
+    return supervised_dispatch(
+        chunks,
         pool_factory=lambda: pool,
-        reset_pool=lambda kill=False: resets.append(kill) if resets is not None else None,
-        fn=_square_chunk,
-        chunks=chunks,
-        policy=policy or RetryPolicy(backoff_base=0.0, jitter=0.0),
-        faults=faults,
+        reset_pool=lambda: None,
+        invoke=script,
         serial_fn=_square_chunk,
-        invoke=lambda fn, chunk, action: fn(chunk),
-        sleep=lambda seconds: None,
+        faults=faults,
     )
 
 
 class TestRunSupervised:
+    """:func:`supervised_dispatch` on the scripted pool."""
+
     def test_clean_run_returns_ordered_results(self):
         chunks = split_chunks(range(10), 3)
-        out = _supervise(lambda fn, chunk, action: fn(chunk), chunks)
+        out = _supervise(lambda chunk, action: _square_chunk(chunk), chunks)
         assert out == [_square_chunk(chunk) for chunk in chunks]
 
     def test_transient_fault_is_retried_without_recompute(self):
         chunks = [[1, 2], [3, 4], [5, 6]]
         calls: dict[tuple, int] = {}
 
-        def script(fn, chunk, action):
+        def script(chunk, action):
             key = tuple(chunk)
             calls[key] = calls.get(key, 0) + 1
             if key == (3, 4) and calls[key] == 1:
                 raise FaultInjected("injected")
-            return fn(chunk)
+            return _square_chunk(chunk)
 
         out = _supervise(script, chunks)
         assert out == [[1, 4], [9, 16], [25, 36]]
         # The healthy chunks ran exactly once: banked, never recomputed.
         assert calls == {(1, 2): 1, (3, 4): 2, (5, 6): 1}
 
-    def test_repeated_failure_reshards_to_halves(self):
-        chunks = [[1, 2, 3, 4]]
-        seen: list[tuple] = []
-
-        def script(fn, chunk, action):
-            seen.append(tuple(chunk))
-            if len(chunk) == 4:
-                raise FaultInjected("poisoned whole")
-            return fn(chunk)
-
-        policy = RetryPolicy(
-            backoff_base=0.0, jitter=0.0, reshard_after=1, max_attempts=4
-        )
-        out = _supervise(script, chunks, policy=policy)
-        assert out == [[1, 4, 9, 16]]  # halves concatenated back in order
-        assert (1, 2) in seen and (3, 4) in seen
-
     def test_exhausted_chunk_falls_back_to_serial(self):
-        def script(fn, chunk, action):
+        tries: list[tuple] = []
+
+        def script(chunk, action):
+            tries.append(tuple(chunk))
             raise FaultInjected("always")
 
-        policy = RetryPolicy(
-            backoff_base=0.0, jitter=0.0, max_attempts=2, reshard_after=9
-        )
-        out = _supervise(script, [[2, 3]], policy=policy)
+        out = _supervise(script, [[2, 3]])
         assert out == [[4, 9]]  # serial_fn completed it in the driver
-
-    def test_deadline_expiry_kills_and_retries(self):
-        state = {"hung": False}
-
-        class HangOncePool:
-            def submit(self, invoke, fn, chunk, action):
-                future: Future = Future()
-                if not state["hung"]:
-                    state["hung"] = True
-                    return future  # never resolves: simulated hang
-                future.set_result(fn(chunk))
-                return future
-
-        resets: list[bool] = []
-        pool = HangOncePool()
-        out = run_supervised(
-            pool_factory=lambda: pool,
-            reset_pool=lambda kill: resets.append(kill),
-            fn=_square_chunk,
-            chunks=[[5]],
-            policy=RetryPolicy(
-                backoff_base=0.0, jitter=0.0, chunk_deadline=0.05
-            ),
-            faults=None,
-            serial_fn=_square_chunk,
-            invoke=lambda fn, chunk, action: fn(chunk),
-            sleep=lambda seconds: None,
-        )
-        assert out == [[25]]
-        assert resets == [True]  # hung pool was hard-terminated
+        assert tries == [(2, 3)] * MAX_ATTEMPTS
 
     def test_real_fn_exceptions_propagate_unchanged(self):
-        def script(fn, chunk, action):
+        def script(chunk, action):
             raise ValueError("real bug, not a fault")
 
         with pytest.raises(ValueError, match="real bug"):
@@ -326,11 +243,11 @@ class TestRunSupervised:
         faults = FaultSchedule.parse("raise@executor.chunk:first=1,times=1")
         shipped: list = []
 
-        def script(fn, chunk, action):
+        def script(chunk, action):
             shipped.append(action)
             if action is not None and action.kind == "raise":
                 raise FaultInjected("applied")
-            return fn(chunk)
+            return _square_chunk(chunk)
 
         out = _supervise(
             script, [[1], [2]], faults=faults,
@@ -351,9 +268,7 @@ class TestExecutorRecovery:
         items = list(range(40))
         serial = map_chunks(SerialExecutor(), _square_chunk, items)
         install_faults("kill@executor.chunk:first=1,every=2")
-        with ParallelExecutor(
-            2, retry=RetryPolicy(backoff_base=0.0, jitter=0.0)
-        ) as executor:
+        with ParallelExecutor(2) as executor:
             out = map_chunks(executor, _square_chunk, items)
             assert out == serial
             assert executor._degraded is False
@@ -361,17 +276,13 @@ class TestExecutorRecovery:
     def test_injected_raises_recover(self, install_faults):
         items = list(range(12))
         install_faults("raise@executor.chunk:first=1,times=2")
-        with ParallelExecutor(
-            2, retry=RetryPolicy(backoff_base=0.0, jitter=0.0)
-        ) as executor:
+        with ParallelExecutor(2) as executor:
             out = map_chunks(executor, _square_chunk, items)
         assert out == [x * x for x in items]
 
     def test_warmup_kill_recovers(self, install_faults):
         install_faults("kill@executor.warmup:first=1,times=1")
-        with ParallelExecutor(
-            2, retry=RetryPolicy(backoff_base=0.0, jitter=0.0)
-        ) as executor:
+        with ParallelExecutor(2) as executor:
             out = map_chunks(executor, _square_chunk, list(range(8)))
             assert out == [x * x for x in range(8)]
             assert executor._degraded is False
@@ -379,15 +290,29 @@ class TestExecutorRecovery:
     def test_exhaustion_degrades_to_serial_per_chunk_only(self, install_faults):
         # Every dispatch of every attempt dies; the driver finishes the work.
         install_faults("kill@executor.chunk:max_attempt=0")
-        with ParallelExecutor(
-            2,
-            retry=RetryPolicy(
-                backoff_base=0.0, jitter=0.0, max_attempts=2, reshard_after=9
-            ),
-        ) as executor:
+        with ParallelExecutor(2) as executor:
             out = map_chunks(executor, _square_chunk, list(range(6)))
             assert out == [x * x for x in range(6)]
             assert executor._degraded is False  # per-chunk fallback, not global
+
+    def test_fixed_attempt_count_on_real_pools(self, install_faults):
+        # Two chunks of three, each raising on every try: both fail
+        # MAX_ATTEMPTS = 3 times (6 failures), are re-sent twice each (4
+        # retries), and then run in the driver (2 serial fallbacks).
+        def read():
+            return (
+                metrics.REGISTRY.get("repro_chunk_failures_total").value(kind="fault"),
+                metrics.REGISTRY.get("repro_retries_total").value(),
+                metrics.REGISTRY.get("repro_chunk_serial_fallbacks_total").value(),
+            )
+
+        install_faults("raise@executor.chunk:max_attempt=0")
+        before = read()
+        with ParallelExecutor(2) as executor:
+            out = map_chunks(executor, _square_chunk, list(range(6)))
+        after = read()
+        assert out == [x * x for x in range(6)]
+        assert tuple(b - a for a, b in zip(before, after)) == (6, 4, 2)
 
     def test_worker_valueerror_propagates(self, install_faults):
         with ParallelExecutor(2) as executor:
