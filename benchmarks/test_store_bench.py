@@ -10,6 +10,9 @@ must equal brute-force filtering.
 ``test_bench_save_replace_scale`` saves the Replace-sim phase-1 pool
 (≤ 3, 26,571 patterns over 4,395 transactions) into a fresh store each
 round and records the run's on-disk ``bytes`` in its meta.
+``test_bench_ball_query_replace_scale`` answers one distance ball over
+that run the way the server does: ``run_query`` with the run's mapped
+matrix (``PatternStore.open_matrix``), not a per-query re-pack.
 
 Session end writes the timings to ``BENCH_store.json`` at the repository
 root (see ``benchmarks/conftest.py``); committing that file is what gives
@@ -28,6 +31,7 @@ from repro.store import (
     PatternStore,
     Query,
     mine_cached,
+    run_query,
 )
 
 MINSUP = 10
@@ -88,6 +92,26 @@ def test_bench_save_replace_scale(benchmark, request, tmp_path):
         patterns=len(pool.patterns), bytes=info["bytes"], files=info["files"]
     )
     assert info["n_patterns"] == len(pool.patterns)
+
+
+def test_bench_ball_query_replace_scale(benchmark, request, tmp_path):
+    def build():
+        db, truth = replace_like(seed=7)
+        return db, mine_up_to_size(db, truth.minsup_absolute, 3)
+
+    db, pool = run_once(request, "store-replace-pool", build)
+    store = PatternStore(tmp_path / "store")
+    run_id = store.save(pool, db=db, miner="levelwise")
+    patterns = store.load(run_id).patterns
+    matrix = store.open_matrix(run_id).matrix
+    center = patterns[len(patterns) // 2]
+    query = Query().within(center.items, 0.25).limit(50)
+    matches = benchmark.pedantic(
+        lambda: run_query(patterns, query, matrix=matrix),
+        rounds=10, iterations=1, warmup_rounds=1,
+    )
+    benchmark.extra_info.update(patterns=len(patterns), matches=len(matches))
+    assert matches and matches == run_query(patterns, query)
 
 
 def test_bench_load_bit_identical(benchmark, workload, warm_store):

@@ -302,15 +302,18 @@ def pass_orders(seed: int, n: int, trials: int) -> np.ndarray:
     generators' raw streams stable across releases, which it does not
     promise for ``Generator.permutation``.  Each key's low bits are replaced
     by its index, so keys are distinct and every sort algorithm gives the
-    same order.
+    same order, and the sorted keys' low bits *are* that order: a plain
+    sort in place stands in for the argsort.  Returns an ``intp`` array.
     """
     import numpy as np
 
     index_bits = (n - 1).bit_length() if n else 0
-    high = np.uint64(((1 << 64) - 1) ^ ((1 << index_bits) - 1))
-    keys = np.random.PCG64(seed).random_raw((trials, n)) & high
+    low = np.uint64((1 << index_bits) - 1)
+    keys = np.random.PCG64(seed).random_raw((trials, n)) & ~low
     keys |= np.arange(n, dtype=np.uint64)
-    return np.argsort(keys, axis=1)
+    keys.sort(axis=1)
+    keys &= low
+    return keys.astype(np.intp)
 
 
 def fuse_ball(

@@ -155,17 +155,17 @@ class Pool(Sequence[Pattern]):
         if self._patterns is not None:
             return [self._patterns[i] for i in np.asarray(rows).tolist()]
         index = np.asarray(rows, dtype=np.intp)
+        items = self._items[index].tolist()  # IndexError as for pool[i]
+        sizes = self.sizes[index].tolist()
         width = self._matrix.words.shape[1] * 8
-        raw = self._matrix.words[index].tobytes()
+        starts = np.where(index < 0, index + len(self), index) * width
+        # Rows are read in place: no copy of the selected words.
+        words = np.ascontiguousarray(self._matrix.words)
+        raw = memoryview(words.reshape(-1).view(np.uint8))
         build = self.kind.build
         return [
-            build(
-                row[:size],
-                int.from_bytes(raw[j * width:(j + 1) * width], "little"),
-            )
-            for j, (row, size) in enumerate(
-                zip(self._items[index].tolist(), self.sizes[index].tolist())
-            )
+            build(row[:size], int.from_bytes(raw[at:at + width], "little"))
+            for at, row, size in zip(starts.tolist(), items, sizes)
         ]
 
     # ------------------------------------------------------------------

@@ -10,8 +10,10 @@ vectorized word operations: AND broadcast against a packed query row,
 popcount via :func:`numpy.bitwise_count` (an 8-bit lookup table on NumPy
 builds that predate it, which ``numpy>=1.24`` still allows), boolean row
 reductions for superset masks.  Intersection counts and ``rows_within``
-share one cache-resident pass per query (preallocated temporaries, BLAS
-matvec row sums for rows of several words).
+share one pass over the matrix per call: it walks the rows in blocks of
+about ``_BLOCK_WORDS`` words and answers every query of the call over a
+block while the block is in cache, with block-sized temporaries allocated
+once per call (BLAS matvec row sums for rows of several words).
 
 Counts are exact integers.  ``rows_within`` never divides per row: a row
 is within ``r`` of the query iff its intersection count reaches
@@ -58,6 +60,11 @@ _MATRIX_BUILDS = metrics.counter(
 
 _POPCOUNT_LUT: np.ndarray | None = None
 
+#: A ball pass walks the matrix in row blocks of about this many words
+#: (256 KiB), in words rather than rows so that one-word and wide pools
+#: alike keep a block and its temporaries in cache across the queries.
+_BLOCK_WORDS = 1 << 15
+
 
 def word_popcounts(words: np.ndarray, axis: int = -1) -> np.ndarray:
     """Popcount of a 2-D uint64 word array summed along ``axis`` → int64.
@@ -71,14 +78,20 @@ def word_popcounts(words: np.ndarray, axis: int = -1) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
         total = np.min_scalar_type(64 * words.shape[axis])
         return np.bitwise_count(words).sum(axis=axis, dtype=total).astype(np.int64)
-    # Pre-2.0 NumPy: 8-bit lookup table over the raw bytes of each word.
+    raw = np.ascontiguousarray(words).view(np.uint8).reshape(*words.shape, 8)
+    return _popcount_lut()[raw].sum(axis=-1, dtype=np.int64).sum(axis=axis)
+
+
+def _popcount_lut() -> np.ndarray:
+    """Pre-2.0 NumPy's popcount: an 8-bit lookup table over raw bytes."""
+    import numpy as np
+
     global _POPCOUNT_LUT
     if _POPCOUNT_LUT is None:
         _POPCOUNT_LUT = np.array(
             [bin(value).count("1") for value in range(256)], dtype=np.uint8
         )
-    raw = np.ascontiguousarray(words).view(np.uint8).reshape(*words.shape, 8)
-    return _POPCOUNT_LUT[raw].sum(axis=-1, dtype=np.int64).sum(axis=axis)
+    return _POPCOUNT_LUT
 
 
 class TidsetMatrix:
@@ -125,11 +138,14 @@ class TidsetMatrix:
                 f"n_bits={n_bits} but a tidset has bit length {widest}"
             )
         n_words = max(1, -(-n_bits // 64))
-        if rows:
-            buffer = b"".join(row.to_bytes(n_words * 8, "little") for row in rows)
-            words = np.frombuffer(buffer, dtype="<u8").reshape(len(rows), n_words)
-        else:
-            words = np.zeros((0, n_words), dtype=np.uint64)
+        width = n_words * 8
+        # Each row is written into the matrix as it is converted, so the
+        # only full-size allocation is the matrix itself.
+        words = np.empty((len(rows), n_words), dtype="<u8")
+        raw = memoryview(words.reshape(-1).view(np.uint8))
+        for index, tidset in enumerate(rows):
+            raw[index * width:(index + 1) * width] = tidset.to_bytes(width, "little")
+        words.flags.writeable = False
         _MATRIX_BUILDS.inc()
         return TidsetMatrix(words, n_bits)
 
@@ -249,49 +265,82 @@ class TidsetMatrix:
         """``|row_i|`` for every row, as a list."""
         return self.row_popcounts.tolist()
 
+    def _block_rows(self) -> int:
+        """Rows per block of a ball pass: about :data:`_BLOCK_WORDS` words."""
+        return max(1, _BLOCK_WORDS // self._words.shape[1])
+
     def _intersections(
         self, packed: Sequence[tuple[np.ndarray, int]]
-    ) -> Iterator[np.ndarray]:
-        """``|row_i ∩ q|`` per row for each packed query, one pass each.
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``|row_i ∩ q|`` for each packed query, one row block at a time.
 
-        Counts come in the narrowest unsigned dtype that holds ``n_bits``,
-        in a buffer the next query may reuse.  Per-query passes over
-        preallocated word-sized temporaries: the whole packed matrix stays
-        cache-resident across queries, where a broadcast over many queries
-        at once would stream a Q×N×W temporary through main memory
-        instead.  One-word rows take their counts straight from the
+        Yields ``(start, q, counts)``: the counts of rows ``start`` to
+        ``start + len(counts) - 1`` against ``packed[q]``, in the narrowest
+        unsigned dtype that holds ``n_bits``, in a buffer the next yield
+        overwrites.  The pass walks the matrix in blocks of
+        :meth:`_block_rows` rows and answers every query over a block
+        before it moves on, so each block is read from memory once per
+        call and is still in cache for the next query.  Its temporaries
+        are allocated once per call, one block in size, and written with
+        ``out=``.  One-word rows take their counts straight from the
         popcount; wider rows sum theirs with a BLAS matvec when that is
         exact (per-word counts ≤ 64 and n_bits < 2^24, so every float32
-        partial sum is an exactly-represented integer); otherwise — pre-2.0
-        NumPy, or rows too wide for float32 integer range — the generic
-        int64 popcount reduction runs instead.
+        partial sum is an exactly-represented integer); otherwise —
+        pre-2.0 NumPy, or rows too wide for float32 integer range — an
+        int64 row sum of the per-word (or per-byte) counts runs instead.
         """
         import numpy as np
 
-        narrow = np.min_scalar_type(self._n_bits)
+        n_rows, n_words = self._words.shape
+        block = self._block_rows()
+        size = min(block, n_rows)
+        tmp = np.empty((size, n_words), dtype=np.uint64)
+        out = np.empty(size, dtype=np.min_scalar_type(self._n_bits))
         native = hasattr(np, "bitwise_count")
-        matvec_sum = native and self._n_bits < (1 << 24)
-        n_words = self._words.shape[1]
-        tmp = np.empty_like(self._words)
-        counts = np.empty(self._words.shape, dtype=np.uint8)
-        ones = np.ones(n_words, dtype=np.float32)
-        for words, _ in packed:
-            np.bitwise_and(self._words, words, out=tmp)
-            if native and n_words == 1:  # n_bits ≤ 64: already uint8
-                np.bitwise_count(tmp, out=counts)
-                yield counts[:, 0]
-            elif matvec_sum:
-                np.bitwise_count(tmp, out=counts)
-                yield (counts.astype(np.float32) @ ones).astype(narrow)
-            else:
-                yield word_popcounts(tmp).astype(narrow)
+        if native and n_words == 1:  # n_bits ≤ 64: the popcount is uint8
+
+            def count(b: int) -> None:
+                np.bitwise_count(tmp[:b, 0], out=out[:b])
+
+        elif native and self._n_bits < (1 << 24):
+            per_word = np.empty((size, n_words), dtype=np.float32)
+            sums = np.empty(size, dtype=np.float32)
+            ones = np.ones(n_words, dtype=np.float32)
+
+            def count(b: int) -> None:
+                np.bitwise_count(tmp[:b], out=per_word[:b])
+                np.matmul(per_word[:b], ones, out=sums[:b])
+                np.copyto(out[:b], sums[:b], casting="unsafe")
+
+        else:  # per-word counts, or pre-2.0 NumPy's per-byte lookups
+            lut = None if native else _popcount_lut()
+            per_word = np.empty((size, n_words * (1 if native else 8)), np.uint8)
+            wide = np.empty(size, dtype=np.int64)
+
+            def count(b: int) -> None:
+                if lut is None:
+                    np.bitwise_count(tmp[:b], out=per_word[:b])
+                else:
+                    np.take(lut, tmp[:b].view(np.uint8), out=per_word[:b])
+                np.sum(per_word[:b], axis=1, dtype=np.int64, out=wide[:b])
+                np.copyto(out[:b], wide[:b], casting="unsafe")
+
+        for start in range(0, n_rows, block):
+            rows = self._words[start:start + block]
+            b = len(rows)
+            for q, (words, _) in enumerate(packed):
+                np.bitwise_and(rows, words, out=tmp[:b])
+                count(b)
+                yield start, q, out[:b]
 
     def intersection_counts(self, query: int) -> np.ndarray:
         """``|row_i ∩ query|`` for every row, as an int64 array."""
         import numpy as np
 
-        intersections, = self._intersections([self._pack_query(query)])
-        return intersections.astype(np.int64)
+        counts = np.empty(self.n_rows, dtype=np.int64)
+        for start, _, block in self._intersections([self._pack_query(query)]):
+            counts[start:start + len(block)] = block
+        return counts
 
     def rows_within(
         self, queries: Sequence[int], radius: float
@@ -305,7 +354,8 @@ class TidsetMatrix:
         those rows, from the same pass, in the narrowest unsigned dtype
         that holds ``n_bits``.  This is the r(τ) range query of Algorithm 2
         answered as pool rows; the counts are the greedy passes' first
-        level.
+        level.  Every query is answered in one blocked pass over the
+        matrix (see :meth:`_intersections`), with block-sized temporaries.
         """
         import numpy as np
 
@@ -316,26 +366,35 @@ class TidsetMatrix:
             int(word_popcounts(words[np.newaxis, :])[0]) + excess
             for words, excess in packed
         ]
-        largest = int(self.row_popcounts.max(initial=0)) + max(query_pops)
+        pops = self.row_popcounts
+        largest = int(pops.max(initial=0)) + max(query_pops)
         need = _least_counts(largest, radius)
         # Union sizes never exceed ``largest``: uint8 on a 38-transaction
         # database.
-        n_rows = self.n_rows
-        unions = np.empty(n_rows, dtype=np.min_scalar_type(largest))
-        pops = self.row_popcounts.astype(unions.dtype)
-        needed = np.empty(n_rows, dtype=need.dtype)
-        keep = np.empty(n_rows, dtype=bool)
-        balls = []
-        for intersections, query_pop in zip(
-            self._intersections(packed), query_pops
-        ):
-            np.add(pops, query_pop, out=unions)
-            np.subtract(unions, intersections, out=unions)
-            np.take(need, unions, out=needed)
-            np.greater_equal(intersections, needed, out=keep)
-            rows = np.flatnonzero(keep).astype(np.int64, copy=False)
-            balls.append((rows, intersections[rows]))
-        return balls
+        size = min(self._block_rows(), self.n_rows)
+        unions = np.empty(size, dtype=np.min_scalar_type(largest))
+        needed = np.empty(size, dtype=need.dtype)
+        keep = np.empty(size, dtype=bool)
+        narrow = np.min_scalar_type(self._n_bits)
+        rows = [[np.empty(0, dtype=np.int64)] for _ in packed]
+        counts = [[np.empty(0, dtype=narrow)] for _ in packed]
+        for start, q, intersections in self._intersections(packed):
+            b = len(intersections)
+            # |∪| = |row| - |∩| + |q|, never below zero in between.
+            np.subtract(
+                pops[start:start + b], intersections, out=unions[:b],
+                casting="unsafe",
+            )
+            np.add(unions[:b], query_pops[q], out=unions[:b])
+            np.take(need, unions[:b], out=needed[:b])
+            np.greater_equal(intersections, needed[:b], out=keep[:b])
+            hits = np.flatnonzero(keep[:b])
+            counts[q].append(intersections[hits])
+            hits += start
+            rows[q].append(hits)
+        return [
+            (np.concatenate(r), np.concatenate(c)) for r, c in zip(rows, counts)
+        ]
 
     def superset_mask(self, query: int) -> int:
         """Row-position bitmask of the rows that contain ``query`` (⊇)."""

@@ -107,19 +107,23 @@ def mine_pool(
             pair = np.arange(start, min(pairs, start + block))
             left = np.searchsorted(stops, pair, side="right")
             right = left + 1 + pair - (stops[left] - later[left])
-            joined = words[left] & words[right]
-            counts = word_popcounts(joined)
+            counts = word_popcounts(words[left] & words[right])
             keep = counts >= absolute
-            left, right = left[keep], right[keep]
-            parts.append((
-                np.hstack([items[left], items[right, -1:]]),
-                joined[keep], counts[keep], left,
-            ))
-        if not parts or not any(len(part[1]) for part in parts):
+            parts.append((left[keep], right[keep], counts[keep]))
+        if not parts or not any(len(part[0]) for part in parts):
             break
-        items, words, supports, parents = (
-            np.concatenate(column) for column in zip(*parts)
-        )
+        parents, partners, supports = (np.concatenate(c) for c in zip(*parts))
+        # The kept pairs are ANDed again, block by block, straight into the
+        # next level's words: the level is never held twice, as per-block
+        # pieces and as their concatenation.
+        joined = np.empty((len(parents), words.shape[1]), dtype=np.uint64)
+        for start in range(0, len(parents), block):
+            part = slice(start, start + block)
+            np.bitwise_and(
+                words[parents[part]], words[partners[part]], out=joined[part]
+            )
+        items = np.hstack([items[parents], items[partners, -1:]])
+        words = joined
         # Rows made from one left row share their prefix.
         ends = np.searchsorted(parents, parents, side="right")
         levels.append((items, words, supports))
@@ -130,11 +134,21 @@ def mine_pool(
         for level in levels
     ])
     order = np.lexsort(items.T[::-1])
-    words = np.concatenate([level[1] for level in levels])[order]
+    supports = np.concatenate([level[2] for level in levels])[order]
+    # Each level's words are scattered to their rows and then dropped, so
+    # the ordered words are the only full copy.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    words = np.empty((len(order), levels[0][1].shape[1]), dtype=np.uint64)
+    start = 0
+    while levels:
+        level_words = levels.pop(0)[1]
+        words[rank[start:start + len(level_words)]] = level_words
+        start += len(level_words)
     return Pool(
         TidsetMatrix.from_words_buffer(words, len(order), db.n_transactions),
         items[order],
-        np.concatenate([level[2] for level in levels])[order],
+        supports,
     )
 
 

@@ -35,7 +35,9 @@ including engine worker batches ingested mid-request — lands in one
 stitched tree under that id, across threads and processes alike.
 
 The HTTP-free core is :class:`PatternApp`: dispatch, validation, and two
-in-process LRUs in front of the disk — loaded runs (payload + prebuilt
+in-process LRUs in front of the disk — loaded runs (payload with the
+run's tidset matrix, mapped once from its ``patterns.bin`` and scanned by
+every distance ball of the run, and a prebuilt
 :class:`repro.store.index.InvertedItemIndex`) and hot query results.  Both
 caches are safe because the store is content-addressed and append-only: a
 run id's content can never change under a cached entry (deleting a run
@@ -303,7 +305,9 @@ class PatternApp:
             return cached
         run, index = self._load_run(run_id)
         try:
-            matches = run_query(run.patterns, query, index=index)
+            matches = run_query(
+                run.patterns, query, index=index, matrix=run.matrix
+            )
         except KeyError as exc:
             raise _ApiError(404, str(exc.args[0])) from None
         response = {

@@ -105,7 +105,7 @@ class PoolImage:
     n_patterns: int
     n_bits: int
     table: bytes
-    words: bytes
+    words: bytes | bytearray
 
     def pieces(self) -> tuple[bytes, bytes, bytes]:
         """What a run id hashes: ``n_bits``, the item table, the words."""
@@ -127,7 +127,11 @@ def pool_image(patterns: Iterable["Pattern"]) -> PoolImage:
         if items and (items[0] < 0 or items[-1] >> 64):
             raise ValueError(f"item ids {items[0]}..{items[-1]} exceed a u64")
         table += struct.pack(f"<I{len(items)}Q", len(items), *items)
-    words = b"".join(p.tidset.to_bytes(width, "little") for p in patterns)
+    # Rows are written in place: no list of per-row bytes next to the image.
+    words = bytearray(len(patterns) * width)
+    raw = memoryview(words)
+    for row, pattern in enumerate(patterns):
+        raw[row * width:(row + 1) * width] = pattern.tidset.to_bytes(width, "little")
     return PoolImage(len(patterns), n_bits, bytes(table), words)
 
 

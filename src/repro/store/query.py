@@ -8,11 +8,13 @@ A :class:`Query` is an immutable conjunction of operators::
 
 ``evaluate`` runs it against a pool: item predicates resolve through an
 :class:`repro.store.index.InvertedItemIndex` (mask algebra, no per-pattern
-scans), the distance ball goes through the existing
-:class:`repro.core.ball_index.PatternBallIndex`, and results come back
-in the canonical "most colossal first" order
-(:func:`repro.mining.results.colossal_rank_key`) — identical to brute-force
-predicate filtering, which the property tests assert.
+scans), the distance ball is one
+:meth:`~repro.kernels.TidsetMatrix.rows_within` pass over the pool's tidset
+matrix — a stored run's mapped matrix when the caller passes one, as the
+server does, and otherwise a pack of the candidates the other filters
+keep.  Results come back in the canonical "most colossal first" order
+(:func:`repro.mining.results.colossal_rank_key`) — identical to
+brute-force predicate filtering, which the property tests assert.
 
 Queries round-trip through plain dicts (``to_dict``/``from_dict``), the
 contract behind the HTTP ``/query`` endpoint and the CLI's flags — the same
@@ -22,11 +24,14 @@ lossless-with-crisp-unknown-key-errors convention the miner configs follow.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.core.ball_index import PatternBallIndex
+from repro.kernels.matrix import TidsetMatrix
 from repro.mining.results import Pattern, colossal_rank_key
 from repro.store.index import InvertedItemIndex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Query", "run_query"]
 
@@ -158,15 +163,20 @@ def run_query(
     pool: list[Pattern],
     query: Query,
     index: InvertedItemIndex | None = None,
+    matrix: TidsetMatrix | None = None,
 ) -> list[Pattern]:
     """Evaluate ``query`` over ``pool``: filter, rank, truncate.
 
     Pass a prebuilt :class:`InvertedItemIndex` over the *same pool* to reuse
     it across queries (the serving layer does); otherwise one is built when
-    an item operator needs it.  Results are sorted by
-    :func:`colossal_rank_key` and truncated to ``query.top``.
+    an item operator needs it.  ``matrix`` — the pool's tidsets packed in
+    pool order, such as a stored run's mapped
+    :meth:`~repro.store.PatternStore.open_matrix` matrix — is scanned whole
+    by a distance ball and the item filters narrow its hits; without one,
+    the ball packs only the candidates the other filters keep.  Results are
+    sorted by :func:`colossal_rank_key` and truncated to ``query.top``.
     """
-    candidates = list(pool)
+    mask = None  # the pool positions the item filters keep
     if query.contains_any or query.superset_of:
         if index is None:
             index = InvertedItemIndex(pool)
@@ -175,11 +185,7 @@ def run_query(
             mask &= index.containing_any(query.contains_any)
         if query.superset_of:
             mask &= index.containing_all(query.superset_of)
-        candidates = index.select(mask)
-    if query.min_support:
-        candidates = [p for p in candidates if p.support >= query.min_support]
-    if query.min_size:
-        candidates = [p for p in candidates if p.size >= query.min_size]
+    anchor = None
     if query.center is not None and query.radius is not None:
         center_items = frozenset(query.center)
         anchor = next((p for p in pool if p.items == center_items), None)
@@ -188,8 +194,37 @@ def run_query(
                 f"no stored pattern with items {sorted(center_items)} "
                 "to anchor the distance ball"
             )
-        candidates = PatternBallIndex(candidates).ball(anchor, query.radius)
+    if anchor is not None and matrix is not None:
+        if len(matrix) != len(pool):
+            raise ValueError(
+                f"matrix holds {len(matrix)} rows for a pool of {len(pool)}"
+            )
+        (rows, _), = matrix.rows_within([anchor.tidset], query.radius)
+        if mask is not None:
+            rows = rows[_position_array(mask, len(pool))[rows]]
+        candidates = [pool[i] for i in rows.tolist()]
+    elif mask is not None:
+        candidates = index.select(mask)
+    else:
+        candidates = list(pool)
+    if query.min_support:
+        candidates = [p for p in candidates if p.support >= query.min_support]
+    if query.min_size:
+        candidates = [p for p in candidates if p.size >= query.min_size]
+    if anchor is not None and matrix is None:
+        (rows, _), = TidsetMatrix.from_patterns(candidates).rows_within(
+            [anchor.tidset], query.radius
+        )
+        candidates = [candidates[i] for i in rows.tolist()]
     ranked = sorted(candidates, key=colossal_rank_key)
     if query.top is not None:
         ranked = ranked[: query.top]
     return ranked
+
+
+def _position_array(mask: int, n: int) -> np.ndarray:
+    """A bitmask over ``n`` pool positions as a bool array, bit ``i`` ↔ ``[i]``."""
+    import numpy as np
+
+    raw = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)

@@ -16,10 +16,14 @@ nothing in a run directory is ever rewritten.  Writes go through a temp-file
 ``patterns.bin`` (:mod:`repro.store.binfmt`) is a run's only payload;
 :meth:`PatternStore.open_matrix` is the serving tier's cold-open path: the
 pool as a mapped :class:`~repro.kernels.TidsetMatrix` without materialising
-any big-int.  Stores written before the binary format hold each pool as v1
-text (``patterns.txt``); every reader refuses such a run with an error
-naming ``repro store migrate``, and :meth:`PatternStore.migrate` — the only
-reader of that text — upgrades it in place, keeping the id the text hashes to.
+any big-int.  :meth:`PatternStore.load` keeps the same mapped matrix on
+the :class:`StoredRun` it decodes, so the server maps each run it loads
+once and scans that matrix for every distance ball over the run
+(:func:`repro.store.query.run_query`'s ``matrix``).  Stores written before
+the binary format hold each pool as v1 text (``patterns.txt``); every
+reader refuses such a run with an error naming ``repro store migrate``, and
+:meth:`PatternStore.migrate` — the only reader of that text — upgrades it
+in place, keeping the id the text hashes to.
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ import os
 import re
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.db.stats import dataset_fingerprint
 from repro.db.transaction_db import TransactionDatabase
+from repro.kernels.matrix import TidsetMatrix
 from repro.mining.results import MiningResult, Pattern
 from repro.obs import metrics, trace
 from repro.resilience.checkpoint import atomic_write, fsync_dir
@@ -100,11 +105,17 @@ _VERIFIED = metrics.counter(
 
 @dataclass(frozen=True, slots=True)
 class StoredRun:
-    """One persisted run, fully loaded: metadata + the reconstructed result."""
+    """One persisted run, fully loaded: metadata + the reconstructed result.
+
+    ``matrix`` is the pool's tidsets in pool order, the read-only words
+    mapped from the run's ``patterns.bin`` by the same open the load
+    decodes (the server scans it for every distance ball over the run).
+    """
 
     run_id: str
     meta: dict[str, Any]
     result: MiningResult
+    matrix: TidsetMatrix = field(compare=False, repr=False)
 
     @property
     def miner(self) -> str | None:
@@ -283,7 +294,9 @@ class PatternStore:
             patterns=patterns,
             elapsed_seconds=meta.get("elapsed_seconds", 0.0),
         )
-        return StoredRun(run_id=run_id, meta=meta, result=result)
+        return StoredRun(
+            run_id=run_id, meta=meta, result=result, matrix=run.matrix
+        )
 
     def open_matrix(self, run_id: str) -> BinaryRun:
         """Map a run's binary payload: the zero-copy serving cold-open path.

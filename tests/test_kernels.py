@@ -367,6 +367,117 @@ def test_pre2_numpy_lut_fallback(monkeypatch):
     assert_distances_exact(matrix, queries + rows)
 
 
+#: (name, n_bits, _BLOCK_WORDS): each counting path of the blocked pass,
+#: with blocks of a few rows, so every matrix below spans several of them.
+BLOCK_PATHS = [
+    ("one-word", 50, 3),          # 3 rows per block
+    ("matvec", 200, 12),          # 4 words per row, 3 rows per block
+    ("int64-fallback", 1 << 24, 1),  # 2^18 words per row, 1 row per block
+]
+
+
+def block_row_counts(block):
+    """Matrix heights around whole numbers of blocks: 0, 1, k·block ± 1."""
+    counts = {0, 1}
+    for k in (1, 2, 3):
+        counts.update((k * block - 1, k * block, k * block + 1))
+    return sorted(counts)
+
+
+class TestBlockedPass:
+    """The row-blocked pass against the big-int ``ball`` and
+    ``tidset_distance``, with ``_BLOCK_WORDS`` patched small."""
+
+    @pytest.fixture(params=BLOCK_PATHS + [("lut", 200, 12)], ids=lambda p: p[0])
+    def path(self, request, monkeypatch):
+        import numpy as np
+
+        from repro.kernels import matrix as kernel
+
+        name, n_bits, block_words = request.param
+        if name == "lut":  # NumPy < 2.0: the byte lookup table
+            monkeypatch.delattr(np, "bitwise_count")
+        monkeypatch.setattr(kernel, "_BLOCK_WORDS", block_words)
+        n_words = max(1, -(-n_bits // 64))
+        return n_bits, max(1, block_words // n_words)
+
+    @staticmethod
+    def random_rows(rng, n_rows, n_bits):
+        # Sparse rows: wide tidsets stay cheap as big ints, and a random
+        # high bit makes some of them reach the top word.
+        rows = []
+        for _ in range(n_rows):
+            row = rng.getrandbits(min(n_bits, 300))
+            if rng.random() < 0.5:
+                row |= 1 << rng.randrange(n_bits)
+            rows.append(row)
+        return rows
+
+    def test_matches_big_int_ball_across_block_edges(self, path):
+        import numpy as np
+
+        from repro.core.distance import ball
+        from repro.mining.results import Pattern
+
+        n_bits, block = path
+        rng = random.Random(n_bits)
+        for n_rows in block_row_counts(block):
+            rows = self.random_rows(rng, n_rows, n_bits)
+            matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits)
+            # Rows of the matrix, bits past its width, and the empty set.
+            queries = rows[:3] + [
+                rows[0] | (1 << (n_bits + 70)) if rows else 1 << (n_bits + 5),
+                1 << (n_bits + 200),
+                0,
+            ]
+            pool = [Pattern(items=frozenset({i}), tidset=r) for i, r in enumerate(rows)]
+            for radius in (0.0, ball_radius(0.5), ball_radius(0.97), 1.0):
+                got = matrix.rows_within(queries, radius)
+                centers = [Pattern(items=frozenset(), tidset=q) for q in queries]
+                assert [r.tolist() for r, _ in got] == [
+                    [min(p.items) for p in ball(center, pool, radius)]
+                    for center in centers
+                ]
+                assert_rows_within(matrix, queries, radius)
+            for q in queries:
+                counts = matrix.intersection_counts(q)
+                assert counts.dtype == np.int64
+                assert counts.tolist() == [(q & r).bit_count() for r in rows]
+
+    def test_many_queries_per_call(self, path):
+        n_bits, block = path
+        rng = random.Random(7)
+        rows = self.random_rows(rng, 3 * block + 1, n_bits)
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=n_bits)
+        queries = rows + self.random_rows(rng, 30, n_bits)
+        assert_distances_exact(matrix, queries[:8])
+        for radius in (ball_radius(0.5), 0.9):
+            assert_rows_within(matrix, queries, radius)
+
+    def test_temporaries_are_one_block(self, monkeypatch):
+        """No temporary of a ball pass is as large as the matrix."""
+        import tracemalloc
+
+        from repro.kernels import matrix as kernel
+
+        monkeypatch.setattr(kernel, "_BLOCK_WORDS", 1024)
+        rng = random.Random(3)
+        rows = [rng.getrandbits(256) for _ in range(20_000)]
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=256)
+        matrix.row_popcounts  # cached once per matrix, outside the pass
+        words = matrix.words.nbytes  # 640 KB
+        tracemalloc.start()
+        try:
+            matrix.rows_within(rows[:4], 0.0)
+            matrix.intersection_counts(rows[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The intersection counts answer is N int64s (160 KB); the block
+        # temporaries are a few KB.
+        assert peak < words // 3
+
+
 class TestEndToEndBitIdentity:
     """The layers built on the kernels equal their big-int scans."""
 

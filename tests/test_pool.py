@@ -173,8 +173,14 @@ class TestPoolAgainstListCode:
         assert keyed(pool[2:5]) == keyed(listed[2:5])
         assert keyed(pool[::-3]) == keyed(listed[::-3])
         assert listed[3] in pool and pool.index(listed[3]) == 3
+        assert keyed(pool.patterns_at([-1, 0, -len(pool)])) == keyed(
+            [pool[-1], pool[0], pool[-len(pool)]]
+        )
         with pytest.raises(IndexError):
             pool[len(pool)]
+        for rows in ([len(pool)], [-len(pool) - 1]):
+            with pytest.raises(IndexError):
+                pool.patterns_at(rows)
 
     def test_from_patterns_keeps_the_given_objects(self):
         listed = [Pattern(items=frozenset([3, 1]), tidset=0b110)]

@@ -127,6 +127,60 @@ class TestRoutes:
         assert warm["count"] == cold["count"]
 
 
+class TestBallAnswers:
+    def test_ball_body_is_the_json_of_run_query(self, tmp_path, monkeypatch):
+        """A served ball scans the run's mapped matrix; its body is
+        byte-identical to ``run_query`` over the loaded run, which packs
+        its own matrix.  The server opens the run's payload once."""
+        import random
+
+        import repro.store.store as store_module
+        from repro.mining.levelwise import mine_up_to_size
+        from repro.serve.app import pattern_record
+        from repro.store import Query, run_query
+
+        db = diag_plus()
+        store = PatternStore(tmp_path / "store")
+        run_id = store.save(mine_up_to_size(db, 20, 2), db=db, miner="levelwise")
+        patterns = store.load(run_id).patterns
+        opened = []
+        read = store_module.read_binary_run
+        monkeypatch.setattr(
+            store_module, "read_binary_run",
+            lambda *args, **kwargs: opened.append(args) or read(*args, **kwargs),
+        )
+        rng = random.Random(0)
+        with PatternServer(store, port=0) as server:
+            for turn in range(8):
+                center = rng.choice(patterns)
+                query = Query().within(center.items, rng.choice([0.1, 0.3, 0.6]))
+                if turn % 2:
+                    query = query.contains(*rng.sample(range(db.n_items), 3))
+                if turn % 3 == 0:
+                    query = query.limit(50)
+                request = urllib.request.Request(
+                    server.url + "/query",
+                    data=json.dumps({"run": run_id, "query": query.to_dict()}).encode(),
+                )
+                with urllib.request.urlopen(request, timeout=10) as response:
+                    raw = response.read()
+                matches = run_query(patterns, query)
+                expected = {
+                    "run": run_id,
+                    "query": query.to_dict(),
+                    "count": len(matches),
+                    "patterns": [pattern_record(p) for p in matches],
+                }
+                assert raw == json.dumps(expected, indent=2).encode() + b"\n"
+                assert turn % 2 or matches
+            # The cached run holds the read-only mapped words of patterns.bin.
+            run, _ = server.run_cache.get(run_id)
+            matrix = run.matrix
+            assert not matrix.words.flags.writeable
+            assert matrix.rows() == [p.tidset for p in patterns]
+        assert len(opened) == 1
+
+
 class TestErrors:
     def test_unknown_route_404(self, served):
         server, _, _ = served

@@ -2,7 +2,8 @@
 
 The contract: every composed query equals brute-force predicate filtering
 followed by the canonical colossal ranking — the inverted index and the
-packed-pool ball query only skip work, never change answers.
+ball query over the pool's tidset matrix (packed per query, or a stored
+run's mapped one) only skip work, never change answers.
 """
 
 import random
@@ -139,6 +140,51 @@ class TestQueryOperators:
         # brute force too; restrict to the first occurrence's semantics.
         query = Query().within(anchor.items, radius)
         assert run_query(pool, query) == brute(pool, query)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        index_pools,
+        st.one_of(st.none(), itemsets),
+        st.one_of(st.none(), itemsets),
+        st.integers(0, 6),
+        st.floats(0.0, 1.0),
+        st.data(),
+    )
+    def test_stored_run_matrix_gives_the_same_answers(
+        self, pool, contains, superset, min_size, radius, data
+    ):
+        """A ball over the run's mapped matrix equals one over a fresh pack."""
+        import tempfile
+
+        from repro.mining.results import MiningResult
+        from repro.store import PatternStore
+
+        if not pool:
+            return
+        anchor = data.draw(st.sampled_from(pool))
+        query = Query().within(anchor.items, radius).size_at_least(min_size)
+        if contains is not None:
+            query = query.contains(*contains)
+        if superset is not None:
+            query = query.superset(superset)
+        with tempfile.TemporaryDirectory() as root:
+            store = PatternStore(root)
+            run_id = store.save(MiningResult("random", 1, pool))
+            matrix = store.open_matrix(run_id).matrix
+            loaded = store.load(run_id).patterns
+            answer = run_query(loaded, query, matrix=matrix)
+            assert answer == run_query(loaded, query)
+            assert answer == brute(pool, query)
+            index = InvertedItemIndex(loaded)
+            assert run_query(loaded, query, index=index, matrix=matrix) == answer
+
+    def test_matrix_of_another_pool_is_refused(self):
+        from repro.kernels import TidsetMatrix
+
+        pool = [Pattern(items=frozenset({1}), tidset=0b1)]
+        other = TidsetMatrix.from_tidsets([0b1, 0b11])
+        with pytest.raises(ValueError, match="2 rows for a pool of 1"):
+            run_query(pool, Query().within([1], 0.5), matrix=other)
 
     def test_unknown_center_raises(self):
         pool = [Pattern(items=frozenset({1}), tidset=0b1)]
