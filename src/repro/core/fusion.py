@@ -53,6 +53,17 @@ accepted later, and the fused pattern takes in every ball member it can.
 Given the same order, the result is bit for bit the scalar pass that ANDs
 every member into T (the property tests keep that pass as their oracle).
 
+The same argument says when the ``trials`` passes cannot differ.  A ball is
+*settled* when no shrink candidate of the seed's level has a count that
+reaches τ·C, C being the seed's support: no candidate's threshold is ever
+lower than that, and no count ever higher, so no order shrinks T, and every
+pass ends on the seed's tidset having accepted the same superset members.
+Then one outcome stands for all ``trials`` passes (:meth:`GreedyBall.settled`):
+no orders are drawn and no pass is walked, and the ball's words are never
+copied.  At Fig. 10's τ = 0.97 on ALL-sim every ball is settled; on
+Replace-sim at τ = 0.5 only a few percent are (2 of 200 and 11 of 300
+balls in two calls).
+
 NumPy is imported when a ball is fused, not when this module is.
 """
 
@@ -99,12 +110,12 @@ class GreedyBall:
     Member ``i`` is row ``i`` of ``matrix``, or, when ``rows`` is given,
     row ``rows[i]`` (in a fusion round, the ball's rows of the pool
     matrix).  The ball holds the members' words word-major: one contiguous
-    ``(W, n)`` copy gathered straight from ``matrix``, row ``w`` holding
-    word ``w`` of every member, so the words a level reads are contiguous
-    rows and a member's tidset is a column.  The members' supports are the
-    matrix's cached popcounts.  The counts and masks of each
-    distinct running tidset are kept for the ball's lifetime; ``levels``
-    says how many there are.
+    ``(W, n)`` copy gathered straight from ``matrix`` when a count or a
+    member first needs it, row ``w`` holding word ``w`` of every member, so
+    the words a level reads are contiguous rows and a member's tidset is a
+    column.  The members' supports are the matrix's cached popcounts.  The
+    counts and masks of each distinct running tidset are kept for the
+    ball's lifetime; ``levels`` says how many there are.
 
     A level's counts come from one of three places, each exact:
 
@@ -120,8 +131,8 @@ class GreedyBall:
     """
 
     __slots__ = (
-        "_columns", "_width_mask", "_supports", "_floors", "_bars", "_tau",
-        "_minsup", "_levels", "_given", "_counted_words",
+        "_words", "_rows", "_gathered", "_width_mask", "_supports", "_floors",
+        "_bars", "_tau", "_minsup", "_levels", "_given", "_counted_words",
     )
 
     def __init__(
@@ -137,8 +148,10 @@ class GreedyBall:
         if rows is not None:
             rows = np.asarray(rows, dtype=np.intp)
             self._supports = self._supports[rows]
-        self._columns = _word_major(matrix.words, rows)
-        self._width_mask = (1 << (64 * self._columns.shape[0])) - 1
+        self._words = matrix.words
+        self._rows = rows
+        self._gathered: np.ndarray | None = None
+        self._width_mask = (1 << (64 * self._words.shape[1])) - 1
         # fl(τ·s): the core-ratio floor of each member against itself, and
         # the count a member needs to be a shrink candidate at all.
         self._floors = tau * self._supports
@@ -202,6 +215,34 @@ class GreedyBall:
             lifts = accepts * self._supports
             level = self._levels[tidset] = (counts, accepts, candidates, lifts)
         return level
+
+    @property
+    def _columns(self) -> np.ndarray:
+        """The word-major copy, gathered when a level or member first needs it."""
+        if self._gathered is None:
+            self._gathered = _word_major(self._words, self._rows)
+        return self._gathered
+
+    def settled(self, tidset: int, ceiling: int) -> np.ndarray | None:
+        """The members every pass from ``tidset`` accepts, if none can shrink it.
+
+        ``tidset`` and ``ceiling`` are a pass's start, as :meth:`walk` takes
+        them.  Along a pass the ceiling only rises and T's counts only
+        fall, so when no shrink candidate of the start level reaches
+        τ·``ceiling`` — the candidates' largest count is below it, in the
+        float64 expression the walk compares with — every order ends on
+        ``tidset`` with no shrink, having accepted the same superset
+        members.  Those members are returned as an index array; ``None``
+        says some order may shrink T.
+        """
+        import numpy as np
+
+        if tidset.bit_count() < self._minsup:
+            return np.empty(0, dtype=np.intp)  # :meth:`walk` accepts nothing
+        counts, accepts, candidates, _ = self._level(tidset)
+        if candidates.any() and counts[candidates].max() >= self._tau * ceiling:
+            return None
+        return accepts.nonzero()[0]
 
     def _count(self, tidset: int) -> np.ndarray:
         """``|D_i ∩ tidset|`` per member, over ``tidset``'s nonzero words."""
@@ -345,8 +386,12 @@ def fuse_ball(
 
     ``trials`` passes of :class:`GreedyBall` run over the orders of
     :func:`pass_orders`, seeded by one ``rng.getrandbits(64)`` per call;
-    the counts they read are shared across passes.  Retention sampling then
-    draws from ``rng`` itself.
+    the counts they read are shared across passes.  When the ball is
+    settled (:meth:`GreedyBall.settled`), every pass would end on the
+    seed's tidset with the same accepts, so that one outcome stands for
+    all of them: the 64-bit draw is still taken, but no orders are drawn
+    and no pass is walked.  Retention sampling then draws from ``rng``
+    itself.
 
     ``matrix`` and ``rows`` — a matrix holding the ball's tidsets, and the
     row of each member in it — let :class:`GreedyBall` gather the members'
@@ -365,8 +410,10 @@ def fuse_ball(
 
     Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
     ``levels`` (distinct running tidsets counted), ``counted_words``
-    (member × word units those levels scanned) and ``closures`` (closure
-    calls) on the innermost open trace span.
+    (member × word units those levels scanned), ``closures`` (closure
+    calls) and ``settled`` (1 when one outcome stood for every pass, else
+    0) on the innermost open trace span.  The first five are what the
+    walked passes give, settled or not.
     """
     import numpy as np
 
@@ -394,17 +441,28 @@ def fuse_ball(
         )
     if counts is not None:
         ball.seed_level(seed.tidset, np.asarray(counts)[keep])
+    orders_seed = rng.getrandbits(64)
+    settled = ball.settled(seed.tidset, seed.support) if trials else None
+    if settled is None:
+        outcomes = (
+            ball.walk(order, seed.tidset, seed.support)
+            for order in pass_orders(orders_seed, len(keep), trials)
+        )
+        repeats = 1
+    else:
+        # Every pass would end here: one outcome stands for all of them.
+        outcomes = [(seed.tidset, settled, 0)]
+        repeats = trials
     closures: dict[int, Pattern | None] = {}
     member_items: list[frozenset[int]] | None = None
     best_by_key: dict = {}
     tidset_changes = accepted_total = 0
-    for order in pass_orders(rng.getrandbits(64), len(keep), trials):
-        tidset, accepted, changes = ball.walk(order, seed.tidset, seed.support)
+    for tidset, accepted, changes in outcomes:
         tidset_changes += changes
-        accepted_total += len(accepted)
+        accepted_total += repeats * len(accepted)
         if close_fused:
-            # Passes often end on one tidset (all of them, when none
-            # shrinks T), so each distinct one is closed once.
+            # Passes often end on one tidset, so each distinct one is
+            # closed once.
             if tidset not in closures:
                 closures[tidset] = kind.close(db, tidset)
             pattern = closures[tidset]
@@ -427,7 +485,7 @@ def fuse_ball(
     trace.annotate(
         tidset_changes=tidset_changes, accepted=accepted_total,
         levels=ball.levels, counted_words=ball.counted_words,
-        closures=len(closures),
+        closures=len(closures), settled=int(settled is not None),
     )
     candidates = list(best_by_key.values())
     if len(candidates) > max_candidates:

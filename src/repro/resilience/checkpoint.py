@@ -180,21 +180,25 @@ class CheckpointManager:
             pass
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Durably write via temp file + fsync + rename; the one durable writer.
+def atomic_write(path: Path, *pieces: bytes | bytearray) -> None:
+    """Durably write ``pieces`` in turn via temp file + fsync + rename.
 
-    Checkpoints and every store file go through it.  Readers never see
-    partial content (the rename is atomic), and the data is flushed
-    *before* the rename lands — without the fsync a crash right after
-    ``os.replace`` can leave the new name pointing at zero-length data, the
-    torn state the atomic write exists to prevent.  Orphaned ``.tmp<pid>``
-    files from a killed writer are swept by
+    The one durable writer: checkpoints and every store file go through
+    it.  The pieces are written as given, never joined into a second copy.
+    Readers never see partial content (the rename is atomic), and the data
+    is flushed *before* the rename lands — without the fsync a crash right
+    after ``os.replace`` can leave the new name pointing at zero-length
+    data, the torn state the atomic write exists to prevent.  Orphaned
+    ``.tmp<pid>`` files from a killed writer are swept by
     :meth:`repro.store.PatternStore.gc_temp_files`.
     """
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, data)
+        for piece in pieces:
+            view = memoryview(piece)
+            while view:
+                view = view[os.write(fd, view):]
         os.fsync(fd)
     finally:
         os.close(fd)

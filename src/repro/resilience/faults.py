@@ -47,6 +47,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs import metrics
@@ -279,16 +280,34 @@ class FaultSchedule:
         the hit index, so a corrupt schedule damages the same byte of the
         same read every run.  Non-corrupt matches are applied as usual.
         """
+        (data,) = self.corrupting_pieces(point, [data], attempt)
+        return data
+
+    def corrupting_pieces(
+        self, point: str, pieces: Sequence[bytes | bytearray], attempt: int = 1
+    ) -> list[bytes | bytearray]:
+        """:meth:`corrupting` for data held as consecutive ``pieces``.
+
+        The byte flipped is the one :meth:`corrupting` would flip in the
+        pieces joined, and only the piece holding it is copied.
+        """
+        pieces = list(pieces)
+        total = sum(len(piece) for piece in pieces)
         action = self.check(point, attempt)
-        if action is None or not data:
-            return data
+        if action is None or not total:
+            return pieces
         if action.kind != "corrupt":
             apply_action(action)
-            return data
-        offset = _splitmix64(_splitmix64(action.byte_seed) ^ len(data)) % len(data)
-        mutated = bytearray(data)
-        mutated[offset] ^= 0xFF
-        return bytes(mutated)
+            return pieces
+        offset = _splitmix64(_splitmix64(action.byte_seed) ^ total) % total
+        for index, piece in enumerate(pieces):
+            if offset < len(piece):
+                mutated = bytearray(piece)
+                mutated[offset] ^= 0xFF
+                pieces[index] = bytes(mutated)
+                break
+            offset -= len(piece)
+        return pieces
 
     def reset(self) -> None:
         """Zero the hit counters (a fresh run of the same schedule)."""

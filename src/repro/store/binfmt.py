@@ -151,18 +151,25 @@ def write_binary_run(
     words_offset = -(-(table_offset + len(table)) // _WORD_ALIGN) * _WORD_ALIGN
     padding = words_offset - (table_offset + len(table))
 
-    body = meta_blob + table + b"\x00" * padding
+    body = (meta_blob, table, b"\x00" * padding)
+    body_crc = 0
+    for piece in body:
+        body_crc = zlib.crc32(piece, body_crc)
     header_head = _HEADER.pack(
         BIN_MAGIC, BIN_VERSION, _HEADER.size,
         image.n_patterns, image.n_bits, _n_words_for(image.n_bits),
         meta_offset, len(meta_blob), table_offset, len(table),
         words_offset, len(words),
-        zlib.crc32(words), zlib.crc32(body), 0,
+        zlib.crc32(words), body_crc, 0,
     )[:-4]
     header = header_head + _U32.pack(zlib.crc32(header_head))
 
+    # The pieces are written in turn: the words are never copied.
     atomic_write(
-        path, fault_schedule().corrupting("store.write", header + body + words)
+        path,
+        *fault_schedule().corrupting_pieces(
+            "store.write", [header, *body, words]
+        ),
     )
     return path
 

@@ -28,11 +28,21 @@ class InvertedItemIndex:
         self._pool = list(pool)
         self._universe = (1 << len(self._pool)) - 1
         masks: dict[int, int] = {}
+        # Size masks are set bit by bit in bytes, then made ints once.
+        sizes: dict[int, bytearray] = {}
+        n_bytes = -(-len(self._pool) // 8)
         for position, pattern in enumerate(self._pool):
             bit = 1 << position
             for item in pattern.items:
                 masks[item] = masks.get(item, 0) | bit
+            row = sizes.get(len(pattern.items))
+            if row is None:
+                row = sizes[len(pattern.items)] = bytearray(n_bytes)
+            row[position >> 3] |= 1 << (position & 7)
         self._masks = masks
+        self._sizes = {
+            size: int.from_bytes(row, "little") for size, row in sizes.items()
+        }
 
     def __len__(self) -> int:
         return len(self._pool)
@@ -50,6 +60,10 @@ class InvertedItemIndex:
     def item_mask(self, item: int) -> int:
         """Positions of the patterns containing ``item`` (0 when absent)."""
         return self._masks.get(item, 0)
+
+    def of_size(self, size: int) -> int:
+        """Positions of the patterns with exactly ``size`` items."""
+        return self._sizes.get(size, 0)
 
     def items(self) -> list[int]:
         """Every item that occurs in some pool pattern, ascending."""

@@ -173,8 +173,11 @@ def run_query(
     pool order, such as a stored run's mapped
     :meth:`~repro.store.PatternStore.open_matrix` matrix — is scanned whole
     by a distance ball and the item filters narrow its hits; without one,
-    the ball packs only the candidates the other filters keep.  Results are
-    sorted by :func:`colossal_rank_key` and truncated to ``query.top``.
+    the ball packs only the candidates the other filters keep.  The ball's
+    anchor comes from the index when there is one (the rows that hold every
+    center item and no other) and from a scan of the pool otherwise.
+    Results are sorted by :func:`colossal_rank_key` and truncated to
+    ``query.top``.
     """
     mask = None  # the pool positions the item filters keep
     if query.contains_any or query.superset_of:
@@ -188,7 +191,15 @@ def run_query(
     anchor = None
     if query.center is not None and query.radius is not None:
         center_items = frozenset(query.center)
-        anchor = next((p for p in pool if p.items == center_items), None)
+        if index is None:
+            anchor = next((p for p in pool if p.items == center_items), None)
+        else:
+            # A superset of the center with its size is the center itself;
+            # the lowest such position is the first in pool order.
+            found = index.containing_all(center_items) & index.of_size(
+                len(center_items)
+            )
+            anchor = pool[(found & -found).bit_length() - 1] if found else None
         if anchor is None:
             raise KeyError(
                 f"no stored pattern with items {sorted(center_items)} "

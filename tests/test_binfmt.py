@@ -103,6 +103,43 @@ class TestRoundTrip:
         read_binary_run(bin_file).verify_words()  # must not raise
 
 
+class TestWrite:
+    def test_corrupt_write_flips_the_byte_of_the_whole_file(
+        self, tmp_path, pool, bin_file
+    ):
+        """A ``store.write`` corrupt rule damages the byte it would damage
+        in the file's bytes joined: its offset is a function of the length
+        of the whole file."""
+        from repro.resilience import FaultSchedule, set_fault_schedule
+
+        clean = bin_file.read_bytes()
+        meta = {"algorithm": "test", "minsup": 2, "n_patterns": len(pool)}
+        spec = "corrupt@store.write:times=1,seed=11"
+        previous = set_fault_schedule(FaultSchedule.parse(spec))
+        try:
+            path = write_binary_run(tmp_path / "torn.bin", meta, pool_image(pool))
+        finally:
+            set_fault_schedule(previous)
+        assert path.read_bytes() == FaultSchedule.parse(spec).corrupting(
+            "store.write", clean
+        )
+
+    def test_words_are_written_without_a_copy(self, tmp_path):
+        """Writing an image allocates far less than its word region."""
+        import tracemalloc
+
+        rows = [Pattern(items=frozenset({i}), tidset=(1 << 4096) - 1 - i)
+                for i in range(2_000)]
+        image = pool_image(rows)
+        tracemalloc.start()
+        try:
+            write_binary_run(tmp_path / "big.bin", {"algorithm": "x"}, image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(image.words) // 4
+
+
 class TestZeroCopy:
     def test_mapped_words_are_a_readonly_view(self, bin_file):
         run = read_binary_run(bin_file)

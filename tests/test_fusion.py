@@ -1,5 +1,6 @@
 """Unit tests for the fusion operator (repro.core.fusion)."""
 
+import math
 import random
 
 import pytest
@@ -638,3 +639,150 @@ class TestSeedCountsFromTheBallQuery:
                 rng=random.Random(0), trials=1, max_candidates=1,
                 close_fused=True, counts=[1, 2],
             )
+
+
+@st.composite
+def settle_cases(draw):
+    """A start tidset and ball tidsets whose counts often sit on τ·|start|.
+
+    Besides random members and supersets of the start, a member may keep
+    exactly ⌊τ·|start|⌋ or ⌈τ·|start|⌉ of the start's bits, plus any bits
+    outside it, so at τ 0.5 on an even start its count is τ·C itself.
+    """
+    width = draw(st.integers(1, 12))
+    full = (1 << width) - 1
+    start = draw(st.integers(0, full))
+    tau = draw(st.one_of(st.just(0.5), taus))
+    bits = [b for b in range(width) if start >> b & 1]
+    tidsets = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["any", "superset", "on_bar"]))
+        if kind == "any":
+            member = draw(st.integers(0, full))
+        elif kind == "superset":
+            member = start | draw(st.integers(0, full))
+        else:
+            target = tau * len(bits)
+            keep = draw(st.sampled_from([math.floor(target), math.ceil(target)]))
+            kept = draw(st.permutations(bits))[:keep]
+            member = sum(1 << b for b in kept) | (
+                draw(st.integers(0, full)) & ~start
+            )
+        tidsets.append(member)
+    return dict(
+        width=width, start=start, tidsets=tidsets, tau=tau,
+        minsup=draw(st.integers(0, start.bit_count() + 1)),
+    )
+
+
+@on_kernel
+class TestSettledBalls:
+    """A settled ball's passes all end on the seed's tidset, so one
+    outcome stands for all of them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=settle_cases(), orders_seed=st.integers(0, 2**64 - 1))
+    def test_settled_from_its_definition(self, case, orders_seed):
+        """Settled: every order ends on the start with no shrink, having
+        accepted the returned members.  Not settled: some member, walked
+        first, shrinks T."""
+        start, tidsets, tau, minsup = (
+            case["start"], case["tidsets"], case["tau"], case["minsup"]
+        )
+        n = len(tidsets)
+        ball = GreedyBall(TidsetMatrix.from_tidsets(tidsets), tau, minsup)
+        settled = ball.settled(start, start.bit_count())
+        orders = pass_orders(orders_seed, n, 8).tolist() + [
+            [i, *(j for j in range(n) if j != i)] for i in range(n)
+        ]
+        outcomes = [
+            scalar_walk(tidsets, order, start, start.bit_count(), tau, minsup)
+            for order in orders
+        ]
+        if settled is None:
+            assert any(changes for _, _, changes in outcomes)
+        else:
+            for tidset, accepted, changes in outcomes:
+                assert (tidset, changes) == (start, 0)
+                assert sorted(accepted) == settled.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=settle_cases(), rng_seed=st.integers(0, 2**32),
+        trials=st.integers(1, 8), max_candidates=st.integers(0, 3),
+        close_fused=st.booleans(), given_counts=st.booleans(),
+    )
+    def test_fuse_ball_as_if_walked(
+        self, case, rng_seed, trials, max_candidates, close_fused,
+        given_counts,
+    ):
+        """The patterns, the RNG left behind and every span attribute but
+        ``settled`` equal those of the same call forced down the walk."""
+        import numpy as np
+
+        # Item 0 is the seed, item i + 1 the member with tidset i.
+        tidsets = [case["start"], *case["tidsets"]]
+        db = TransactionDatabase(
+            [
+                [item for item, tids in enumerate(tidsets) if tids >> row & 1]
+                for row in range(case["width"])
+            ],
+            n_items=len(tidsets),
+        )
+        pool = [make_pattern(db, [item]) for item in range(len(tidsets))]
+        rows = np.arange(len(pool))
+        counts = np.array([(case["start"] & t).bit_count() for t in tidsets])
+        kwargs = dict(
+            tau=case["tau"], minsup=case["minsup"], trials=trials,
+            max_candidates=max_candidates, close_fused=close_fused,
+            matrix=TidsetMatrix.from_patterns(pool), rows=rows, seed_row=0,
+        )
+        if given_counts:
+            kwargs["counts"] = counts
+
+        def run():
+            rng = random.Random(rng_seed)
+            fused, attrs = fuse_traced(
+                db, pool[0], Ball(pool, rows, counts), rng=rng, **kwargs
+            )
+            return fused, rng.getstate(), attrs
+
+        fused, state, attrs = run()
+        with pytest.MonkeyPatch.context() as patch:
+            # No ball is settled: every call walks its passes.
+            patch.setattr(GreedyBall, "settled", lambda *args: None)
+            walk_fused, walk_state, walk_attrs = run()
+        assert fused == walk_fused
+        assert state == walk_state
+        assert walk_attrs.pop("settled") == 0
+        if attrs.pop("settled"):
+            assert attrs["tidset_changes"] == 0 and len(fused) <= 1
+        assert attrs == walk_attrs
+
+    def test_settled_ball_copies_no_words(self, block_db, monkeypatch):
+        """Every member of the seed's block is a superset of the seed: the
+        ball is settled, and with the seed's counts given its words are
+        never gathered."""
+        import numpy as np
+
+        from repro.core import fusion
+
+        pool = pool_of_pairs(block_db, range(5))
+        rows = np.arange(len(pool))
+        counts = np.array([p.support for p in pool])
+
+        def no_gather(*args):
+            raise AssertionError("a settled ball gathered its words")
+
+        monkeypatch.setattr(fusion, "_word_major", no_gather)
+        fused, attrs = fuse_traced(
+            block_db, pool[0], Ball(pool, rows, counts), tau=0.97, minsup=5,
+            rng=random.Random(0), trials=8, max_candidates=2,
+            close_fused=True, matrix=TidsetMatrix.from_patterns(pool),
+            rows=rows, seed_row=0, counts=counts,
+        )
+        assert [items for items, _ in fused] == [frozenset(range(5))]
+        assert attrs == {
+            "tidset_changes": 0, "accepted": 8 * (len(pool) - 1), "levels": 1,
+            "counted_words": 0, "closures": 1, "settled": 1,
+        }

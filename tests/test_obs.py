@@ -326,6 +326,7 @@ class TestEngineSpanMerge:
                     r["attrs"]["closures"],
                     r["attrs"]["ball"],
                     r["attrs"]["counted_words"],
+                    r["attrs"]["settled"],
                 )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
@@ -355,6 +356,7 @@ class TestEngineSpanMerge:
         assert sum(span[2] for span in serial[0]) > 0
         assert sum(span[3] for span in serial[0]) > 0
         assert all(span[4] > 0 and span[5] > 0 for span in serial[0])
+        assert {span[8] for span in serial[0]} <= {0, 1}
         # The seed's level comes from the ball query; every other level
         # scans at most each word of each member but the seed.
         n_words = max(1, -(-len(diag(8)) // 64))

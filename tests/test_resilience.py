@@ -13,6 +13,8 @@ chaos`` CLI front door over the same drill.
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import PatternFusionConfig, pattern_fusion
@@ -148,6 +150,24 @@ class TestFaultScheduleFiring:
         two = FaultSchedule.parse(spec).corrupting("store.read", data)
         assert one == two != data
         assert sum(a != b for a, b in zip(one, data)) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.binary(min_size=1, max_size=200),
+        cuts=st.lists(st.integers(0, 200), max_size=4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_corrupting_pieces_flips_the_joined_byte(self, data, cuts, seed):
+        """Split anywhere, the pieces get the byte the joined data gets;
+        every other piece is passed through as it is."""
+        bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+        pieces = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+        spec = f"corrupt@store.write:times=1,seed={seed}"
+        got = FaultSchedule.parse(spec).corrupting_pieces("store.write", pieces)
+        assert b"".join(got) == FaultSchedule.parse(spec).corrupting(
+            "store.write", data
+        )
+        assert sum(new is not old for new, old in zip(got, pieces)) == 1
 
     def test_corrupting_passthrough_without_match(self):
         data = b"pristine"

@@ -96,6 +96,14 @@ class TestInvertedIndex:
             p for p in pool if items & p.items
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(index_pools, st.integers(0, 7))
+    def test_of_size_matches_size_test(self, pool, size):
+        index = InvertedItemIndex(pool)
+        assert index.select(index.of_size(size)) == [
+            p for p in pool if p.size == size
+        ]
+
     @settings(max_examples=30, deadline=None)
     @given(pools)
     def test_items_cover_pool(self, pool):
@@ -177,6 +185,35 @@ class TestQueryOperators:
             assert answer == brute(pool, query)
             index = InvertedItemIndex(loaded)
             assert run_query(loaded, query, index=index, matrix=matrix) == answer
+
+    @settings(max_examples=60, deadline=None)
+    @given(pools, st.floats(0.0, 1.0), st.data())
+    def test_indexed_ball_finds_its_anchor_without_a_scan(
+        self, pool, radius, data
+    ):
+        """With an index, the anchor — the first pattern whose items are the
+        center, duplicates included — is read off the index's masks; with
+        the matrix too, the pool is indexed by position, never iterated."""
+        from repro.kernels import TidsetMatrix
+
+        class Unscanned(list):
+            def __iter__(self):
+                raise AssertionError("the pool was scanned")
+
+        if not pool:
+            return
+        anchor = data.draw(st.sampled_from(pool))
+        query = Query().within(anchor.items, radius)
+        served = dict(
+            index=InvertedItemIndex(pool),
+            matrix=TidsetMatrix.from_patterns(pool),
+        )
+        assert run_query(Unscanned(pool), query, **served) == (
+            brute(pool, query)
+        )
+        absent = Query().within(anchor.items | {13}, radius)
+        with pytest.raises(KeyError, match="anchor"):
+            run_query(Unscanned(pool), absent, **served)
 
     def test_matrix_of_another_pool_is_refused(self):
         from repro.kernels import TidsetMatrix
