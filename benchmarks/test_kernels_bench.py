@@ -58,7 +58,10 @@ def test_bench_ball_queries(benchmark, replace_pool):
         return index.balls(centers, radius)
 
     balls = benchmark.pedantic(query, rounds=3, iterations=1)
-    benchmark.extra_info.update({"pool": len(patterns), "centers": len(centers)})
+    benchmark.extra_info.update({
+        "pool": len(patterns), "distinct": len(index.pool.distinct),
+        "centers": len(centers),
+    })
     assert balls[:5] == [ball(center, patterns, radius) for center in centers[:5]]
 
 
@@ -84,7 +87,10 @@ def test_bench_ball_queries_one_word(benchmark, all_pool):
         return index.balls(centers, radius)
 
     balls = benchmark.pedantic(query, rounds=3, iterations=1)
-    benchmark.extra_info.update({"pool": len(all_pool), "centers": len(centers)})
+    benchmark.extra_info.update({
+        "pool": len(all_pool), "distinct": len(all_pool.distinct),
+        "centers": len(centers),
+    })
     patterns = list(all_pool)
     assert balls[:5] == [ball(center, patterns, radius) for center in centers[:5]]
 
@@ -113,7 +119,7 @@ def test_bench_greedy_levels(benchmark, replace_pool):
 
     def fuse():
         return fuse_ball(
-            db, seed, members, rng=random.Random(0), matrix=index.pool.matrix,
+            db, seed, members, rng=random.Random(0), pool=index.pool,
             rows=members.rows, seed_row=seed_row, counts=members.counts,
             **settings,
         )

@@ -2,12 +2,13 @@
 
 Theorem 2 collects each seed's CoreList as the pool patterns within
 ``r(τ)`` of it in pattern-distance space.  :class:`PatternBallIndex` queries
-the tidset matrix of a :class:`~repro.core.pool.Pool` (packing a list of
-patterns into one when it is given a list); each query is then one
-vectorized :meth:`~repro.kernels.TidsetMatrix.rows_within` pass per center,
-answered as pool rows (:class:`~repro.core.distance.Ball`).  Each chunk of
-a fusion round queries its seeds through one index over the round's pool,
-and its greedy passes gather their balls from the same matrix.
+the distinct-tidset matrix of a :class:`~repro.core.pool.Pool` (packing a
+list of patterns into one when it is given a list); each query is then one
+vectorized :meth:`~repro.kernels.TidsetMatrix.rows_within` pass per center
+over the distinct tidsets, answered as pool rows
+(:class:`~repro.core.distance.Ball`).  Each chunk of a fusion round queries
+its seeds through one index over the round's pool, and its greedy passes
+gather their balls' tidsets from the same matrix.
 
 Answers equal the paper's brute-force scan
 (:func:`repro.core.distance.ball`); the tests assert it on random pools.

@@ -7,6 +7,11 @@ same transactions, regardless of how their items compare.  Theorem 1 (via
 set of τ-core patterns of any pattern by ``r(τ) = 1 − 1/(2/τ − 1)``, which is
 what lets Pattern-Fusion recover a seed's fellow core patterns with a range
 query.
+
+Since the distance reads support sets only, a pool's range queries are
+asked of its distinct tidsets (:attr:`repro.core.pool.Pool.distinct`):
+one scan costs distinct tidsets × words, and each hit answers every
+pattern that shares its tidset.
 """
 
 from __future__ import annotations
@@ -79,9 +84,10 @@ class Ball(Sequence[Pattern]):
     ball built from rows alone.  Length, iteration, indexing and slicing
     behave as for the list ``[pool[i] for i in rows]``, and a ball compares
     equal to that list.  A fusion round's greedy passes gather the
-    members' tidsets from the pool matrix by ``rows`` and take ``counts``
-    as the seed's level; patterns are looked up, or built from the pool's
-    arrays, only when something reads them.  A pattern list given as
+    members' distinct tidsets from the pool's distinct-tidset matrix, by
+    the ids of ``rows`` in it, and take ``counts`` as the seed's level;
+    patterns are looked up, or built from the pool's arrays, only when
+    something reads them.  A pattern list given as
     ``pool`` is packed into a :class:`~repro.core.pool.Pool`.
     """
 
@@ -125,10 +131,13 @@ def balls(
 ) -> list[Ball]:
     """One ball per center, each exactly equal to :func:`ball` for that center.
 
-    The batched form of the range query: every center's members come from
-    one :meth:`~repro.kernels.TidsetMatrix.rows_within` call over the
-    pool's tidset matrix, which shares the pool's popcounts and scans whole
-    distance rows as vectors.  A pattern list is packed into a
+    The batched form of the range query.  Distance depends on support sets
+    alone, so it is asked of each distinct tidset once: one
+    :meth:`~repro.kernels.TidsetMatrix.rows_within` call scans the pool's
+    distinct-tidset matrix (:attr:`~repro.core.pool.Pool.distinct`) for
+    every center, sharing its popcounts and scanning whole distance rows as
+    vectors; each hit then stands for every pool row that holds its
+    tidset, with its count.  A pattern list is packed into a
     :class:`~repro.core.pool.Pool` first; a pool is scanned as it is.
     Answers are bit-identical to per-pattern :func:`ball` scans; members
     are in pool order, each ball carrying its members' intersection counts
@@ -137,9 +146,25 @@ def balls(
     if not centers:
         return []
     pool = Pool.from_patterns(pool)
-    return [
-        Ball(pool, rows, counts)
-        for rows, counts in pool.matrix.rows_within(
-            [c.tidset for c in centers], radius
-        )
-    ]
+    distinct, ids = pool.distinct, pool.tidset_ids
+    answers = distinct.rows_within([c.tidset for c in centers], radius)
+    if len(distinct) == len(pool):  # every row its own tidset: ids are rows
+        return [Ball(pool, rows, counts) for rows, counts in answers]
+    import numpy as np
+
+    # The pool rows of each distinct tidset, ascending, one after another.
+    grouped = np.argsort(ids, kind="stable")
+    sizes = np.bincount(ids, minlength=len(distinct))
+    starts = np.cumsum(sizes) - sizes
+    count_of = np.zeros(len(distinct), dtype=answers[0][1].dtype)
+    result = []
+    for hits, counts in answers:
+        lengths = sizes[hits]
+        ends = np.cumsum(lengths)
+        at = np.arange(int(ends[-1]) if len(ends) else 0)
+        at += np.repeat(starts[hits] - (ends - lengths), lengths)
+        # Each hit's rows are one ascending run: the stable sort merges them.
+        rows = np.sort(grouped[at], kind="stable")
+        count_of[hits] = counts
+        result.append(Ball(pool, rows, count_of[ids[rows]]))
+    return result

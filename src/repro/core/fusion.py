@@ -38,6 +38,14 @@ support s and count c = |T ∩ D_m| is accepted iff ``c ≥ minsup`` and
   transactions, where T itself fills nearly every word.  The ball is held
   word-major, so those words are contiguous rows.
 
+Every count depends on a member's support set alone, and a ball holds
+each support set many times (a phase-1 pool has far fewer distinct
+tidsets than patterns).  So the ball gathers and counts each distinct
+member tidset once — from the pool's distinct-tidset matrix, by the
+members' ids in it — and gives each level's counts to the members with one
+``take``: a level costs distinct tidsets × words read, not members ×
+words.
+
 Each T's counts become two masks once: the superset accepts, and the shrink
 candidates (``c ≥ minsup`` and ``not c < τ·s``).  Only a candidate's test
 involves C, which moves within a pass.  The ceiling before each position is
@@ -75,6 +83,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.kinds import ITEMSETS, PatternKind
+from repro.core.pool import Pool
 from repro.db.transaction_db import TransactionDatabase
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern
@@ -108,13 +117,17 @@ class GreedyBall:
     """A ball's members, ready for any number of greedy fusion passes.
 
     Member ``i`` is row ``i`` of ``matrix``, or, when ``rows`` is given,
-    row ``rows[i]`` (in a fusion round, the ball's rows of the pool
-    matrix).  The ball holds the members' words word-major: one contiguous
-    ``(W, n)`` copy gathered straight from ``matrix`` when a count or a
-    member first needs it, row ``w`` holding word ``w`` of every member, so
-    the words a level reads are contiguous rows and a member's tidset is a
-    column.  The members' supports are the matrix's cached popcounts.  The
-    counts and masks of each distinct running tidset are kept for the
+    row ``rows[i]``; members may share a row.  In a fusion round ``matrix``
+    is the pool's distinct-tidset matrix and ``rows`` the members' ids in
+    it (:attr:`~repro.core.pool.Pool.tidset_ids`), so members that share a
+    tidset share its row.  The ball holds its distinct rows' words
+    word-major: one contiguous ``(W, d)`` copy of the ``d`` distinct rows,
+    gathered straight from ``matrix`` when a count or a member first needs
+    it, row ``w`` holding word ``w`` of every distinct row, so the words a
+    level reads are contiguous rows and a tidset is a column.  A count is
+    taken once per distinct row and given to its members with one
+    ``take``.  The members' supports are the matrix's cached popcounts.
+    The counts and masks of each distinct running tidset are kept for the
     ball's lifetime; ``levels`` says how many there are.
 
     A level's counts come from one of three places, each exact:
@@ -127,12 +140,14 @@ class GreedyBall:
     * otherwise, a count over the nonzero words of T.
 
     Bits of T beyond the ball's width meet no member and are not read.
-    ``counted_words`` is the member × word units those counts scanned.
+    ``counted_words`` is the distinct-row × word units those counts
+    scanned, and ``distinct`` how many distinct rows were gathered.
     """
 
     __slots__ = (
-        "_words", "_rows", "_gathered", "_width_mask", "_supports", "_floors",
-        "_bars", "_tau", "_minsup", "_levels", "_given", "_counted_words",
+        "_words", "_rows", "_gathered", "_members", "_width_mask",
+        "_supports", "_floors", "_bars", "_tau", "_minsup", "_levels",
+        "_given", "_counted_words",
     )
 
     def __init__(
@@ -151,6 +166,9 @@ class GreedyBall:
         self._words = matrix.words
         self._rows = rows
         self._gathered: np.ndarray | None = None
+        # Each member's column of the gathered copy; ``None`` while a
+        # member's column is its own index.
+        self._members: np.ndarray | None = None
         self._width_mask = (1 << (64 * self._words.shape[1])) - 1
         # fl(τ·s): the core-ratio floor of each member against itself, and
         # the count a member needs to be a shrink candidate at all.
@@ -169,8 +187,13 @@ class GreedyBall:
 
     @property
     def counted_words(self) -> int:
-        """Member × word units scanned to count the levels so far."""
+        """Distinct-row × word units scanned to count the levels so far."""
         return self._counted_words
+
+    @property
+    def distinct(self) -> int:
+        """How many distinct member rows were gathered (0 before any)."""
+        return 0 if self._gathered is None else self._gathered.shape[1]
 
     def seed_level(self, tidset: int, counts: Sequence[int] | np.ndarray) -> None:
         """Take ``counts`` — ``|D_i ∩ tidset|`` per member — as ``tidset``'s.
@@ -218,9 +241,18 @@ class GreedyBall:
 
     @property
     def _columns(self) -> np.ndarray:
-        """The word-major copy, gathered when a level or member first needs it."""
+        """The word-major copy of the distinct member rows, gathered when a
+        level or member first needs it."""
         if self._gathered is None:
-            self._gathered = _word_major(self._words, self._rows)
+            rows = self._rows
+            if rows is not None:
+                import numpy as np
+
+                unique, members = np.unique(rows, return_inverse=True)
+                if len(unique) < len(rows):
+                    self._members = members
+                    rows = unique
+            self._gathered = _word_major(self._words, rows)
         return self._gathered
 
     def settled(self, tidset: int, ceiling: int) -> np.ndarray | None:
@@ -259,11 +291,15 @@ class GreedyBall:
         part = self._columns[nonzero]
         part &= words[nonzero, np.newaxis]
         self._counted_words += part.size
-        return word_popcounts(part, axis=0)
+        counts = word_popcounts(part, axis=0)
+        return counts if self._members is None else counts[self._members]
 
     def _member(self, index: int) -> int:
         """Member ``index``'s tidset, read from its column."""
-        return int.from_bytes(self._columns[:, index].tobytes(), "little")
+        columns = self._columns
+        if self._members is not None:
+            index = self._members[index]
+        return int.from_bytes(columns[:, index].tobytes(), "little")
 
     def walk(
         self, order: Sequence[int], tidset: int, ceiling: int
@@ -367,7 +403,7 @@ def fuse_ball(
     trials: int,
     max_candidates: int,
     close_fused: bool,
-    matrix: TidsetMatrix | None = None,
+    pool: Pool | None = None,
     rows: Sequence[int] | np.ndarray | None = None,
     seed_row: int | None = None,
     counts: Sequence[int] | np.ndarray | None = None,
@@ -393,14 +429,17 @@ def fuse_ball(
     and no pass is walked.  Retention sampling then draws from ``rng``
     itself.
 
-    ``matrix`` and ``rows`` — a matrix holding the ball's tidsets, and the
-    row of each member in it — let :class:`GreedyBall` gather the members'
-    words from it instead of packing them again.  The
-    seed itself is skipped: by its items, or, when ``seed_row`` is given,
-    by its row, without reading any member.  A fusion round passes its
-    pool matrix, a :class:`~repro.core.distance.Ball`'s rows and the
-    seed's pool row; its pool holds each itemset once, so both ways skip
-    the same member.
+    ``pool`` and ``rows`` — the pool holding the ball, and the row of each
+    member in it — let :class:`GreedyBall` gather the members' tidsets
+    from the pool's distinct-tidset matrix by their
+    :attr:`~repro.core.pool.Pool.tidset_ids`, each shared tidset once,
+    instead of packing them again; without them the members' distinct
+    tidsets are packed here.  The seed itself is skipped: by its items,
+    or, when ``seed_row`` is given, by its row, without reading any
+    member.  Only the seed's row is skipped, never another row that holds
+    the same tidset.  A fusion round passes its pool, a
+    :class:`~repro.core.distance.Ball`'s rows and the seed's pool row; its
+    pool holds each itemset once, so both ways skip the same member.
 
     ``counts`` — ``|D_seed ∩ D_m|`` for each member, in step with
     ``ball_members`` (a ball query's :attr:`~repro.core.distance.Ball.counts`)
@@ -410,15 +449,16 @@ def fuse_ball(
 
     Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
     ``levels`` (distinct running tidsets counted), ``counted_words``
-    (member × word units those levels scanned), ``closures`` (closure
-    calls) and ``settled`` (1 when one outcome stood for every pass, else
-    0) on the innermost open trace span.  The first five are what the
-    walked passes give, settled or not.
+    (distinct-tidset × word units those levels scanned), ``distinct``
+    (distinct member tidsets gathered, 0 when none was), ``closures``
+    (closure calls) and ``settled`` (1 when one outcome stood for every
+    pass, else 0) on the innermost open trace span.  The first six are
+    what the walked passes give, settled or not.
     """
     import numpy as np
 
-    if (matrix is None) != (rows is None):
-        raise ValueError("matrix and rows must be given together")
+    if (pool is None) != (rows is None):
+        raise ValueError("pool and rows must be given together")
     if counts is not None and len(counts) != len(ball_members):
         raise ValueError("counts must be in step with ball_members")
     if seed_row is None:
@@ -427,17 +467,19 @@ def fuse_ball(
             dtype=np.intp,
         )
     elif rows is None:
-        raise ValueError("seed_row needs matrix and rows")
+        raise ValueError("seed_row needs pool and rows")
     else:
         keep = np.flatnonzero(np.asarray(rows) != seed_row)
-    if matrix is None:
-        ball = GreedyBall(
-            TidsetMatrix.from_patterns([ball_members[j] for j in keep.tolist()]),
-            tau, minsup,
-        )
+    if pool is None:
+        ids: dict[int, int] = {}
+        members = [
+            ids.setdefault(ball_members[j].tidset, len(ids)) for j in keep.tolist()
+        ]
+        ball = GreedyBall(TidsetMatrix.from_tidsets(ids), tau, minsup, members)
     else:
         ball = GreedyBall(
-            matrix, tau, minsup, rows=np.asarray(rows, dtype=np.intp)[keep]
+            pool.distinct, tau, minsup,
+            rows=pool.tidset_ids[np.asarray(rows, dtype=np.intp)[keep]],
         )
     if counts is not None:
         ball.seed_level(seed.tidset, np.asarray(counts)[keep])
@@ -485,7 +527,8 @@ def fuse_ball(
     trace.annotate(
         tidset_changes=tidset_changes, accepted=accepted_total,
         levels=ball.levels, counted_words=ball.counted_words,
-        closures=len(closures), settled=int(settled is not None),
+        distinct=ball.distinct, closures=len(closures),
+        settled=int(settled is not None),
     )
     candidates = list(best_by_key.values())
     if len(candidates) > max_candidates:

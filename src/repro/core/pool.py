@@ -12,15 +12,25 @@ runs to hundreds of thousands of patterns.  :class:`Pool` keeps:
 * ``matrix`` — the tidsets as one :class:`~repro.kernels.TidsetMatrix`,
   row ``i`` ↔ pattern ``i``, which the ball queries scan and the greedy
   passes gather their balls from;
-* ``sizes`` and ``supports`` — int64 arrays derived from those two.
+* ``sizes`` and ``supports`` — int64 arrays derived from those two;
+* a distinct-tidset index — ``distinct``, a matrix holding each distinct
+  tidset once, and ``tidset_ids``, the row of ``distinct`` that holds each
+  pattern's tidset.  Definition 6's distance, the r(τ) ball and every
+  greedy count depend on support sets alone, and a phase-1 pool holds each
+  support set many times (26,571 patterns over 3,887 tidsets on Replace-sim
+  at pool ≤ 3; 173,746 over 216 on ALL-sim at minsup 27, pool ≤ 2), so the
+  ball queries scan and the greedy passes count ``distinct``.  It is built
+  once per pool, exactly (:meth:`~repro.kernels.TidsetMatrix.distinct`),
+  when first read.
 
 A pool still reads as a ``Sequence[Pattern]``: ``pool[i]`` builds the
 pattern (:mod:`repro.core.kinds`) when something reads it.  A pool made
 by :meth:`Pool.from_patterns` keeps the patterns it was given, hands those
 back, and derives its item and support arrays from them when they are
 first read (a ball query over a pattern list reads only the matrix).  A
-pool pickles as its arrays, which is how a fusion round ships its pool to
-the engine's workers.
+pool pickles as its arrays, its distinct-tidset index among them, which is
+how a fusion round ships its pool to the engine's workers: the index is
+built in the driver, and no worker builds it again.
 
 NumPy is imported when a pool is built, not when this module is.
 """
@@ -49,7 +59,10 @@ class Pool(Sequence[Pattern]):
     same pattern exactly when they are equal.
     """
 
-    __slots__ = ("_matrix", "_items", "_supports", "_patterns", "_sizes", "kind")
+    __slots__ = (
+        "_matrix", "_items", "_supports", "_patterns", "_sizes", "_distinct",
+        "kind",
+    )
 
     def __init__(
         self,
@@ -58,14 +71,18 @@ class Pool(Sequence[Pattern]):
         supports: np.ndarray | None = None,
         patterns: list[Pattern] | None = None,
         kind: PatternKind = ITEMSETS,
+        distinct: tuple[TidsetMatrix, np.ndarray] | None = None,
     ) -> None:
         """``items`` and ``supports`` may be left out when ``patterns``
-        (the pool's patterns, in row order) is given."""
+        (the pool's patterns, in row order) is given.  ``distinct`` is the
+        pair ``matrix.distinct()`` answers; left out, it is built when
+        first read."""
         self._matrix = matrix
         self._items = items
         self._supports = supports
         self._patterns = patterns
         self._sizes: np.ndarray | None = None
+        self._distinct = distinct
         self.kind = kind
 
     @classmethod
@@ -86,8 +103,13 @@ class Pool(Sequence[Pattern]):
         )
 
     def __reduce__(self) -> tuple:
-        # The arrays only: a worker builds any pattern it reads.
-        return (Pool, (self._matrix, self.items, self.supports, None, self.kind))
+        # The arrays only: a worker builds any pattern it reads, and takes
+        # the distinct-tidset index as it is.
+        return (
+            Pool,
+            (self._matrix, self.items, self.supports, None, self.kind,
+             self._index()),
+        )
 
     # ------------------------------------------------------------------
     # Arrays
@@ -104,6 +126,25 @@ class Pool(Sequence[Pattern]):
     def matrix(self) -> TidsetMatrix:
         """The tidsets, row ``i`` ↔ ``pool[i]``."""
         return self._matrix
+
+    @property
+    def distinct(self) -> TidsetMatrix:
+        """Each distinct tidset of the pool once, in order of its first row.
+
+        A pool whose tidsets are all distinct answers :attr:`matrix`.
+        """
+        return self._index()[0]
+
+    @property
+    def tidset_ids(self) -> np.ndarray:
+        """Row ``i``'s tidset is row ``tidset_ids[i]`` of :attr:`distinct`
+        (a narrow unsigned array)."""
+        return self._index()[1]
+
+    def _index(self) -> tuple[TidsetMatrix, np.ndarray]:
+        if self._distinct is None:
+            self._distinct = self._matrix.distinct()
+        return self._distinct
 
     @property
     def sizes(self) -> np.ndarray:

@@ -21,12 +21,13 @@ while the run stays **deterministic for a fixed config.seed** and
   ship with each chunk as the executor's payload; the executor's worker
   processes stay warm across rounds, so a round forks nothing.  A chunk
   answers its seeds' ``r(τ)`` ball queries itself, in one
-  :meth:`PatternBallIndex.balls` call over the pool's own tidset matrix
-  (pool rows and their intersection counts with the seed, see
+  :meth:`PatternBallIndex.balls` call over the pool's distinct-tidset
+  matrix, built once in the driver and shipped with the pool (pool rows
+  and their intersection counts with the seed, see
   :class:`~repro.core.distance.Ball`), so the queries run in parallel
   and no ball crosses the pipe.  Each seed's greedy passes then gather
-  its ball's rows from the pool matrix, take the counts as the seed's
-  greedy level, and build a pattern only for the seed.
+  its ball's distinct tidsets from that matrix, take the counts as the
+  seed's greedy level, and build a pattern only for the seed.
 * Per-seed results are merged in seed order (first occurrence of a
   pattern wins).
 
@@ -128,9 +129,13 @@ def _query_balls(payload: "_RoundPayload", seeds: list[Pattern]) -> list[Ball]:
     """The seeds' balls, from one ball-index call over the pool."""
     with trace.span("ball_queries", seeds=len(seeds)) as span:
         seed_balls = PatternBallIndex(payload.pool).balls(seeds, payload.radius)
-        # Summed ball sizes, seeds included: an exact work count whose sum
-        # over a round is the same for every jobs value.
-        span.set(members=sum(len(ball) for ball in seed_balls))
+        # Summed ball sizes, seeds included, and the distinct tidsets each
+        # seed was compared with: exact work counts whose sums over a round
+        # are the same for every jobs value.
+        span.set(
+            members=sum(len(ball) for ball in seed_balls),
+            distinct=len(seeds) * len(payload.pool.distinct),
+        )
     return seed_balls
 
 
@@ -151,7 +156,7 @@ def _fuse_one(
             trials=payload.trials,
             max_candidates=payload.max_candidates,
             close_fused=payload.close_fused,
-            matrix=payload.pool.matrix,
+            pool=payload.pool,
             rows=ball.rows,
             seed_row=task.seed_index,
             counts=ball.counts,
@@ -212,6 +217,9 @@ def fusion_round(
         FusionTask(seed_index=seed_index, child_seed=child_seed)
         for seed_index, child_seed in zip(seed_indices, child_seeds)
     ]
+    # The distinct-tidset index is built here, once, and ships with the
+    # pool to every chunk.
+    pool.tidset_ids
     payload = _RoundPayload(
         db=db,
         pool=pool,

@@ -42,7 +42,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro.db.bitset import bitset_to_ids
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime
@@ -396,6 +395,51 @@ class TidsetMatrix:
             (np.concatenate(r), np.concatenate(c)) for r, c in zip(rows, counts)
         ]
 
+    def distinct(self) -> tuple["TidsetMatrix", np.ndarray]:
+        """The distinct rows, in order of first occurrence, and each row's id.
+
+        Returns ``(unique, ids)``: ``unique`` holds every distinct tidset
+        once, ordered by the first row that holds it, and row ``i`` equals
+        row ``ids[i]`` of ``unique`` (in the narrowest unsigned dtype that
+        holds every id).  A matrix whose rows are all distinct is its own
+        ``unique``.
+
+        The rows are sorted by their raw bytes (one-word rows as integers),
+        which copies no row, and neighbours in that order are compared
+        whole, one block of rows at a time: the answer is exact, and no
+        temporary is larger than a block.
+        """
+        import numpy as np
+
+        words = np.ascontiguousarray(self._words)
+        n_rows, n_words = words.shape
+        keys = (
+            words[:, 0] if n_words == 1
+            else words.view(np.dtype((np.void, 8 * n_words)))[:, 0]
+        )
+        perm = np.argsort(keys, kind="stable")
+        fresh = np.ones(n_rows, dtype=bool)  # sorted row differs from the last
+        block = self._block_rows()
+        last = None
+        for start in range(0, n_rows, block):
+            rows = words[perm[start:start + block]]
+            fresh[start + 1:start + len(rows)] = (rows[1:] != rows[:-1]).any(axis=1)
+            if last is not None:
+                fresh[start] = (rows[0] != last).any()
+            last = rows[-1]
+        first = perm[fresh]  # the stable sort puts each first row first
+        narrow = np.min_scalar_type(max(len(first) - 1, 0))
+        if len(first) == n_rows:
+            return self, np.arange(n_rows, dtype=narrow)
+        group = np.empty(n_rows, dtype=narrow)
+        group[perm] = np.cumsum(fresh) - 1
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=narrow)
+        rank[order] = np.arange(len(order))
+        unique = words[first[order]]
+        unique.flags.writeable = False
+        return TidsetMatrix(unique, self._n_bits), rank[group]
+
     def superset_mask(self, query: int) -> int:
         """Row-position bitmask of the rows that contain ``query`` (⊇)."""
         import numpy as np
@@ -413,7 +457,14 @@ class TidsetMatrix:
         Named for its main caller: with rows = a database's per-item
         tidsets, these are exactly the items of ``closure(query)``.
         """
-        return bitset_to_ids(self.superset_mask(query))
+        import numpy as np
+
+        words, excess = self._pack_query(query)
+        if excess:
+            return []
+        return np.flatnonzero(
+            ((words & ~self._words) == 0).all(axis=1)
+        ).tolist()
 
 
 def _least_counts(largest: int, radius: float) -> np.ndarray:

@@ -80,6 +80,59 @@ class TestBatchedBalls:
         assert balls([], pool, 0.5) == []
 
 
+@st.composite
+def pools_with_twins(draw):
+    """Pools in which several patterns share a tidset on purpose: 1-word
+    or multi-word tidsets, the empty tidset among them at times."""
+    width = draw(st.sampled_from([20, 130]))
+    tidset = st.one_of(st.just(0), st.integers(0, (1 << width) - 1))
+    masks = draw(st.lists(tidset, min_size=1, max_size=12))
+    masks += draw(st.lists(st.sampled_from(masks), min_size=1, max_size=20))
+    masks = draw(st.permutations(masks))
+    pool = [Pattern(items=frozenset([i]), tidset=m) for i, m in enumerate(masks)]
+    centers = [
+        Pattern(items=frozenset([500 + i]), tidset=m)
+        for i, m in enumerate(draw(st.lists(tidset, max_size=4)))
+    ] + draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return pool, centers
+
+
+@on_kernel
+class TestDistinctTidsets:
+    """Balls scan each distinct tidset once and answer every pool row that
+    holds a hit, with its count: the brute-force ball, row for row."""
+
+    @given(pools_with_twins(), st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_counts_equal_brute_force(self, case, radius):
+        from repro.core.pool import Pool
+
+        pool, centers = case
+        packed = Pool.from_patterns(pool)
+        assert len(packed.distinct) == len({p.tidset for p in pool}) < len(pool)
+        expected = brute_balls(centers, pool, radius)
+        for answers in (balls(centers, packed, radius),
+                        PatternBallIndex(packed).balls(centers, radius)):
+            for center, got, want in zip(centers, answers, expected):
+                assert [pool[row] for row in got.rows.tolist()] == want
+                assert got.rows.tolist() == sorted(got.rows.tolist())
+                assert got.counts.tolist() == [
+                    (center.tidset & member.tidset).bit_count() for member in want
+                ]
+
+    def test_radius_zero_answers_every_twin(self):
+        pool = [
+            Pattern(items=frozenset([i]), tidset=t)
+            for i, t in enumerate([0b011, 0b110, 0b011, 0, 0b011, 0])
+        ]
+        got, empty = balls([pool[2], pool[3]], pool, 0.0)
+        assert got.rows.tolist() == [0, 2, 4] and got.counts.tolist() == [2, 2, 2]
+        assert empty.rows.tolist() == [3, 5] and empty.counts.tolist() == [0, 0]
+
+
 class TestEffectiveness:
     def test_query_results_sorted_subset_of_pool(self):
         pool = [Pattern(items=frozenset([i]), tidset=(1 << i) | 1) for i in range(12)]

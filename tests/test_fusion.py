@@ -16,6 +16,7 @@ from repro.core.fusion import (
 )
 from repro.core.distance import Ball
 from repro.db import TransactionDatabase
+from repro.core.pool import Pool
 from repro.kernels import TidsetMatrix
 from repro.mining.results import Pattern, make_pattern
 from tests.conftest import on_kernel
@@ -230,13 +231,14 @@ def assert_matches_oracle(
     db, pool, seed, ball_rows, tau, minsup, rng_seed, trials, max_candidates,
     close_fused,
 ):
-    """``fuse_ball`` equals the scalar pass, with and without a pool matrix.
+    """``fuse_ball`` equals the scalar pass, with and without a pool.
 
-    Three ways to give the members: a list; a list with the pool matrix and
-    the members' rows; and, as a fusion round does, a ``Ball`` view with
-    the pool matrix, its row array and the seed's row.  Equal means the
-    same patterns (items and tidsets) in the same order, and the RNG left
-    in the same state.
+    Three ways to give the members: a list; a list with the pool and the
+    members' rows; and, as a fusion round does, a ``Ball`` view with the
+    pool, its row array and the seed's row.  Equal means the same patterns
+    (items and tidsets) in the same order, and the RNG left in the same
+    state.  Members that share a tidset share one row of the pool's
+    distinct-tidset matrix; only the seed's own row is skipped.
     """
     import numpy as np
 
@@ -247,13 +249,13 @@ def assert_matches_oracle(
         close_fused,
     )
     expected_key = [(p.items, p.tidset) for p in expected]
-    matrix = TidsetMatrix.from_patterns(pool)
+    packed = Pool.from_patterns(pool)
     rows = np.array(ball_rows, dtype=np.int64)
     seed_row = next(i for i, p in enumerate(pool) if p.items == seed.items)
     for members, extra in (
         (ball, {}),
-        (ball, {"matrix": matrix, "rows": ball_rows}),
-        (Ball(pool, rows), {"matrix": matrix, "rows": rows, "seed_row": seed_row}),
+        (ball, {"pool": packed, "rows": ball_rows}),
+        (Ball(packed, rows), {"pool": packed, "rows": rows, "seed_row": seed_row}),
     ):
         rng = random.Random(rng_seed)
         got = fuse_ball(
@@ -272,20 +274,36 @@ taus = st.one_of(
 
 @st.composite
 def fusion_cases(draw):
-    """A random database, pool, seed, ball and fusion parameters."""
+    """A random database, pool, seed, ball and fusion parameters.
+
+    Items ``n_items + j`` (``j < twins``) occur exactly where item ``j``
+    does, so itemsets that differ only by twins share a tidset; the seed
+    may be given such a twin in the pool.  The rows may repeat up to three
+    times, so tidsets span one or two words.
+    """
     n_items = draw(st.integers(1, 8))
+    twins = draw(st.integers(0, n_items))
     rows = draw(st.lists(
         st.lists(st.integers(0, n_items - 1), max_size=n_items),
         min_size=1, max_size=40,
-    ))
-    db = TransactionDatabase(rows, n_items=n_items)
+    )) * draw(st.integers(1, 3))
+    db = TransactionDatabase(
+        [row + [n_items + j for j in row if j < twins] for row in rows],
+        n_items=n_items + twins,
+    )
     itemsets = draw(st.lists(
-        st.frozensets(st.integers(0, n_items - 1), min_size=1, max_size=3),
+        st.frozensets(st.integers(0, n_items + twins - 1), min_size=1, max_size=3),
         min_size=1, max_size=25, unique=True,
     ))
+    seed_items = itemsets[draw(st.integers(0, len(itemsets) - 1))]
+    twin = frozenset(
+        j + n_items if j < twins else j - n_items if j >= n_items else j
+        for j in seed_items
+    )
+    if draw(st.booleans()) and twin not in itemsets:
+        itemsets.insert(draw(st.integers(0, len(itemsets))), twin)
     pool = [make_pattern(db, items) for items in itemsets]
-    seed_row = draw(st.integers(0, len(pool) - 1))
-    seed = pool[seed_row]
+    seed = pool[itemsets.index(seed_items)]
     ball_rows = draw(st.lists(
         st.integers(0, len(pool) - 1), max_size=len(pool), unique=True
     ))
@@ -302,13 +320,20 @@ def fusion_cases(draw):
 
 @st.composite
 def walk_cases(draw):
-    """A start tidset, ball tidsets (some supersets of it), orders, τ, minsup."""
+    """A start tidset, ball tidsets (some supersets of it, some shared by
+    several members), orders, τ, minsup."""
     full = (1 << draw(st.integers(1, 12))) - 1
     start = draw(st.integers(0, full))
     member = st.one_of(
         st.integers(0, full), st.integers(0, full).map(lambda bits: start | bits)
     )
     tidsets = draw(st.lists(member, max_size=20))
+    if tidsets:
+        for _ in range(draw(st.integers(0, 6))):
+            tidsets.insert(
+                draw(st.integers(0, len(tidsets))),
+                draw(st.sampled_from(tidsets)),
+            )
     orders = draw(st.lists(st.permutations(range(len(tidsets))), min_size=1,
                            max_size=3))
     return dict(
@@ -356,19 +381,27 @@ class TestCountWalkMatchesScalarPass:
     @given(case=walk_cases())
     def test_walk_on_explicit_orders(self, case):
         """Final tidset, accepted members in order and change count equal
-        the scalar pass's, for several orders over one ball's cache."""
+        the scalar pass's, for several orders over one ball's cache, with a
+        row per member or one row per distinct tidset."""
         start, tidsets = case["start"], case["tidsets"]
-        ball = GreedyBall(
-            TidsetMatrix.from_tidsets(tidsets), case["tau"], case["minsup"]
-        )
-        for order in case["orders"]:
-            tidset, accepted, changes = ball.walk(
-                order, start, start.bit_count()
-            )
-            assert (tidset, accepted.tolist(), changes) == scalar_walk(
-                tidsets, order, start, start.bit_count(), case["tau"],
-                case["minsup"],
-            )
+        unique = list(dict.fromkeys(tidsets))
+        for ball in (
+            GreedyBall(
+                TidsetMatrix.from_tidsets(tidsets), case["tau"], case["minsup"]
+            ),
+            GreedyBall(
+                TidsetMatrix.from_tidsets(unique), case["tau"], case["minsup"],
+                rows=[unique.index(t) for t in tidsets],
+            ),
+        ):
+            for order in case["orders"]:
+                tidset, accepted, changes = ball.walk(
+                    order, start, start.bit_count()
+                )
+                assert (tidset, accepted.tolist(), changes) == scalar_walk(
+                    tidsets, order, start, start.bit_count(), case["tau"],
+                    case["minsup"],
+                )
 
     @pytest.mark.parametrize("close_fused", [True, False])
     @pytest.mark.parametrize("ball", ["empty", "seed_only", "whole_pool"])
@@ -447,14 +480,13 @@ class TestCountWalkMatchesScalarPass:
             tidsets, positions, seed.tidset, seed.support, 0.5, minsup
         )
 
-    def test_matrix_and_rows_go_together(self, block_db):
+    def test_pool_and_rows_go_together(self, block_db):
         pool = pool_of_pairs(block_db, range(5))
-        matrix = TidsetMatrix.from_patterns(pool)
         with pytest.raises(ValueError, match="together"):
             fuse_ball(
                 block_db, pool[0], pool, tau=0.5, minsup=1,
                 rng=random.Random(0), trials=1, max_candidates=1,
-                close_fused=True, matrix=matrix,
+                close_fused=True, pool=Pool.from_patterns(pool),
             )
         with pytest.raises(ValueError, match="seed_row needs"):
             fuse_ball(
@@ -473,14 +505,18 @@ def nonzero_words(tidset, n_words):
 def shrink_chains(draw):
     """Members and a nested chain T0 ⊇ T1 ⊇ … of 1-, 2- or 5-word tidsets.
 
-    T0 may carry bits past the members' width (a seed wider than the
-    ball).  Each step clears bits within one word, bits in every word,
-    random bits, or ANDs in a member as a greedy shrink does.
+    Some members may share a tidset.  T0 may carry bits past the members'
+    width (a seed wider than the ball).  Each step clears bits within one
+    word, bits in every word, random bits, or ANDs in a member as a greedy
+    shrink does.
     """
     n_words = draw(st.sampled_from([1, 2, 5]))
     full = (1 << (64 * n_words)) - 1
     word = st.integers(1, 2**64 - 1)
     members = draw(st.lists(st.integers(0, full), max_size=12))
+    if members:
+        members += draw(st.lists(st.sampled_from(members), max_size=4))
+        members = draw(st.permutations(members))
     start = draw(st.one_of(st.just(full), st.integers(0, full)))
     if draw(st.booleans()):
         start |= draw(st.integers(1, 2**70)) << (64 * n_words)
@@ -507,33 +543,40 @@ class TestIncrementalLevels:
     @given(case=shrink_chains(), lut=st.booleans())
     def test_derived_levels_are_intersection_counts(self, case, lut):
         """Along a nested chain each level, derived from its parent, is
-        ``intersection_counts``; the derivation scans the members over the
-        nonzero words of the removed bits only.  ``lut`` counts with the
-        pre-2.0 NumPy lookup table."""
+        ``intersection_counts``; the derivation scans the distinct member
+        tidsets, each once, over the nonzero words of the removed bits
+        only.  The members sit one per row of their matrix, or share the
+        rows of a distinct-tidset matrix.  ``lut`` counts with the pre-2.0
+        NumPy lookup table."""
         import numpy as np
 
         n_words, members, chain = case
         matrix = TidsetMatrix.from_tidsets(members, n_bits=64 * n_words)
-        ball = GreedyBall(matrix, 0.5, 0)
-        with pytest.MonkeyPatch.context() as patch:
-            if lut:
-                patch.delattr(np, "bitwise_count")
-            self.assert_chain(ball, matrix, n_words, members, chain)
+        unique = list(dict.fromkeys(members))
+        distinct = TidsetMatrix.from_tidsets(unique, n_bits=64 * n_words)
+        for ball, scanned in (
+            (GreedyBall(matrix, 0.5, 0), len(members)),
+            (GreedyBall(distinct, 0.5, 0,
+                        rows=[unique.index(m) for m in members]), len(unique)),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                if lut:
+                    patch.delattr(np, "bitwise_count")
+                self.assert_chain(ball, matrix, n_words, members, chain, scanned)
+            assert ball.distinct == scanned
 
     @staticmethod
-    def assert_chain(ball, matrix, n_words, members, chain):
+    def assert_chain(ball, matrix, n_words, members, chain, scanned):
         assert ball.counts(chain[0]).tolist() == (
             matrix.intersection_counts(chain[0]).tolist()
         )
-        assert ball.counted_words == len(members) * nonzero_words(
-            chain[0], n_words
-        )
+        assert ball.counted_words == scanned * nonzero_words(chain[0], n_words)
         for parent, child in zip(chain, chain[1:]):
             before, known = ball.counted_words, ball.levels
             got = ball.counts(child, parent=parent)
             assert got.tolist() == [(child & m).bit_count() for m in members]
             fresh = ball.levels - known
-            assert ball.counted_words - before == fresh * len(members) * (
+            assert ball.counted_words - before == fresh * scanned * (
                 nonzero_words(parent ^ child, n_words)
             )
 
@@ -588,24 +631,27 @@ class TestSeedCountsFromTheBallQuery:
     @given(case=fusion_cases())
     def test_same_result_and_spans_with_and_without(self, case):
         """Giving the seed's counts changes neither the pool nor the span's
-        work counts, except that the seed's level is not counted again."""
+        work counts, except that the seed's level is not counted again:
+        one count per distinct member tidset over the seed's nonzero words.
+        Without counts a reachable seed gathers every distinct member
+        tidset; with them, none or all."""
         import numpy as np
 
         db, pool, seed = case["db"], case["pool"], case["seed"]
         rows = np.array(case["ball_rows"], dtype=np.int64)
-        matrix = TidsetMatrix.from_patterns(pool)
+        packed = Pool.from_patterns(pool)
         seed_row = pool.index(seed)
         counts = np.array(
             [(seed.tidset & pool[row].tidset).bit_count() for row in rows.tolist()],
-            dtype=np.min_scalar_type(matrix.n_bits),
+            dtype=np.min_scalar_type(packed.matrix.n_bits),
         )
         kwargs = dict(
             tau=case["tau"], minsup=case["minsup"], trials=case["trials"],
             max_candidates=case["max_candidates"],
-            close_fused=case["close_fused"], matrix=matrix, rows=rows,
+            close_fused=case["close_fused"], pool=packed, rows=rows,
             seed_row=seed_row,
         )
-        members = Ball(pool, rows, counts)
+        members = Ball(packed, rows, counts)
         rng = random.Random(case["rng_seed"])
         plain, plain_attrs = fuse_traced(db, seed, members, rng=rng, **kwargs)
         rng_given = random.Random(case["rng_seed"])
@@ -616,20 +662,33 @@ class TestSeedCountsFromTheBallQuery:
         assert rng_given.getstate() == rng.getstate()
         saved = given_attrs.pop("counted_words")
         spent = plain_attrs.pop("counted_words")
+        gathered = given_attrs.pop("distinct")
+        distinct = plain_attrs.pop("distinct")
         assert given_attrs == plain_attrs
-        others = int((rows != seed_row).sum())
+        others = len({pool[row].tidset for row in rows.tolist() if row != seed_row})
         reached = seed.support >= case["minsup"]
         assert spent - saved == reached * others * nonzero_words(
-            seed.tidset, matrix.words.shape[1]
+            seed.tidset, packed.matrix.words.shape[1]
         )
-        # A pattern list with its counts gives the same pool as well.
-        rng_list = random.Random(case["rng_seed"])
-        listed, _ = fuse_traced(
-            db, seed, list(members), rng=rng_list, counts=counts.tolist(),
-            **{k: v for k, v in kwargs.items()
-               if k not in ("matrix", "rows", "seed_row")},
-        )
-        assert listed == plain
+        assert distinct == reached * others
+        assert gathered in (0, distinct)
+        # A pattern list, with its counts or without, gives the same pool
+        # and the same work counts.
+        # (The list's tidsets are packed only as wide as the widest member,
+        # so its counted words may be fewer.)
+        for given_counts, attrs, gathers in (
+            (counts.tolist(), given_attrs, gathered), (None, plain_attrs, distinct)
+        ):
+            rng_list = random.Random(case["rng_seed"])
+            listed, listed_attrs = fuse_traced(
+                db, seed, list(members), rng=rng_list, counts=given_counts,
+                **{k: v for k, v in kwargs.items()
+                   if k not in ("pool", "rows", "seed_row")},
+            )
+            assert listed == plain
+            listed_attrs.pop("counted_words")
+            assert listed_attrs.pop("distinct") == gathers
+            assert listed_attrs == attrs
 
     def test_counts_must_be_in_step(self, block_db):
         pool = pool_of_pairs(block_db, range(5))
@@ -735,7 +794,7 @@ class TestSettledBalls:
         kwargs = dict(
             tau=case["tau"], minsup=case["minsup"], trials=trials,
             max_candidates=max_candidates, close_fused=close_fused,
-            matrix=TidsetMatrix.from_patterns(pool), rows=rows, seed_row=0,
+            pool=Pool.from_patterns(pool), rows=rows, seed_row=0,
         )
         if given_counts:
             kwargs["counts"] = counts
@@ -778,11 +837,11 @@ class TestSettledBalls:
         fused, attrs = fuse_traced(
             block_db, pool[0], Ball(pool, rows, counts), tau=0.97, minsup=5,
             rng=random.Random(0), trials=8, max_candidates=2,
-            close_fused=True, matrix=TidsetMatrix.from_patterns(pool),
+            close_fused=True, pool=Pool.from_patterns(pool),
             rows=rows, seed_row=0, counts=counts,
         )
         assert [items for items, _ in fused] == [frozenset(range(5))]
         assert attrs == {
             "tidset_changes": 0, "accepted": 8 * (len(pool) - 1), "levels": 1,
-            "counted_words": 0, "closures": 1, "settled": 1,
+            "counted_words": 0, "distinct": 0, "closures": 1, "settled": 1,
         }

@@ -125,6 +125,53 @@ class TestReferenceSemantics:
         assert matrix.rows() == [p.tidset for p in pool]
 
 
+@st.composite
+def rows_with_twins(draw):
+    """1-, 2- or 5-word rows, some drawn again on purpose, the empty
+    tidset among them at times."""
+    n_words = draw(st.sampled_from([1, 2, 5]))
+    rows = draw(st.lists(
+        st.one_of(st.just(0), st.integers(0, (1 << (64 * n_words)) - 1)),
+        max_size=12,
+    ))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=12))
+        rows = draw(st.permutations(rows))
+    return n_words, rows
+
+
+class TestDistinctRows:
+    """``distinct``: each tidset once, in order of its first row, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rows_with_twins(), block_words=st.sampled_from([1, 3, 1 << 15]))
+    def test_ids_map_rows_to_their_tidset(self, case, block_words):
+        import numpy as np
+
+        from repro.kernels import matrix as kernel
+
+        n_words, rows = case
+        matrix = TidsetMatrix.from_tidsets(rows, n_bits=64 * n_words)
+        with pytest.MonkeyPatch.context() as patch:
+            # Small blocks put neighbours in the sorted order in different
+            # blocks.
+            patch.setattr(kernel, "_BLOCK_WORDS", block_words)
+            unique, ids = matrix.distinct()
+        assert unique.rows() == list(dict.fromkeys(rows))
+        assert unique.n_bits == matrix.n_bits
+        assert ids.dtype == np.min_scalar_type(max(len(unique) - 1, 0))
+        assert [unique.rows()[i] for i in ids.tolist()] == rows
+        if len(set(rows)) == len(rows):
+            assert unique is matrix and ids.tolist() == list(range(len(rows)))
+
+    def test_rows_equal_but_for_one_bit_stay_apart(self):
+        """Rows that differ only in their top bit, or only in one word."""
+        rows = [1 << 63, 1 << 127, 0, 1 << 63, (1 << 127) | 1, 0, 1 << 127]
+        unique, ids = TidsetMatrix.from_tidsets(rows, n_bits=128).distinct()
+        assert unique.rows() == [1 << 63, 1 << 127, 0, (1 << 127) | 1]
+        assert ids.tolist() == [0, 1, 2, 0, 3, 2, 1]
+
+
 def within_by_distance(matrix, queries, radius):
     """The ``<= radius`` filter of :func:`tidset_distance`, as lists."""
     rows = matrix.rows()

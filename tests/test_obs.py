@@ -327,6 +327,7 @@ class TestEngineSpanMerge:
                     r["attrs"]["ball"],
                     r["attrs"]["counted_words"],
                     r["attrs"]["settled"],
+                    r["attrs"]["distinct"],
                 )
                 for r in traced.spans()
                 if r["name"] == "fuse_ball"
@@ -339,13 +340,14 @@ class TestEngineSpanMerge:
                 for r in records
                 if r["name"] == "fusion_round"
             }
-            per_round = {iteration: [0, 0] for iteration in rounds.values()}
+            per_round = {iteration: [0, 0, 0] for iteration in rounds.values()}
             for r in records:
                 if r["name"] == "ball_queries":
-                    assert set(r["attrs"]) == {"seeds", "members"}
+                    assert set(r["attrs"]) == {"seeds", "members", "distinct"}
                     sums = per_round[rounds[r["parent_id"]]]
                     sums[0] += r["attrs"]["seeds"]
                     sums[1] += r["attrs"]["members"]
+                    sums[2] += r["attrs"]["distinct"]
             return spans, deltas, sorted(per_round.items())
 
         serial, parallel = shape(1), shape(2)
@@ -358,21 +360,27 @@ class TestEngineSpanMerge:
         assert all(span[4] > 0 and span[5] > 0 for span in serial[0])
         assert {span[8] for span in serial[0]} <= {0, 1}
         # The seed's level comes from the ball query; every other level
-        # scans at most each word of each member but the seed.
+        # scans at most each word of each distinct member tidset gathered,
+        # and those are at most the members but the seed.
         n_words = max(1, -(-len(diag(8)) // 64))
         assert sum(span[7] for span in serial[0]) > 0
         assert all(
-            span[7] <= (span[4] - 1) * (span[6] - 1) * n_words
+            span[7] <= (span[4] - 1) * span[9] * n_words
+            and span[9] <= span[6] - 1
             for span in serial[0]
         )
         # The ball_queries spans count members natively; per round their
         # sums are equal at both job counts: the seeds drawn and the summed
         # ball sizes, each seed in its own ball.  Over the run the members
         # are the sum of the fuse_ball spans' balls.
+        # Each seed is compared with every distinct tidset of the pool.
         assert serial[2]
-        assert all(members >= seeds > 0 for _, (seeds, members) in serial[2])
-        assert sum(seeds for _, (seeds, _) in serial[2]) == len(serial[0])
-        assert sum(members for _, (_, members) in serial[2]) == sum(
+        assert all(
+            members >= seeds > 0 and distinct > 0 and distinct % seeds == 0
+            for _, (seeds, members, distinct) in serial[2]
+        )
+        assert sum(sums[0] for _, sums in serial[2]) == len(serial[0])
+        assert sum(sums[1] for _, sums in serial[2]) == sum(
             span[6] for span in serial[0]
         )
 

@@ -162,6 +162,27 @@ class TestPoolAgainstListCode:
             assert back.matrix.rows() == pool.matrix.rows()
             assert back.supports.tolist() == pool.supports.tolist()
 
+    @given(pattern_lists)
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_keeps_the_distinct_index(self, listed):
+        """The index ships with the pool, and the copy takes it as it is:
+        no worker builds it again."""
+        from repro.kernels import TidsetMatrix
+
+        for pool in (Pool.from_patterns(listed), mine_pool(
+            TransactionDatabase([[0, 1], [1, 2], [0, 1, 2]] * 30), 2, 3
+        )):
+            data = pickle.dumps(pool)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(TidsetMatrix, "distinct", None)  # not callable
+                back = pickle.loads(data)
+                assert back.distinct.rows() == pool.distinct.rows()
+                assert back.tidset_ids.tolist() == pool.tidset_ids.tolist()
+                assert back.tidset_ids.dtype == pool.tidset_ids.dtype
+            assert back.distinct.rows() == list(
+                dict.fromkeys(p.tidset for p in pool)
+            )
+
     def test_reads_like_a_list(self):
         db = TransactionDatabase([[0, 1, 2], [0, 1], [1, 2, 3], [0, 3]] * 20)
         pool = mine_pool(db, 1, 3)
@@ -211,6 +232,33 @@ class TestFusionLoop:
             assert keyed(result.patterns) == keyed(mined.patterns)
             assert result.history == mined.history
             assert type(result.patterns) is list
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_distinct_index_built_once_per_round_in_the_driver(
+        self, quest_db, jobs
+    ):
+        """Each round's pool builds its distinct-tidset index once, in the
+        driver; the chunks take it with the pool, and the pools do not
+        depend on the job count."""
+        from repro.core import pattern_fusion
+        from repro.kernels import TidsetMatrix
+
+        builds = []
+        distinct = TidsetMatrix.distinct
+
+        def counted(matrix):
+            builds.append(len(matrix))
+            return distinct(matrix)
+
+        config = PatternFusionConfig(k=5, seed=3)
+        with mock.patch.object(TidsetMatrix, "distinct", counted):
+            result = pattern_fusion(quest_db, 10, config, jobs=jobs)
+        assert result.iterations > 0
+        assert len(builds) == result.iterations
+        assert builds[0] == result.initial_pool_size
+        assert keyed(result.patterns) == keyed(
+            pattern_fusion(quest_db, 10, config, jobs=1).patterns
+        )
 
 
 def test_phase_one_leaves_few_objects_for_the_collector():
