@@ -2,14 +2,15 @@
 
 The acceptance microbench of the kernels: the mined Replace-sim ≤2 pool
 (4,395-bit tidsets, one bit per transaction of the paper's Replace-sim),
-timed through :class:`repro.kernels.TidsetMatrix` for the four hot shapes
-— ball queries (Theorem 2 range queries over Definition 6 distances, also
-on ALL-sim's one-word tidsets), the
-greedy fusion levels of one ball, the closure operator, and an end-to-end
-``pattern_fusion`` run.  Every timed shape also asserts its answers against
-the naive big-int formulation (the scalar greedy pass for the levels; end
-to end, the mined pool's invariants), so the trajectory file can never
-hide a semantic drift.
+timed through :class:`repro.kernels.TidsetMatrix` for the hot shapes —
+ball queries (Theorem 2 range queries over Definition 6 distances, also
+on ALL-sim's one-word tidsets), the greedy fusion levels of one ball, the
+greedy passes over a round's balls (on the ≤3 pool), the closure
+operator, and an end-to-end ``pattern_fusion`` run.  Every timed shape
+also asserts its answers against the naive big-int formulation (the
+scalar greedy pass for the levels and the passes; end to end, the mined
+pool's invariants), so the trajectory file can never hide a semantic
+drift.
 
 Timings land in ``BENCH_kernels.json`` via the shared ``bench_io`` session
 hook; committing it tracks the kernels' speed across PRs.
@@ -132,6 +133,65 @@ def test_bench_greedy_levels(benchmark, replace_pool):
     assert [(p.items, p.tidset) for p in fused] == [
         (p.items, p.tidset) for p in expected
     ]
+
+
+@pytest.fixture(scope="module")
+def replace_pool_3(request):
+    """The ``replace_fusion`` workload's phase-1 pool: Replace-sim (seed 7),
+    itemsets of size ≤ 3, where each distinct tidset is held by ~7 rows."""
+
+    def build():
+        db, truth = replace_like(seed=7)
+        return db, truth.minsup_absolute, mine_pool(db, truth.minsup_absolute, 3)
+
+    return run_once(request, "kernels-replace-pool-3", build)
+
+
+def test_bench_greedy_walks(benchmark, replace_pool_3):
+    """``fuse_ball`` over the balls of a round's 100 seeds at τ 0.5.
+
+    The walks run over each ball's distinct member tidsets, so ``distinct``
+    (summed over the balls), not ``ball`` (their summed members), is what a
+    pass costs.  Every ball's fused patterns equal the scalar greedy
+    pass's over the members.
+    """
+    import numpy as np
+
+    db, minsup, pool = replace_pool_3
+    config = PatternFusionConfig()
+    rows = random.Random(4).sample(range(len(pool)), N_CENTERS)
+    seeds = pool.patterns_at(rows)
+    balls = PatternBallIndex(pool).balls(seeds, ball_radius(config.tau))
+    settings = dict(
+        tau=config.tau, minsup=minsup, trials=config.fusion_trials,
+        max_candidates=config.max_candidates_per_seed,
+        close_fused=config.close_fused,
+    )
+
+    def fuse():
+        return [
+            fuse_ball(
+                db, seed, members, rng=random.Random(row), pool=pool,
+                rows=members.rows, seed_row=row, counts=members.counts,
+                **settings,
+            )
+            for row, seed, members in zip(rows, seeds, balls)
+        ]
+
+    fused = benchmark.pedantic(fuse, rounds=5, iterations=1, warmup_rounds=1)
+    ids = pool.tidset_ids
+    benchmark.extra_info.update({
+        "pool": len(pool), "balls": len(balls),
+        "ball": sum(len(members) for members in balls),
+        "distinct": sum(len(np.unique(ids[members.rows])) for members in balls),
+    })
+    for row, seed, members, got in zip(rows, seeds, balls, fused):
+        expected = scalar_fuse_ball(
+            db, seed, list(members), rng=random.Random(row), **settings
+        )
+        assert [(p.items, p.tidset) for p in got] == [
+            (p.items, p.tidset) for p in expected
+        ]
 
 
 def test_bench_closure(benchmark, replace_pool):

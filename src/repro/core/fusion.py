@@ -38,13 +38,33 @@ support s and count c = |T ∩ D_m| is accepted iff ``c ≥ minsup`` and
   transactions, where T itself fills nearly every word.  The ball is held
   word-major, so those words are contiguous rows.
 
-Every count depends on a member's support set alone, and a ball holds
-each support set many times (a phase-1 pool has far fewer distinct
-tidsets than patterns).  So the ball gathers and counts each distinct
-member tidset once — from the pool's distinct-tidset matrix, by the
-members' ids in it — and gives each level's counts to the members with one
-``take``: a level costs distinct tidsets × words read, not members ×
-words.
+A rejected member stays rejected for the rest of its pass: T only shrinks
+and C only grows, so its count only falls and its threshold only rises.
+So one forward scan is the whole pass — no member passed over could be
+accepted later, and the fused pattern takes in every ball member it can.
+
+Whether a member is accepted depends on its support set alone, and a ball
+holds each support set many times (a phase-1 pool has far fewer distinct
+tidsets than patterns: on Replace-sim a call's balls hold about 7.5
+members per distinct tidset).  Members that share a tidset always get the
+answer the first of them met:
+
+* if the first is accepted, T ⊆ D afterwards, so each later twin is a
+  superset of T, and its floor τ·s ≤ τ·C ≤ |T| holds: it is accepted,
+  leaving T as it is;
+* if the first is rejected, each later twin is rejected too, by the
+  argument above.
+
+So a pass runs over the ball's *slots* — its distinct member tidsets
+(:class:`Slots`) — in the order their first members take in the member
+order, and reaches the same final T, the same shrinks and the same accepted
+members as the walk over members: a slot's acceptance stands for every
+member that holds it.  Everything a pass reads is per slot — counts,
+masks, supports, the word-major copy — so a pass and a level cost distinct
+tidsets, not members; the member counts a caller needs come from each
+slot's multiplicity.  Given the same member order, the result is bit for
+bit the scalar pass that ANDs every member into T (the property tests keep
+that pass as their oracle).
 
 Each T's counts become two masks once: the superset accepts, and the shrink
 candidates (``c ≥ minsup`` and ``not c < τ·s``).  Only a candidate's test
@@ -53,13 +73,6 @@ C or the largest support accepted as a superset before it, whichever is
 larger (a running maximum); the first candidate whose count is not below τ
 times that ceiling shrinks T, and the scan resumes after it on the new T's
 masks.
-
-A rejected member stays rejected for the rest of its pass: T only shrinks
-and C only grows, so its count only falls and its threshold only rises.
-So one forward scan is the whole pass — no member passed over could be
-accepted later, and the fused pattern takes in every ball member it can.
-Given the same order, the result is bit for bit the scalar pass that ANDs
-every member into T (the property tests keep that pass as their oracle).
 
 The same argument says when the ``trials`` passes cannot differ.  A ball is
 *settled* when no shrink candidate of the seed's level has a count that
@@ -95,6 +108,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FusionCandidate",
     "GreedyBall",
+    "Slots",
     "fuse_ball",
     "pass_orders",
     "weighted_sample_without_replacement",
@@ -113,22 +127,80 @@ class FusionCandidate:
     n_fused: int
 
 
-class GreedyBall:
-    """A ball's members, ready for any number of greedy fusion passes.
+class Slots:
+    """A ball's members grouped by support set: one *slot* per distinct tidset.
 
-    Member ``i`` is row ``i`` of ``matrix``, or, when ``rows`` is given,
-    row ``rows[i]``; members may share a row.  In a fusion round ``matrix``
-    is the pool's distinct-tidset matrix and ``rows`` the members' ids in
-    it (:attr:`~repro.core.pool.Pool.tidset_ids`), so members that share a
-    tidset share its row.  The ball holds its distinct rows' words
-    word-major: one contiguous ``(W, d)`` copy of the ``d`` distinct rows,
-    gathered straight from ``matrix`` when a count or a member first needs
-    it, row ``w`` holding word ``w`` of every distinct row, so the words a
-    level reads are contiguous rows and a tidset is a column.  A count is
-    taken once per distinct row and given to its members with one
-    ``take``.  The members' supports are the matrix's cached popcounts.
-    The counts and masks of each distinct running tidset are kept for the
-    ball's lifetime; ``levels`` says how many there are.
+    Member ``i``'s tidset is row ``ids[i]`` of a matrix of distinct
+    tidsets (a pool's :attr:`~repro.core.pool.Pool.distinct`, of
+    ``n_rows`` rows).  Slot ``k`` is row ``rows[k]``, the slots in
+    ascending row order, and holds ``multiplicity[k]`` members.  Those come
+    from one ``bincount``; what only a walk reads — each member's slot, and
+    the members grouped slot by slot — is derived when read, so a settled
+    ball never pays for it.
+    """
+
+    __slots__ = ("ids", "rows", "multiplicity", "_sizes", "_of_member")
+
+    def __init__(self, ids: Sequence[int] | np.ndarray, n_rows: int = 0) -> None:
+        import numpy as np
+
+        # As intp: a pool's narrow ids would be cast again by every
+        # scatter and gather below.
+        self.ids = np.asarray(ids, dtype=np.intp)
+        self._sizes = np.bincount(self.ids, minlength=n_rows)
+        self.rows = self._sizes.nonzero()[0]
+        self.multiplicity = self._sizes[self.rows]
+        self._of_member: np.ndarray | None = None
+
+    def at_slots(self, values: np.ndarray) -> np.ndarray:
+        """Per-member ``values`` that depend on a member's tidset alone —
+        equal across a slot's members — as one value per slot."""
+        import numpy as np
+
+        spread = np.empty(len(self._sizes), dtype=values.dtype)
+        spread[self.ids] = values
+        return spread[self.rows]
+
+    @property
+    def of_member(self) -> np.ndarray:
+        """Each member's slot."""
+        if self._of_member is None:
+            import numpy as np
+
+            slot_of_row = np.empty(len(self._sizes), dtype=np.intp)
+            slot_of_row[self.rows] = np.arange(len(self.rows))
+            self._of_member = slot_of_row[self.ids]
+        return self._of_member
+
+    @property
+    def grouped(self) -> np.ndarray:
+        """The members slot by slot, ascending within a slot."""
+        import numpy as np
+
+        return np.argsort(self.ids, kind="stable")
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each slot's members begin in :attr:`grouped`."""
+        return self.multiplicity.cumsum() - self.multiplicity
+
+
+class GreedyBall:
+    """A ball's slots, ready for any number of greedy fusion passes.
+
+    Slot ``k`` is row ``k`` of ``matrix``, or, when ``rows`` is given, row
+    ``rows[k]``.  A pass treats each slot as one member.  In a fusion round
+    ``matrix`` is the pool's distinct-tidset matrix and ``rows`` the ball's
+    :class:`Slots` rows, one per distinct member tidset; walked in the
+    order of their first members, the slots give the pass over the members
+    (module docstring).  The ball holds its slots' words word-major: one
+    contiguous ``(W, d)`` copy of the ``d`` rows, gathered straight from
+    ``matrix`` when a count or a slot's tidset first needs it, row ``w``
+    holding word ``w`` of every slot, so the words a level reads are
+    contiguous rows and a tidset is a column.  The slots' supports are the
+    matrix's cached popcounts.  The counts and masks of each distinct
+    running tidset are kept for the ball's lifetime; ``levels`` says how
+    many there are.
 
     A level's counts come from one of three places, each exact:
 
@@ -139,15 +211,15 @@ class GreedyBall:
       level does not depend on which pass reached it first;
     * otherwise, a count over the nonzero words of T.
 
-    Bits of T beyond the ball's width meet no member and are not read.
-    ``counted_words`` is the distinct-row × word units those counts
-    scanned, and ``distinct`` how many distinct rows were gathered.
+    Bits of T beyond the ball's width meet no slot and are not read.
+    ``counted_words`` is the slot × word units those counts scanned, and
+    ``distinct`` how many slots' words were gathered.
     """
 
     __slots__ = (
-        "_words", "_rows", "_gathered", "_members", "_width_mask",
-        "_supports", "_floors", "_bars", "_tau", "_minsup", "_levels",
-        "_given", "_counted_words",
+        "_words", "_rows", "_gathered", "_width_mask", "_supports",
+        "_floors", "_bars", "_tau", "_minsup", "_levels", "_given",
+        "_counted_words",
     )
 
     def __init__(
@@ -166,12 +238,9 @@ class GreedyBall:
         self._words = matrix.words
         self._rows = rows
         self._gathered: np.ndarray | None = None
-        # Each member's column of the gathered copy; ``None`` while a
-        # member's column is its own index.
-        self._members: np.ndarray | None = None
         self._width_mask = (1 << (64 * self._words.shape[1])) - 1
-        # fl(τ·s): the core-ratio floor of each member against itself, and
-        # the count a member needs to be a shrink candidate at all.
+        # fl(τ·s): the core-ratio floor of each slot against itself, and
+        # the count a slot needs to be a shrink candidate at all.
         self._floors = tau * self._supports
         self._bars = np.maximum(self._floors, minsup)
         self._tau = tau
@@ -187,27 +256,28 @@ class GreedyBall:
 
     @property
     def counted_words(self) -> int:
-        """Distinct-row × word units scanned to count the levels so far."""
+        """Slot × word units scanned to count the levels so far."""
         return self._counted_words
 
     @property
     def distinct(self) -> int:
-        """How many distinct member rows were gathered (0 before any)."""
+        """How many slots' words were gathered (0 before any)."""
         return 0 if self._gathered is None else self._gathered.shape[1]
 
     def seed_level(self, tidset: int, counts: Sequence[int] | np.ndarray) -> None:
-        """Take ``counts`` — ``|D_i ∩ tidset|`` per member — as ``tidset``'s.
+        """Take ``counts`` — ``|D_k ∩ tidset|`` per slot — as ``tidset``'s.
 
         A fusion round's ball query has already counted the seed against
-        every member; the level is built from these counts when a pass
-        first reaches ``tidset``, and nothing is counted again.
+        every member, and so against every slot; the level is built from
+        these counts when a pass first reaches ``tidset``, and nothing is
+        counted again.
         """
         import numpy as np
 
         self._given[tidset] = np.asarray(counts, dtype=np.int64)
 
     def counts(self, tidset: int, parent: int | None = None) -> np.ndarray:
-        """``|D_i ∩ tidset|`` for every member, as an int64 array (cached).
+        """``|D_k ∩ tidset|`` for every slot, as an int64 array (cached).
 
         With ``parent`` — a tidset ⊇ ``tidset`` — a new level is derived
         from the parent's counts over the words where the two differ.
@@ -220,7 +290,7 @@ class GreedyBall:
         """Counts against ``tidset`` and its masks.
 
         Returns the counts, the superset-accept mask, the shrink-candidate
-        mask, and each member's support where it is a superset accept (0
+        mask, and each slot's support where it is a superset accept (0
         elsewhere), which the ceiling's running maximum reads.
         """
         level = self._levels.get(tidset)
@@ -241,22 +311,14 @@ class GreedyBall:
 
     @property
     def _columns(self) -> np.ndarray:
-        """The word-major copy of the distinct member rows, gathered when a
-        level or member first needs it."""
+        """The word-major copy of the slots' rows, gathered when a level or
+        a slot's tidset first needs it."""
         if self._gathered is None:
-            rows = self._rows
-            if rows is not None:
-                import numpy as np
-
-                unique, members = np.unique(rows, return_inverse=True)
-                if len(unique) < len(rows):
-                    self._members = members
-                    rows = unique
-            self._gathered = _word_major(self._words, rows)
+            self._gathered = _word_major(self._words, self._rows)
         return self._gathered
 
     def settled(self, tidset: int, ceiling: int) -> np.ndarray | None:
-        """The members every pass from ``tidset`` accepts, if none can shrink it.
+        """The slots every pass from ``tidset`` accepts, if none can shrink it.
 
         ``tidset`` and ``ceiling`` are a pass's start, as :meth:`walk` takes
         them.  Along a pass the ceiling only rises and T's counts only
@@ -264,8 +326,8 @@ class GreedyBall:
         τ·``ceiling`` — the candidates' largest count is below it, in the
         float64 expression the walk compares with — every order ends on
         ``tidset`` with no shrink, having accepted the same superset
-        members.  Those members are returned as an index array; ``None``
-        says some order may shrink T.
+        slots.  Those slots are returned as an index array; ``None`` says
+        some order may shrink T.
         """
         import numpy as np
 
@@ -277,7 +339,7 @@ class GreedyBall:
         return accepts.nonzero()[0]
 
     def _count(self, tidset: int) -> np.ndarray:
-        """``|D_i ∩ tidset|`` per member, over ``tidset``'s nonzero words."""
+        """``|D_k ∩ tidset|`` per slot, over ``tidset``'s nonzero words."""
         import numpy as np
 
         from repro.kernels.matrix import word_popcounts
@@ -291,24 +353,20 @@ class GreedyBall:
         part = self._columns[nonzero]
         part &= words[nonzero, np.newaxis]
         self._counted_words += part.size
-        counts = word_popcounts(part, axis=0)
-        return counts if self._members is None else counts[self._members]
+        return word_popcounts(part, axis=0)
 
-    def _member(self, index: int) -> int:
-        """Member ``index``'s tidset, read from its column."""
-        columns = self._columns
-        if self._members is not None:
-            index = self._members[index]
-        return int.from_bytes(columns[:, index].tobytes(), "little")
+    def _tidset(self, slot: int) -> int:
+        """Slot ``slot``'s tidset, read from its column."""
+        return int.from_bytes(self._columns[:, slot].tobytes(), "little")
 
     def walk(
         self, order: Sequence[int], tidset: int, ceiling: int
     ) -> tuple[int, np.ndarray, int]:
-        """One greedy pass over the members in ``order``.
+        """One greedy pass over the slots in ``order``.
 
         Starts from running tidset ``tidset`` and ceiling ``ceiling`` (the
         seed's tidset and support) and returns the final tidset, the
-        accepted members in walk order (an index array), and how many times
+        accepted slots in walk order (an index array), and how many times
         T shrank.  The superset rule needs ``τ·ceiling ≤ |tidset|`` at the
         start, which the seed's own support gives.
         """
@@ -337,16 +395,16 @@ class GreedyBall:
                 pieces.append(order[accepts[order]])
                 break
             stop = positions[first]
-            # The members accepted up to and including the shrink at stop.
+            # The slots accepted up to and including the shrink at stop.
             walked = order[:stop + 1]
             taken = accepts[walked]
             taken[-1] = True
             pieces.append(walked[taken])
             changes += 1
-            index = int(order[stop])
+            slot = int(order[stop])
             parent = tidset
-            tidset &= self._member(index)
-            ceiling = max(int(ceilings[first]), int(self._supports[index]))
+            tidset &= self._tidset(slot)
+            ceiling = max(int(ceilings[first]), int(self._supports[slot]))
             order = order[stop + 1:]
         accepted = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         return tidset, accepted, changes
@@ -371,26 +429,44 @@ def _word_major(words: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray
     return columns
 
 
-def pass_orders(seed: int, n: int, trials: int) -> np.ndarray:
-    """``trials`` random orders of ``range(n)``, one row each, from ``seed``.
+def pass_orders(
+    seed: int, n: int, trials: int, slots: Slots | None = None
+) -> np.ndarray:
+    """``trials`` random orders of ``n`` members, one row each, from ``seed``.
 
-    Row ``i`` argsorts draws ``i·n`` to ``(i+1)·n - 1`` of
+    Member order ``i`` argsorts draws ``i·n`` to ``(i+1)·n - 1`` of
     ``numpy.random.PCG64(seed)``'s raw 64-bit stream.  NumPy keeps bit
     generators' raw streams stable across releases, which it does not
     promise for ``Generator.permutation``.  Each key's low bits are replaced
-    by its index, so keys are distinct and every sort algorithm gives the
-    same order, and the sorted keys' low bits *are* that order: a plain
-    sort in place stands in for the argsort.  Returns an ``intp`` array.
+    by its member's index, so keys are distinct and every sort algorithm
+    gives the same order, and the sorted keys' low bits *are* that order: a
+    plain sort in place stands in for the argsort.
+
+    Without ``slots``, row ``i`` is member order ``i``.  With the members'
+    :class:`Slots`, row ``i`` is the slots in the order their first members
+    take in member order ``i`` — the order a pass over the slots walks.  A
+    slot's key is the smallest of its members' keys (one
+    ``minimum.reduceat`` over the members grouped by slot), whose low bits
+    name that first member, so the ``trials × slots`` slot keys are sorted
+    instead of the ``trials × n`` member keys.  Returns an ``intp`` array.
     """
     import numpy as np
 
     index_bits = (n - 1).bit_length() if n else 0
     low = np.uint64((1 << index_bits) - 1)
-    keys = np.random.PCG64(seed).random_raw((trials, n)) & ~low
-    keys |= np.arange(n, dtype=np.uint64)
+    keys = np.random.PCG64(seed).random_raw((trials, n))
+    keys &= ~low
+    if slots is None:
+        keys |= np.arange(n, dtype=np.uint64)
+    else:
+        grouped = slots.grouped
+        keys = keys[:, grouped]
+        keys |= grouped.view(np.uint64)
+        keys = np.minimum.reduceat(keys, slots.starts, axis=1)
     keys.sort(axis=1)
     keys &= low
-    return keys.astype(np.intp)
+    orders = keys.astype(np.intp)
+    return orders if slots is None else slots.of_member[orders]
 
 
 def fuse_ball(
@@ -420,40 +496,45 @@ def fuse_ball(
     The closure is ``kind.close``; a tidset that closes to no pattern
     yields none, and a sequence's closure need not contain the seed.
 
-    ``trials`` passes of :class:`GreedyBall` run over the orders of
-    :func:`pass_orders`, seeded by one ``rng.getrandbits(64)`` per call;
-    the counts they read are shared across passes.  When the ball is
-    settled (:meth:`GreedyBall.settled`), every pass would end on the
-    seed's tidset with the same accepts, so that one outcome stands for
-    all of them: the 64-bit draw is still taken, but no orders are drawn
-    and no pass is walked.  Retention sampling then draws from ``rng``
-    itself.
+    The members are grouped by tidset into :class:`Slots`, and ``trials``
+    passes of :class:`GreedyBall` run over the slots, each in the
+    first-occurrence order of one member order of :func:`pass_orders`,
+    seeded by one ``rng.getrandbits(64)`` per call; the counts they read are
+    shared across passes.  A pass's accepted members are its accepted
+    slots' members: their number (the candidate's ``n_fused``, less the
+    seed) is the slots' summed multiplicity, and only an unclosed pattern's
+    items read the members themselves.  When the ball is settled
+    (:meth:`GreedyBall.settled`), every pass would end on the seed's tidset
+    with the same accepts, so that one outcome stands for all of them: the
+    64-bit draw is still taken, but no orders are drawn and no pass is
+    walked.  Retention sampling then draws from ``rng`` itself.
 
     ``pool`` and ``rows`` — the pool holding the ball, and the row of each
-    member in it — let :class:`GreedyBall` gather the members' tidsets
-    from the pool's distinct-tidset matrix by their
-    :attr:`~repro.core.pool.Pool.tidset_ids`, each shared tidset once,
-    instead of packing them again; without them the members' distinct
-    tidsets are packed here.  The seed itself is skipped: by its items,
-    or, when ``seed_row`` is given, by its row, without reading any
-    member.  Only the seed's row is skipped, never another row that holds
-    the same tidset.  A fusion round passes its pool, a
-    :class:`~repro.core.distance.Ball`'s rows and the seed's pool row; its
-    pool holds each itemset once, so both ways skip the same member.
+    member in it — let :class:`GreedyBall` gather the slots' tidsets from
+    the pool's distinct-tidset matrix by the members'
+    :attr:`~repro.core.pool.Pool.tidset_ids` instead of packing them again;
+    without them the members' distinct tidsets are packed here.  The seed
+    itself is skipped: by its items, or, when ``seed_row`` is given, by its
+    row, without reading any member.  Only the seed's row is skipped, never
+    another row that holds the same tidset.  A fusion round passes its
+    pool, a :class:`~repro.core.distance.Ball`'s rows and the seed's pool
+    row; its pool holds each itemset once, so both ways skip the same
+    member.
 
     ``counts`` — ``|D_seed ∩ D_m|`` for each member, in step with
     ``ball_members`` (a ball query's :attr:`~repro.core.distance.Ball.counts`)
-    — becomes the seed's level as it is (:meth:`GreedyBall.seed_level`);
-    without it that level is counted once here.  The result does not
-    depend on how the members are given, nor on whether ``counts`` is.
+    — gives the seed's level, one count per slot (:meth:`Slots.at_slots`,
+    :meth:`GreedyBall.seed_level`); without it that level is counted once
+    here.  The result does not depend on how the members are given, nor on
+    whether ``counts`` is.
 
-    Sets ``tidset_changes`` and ``accepted`` (summed over the passes),
-    ``levels`` (distinct running tidsets counted), ``counted_words``
-    (distinct-tidset × word units those levels scanned), ``distinct``
-    (distinct member tidsets gathered, 0 when none was), ``closures``
-    (closure calls) and ``settled`` (1 when one outcome stood for every
-    pass, else 0) on the innermost open trace span.  The first six are
-    what the walked passes give, settled or not.
+    Sets ``tidset_changes`` and ``accepted`` (members, summed over the
+    passes), ``levels`` (distinct running tidsets counted),
+    ``counted_words`` (slot × word units those levels scanned),
+    ``distinct`` (slots whose tidsets were gathered, 0 when none was),
+    ``closures`` (closure calls) and ``settled`` (1 when one outcome stood
+    for every pass, else 0) on the innermost open trace span.  The first
+    six are what walking every member of every pass gives, settled or not.
     """
     import numpy as np
 
@@ -461,34 +542,35 @@ def fuse_ball(
         raise ValueError("pool and rows must be given together")
     if counts is not None and len(counts) != len(ball_members):
         raise ValueError("counts must be in step with ball_members")
+    # The members to walk, as a mask: an ALL-sim ball holds thousands.
     if seed_row is None:
-        keep = np.array(
-            [j for j, p in enumerate(ball_members) if p.items != seed.items],
-            dtype=np.intp,
-        )
+        keep = np.array([p.items != seed.items for p in ball_members], dtype=bool)
     elif rows is None:
         raise ValueError("seed_row needs pool and rows")
     else:
-        keep = np.flatnonzero(np.asarray(rows) != seed_row)
+        keep = np.asarray(rows) != seed_row
     if pool is None:
         ids: dict[int, int] = {}
         members = [
-            ids.setdefault(ball_members[j].tidset, len(ids)) for j in keep.tolist()
+            ids.setdefault(p.tidset, len(ids))
+            for p, kept in zip(ball_members, keep.tolist())
+            if kept
         ]
-        ball = GreedyBall(TidsetMatrix.from_tidsets(ids), tau, minsup, members)
+        matrix = TidsetMatrix.from_tidsets(ids)
     else:
-        ball = GreedyBall(
-            pool.distinct, tau, minsup,
-            rows=pool.tidset_ids[np.asarray(rows, dtype=np.intp)[keep]],
-        )
+        matrix = pool.distinct
+        members = pool.tidset_ids[np.asarray(rows, dtype=np.intp)[keep]]
+    slots = Slots(members, len(matrix))
+    ball = GreedyBall(matrix, tau, minsup, rows=slots.rows)
     if counts is not None:
-        ball.seed_level(seed.tidset, np.asarray(counts)[keep])
+        ball.seed_level(seed.tidset, slots.at_slots(np.asarray(counts)[keep]))
+    multiplicity = slots.multiplicity
     orders_seed = rng.getrandbits(64)
     settled = ball.settled(seed.tidset, seed.support) if trials else None
     if settled is None:
         outcomes = (
             ball.walk(order, seed.tidset, seed.support)
-            for order in pass_orders(orders_seed, len(keep), trials)
+            for order in pass_orders(orders_seed, len(slots.ids), trials, slots)
         )
         repeats = 1
     else:
@@ -500,8 +582,9 @@ def fuse_ball(
     best_by_key: dict = {}
     tidset_changes = accepted_total = 0
     for tidset, accepted, changes in outcomes:
+        n_accepted = int(multiplicity[accepted].sum())
         tidset_changes += changes
-        accepted_total += repeats * len(accepted)
+        accepted_total += repeats * n_accepted
         if close_fused:
             # Passes often end on one tidset, so each distinct one is
             # closed once.
@@ -513,13 +596,18 @@ def fuse_ball(
         else:
             if member_items is None:  # the members read once, in bulk
                 member_items = [p.items for p in ball_members]
+            taken = np.zeros(len(multiplicity), dtype=bool)
+            taken[accepted] = True
             pattern = Pattern(
                 items=seed.items.union(
-                    *(member_items[j] for j in keep[accepted].tolist())
+                    *(
+                        member_items[j]
+                        for j in keep.nonzero()[0][taken[slots.of_member]].tolist()
+                    )
                 ),
                 tidset=tidset,
             )
-        candidate = FusionCandidate(pattern=pattern, n_fused=1 + len(accepted))
+        candidate = FusionCandidate(pattern=pattern, n_fused=1 + n_accepted)
         key = kind.key(pattern)
         existing = best_by_key.get(key)
         if existing is None or candidate.n_fused > existing.n_fused:

@@ -22,12 +22,13 @@ while the run stays **deterministic for a fixed config.seed** and
   processes stay warm across rounds, so a round forks nothing.  A chunk
   answers its seeds' ``r(τ)`` ball queries itself, in one
   :meth:`PatternBallIndex.balls` call over the pool's distinct-tidset
-  matrix, built once in the driver and shipped with the pool (pool rows
-  and their intersection counts with the seed, see
-  :class:`~repro.core.distance.Ball`), so the queries run in parallel
-  and no ball crosses the pipe.  Each seed's greedy passes then gather
-  its ball's distinct tidsets from that matrix, take the counts as the
-  seed's greedy level, and build a pattern only for the seed.
+  matrix, built once in the driver (timed by its ``distinct_index``
+  span) and shipped with the pool (pool rows and their intersection
+  counts with the seed, see :class:`~repro.core.distance.Ball`), so the
+  queries run in parallel and no ball crosses the pipe.  Each seed's
+  greedy passes then group its ball's members by tidset, gather each
+  distinct tidset once from that matrix, take the counts as the seed's
+  greedy level, and build a pattern only for the seed.
 * Per-seed results are merged in seed order (first occurrence of a
   pattern wins).
 
@@ -219,7 +220,8 @@ def fusion_round(
     ]
     # The distinct-tidset index is built here, once, and ships with the
     # pool to every chunk.
-    pool.tidset_ids
+    with trace.span("distinct_index", patterns=len(pool)) as span:
+        span.set(distinct=len(pool.distinct))
     payload = _RoundPayload(
         db=db,
         pool=pool,

@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fusion import (
     FusionCandidate,
     GreedyBall,
+    Slots,
     fuse_ball,
     pass_orders,
     weighted_sample_without_replacement,
@@ -356,9 +357,13 @@ class TestPassOrders:
         assert np.random.PCG64(self.SEED).random_raw(3).tolist() == [
             423636498037070414, 6548307978105082964, 1970935312655064746,
         ]
-        assert pass_orders(self.SEED, 10, 2).tolist() == [
+        pinned = [
             [0, 2, 9, 6, 5, 1, 3, 7, 4, 8], [3, 0, 5, 6, 2, 7, 4, 8, 1, 9],
         ]
+        assert pass_orders(self.SEED, 10, 2).tolist() == pinned
+        # A slot per member: the slots' order is the members'.
+        slots = Slots(np.arange(10))
+        assert pass_orders(self.SEED, 10, 2, slots).tolist() == pinned
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 65])
     def test_rows_are_permutations(self, n):
@@ -366,6 +371,172 @@ class TestPassOrders:
         assert orders.shape == (4, n)
         for order in orders.tolist():
             assert sorted(order) == list(range(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 9), max_size=70),
+        seed=st.integers(0, 2**64 - 1), trials=st.integers(0, 5),
+    )
+    def test_slot_orders_are_first_occurrences(self, ids, seed, trials):
+        """A ball's slots are its distinct ids, ascending, with their
+        members grouped; with them, row ``i`` lists each slot once, where
+        its first member stands in member order ``i``."""
+        import numpy as np
+
+        slots = Slots(ids)
+        assert slots.rows.tolist() == sorted(set(ids))
+        assert slots.multiplicity.tolist() == [
+            ids.count(row) for row in slots.rows.tolist()
+        ]
+        of_member = slots.of_member.tolist()
+        assert [slots.rows[k] for k in of_member] == ids
+        assert slots.grouped.tolist() == sorted(
+            range(len(ids)), key=lambda i: (of_member[i], i)
+        )
+        assert slots.starts.tolist() == [
+            sorted(of_member).index(k) for k in range(len(slots.rows))
+        ]
+        assert slots.at_slots(np.array(ids) * 3).tolist() == [
+            3 * row for row in slots.rows.tolist()
+        ]
+        got = pass_orders(seed, len(ids), trials, slots)
+        assert got.shape == (trials, len(slots.rows))
+        for member_order, slot_order in zip(
+            pass_orders(seed, len(ids), trials).tolist(), got.tolist()
+        ):
+            assert slot_order == list(
+                dict.fromkeys(of_member[i] for i in member_order)
+            )
+
+
+@st.composite
+def slot_cases(draw):
+    """A seed tidset and a ball whose members repeat a few planted tidsets.
+
+    Rows are one or two words wide, and the seed holds at most 24 bits.  A
+    planted tidset is any tidset, a superset of the seed, or the seed with
+    a few of its bits cleared and a few outside bits set: those are shrink
+    candidates that can exclude one another, so which of two twins' slots
+    comes first decides a pass.  The seed's own tidset is always planted
+    and held by at least one member.  The distinct tidsets are rows of a
+    matrix in any order, as in a pool's distinct matrix.
+    """
+    width = 64 * draw(st.sampled_from([1, 2]))
+    full = (1 << width) - 1
+    seed = sum(
+        1 << b for b in set(draw(st.lists(st.integers(0, width - 1), max_size=24)))
+    )
+    inside = [b for b in range(width) if seed >> b & 1]
+    outside = [b for b in range(width) if not seed >> b & 1]
+
+    def bits(pool):
+        return sum(1 << b for b in set(draw(st.lists(st.sampled_from(pool), max_size=3))))
+
+    planted = [seed]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["any", "superset", "near", "near"]))
+        if kind == "any":
+            planted.append(draw(st.integers(0, full)))
+        elif kind == "superset":
+            planted.append(seed | draw(st.integers(0, full)))
+        else:
+            cleared = bits(inside) if inside else 0
+            planted.append(seed & ~cleared | bits(outside))
+    distinct = draw(st.permutations(list(dict.fromkeys(planted))))
+    members = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    members.insert(draw(st.integers(0, len(members))), seed)
+    return dict(
+        seed=seed, distinct=distinct, members=members,
+        tau=draw(st.floats(0.3, 1.0)),
+        minsup=draw(st.integers(0, seed.bit_count() + 1)),
+        orders_seed=draw(st.integers(0, 2**64 - 1)),
+        trials=draw(st.integers(1, 8)),
+    )
+
+
+@on_kernel
+class TestSlotWalks:
+    """A pass over the slots, in first-occurrence order, is the pass over
+    the members."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=slot_cases())
+    @example(case=dict(
+        # Either near tidset shrinks T below the other's τ-floor, so
+        # whichever slot comes first decides the pass; in each of these
+        # orders one slot's first member precedes the other's, and its
+        # last member follows it.
+        seed=0b1111, distinct=[0b1011, 0b1111, 0b0111],
+        members=[0b1111, 0b0111, 0b1011, 0b0111, 0b1011],
+        tau=0.7, minsup=0, orders_seed=14, trials=4,
+    ))
+    def test_slot_walk_is_member_walk(self, case):
+        """For each of the ``trials`` orders the scalar pass walks over the
+        members, the slot walk over the same call's slot orders ends on the
+        same tidset after the same shrinks, its accepted slots hold exactly
+        the accepted members, and their multiplicities sum to the same
+        ``n_fused``."""
+        seed, members, tau, minsup = (
+            case["seed"], case["members"], case["tau"], case["minsup"]
+        )
+        distinct = case["distinct"]
+        n, trials = len(members), case["trials"]
+        slots = Slots([distinct.index(m) for m in members])
+        of_member = slots.of_member.tolist()
+        multiplicity = slots.multiplicity
+        ball = GreedyBall(
+            TidsetMatrix.from_tidsets(distinct), tau, minsup, rows=slots.rows
+        )
+        member_orders = pass_orders(case["orders_seed"], n, trials)
+        slot_orders = pass_orders(case["orders_seed"], n, trials, slots)
+        for member_order, slot_order in zip(member_orders, slot_orders):
+            final, accepted_members, shrinks = scalar_walk(
+                members, member_order.tolist(), seed, seed.bit_count(), tau,
+                minsup,
+            )
+            tidset, accepted, changes = ball.walk(
+                slot_order, seed, seed.bit_count()
+            )
+            assert (tidset, changes) == (final, shrinks)
+            taken = set(accepted.tolist())
+            assert {i for i in range(n) if of_member[i] in taken} == set(
+                accepted_members
+            )
+            assert 1 + int(multiplicity[accepted].sum()) == (
+                1 + len(accepted_members)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fusion_cases())
+    def test_span_counts_members(self, case):
+        """``fuse_ball``'s ``accepted`` and ``tidset_changes`` are the
+        scalar member passes' totals over the call's ``trials`` orders."""
+        import numpy as np
+
+        db, pool, seed = case["db"], case["pool"], case["seed"]
+        rows = np.array(case["ball_rows"], dtype=np.int64)
+        seed_row = pool.index(seed)
+        others = [pool[row].tidset for row in rows.tolist() if row != seed_row]
+        orders_seed = random.Random(case["rng_seed"]).getrandbits(64)
+        outcomes = [
+            scalar_walk(
+                others, order, seed.tidset, seed.support, case["tau"],
+                case["minsup"],
+            )
+            for order in pass_orders(
+                orders_seed, len(others), case["trials"]
+            ).tolist()
+        ]
+        packed = Pool.from_patterns(pool)
+        _, attrs = fuse_traced(
+            db, seed, Ball(packed, rows), tau=case["tau"],
+            minsup=case["minsup"], rng=random.Random(case["rng_seed"]),
+            trials=case["trials"], max_candidates=case["max_candidates"],
+            close_fused=case["close_fused"], pool=packed, rows=rows,
+            seed_row=seed_row,
+        )
+        assert attrs["accepted"] == sum(len(a) for _, a, _ in outcomes)
+        assert attrs["tidset_changes"] == sum(c for _, _, c in outcomes)
 
 
 @on_kernel
@@ -381,27 +552,40 @@ class TestCountWalkMatchesScalarPass:
     @given(case=walk_cases())
     def test_walk_on_explicit_orders(self, case):
         """Final tidset, accepted members in order and change count equal
-        the scalar pass's, for several orders over one ball's cache, with a
-        row per member or one row per distinct tidset."""
+        the scalar pass's, for several orders over one ball's cache: with a
+        slot per member, walked in the member order; and with one slot per
+        distinct tidset, walked in the order of each slot's first member,
+        whose accepted slots are the scalar pass's accepted members' slots
+        in order of their first accept, and whose members, taken in the
+        member order, are the scalar pass's accepted members."""
         start, tidsets = case["start"], case["tidsets"]
+        tau, minsup = case["tau"], case["minsup"]
         unique = list(dict.fromkeys(tidsets))
-        for ball in (
-            GreedyBall(
-                TidsetMatrix.from_tidsets(tidsets), case["tau"], case["minsup"]
-            ),
-            GreedyBall(
-                TidsetMatrix.from_tidsets(unique), case["tau"], case["minsup"],
-                rows=[unique.index(t) for t in tidsets],
-            ),
-        ):
-            for order in case["orders"]:
-                tidset, accepted, changes = ball.walk(
-                    order, start, start.bit_count()
-                )
-                assert (tidset, accepted.tolist(), changes) == scalar_walk(
-                    tidsets, order, start, start.bit_count(), case["tau"],
-                    case["minsup"],
-                )
+        slots = Slots([unique.index(t) for t in tidsets])
+        of_member = slots.of_member.tolist()
+        per_member = GreedyBall(TidsetMatrix.from_tidsets(tidsets), tau, minsup)
+        per_slot = GreedyBall(
+            TidsetMatrix.from_tidsets(unique), tau, minsup, rows=slots.rows
+        )
+        for order in case["orders"]:
+            expected = scalar_walk(
+                tidsets, order, start, start.bit_count(), tau, minsup
+            )
+            tidset, accepted, changes = per_member.walk(
+                order, start, start.bit_count()
+            )
+            assert (tidset, accepted.tolist(), changes) == expected
+            tidset, accepted, changes = per_slot.walk(
+                list(dict.fromkeys(of_member[i] for i in order)),
+                start, start.bit_count(),
+            )
+            final, members, shrinks = expected
+            assert (tidset, changes) == (final, shrinks)
+            assert accepted.tolist() == list(
+                dict.fromkeys(of_member[i] for i in members)
+            )
+            taken = set(accepted.tolist())
+            assert [i for i in order if of_member[i] in taken] == members
 
     @pytest.mark.parametrize("close_fused", [True, False])
     @pytest.mark.parametrize("ball", ["empty", "seed_only", "whole_pool"])
@@ -543,38 +727,51 @@ class TestIncrementalLevels:
     @given(case=shrink_chains(), lut=st.booleans())
     def test_derived_levels_are_intersection_counts(self, case, lut):
         """Along a nested chain each level, derived from its parent, is
-        ``intersection_counts``; the derivation scans the distinct member
-        tidsets, each once, over the nonzero words of the removed bits
-        only.  The members sit one per row of their matrix, or share the
-        rows of a distinct-tidset matrix.  ``lut`` counts with the pre-2.0
-        NumPy lookup table."""
+        ``intersection_counts``; the derivation scans each slot once, over
+        the nonzero words of the removed bits only.  The members sit one
+        per slot, or share the slots of a distinct-tidset matrix: then a
+        level holds one count per distinct tidset, and each member's count
+        is its slot's.  ``lut`` counts with the pre-2.0 NumPy lookup
+        table."""
         import numpy as np
 
         n_words, members, chain = case
         matrix = TidsetMatrix.from_tidsets(members, n_bits=64 * n_words)
         unique = list(dict.fromkeys(members))
         distinct = TidsetMatrix.from_tidsets(unique, n_bits=64 * n_words)
-        for ball, scanned in (
-            (GreedyBall(matrix, 0.5, 0), len(members)),
-            (GreedyBall(distinct, 0.5, 0,
-                        rows=[unique.index(m) for m in members]), len(unique)),
+        slots = Slots([unique.index(m) for m in members])
+        for ball, tidsets, of_member in (
+            (GreedyBall(matrix, 0.5, 0), members, np.arange(len(members))),
+            (GreedyBall(distinct, 0.5, 0, rows=slots.rows), unique,
+             slots.of_member),
         ):
             with pytest.MonkeyPatch.context() as patch:
                 if lut:
                     patch.delattr(np, "bitwise_count")
-                self.assert_chain(ball, matrix, n_words, members, chain, scanned)
-            assert ball.distinct == scanned
+                self.assert_chain(
+                    ball, matrix, n_words, tidsets, of_member, chain
+                )
+            assert ball.distinct == len(tidsets)
 
     @staticmethod
-    def assert_chain(ball, matrix, n_words, members, chain, scanned):
-        assert ball.counts(chain[0]).tolist() == (
+    def assert_chain(ball, matrix, n_words, tidsets, of_member, chain):
+        """Each level holds one count per slot (tidset ``tidsets[k]``),
+        and member ``i``'s count, ``intersection_counts`` over the
+        members' ``matrix``, is the count of its slot ``of_member[i]``."""
+        scanned = len(tidsets)
+        got = ball.counts(chain[0])
+        assert got.tolist() == [(chain[0] & t).bit_count() for t in tidsets]
+        assert got[of_member].tolist() == (
             matrix.intersection_counts(chain[0]).tolist()
         )
         assert ball.counted_words == scanned * nonzero_words(chain[0], n_words)
         for parent, child in zip(chain, chain[1:]):
             before, known = ball.counted_words, ball.levels
             got = ball.counts(child, parent=parent)
-            assert got.tolist() == [(child & m).bit_count() for m in members]
+            assert got.tolist() == [(child & t).bit_count() for t in tidsets]
+            assert got[of_member].tolist() == (
+                matrix.intersection_counts(child).tolist()
+            )
             fresh = ball.levels - known
             assert ball.counted_words - before == fresh * scanned * (
                 nonzero_words(parent ^ child, n_words)

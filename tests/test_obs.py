@@ -384,6 +384,36 @@ class TestEngineSpanMerge:
             span[6] for span in serial[0]
         )
 
+    def test_distinct_index_span_once_per_round(self, traced):
+        """The driver times each round's distinct-tidset index in one
+        ``distinct_index`` span under the round, with the same attributes
+        at every jobs value."""
+
+        def index_spans(jobs):
+            traced.drain()
+            pattern_fusion(diag(8), 6, self.CONFIG, jobs=jobs)
+            records = traced.spans()
+            rounds = {
+                r["span_id"]: r["attrs"]["iteration"]
+                for r in records
+                if r["name"] == "fusion_round"
+            }
+            spans = [r for r in records if r["name"] == "distinct_index"]
+            assert sorted(rounds[r["parent_id"]] for r in spans) == sorted(
+                rounds.values()
+            )
+            return sorted(
+                (rounds[r["parent_id"]], r["attrs"]["patterns"],
+                 r["attrs"]["distinct"])
+                for r in spans
+            )
+
+        serial = index_spans(1)
+        assert serial and all(
+            0 < distinct <= patterns for _, patterns, distinct in serial
+        )
+        assert index_spans(2) == serial
+
     def test_tracing_never_changes_the_pool(self):
         def pool_key(result):
             return sorted((p.sorted_items(), p.tidset) for p in result.patterns)
