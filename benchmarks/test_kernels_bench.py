@@ -6,7 +6,8 @@ timed through :class:`repro.kernels.TidsetMatrix` for the hot shapes —
 ball queries (Theorem 2 range queries over Definition 6 distances, also
 on ALL-sim's one-word tidsets), the greedy fusion levels of one ball, the
 greedy passes over a round's balls (on the ≤3 pool), the closure
-operator, and an end-to-end ``pattern_fusion`` run.  Every timed shape
+operator, the closed miner's reference set, and an end-to-end
+``pattern_fusion`` run.  Every timed shape
 also asserts its answers against the naive big-int formulation (the
 scalar greedy pass for the levels and the passes; end to end, the mined
 pool's invariants), so the trajectory file can never hide a semantic
@@ -28,6 +29,7 @@ from repro.core.pattern_fusion import pattern_fusion
 from repro.core.config import PatternFusionConfig
 from repro.datasets.microarray import all_like
 from repro.datasets.replace import replace_like
+from repro.mining.closed import closed_patterns
 from repro.mining.levelwise import mine_pool, mine_up_to_size
 from tests.test_fusion import scalar_fuse_ball
 
@@ -212,6 +214,23 @@ def test_bench_closure(benchmark, replace_pool):
         )
         for t in probes
     ]
+
+
+def test_bench_closed_replace(benchmark):
+    """The complete closed set of Replace-sim at minsup 132 (Fig. 8's Q).
+
+    4,014 closed patterns over 4,395 transactions, 688 of them distinct.
+    """
+    db, truth = replace_like()
+    minsup = truth.minsup_absolute
+
+    def mine():
+        return closed_patterns(db, minsup)
+
+    result = benchmark.pedantic(mine, rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.extra_info.update({"patterns": len(result), "minsup": minsup})
+    assert minsup == 132
+    assert len(result) == 4014
 
 
 def test_bench_pattern_fusion_end_to_end(benchmark, replace_pool):

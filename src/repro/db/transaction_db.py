@@ -14,11 +14,16 @@ implementation of Lemma 1 territory (tidset intersection).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.db import bitset
 from repro.db.encoder import ItemEncoder
 from repro.kernels import TidsetMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TransactionDatabase", "absolute_minsup"]
 
@@ -96,6 +101,7 @@ class TransactionDatabase:
                 masks[item] |= bit
         self._item_tidsets: tuple[int, ...] = tuple(masks)
         self._item_matrix_cache: TidsetMatrix | None = None
+        self._transaction_rows_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def item_matrix(self) -> TidsetMatrix:
         """The item tidsets as one matrix, row ``i`` ↔ item ``i``.
@@ -108,11 +114,30 @@ class TransactionDatabase:
             )
         return self._item_matrix_cache
 
+    def transaction_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct transactions as item-bit rows, and their multiplicities.
+
+        Returns ``(rows, weights)``: ``rows`` is a read-only
+        ``(distinct, ceil(n_items / 64))`` little-endian ``uint64`` array,
+        bit ``i`` of a row set iff the transaction holds item ``i``, in
+        order of first occurrence; ``weights[r]`` counts the transactions
+        equal to row ``r``.  Cached like :meth:`item_matrix`.
+        """
+        if self._transaction_rows_cache is None:
+            import numpy as np
+
+            counts = Counter(self._transactions)  # in order of first occurrence
+            rows = TidsetMatrix.from_tidsets(map(bitset.bitset_from_ids, counts), self._n_items)
+            weights = np.fromiter(counts.values(), dtype=np.intp, count=len(counts))
+            self._transaction_rows_cache = (rows.words, weights)
+        return self._transaction_rows_cache
+
     def __getstate__(self) -> dict:
-        # The kernel matrix is derived data; dropping it keeps worker-bound
-        # pickles lean.
+        # The kernel matrices are derived data; dropping them keeps
+        # worker-bound pickles lean.
         state = self.__dict__.copy()
         state["_item_matrix_cache"] = None
+        state["_transaction_rows_cache"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -145,6 +145,44 @@ class TestFrequentItems:
             tiny_db.frequent_items(0)
 
 
+def decode_rows(db):
+    """``transaction_rows`` as (item-set, weight) pairs, in row order."""
+    rows, weights = db.transaction_rows()
+    return [
+        (frozenset(i for i in range(64 * rows.shape[1]) if int(row[i // 64]) >> (i % 64) & 1), w)
+        for row, w in zip(rows, weights.tolist())
+    ]
+
+
+def expected_rows(db):
+    counts = {}
+    for row in db.transactions:
+        counts[row] = counts.get(row, 0) + 1
+    return list(counts.items())  # dicts keep first-occurrence order
+
+
+class TestTransactionRows:
+    @given(small_dbs)
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_rows_with_multiplicities(self, db):
+        assert decode_rows(db) == expected_rows(db)
+
+    def test_wide_and_long(self):
+        # Rows span 313 item words; 130 transactions repeat 22 distinct ones.
+        rows = [[t % 7, 64 + t % 3, 19_999] if t % 5 else [] for t in range(130)]
+        db = TransactionDatabase(rows, n_items=20_000)
+        assert db.transaction_rows()[0].shape == (7 * 3 + 1, 313)
+        assert decode_rows(db) == expected_rows(db)
+
+    def test_dropped_from_pickles(self, tiny_db):
+        import pickle
+
+        tiny_db.transaction_rows()
+        back = pickle.loads(pickle.dumps(tiny_db))
+        assert back._transaction_rows_cache is None
+        assert decode_rows(back) == expected_rows(tiny_db)
+
+
 class TestDerivedDatabases:
     def test_restrict_to_items(self, tiny_db):
         restricted = tiny_db.restrict_to_items([2, 0])
