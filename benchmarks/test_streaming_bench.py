@@ -1,31 +1,26 @@
-"""Streaming — the incremental driver vs full re-fusion on every slide.
+"""Streaming — the driver vs cold Pattern-Fusion on every slide.
 
 Replays a Diag⁺-style stream (diagonal-explosion rows, then the planted
-colossal block) through a sliding window three ways:
+colossal block) through a sliding window two ways:
 
-* ``incremental-auto`` — the streaming driver with its default policy:
-  phase 1 mined cold every slide, Algorithm 2 only on pool invalidation;
-* ``incremental-always`` — the driver re-fusing every slide: the same
-  phase 1 and Algorithm 2 the cold baseline runs, plus the driver's
-  bookkeeping;
-* ``full`` — the naive deployment: cold ``pattern_fusion`` (phase 1 + phase
-  2) on every slide's window snapshot, same per-slide seeds.
+* ``driver`` — :class:`IncrementalPatternFusion`, which runs phase 1 and
+  Algorithm 2 on every slide's window with the slide's scheduled seed;
+* ``cold`` — ``PatternFusion(...).run()`` on every slide's window snapshot
+  with the same per-slide seeds.
 
-All three timings land in the bench JSON, with per-slide means in
-``extra_info``; the final pools are asserted bit-identical across the three,
-which is the subsystem's cold-equivalence guarantee at benchmark scale.
-Also prints the ``stream`` experiment's table (the per-slide speedup series).
+Both timings land in the bench JSON, with per-slide means in
+``extra_info``.  Every slide's pool is asserted bit-identical between the
+two, which is the subsystem's cold-equivalence guarantee at benchmark scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import print_result, run_once
+from benchmarks.conftest import run_once
 from repro.core import PatternFusion, PatternFusionConfig
 from repro.datasets.diag import diag_plus
 from repro.engine import SerialExecutor
-from repro.experiments.stream_replay import StreamReplayConfig, run
 from repro.streaming import (
     IncrementalPatternFusion,
     ReplaySource,
@@ -54,82 +49,61 @@ def stream(request):
     return run_once(request, "stream-rows", build)
 
 
-def _replay_incremental(rows, policy):
-    driver = IncrementalPatternFusion(
-        WINDOW, MINSUP, CONFIG, policy=policy
-    )
-    report = driver.run(ReplaySource(rows, BATCH))
-    return driver, report
-
-
-def _replay_full(rows):
-    """The naive baseline: cold Pattern-Fusion on every slide's window.
-
-    Scheduled through an executor like every other driver, so its per-slide
-    pools are the exact reference the incremental paths must reproduce.
-    """
-    window = SlidingWindowDatabase(capacity=WINDOW)
-    executor = SerialExecutor()
-    patterns = []
-    slides = 0
-    for batch in ReplaySource(rows, BATCH):
-        window.extend(batch)
-        config = CONFIG.reseeded(slide_seed(CONFIG.seed, slides))
-        patterns = PatternFusion(
-            window.snapshot(), MINSUP, config, executor=executor
-        ).run().patterns
-        slides += 1
-    return patterns, slides
-
-
 def _key(patterns):
     return [(p.sorted_items(), p.tidset) for p in patterns]
 
 
+def _replay_driver(rows):
+    """Every slide's pool from the streaming driver, plus its report."""
+    driver = IncrementalPatternFusion(WINDOW, MINSUP, CONFIG)
+    pools = []
+    for batch in ReplaySource(rows, BATCH):
+        driver.slide(batch)
+        pools.append(_key(driver.patterns))
+    return pools, driver.report
+
+
+def _replay_cold(rows):
+    """Every slide's pool from a cold Pattern-Fusion run on its window."""
+    window = SlidingWindowDatabase(capacity=WINDOW)
+    executor = SerialExecutor()
+    pools = []
+    for slide, batch in enumerate(ReplaySource(rows, BATCH)):
+        window.extend(batch)
+        config = CONFIG.reseeded(slide_seed(CONFIG.seed, slide))
+        result = PatternFusion(
+            window.snapshot(), MINSUP, config, executor=executor
+        ).run()
+        pools.append(_key(result.patterns))
+    return pools
+
+
 @pytest.fixture(scope="module")
-def full_final(request, stream):
-    return run_once(request, "stream-full-final", lambda: _key(_replay_full(stream)[0]))
+def cold_pools(request, stream):
+    return run_once(request, "stream-cold-pools", lambda: _replay_cold(stream))
 
 
-@pytest.mark.parametrize("policy", ["auto", "always"])
-def test_bench_incremental_replay(benchmark, stream, full_final, policy):
-    driver, report = benchmark.pedantic(
-        lambda: _replay_incremental(stream, policy),
+def test_bench_driver_replay(benchmark, stream, cold_pools):
+    pools, report = benchmark.pedantic(
+        lambda: _replay_driver(stream),
         rounds=3,
         iterations=1,
         warmup_rounds=0,
     )
     benchmark.extra_info["slides"] = len(report)
-    benchmark.extra_info["refusions"] = report.refusion_count()
     benchmark.extra_info["mean_slide_seconds"] = (
         sum(s.seconds for s in report) / len(report)
     )
-    assert report.last.refused  # the block arrival invalidates the final slide
-    assert _key(driver.patterns) == full_final
+    assert len(pools) > 1
+    assert pools == cold_pools
 
 
-def test_bench_full_refusion_replay(benchmark, stream, full_final):
-    patterns, slides = benchmark.pedantic(
-        lambda: _replay_full(stream),
+def test_bench_cold_replay(benchmark, stream, cold_pools):
+    pools = benchmark.pedantic(
+        lambda: _replay_cold(stream),
         rounds=3,
         iterations=1,
         warmup_rounds=0,
     )
-    benchmark.extra_info["slides"] = slides
-    assert _key(patterns) == full_final
-
-
-def test_stream_experiment_table(request, benchmark):
-    """Regenerate and print the streaming experiment's speedup table."""
-    figure = run_once(
-        request,
-        "stream-experiment",
-        lambda: run(StreamReplayConfig()),
-    )
-    print_result(figure)
-    benchmark(figure.format)
-    refused_rows = [row for row in figure.rows if row[3]]
-    assert refused_rows, "some slide must re-fuse"
-    assert all(row[7] for row in refused_rows)  # agree column
-    # Carried slides beat the cold run; the totals note records the ratio.
-    assert any("speedup" in note for note in figure.notes)
+    benchmark.extra_info["slides"] = len(pools)
+    assert pools == cold_pools

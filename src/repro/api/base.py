@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -99,19 +100,25 @@ class MinerConfig:
         coerced back to tuples for tuple-typed fields, completing the JSON
         round trip ``from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg``.
         """
+        cls.check_keys(data)
         known = {f.name: f for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown config key(s) {', '.join(unknown)} for "
-                f"{cls.__name__}; valid keys: {', '.join(sorted(known))}"
-            )
         coerced: dict[str, Any] = {}
         for name, value in data.items():
             if isinstance(value, list) and "tuple" in str(known[name].type):
                 value = tuple(value)
             coerced[name] = value
         return cls(**coerced)
+
+    @classmethod
+    def check_keys(cls, keys: Iterable[str]) -> None:
+        """Raise ``ValueError`` naming the valid knobs if a key is unknown."""
+        known = cls.knob_names()
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) {', '.join(unknown)} for "
+                f"{cls.__name__}; valid keys: {', '.join(sorted(known))}"
+            )
 
     def identity_dict(self) -> dict[str, Any]:
         """The result-determining knobs: :meth:`to_dict` minus
@@ -172,6 +179,7 @@ class Miner(ABC):
     config_type: ClassVar[type[MinerConfig]]
 
     def __init__(self, config: MinerConfig | None = None, **overrides: Any) -> None:
+        self.config_type.check_keys(overrides)
         if config is None:
             config = self.config_type(**overrides)
         else:

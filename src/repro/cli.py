@@ -84,6 +84,7 @@ from repro.mining.results import (
     colossal_rank_key,
     make_pattern,
 )
+from repro.resilience.checkpoint import CheckpointError
 from repro.sequences.fusion import SequenceFusionMiner
 
 __all__ = ["main", "build_parser"]
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="FIMI-format file of reference itemsets")
 
     experiment = sub.add_parser("experiment", help="reproduce a paper figure")
-    experiment.add_argument("id", help="fig6|fig7|fig8|fig9|fig10|stream|all")
+    experiment.add_argument("id", help="fig6|fig7|fig8|fig9|fig10|all")
     experiment.add_argument("--jobs", type=_positive_int, default=1,
                             help="worker processes for Pattern-Fusion runs "
                                  "(results are identical for any value)")
@@ -220,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--drift-every", type=_non_negative_int, default=None,
                         help="--drift: resample part of the pattern pool "
                              "every N batches (0 = stationary; default 5)")
-    stream.add_argument("--policy", choices=["auto", "always"], default="auto",
-                        help="auto: re-fuse only on pool invalidation; "
-                             "always: re-fuse every slide")
     stream.add_argument("--k", type=int, default=100)
     stream.add_argument("--tau", type=float, default=0.5)
     stream.add_argument("--pool-size", type=int, default=3,
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_args(stream)
     _add_engine_args(
         stream,
-        jobs_help="worker processes for the re-fusions "
+        jobs_help="worker processes for each slide's fusion rounds "
                   "(results are identical for any value)",
     )
 
@@ -551,12 +549,12 @@ def _parse_assignments(pairs: list[str]) -> dict[str, Any]:
         if not sep or not key:
             raise _CliError(
                 f"--set expects KEY=VALUE, got {pair!r} "
-                "(e.g. --set tau=0.4, --set seed=7, --set policy=always)"
+                "(e.g. --set tau=0.4, --set seed=7, --set window=200)"
             )
         try:
             values[key] = json.loads(raw)
         except json.JSONDecodeError:
-            values[key] = raw  # bare strings (e.g. policy=always) are fine
+            values[key] = raw  # bare strings are fine
     return values
 
 
@@ -694,7 +692,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.registry import experiment_ids, run_experiment
 
-    ids = experiment_ids() if args.id == "all" else [args.id]
+    known = experiment_ids()
+    if args.id != "all" and args.id not in known:
+        print(f"unknown experiment {args.id!r}; known: {', '.join(known)}",
+              file=sys.stderr)
+        return 2
+    ids = known if args.id == "all" else [args.id]
     for experiment_id in ids:
         result = run_experiment(experiment_id, jobs=args.jobs)
         print(result.format())
@@ -748,7 +751,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     config = spec.config_type.from_dict({
         "minsup": args.minsup,
         "window": args.window,
-        "policy": args.policy,
         "k": args.k,
         "tau": args.tau,
         "initial_pool_max_size": args.pool_size,
@@ -1169,9 +1171,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _setup_telemetry(args)
     command = _COMMANDS[args.command]
-    if getattr(args, "profile", False):
-        return _profiled(command, args)
-    return command(args)
+    try:
+        if getattr(args, "profile", False):
+            return _profiled(command, args)
+        return command(args)
+    except CheckpointError as error:
+        # A --resume checkpoint of another run, or a corrupt one.
+        print(error, file=sys.stderr)
+        return 2
 
 
 def _profiled(command, args: argparse.Namespace) -> int:

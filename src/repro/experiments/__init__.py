@@ -6,7 +6,6 @@ from repro.experiments import (  # noqa: F401  (registry imports these lazily)
     fig8_replace_approx,
     fig9_all_comparison,
     fig10_all_runtime,
-    stream_replay,
 )
 from repro.experiments.ascii_chart import line_chart
 from repro.experiments.base import ExperimentResult, TimedOutcome, timed
@@ -41,5 +40,4 @@ __all__ = [
     "fig8_replace_approx",
     "fig9_all_comparison",
     "fig10_all_runtime",
-    "stream_replay",
 ]

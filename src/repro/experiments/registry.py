@@ -18,7 +18,6 @@ from repro.experiments import (
     fig8_replace_approx,
     fig9_all_comparison,
     fig10_all_runtime,
-    stream_replay,
 )
 from repro.experiments.base import ExperimentResult
 
@@ -75,14 +74,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
             "Run time on ALL-sim vs decreasing support threshold",
             lambda: fig10_all_runtime.run(),
             run_parallel=lambda jobs: fig10_all_runtime.run(jobs=jobs),
-        ),
-        ExperimentSpec(
-            "stream",
-            "Streaming (beyond the paper)",
-            "Sliding-window incremental Pattern-Fusion vs per-slide cold "
-            "re-mining on a replayed Diag+ stream",
-            lambda: stream_replay.run(),
-            run_parallel=lambda jobs: stream_replay.run(jobs=jobs),
         ),
     )
 }

@@ -1,11 +1,10 @@
-"""Streaming subsystem: sliding-window databases and incremental Pattern-Fusion.
+"""Streaming subsystem: sliding-window databases and Pattern-Fusion per slide.
 
 The live-traffic workload layer: transactions arrive as a stream
 (:mod:`repro.streaming.sources`), a :class:`SlidingWindowDatabase` holds
 the current window's rows (:mod:`repro.streaming.window`), an
-:class:`IncrementalPatternFusion` driver keeps the colossal pattern pool
-current across window slides, re-running Algorithm 2 only on a slide that
-changes some pool membership (:mod:`repro.streaming.incremental`), and a
+:class:`IncrementalPatternFusion` driver runs Pattern-Fusion cold on the
+window at every slide (:mod:`repro.streaming.incremental`), and a
 :class:`DriftReport` records the per-slide pattern births/deaths telemetry
 (:mod:`repro.streaming.report`).
 """

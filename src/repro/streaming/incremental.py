@@ -1,33 +1,27 @@
-"""Incremental Pattern-Fusion over a sliding window.
+"""Pattern-Fusion over a sliding window: one cold run per slide.
 
-A naive streaming deployment re-runs Algorithm 1 from cold on every window
-slide: re-mine the complete ≤L initial pool, then iterate Algorithm 2 until
-the pool fits in K.  Phase 1 is the cheap half (the columnar
-:func:`repro.mining.levelwise.mine_pool` on the window snapshot), so
-:class:`IncrementalPatternFusion` mines it cold on every slide and saves on
-Algorithm 2 instead:
+Every slide of :class:`IncrementalPatternFusion` runs what the paper runs
+once, on the slide's window snapshot:
 
-* The **initial pool** (the complete set of frequent patterns of size ≤ L,
-  the paper's phase-1 output) is mined from the slide's window snapshot.
-  Its births and deaths are the itemsets it gained and lost against the
-  previous slide's pool.
-* The **fused pool** (the colossal output) has its supports recounted on
-  the snapshot.  A slide with no birth and no death in either pool carries
-  the fused pool forward with those supports; any other slide
-  *invalidates* and re-fuses: Algorithm 2 runs on the slide's ≤L pool,
-  seeded by the slide's entry in a deterministic per-slide RNG schedule
-  (:func:`slide_seed`).
+* **Phase 1** mines the complete set of frequent patterns of size ≤ L (the
+  columnar :func:`repro.mining.levelwise.mine_pool`).  Its births and deaths
+  are the itemsets it gained and lost against the previous slide's pool.
+* **Algorithm 2** fuses that pool, seeded by the slide's entry in a
+  deterministic per-slide RNG schedule (:func:`slide_seed`).  An empty ≤L
+  pool gives an empty fused pool.
 
-A re-fused slide therefore runs exactly what a cold
+So each slide's fused pool is bit-identical to a cold
 :func:`repro.core.pattern_fusion.pattern_fusion` run on the current window
-with that slide's seed runs, so its pool is bit-identical to that run's, for
-any executor job count.  The agreement tests assert exactly this.
+with that slide's seed, for any executor job count.  The agreement tests
+assert exactly this.  The fused pool's births and deaths are the itemsets
+it gained and lost against the previous slide's fused pool.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.api.base import Capabilities, Miner
 from repro.api.registry import register
@@ -40,6 +34,7 @@ from repro.mining.levelwise import mine_pool
 from repro.mining.results import MiningResult, Pattern, largest_patterns
 from repro.obs import clock, metrics, trace
 from repro.resilience.checkpoint import (
+    CheckpointError,
     CheckpointManager,
     decode_patterns,
     encode_patterns,
@@ -56,14 +51,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Slide telemetry: every slide lands exactly one decision sample, labelled
-# with *why* its path was chosen — the reasons mirror the conditions in
-# :meth:`IncrementalPatternFusion.slide`.  "rebuild" is the first slide.
-_SLIDE_DECISIONS = metrics.counter(
-    "repro_stream_slide_decisions_total",
-    "Window slides by maintenance decision (rebuild/refuse/carry) and reason",
-    ("decision", "reason"),
-)
 _SLIDE_SECONDS = metrics.histogram(
     "repro_stream_slide_seconds", "End-to-end latency of one window slide"
 )
@@ -91,7 +78,7 @@ def slide_seed(seed: int | None, slide: int) -> int:
 
 
 class IncrementalPatternFusion:
-    """Maintain Pattern-Fusion output over a sliding transaction window.
+    """Run Pattern-Fusion on every slide of a sliding transaction window.
 
     Parameters
     ----------
@@ -103,16 +90,11 @@ class IncrementalPatternFusion:
         resolved against the window length on every slide.
     config:
         Algorithm parameters.  ``config.seed`` anchors the per-slide RNG
-        schedule; every other knob applies to each re-fusion unchanged.
+        schedule; every other knob applies to each slide's run unchanged.
     executor:
-        Optional engine executor for the re-fusion rounds.  Defaults to a
+        Optional engine executor for the fusion rounds.  Defaults to a
         :class:`SerialExecutor`; results are identical for any executor,
         so jobs is purely a speed knob.
-    policy:
-        ``"auto"`` (default) re-fuses only on invalidation — a slide that
-        changes some pool membership — and otherwise carries the fused pool
-        with refreshed supports.  ``"always"`` re-fuses every slide, making
-        *each* slide's pool bit-identical to a cold run on that window.
     window:
         Optional pre-built :class:`SlidingWindowDatabase` to adopt (its
         capacity wins); by default a fresh window of ``capacity`` is created.
@@ -132,17 +114,13 @@ class IncrementalPatternFusion:
         minsup: float | int,
         config: PatternFusionConfig | None = None,
         executor: Executor | None = None,
-        policy: str = "auto",
         window: SlidingWindowDatabase | None = None,
         checkpoint: CheckpointManager | None = None,
     ) -> None:
-        if policy not in ("auto", "always"):
-            raise ValueError(f"policy must be 'auto' or 'always', got {policy!r}")
         self.window = window if window is not None else SlidingWindowDatabase(capacity)
         self.minsup = minsup
         self.config = config or PatternFusionConfig()
         self.executor = executor if executor is not None else SerialExecutor()
-        self.policy = policy
         self.report = DriftReport()
         self._initial = Pool.from_patterns([])
         self._patterns: list[Pattern] = []
@@ -197,9 +175,9 @@ class IncrementalPatternFusion:
         return self.report
 
     def slide(self, batch: Iterable[Iterable[int]]) -> SlideStats:
-        """Ingest one batch, update both pools, and record telemetry."""
+        """Ingest one batch, run Pattern-Fusion on the window, record telemetry."""
         started = clock.monotonic()
-        with trace.span("stream_slide", index=self._slides) as slide_span:
+        with trace.span("stream_slide", index=self._slides):
             arrivals = list(batch)
             window = self.window
             evicted = window.extend(arrivals)
@@ -213,30 +191,8 @@ class IncrementalPatternFusion:
             initial_deaths = len(self._initial) - shared
             self._initial = initial
 
-            carried = [
-                Pattern(items=pattern.items, tidset=tidset)
-                for pattern, tidset in zip(
-                    self._patterns,
-                    snapshot.tidsets([p.items for p in self._patterns]),
-                )
-                if tidset.bit_count() >= minsup_abs
-            ]
-            pool_deaths = len(self._patterns) - len(carried)
-
-            # Each slide takes exactly one path; the reason names why.
-            if self._minsup_abs is None:
-                decision, reason = "rebuild", "cold_start"
-            elif initial_births or initial_deaths or pool_deaths:
-                decision, reason = "refuse", "invalidated"
-            elif self.policy == "always":
-                decision, reason = "refuse", "policy_always"
-            else:
-                decision, reason = "carry", "validated"
-            refused = decision != "carry"
-            _SLIDE_DECISIONS.inc(decision=decision, reason=reason)
-            slide_span.set(decision=decision, reason=reason)
             before_items = {p.items for p in self._patterns}
-            if refused and len(initial):
+            if len(initial):
                 config = self.config.reseeded(
                     slide_seed(self.config.seed, self._slides)
                 )
@@ -244,10 +200,8 @@ class IncrementalPatternFusion:
                     snapshot, minsup_abs, config, executor=self.executor
                 )
                 self._patterns = list(runner.run(initial_pool=initial).patterns)
-            elif refused:
-                self._patterns = []  # nothing frequent: the pool is empty
             else:
-                self._patterns = carried
+                self._patterns = []  # nothing frequent: the pool is empty
 
             after_items = {p.items for p in self._patterns}
             top = self.largest(1)
@@ -265,8 +219,6 @@ class IncrementalPatternFusion:
                 pool_size=len(self._patterns),
                 births=len(after_items - before_items),
                 deaths=len(before_items - after_items),
-                refused=refused,
-                rebuilt=decision == "rebuild",
                 largest_size=top[0].size if top else 0,
                 largest_support=top[0].support if top else 0,
                 seconds=seconds,
@@ -283,13 +235,12 @@ class IncrementalPatternFusion:
     # ------------------------------------------------------------------
 
     def _checkpoint_identity(self) -> dict:
-        """What stream a checkpoint belongs to (algorithm + window policy)."""
+        """What stream a checkpoint belongs to (algorithm + window)."""
         return {
             "algorithm": "stream_fusion",
             "config": asdict(self.config),
             "minsup": self.minsup,
             "capacity": self.window.capacity,
-            "policy": self.policy,
         }
 
     def state_dict(self) -> dict:
@@ -314,32 +265,52 @@ class IncrementalPatternFusion:
 
         The last slide's ≤L pool is mined again from the stored rows at the
         stored threshold.  A stored ``initial`` pool, which older
-        checkpoints carry, is ignored.
+        checkpoints carry, is ignored.  A missing or malformed field raises
+        :class:`CheckpointError` naming it, and leaves the driver as it was.
         """
-        if state.get("kind") != "stream":
-            raise ValueError(
-                f"not a streaming checkpoint: kind={state.get('kind')!r}"
-            )
-        window = SlidingWindowDatabase(self.window.capacity)
-        window.extend(state["rows"])
+        if not isinstance(state, dict) or state.get("kind") != "stream":
+            kind = state.get("kind") if isinstance(state, dict) else type(state)
+            raise CheckpointError(f"not a stream checkpoint: kind={kind!r}")
+        capacity = self.window.capacity
+
+        def rows(value) -> SlidingWindowDatabase:
+            window = SlidingWindowDatabase(capacity)
+            window.extend(value)
+            return window
+
+        window = _decode(state, "rows", rows)
+        slides = _decode(state, "slides", int)
+        minsup_abs = _decode(
+            state, "minsup_abs", lambda value: None if value is None else int(value)
+        )
+        patterns = _decode(state, "patterns", decode_patterns)
+        report = _decode(state, "report", DriftReport.from_dicts)
         self.window = window
-        self._slides = int(state["slides"])
-        minsup_abs = state["minsup_abs"]
-        self._minsup_abs = None if minsup_abs is None else int(minsup_abs)
-        if self._minsup_abs is not None:
+        self._slides = slides
+        self._minsup_abs = minsup_abs
+        if minsup_abs is not None:
             self._initial = mine_pool(
-                window.snapshot(), self._minsup_abs,
-                self.config.initial_pool_max_size,
+                window.snapshot(), minsup_abs, self.config.initial_pool_max_size
             )
-        self._patterns = decode_patterns(state["patterns"])
-        self.report = DriftReport()
-        for entry in state["report"]:
-            self.report.record(SlideStats(**entry))
+        self._patterns = patterns
+        self.report = report
+
+
+def _decode(state: dict, field: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode(state[field])``, any failure a :class:`CheckpointError`."""
+    if field not in state:
+        raise CheckpointError(f"stream checkpoint has no {field!r} field")
+    try:
+        return decode(state[field])
+    except (TypeError, ValueError) as error:
+        raise CheckpointError(
+            f"stream checkpoint field {field!r} is malformed: {error}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)
 class StreamFusionConfig(PatternFusionMinerConfig):
-    """Streaming-driver knobs: the fusion miner's config + window/policy.
+    """Streaming-driver knobs: the fusion miner's config + the window.
 
     ``window`` is the sliding-window capacity in transactions (``None``
     grows without bound); ``minsup`` is resolved against the window on every
@@ -347,7 +318,6 @@ class StreamFusionConfig(PatternFusionMinerConfig):
     """
 
     window: int | None = None
-    policy: str = "auto"
 
     def __post_init__(self) -> None:
         # Explicit base call: zero-arg super() is broken inside slots=True
@@ -356,8 +326,6 @@ class StreamFusionConfig(PatternFusionMinerConfig):
         PatternFusionMinerConfig.__post_init__(self)
         if self.window is not None and self.window < 1:
             raise ValueError(f"window must be >= 1 or None, got {self.window}")
-        if self.policy not in ("auto", "always"):
-            raise ValueError(f"policy must be 'auto' or 'always', got {self.policy!r}")
 
 
 @register
@@ -372,7 +340,7 @@ class StreamFusionMiner(Miner):
     Pattern-Fusion run with the slide-0 seed
     (``slide_seed(config.seed, 0)``), which the agreement tests pin.
 
-    Pass ``executor=`` to drive the re-fusions through a shared worker pool
+    Pass ``executor=`` to drive the fusion rounds through a shared worker pool
     (it takes precedence over ``config.jobs`` and its lifetime stays with
     the caller); otherwise one is created from ``config.jobs`` and closed by
     :meth:`close`.
@@ -405,7 +373,6 @@ class StreamFusionMiner(Miner):
             config.minsup,
             config.fusion_config(),
             executor=executor,
-            policy=config.policy,
             checkpoint=self._checkpoint,
         )
 

@@ -1,12 +1,12 @@
 """Per-slide drift telemetry for the streaming Pattern-Fusion driver.
 
-Each window slide yields one :class:`SlideStats` record — what arrived, what
-was evicted, how the pools reacted (births/deaths), whether the
-slide triggered a re-fusion, and where the largest pattern stands.  A
-:class:`DriftReport` collects the records and renders them as the fixed-width
-table the ``repro stream`` subcommand prints, plus the series accessors
-(largest-pattern trajectory, pool-size series) the experiments and tests
-consume.
+Every window slide runs Pattern-Fusion cold on the window and yields one
+:class:`SlideStats` record: what arrived, what was evicted, how both pools
+changed against the previous slide's (births/deaths), and where the largest
+pattern stands.  A :class:`DriftReport` collects the records and renders
+them as the fixed-width table the ``repro stream`` subcommand prints, plus
+the series accessors (largest-pattern trajectory, pool-size series) the
+tests consume.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class SlideStats:
     """Fused-pool patterns newly present after the slide."""
     deaths: int
     """Fused-pool patterns no longer present after the slide."""
-    refused: bool
-    """Whether Algorithm 2 re-ran this slide (vs carrying the pool)."""
-    rebuilt: bool
-    """Whether this was the stream's first slide (the cold start)."""
     largest_size: int
     """Size of the largest fused pattern (0 for an empty pool)."""
     largest_support: int
@@ -66,7 +62,6 @@ _COLUMNS = (
     ("pool", "pool_size"),
     ("births", "births"),
     ("deaths", "deaths"),
-    ("refused", "refused"),
     ("largest", "largest_size"),
     ("support", "largest_support"),
     ("seconds", "seconds"),
@@ -111,10 +106,6 @@ class DriftReport:
 
     def total_deaths(self) -> int:
         return sum(s.deaths for s in self.slides)
-
-    def refusion_count(self) -> int:
-        """Slides that re-ran Algorithm 2 (the expensive ones)."""
-        return sum(1 for s in self.slides if s.refused)
 
     def as_dicts(self) -> list[dict]:
         """Plain-dict rows, for JSON export (and pattern-store streams)."""
@@ -161,13 +152,12 @@ class DriftReport:
         return "\n".join(lines)
 
     def summary(self) -> str:
-        """One line for logs: slides, refusions, churn, final largest pattern."""
+        """One line for logs: slides, churn, final largest pattern."""
         if not self.slides:
             return "drift report: no slides"
         final = self.last
         return (
-            f"drift report: {len(self.slides)} slides "
-            f"({self.refusion_count()} refusions), "
+            f"drift report: {len(self.slides)} slides, "
             f"{self.total_births()} births / {self.total_deaths()} deaths, "
             f"final pool {final.pool_size}, "
             f"largest {final.largest_size} @ support {final.largest_support}"
@@ -175,8 +165,6 @@ class DriftReport:
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)

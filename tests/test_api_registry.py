@@ -158,8 +158,6 @@ def _knob_strategy(field: dataclasses.Field) -> st.SearchStrategy:
     type_string = str(field.type)
     if field.name == "minsup":
         return st.one_of(st.integers(1, 30), st.floats(0.05, 1.0))
-    if field.name == "policy":
-        return st.sampled_from(["auto", "always"])
     if field.name == "tau":
         return st.floats(0.1, 1.0)
     options: list[st.SearchStrategy] = []

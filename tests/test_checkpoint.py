@@ -375,6 +375,41 @@ class TestStreamResume:
             )
 
 
+def _drop_rows(state):
+    del state["rows"]
+
+
+def _bad_report_key(state):
+    state["report"][0]["bogus"] = 1
+
+
+class TestStreamMalformedState:
+    """A checkpoint of this stream whose state is malformed is refused with
+    a :class:`CheckpointError` naming the bad field."""
+
+    @pytest.mark.parametrize("field, corrupt", [
+        ("rows", _drop_rows),
+        ("rows", lambda state: state.update(rows=5)),
+        ("slides", lambda state: state.update(slides="x")),
+        ("patterns", lambda state: state.update(patterns=[[[0, 1], "zz"]])),
+        ("report", _bad_report_key),
+    ], ids=["missing-rows", "rows-int", "slides-str", "non-hex-tidset",
+            "report-unknown-key"])
+    def test_malformed_field_is_a_checkpoint_error(self, tmp_path, field, corrupt):
+        path = tmp_path / "stream.json"
+        config = PatternFusionConfig(k=8, seed=5)
+        IncrementalPatternFusion(
+            90, 6, config, checkpoint=CheckpointManager(path)
+        ).run(_drift_source(), max_slides=2)
+        doc = json.loads(path.read_text())
+        corrupt(doc["state"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=repr(field)):
+            IncrementalPatternFusion(
+                90, 6, config, checkpoint=CheckpointManager(path)
+            )
+
+
 class TestStreamLegacyState:
     def test_resume_ignores_a_stored_initial_pool(self, tmp_path):
         import itertools
@@ -527,6 +562,46 @@ class TestCheckpointCli:
         ])
         assert code == 0, capsys.readouterr().err
         assert not stale.exists()  # unlinked up front, cleared on success
+
+
+_RESUMABLE_COMMANDS = {
+    "mine": ["mine", "--dataset", "diag", "--minsup", "20",
+             "--miner", "pattern_fusion", "--set", "k=10"],
+    "fuse": ["fuse", "--dataset", "diag", "--minsup", "20", "--k", "10"],
+    "stream": ["stream", "--drift", "--minsup", "5", "--window", "60",
+               "--batch-size", "30", "--batches", "2", "--k", "10",
+               "--pool-size", "2"],
+}
+
+
+def _other_run(path):
+    CheckpointManager(path, identity={"run": "another"}).save({"kind": "stream"})
+
+
+def _not_json(path):
+    path.write_text("{not even json")
+
+
+class TestCheckpointErrorsOnTheCli:
+    """A --resume checkpoint that cannot be resumed exits 2 with the
+    error's message on one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(_RESUMABLE_COMMANDS))
+    @pytest.mark.parametrize("write, message", [
+        (_other_run, "belongs to a different run"),
+        (_not_json, "is not valid JSON"),
+    ], ids=["other-run", "not-json"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, write,
+                                   message):
+        ckpt = tmp_path / "c.json"
+        write(ckpt)
+        args = [*_RESUMABLE_COMMANDS[command], "--checkpoint", str(ckpt),
+                "--resume"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert ckpt.exists()  # a refused checkpoint is left for the user
 
 
 class TestStoreVerifyCli:

@@ -277,6 +277,13 @@ class TestExperimentCommand:
         assert main(["experiment", "fig6", "--jobs", "2"]) == 0
         assert "2 worker processes" in capsys.readouterr().out
 
+    def test_unknown_id_exits_2_naming_the_known_ones(self, capsys):
+        assert main(["experiment", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "unknown experiment 'bogus'; known: fig6, fig7, fig8, fig9, fig10\n"
+        )
+
 
 class TestMinersListing:
     def test_table_lists_every_registered_miner(self, capsys):

@@ -137,13 +137,11 @@ class TestFig10:
 
 class TestRegistry:
     def test_all_figures_registered(self):
-        assert experiment_ids() == [
-            "fig6", "fig7", "fig8", "fig9", "fig10", "stream"
-        ]
+        assert experiment_ids() == ["fig6", "fig7", "fig8", "fig9", "fig10"]
 
     def test_specs_have_descriptions(self):
         for spec in REGISTRY.values():
-            assert spec.paper_artifact.startswith(("Figure", "Streaming"))
+            assert spec.paper_artifact.startswith("Figure")
             assert spec.description
 
     def test_unknown_id(self):

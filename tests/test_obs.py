@@ -17,12 +17,11 @@ import threading
 import pytest
 
 from repro.core import PatternFusionConfig, pattern_fusion
-from repro.datasets import diag, diag_plus
+from repro.datasets import diag
 from repro.mining.results import Stopwatch
 from repro.obs import logs, metrics, trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import TRACER, JsonlSink, RingBufferSink
-from repro.streaming import IncrementalPatternFusion, ReplaySource
 
 
 @pytest.fixture
@@ -427,31 +426,6 @@ class TestEngineSpanMerge:
             TRACER.configure(enabled=previous[0], sinks=previous[1])
         assert pool_key(traced_run) == pool_key(plain)
         assert traced_run.iterations == plain.iterations
-
-
-class TestStreamDecisionCounters:
-    def test_slides_record_decision_and_reason(self):
-        decisions = metrics.REGISTRY.get("repro_stream_slide_decisions_total")
-        before = dict(decisions.collect())
-        db = diag_plus(n=12, extra_rows=8, extra_width=10)
-        rows = [sorted(row) for row in db.transactions]
-        driver = IncrementalPatternFusion(
-            capacity=14, minsup=4,
-            config=PatternFusionConfig(k=6, initial_pool_max_size=2, seed=3),
-        )
-        driver.run(ReplaySource(rows, batch_size=4))
-
-        def delta(decision, reason):
-            key = (decision, reason)
-            return decisions.collect().get(key, 0) - before.get(key, 0)
-
-        assert delta("rebuild", "cold_start") == 1  # the first slide
-        total = sum(
-            delta(*key)
-            for key in {("rebuild", "cold_start"), ("refuse", "invalidated"),
-                        ("refuse", "policy_always"), ("carry", "validated")}
-        )
-        assert total == driver.slides
 
 
 class TestStopwatch:

@@ -10,6 +10,12 @@ registry, so runs saved under a removed name stay listable and queryable.
 The same holds for the three ball-index knobs of ``pattern_fusion``
 (``use_ball_index``, ``ball_index_min_pool``, ``ball_index_pivots``),
 which changed neither pools nor work: naming one is an unknown config key.
+
+Every stream slide now runs Pattern-Fusion cold, so the ``policy`` knob of
+``stream_fusion`` (``auto`` carried the fused pool across slides that
+changed no pool membership, ``always`` did not) and ``repro stream
+--policy`` are gone, and with them the ``stream`` experiment, which timed
+the carried slides against cold runs.
 """
 
 import json
@@ -100,6 +106,33 @@ def test_removed_flag_is_an_argparse_error(command, flag, dat_file, capsys):
         main([command, "--input", str(dat_file), "--minsup", "2", flag, "2"])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_removed_stream_policy_is_refused(dat_file, server, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["stream", "--input", str(dat_file), "--minsup", "2",
+              "--window", "4", "--policy", "always"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --policy always" in capsys.readouterr().err
+
+    base = ["mine", "--input", str(dat_file), "--minsup", "2"]
+    assert main([*base, "--miner", "stream_fusion",
+                 "--set", "policy=always"]) == 2
+    assert "unknown config key(s) policy" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown config key"):
+        create_miner("stream_fusion", policy="auto")
+
+    status, body = post_status(
+        server.url + "/mine",
+        {"dataset": "diag", "miner": "stream_fusion",
+         "config": {"minsup": 5, "policy": "auto"}},
+    )
+    assert status == 400 and "unknown config key" in body["error"]
+
+
+def test_removed_stream_experiment_exits_2(capsys):
+    assert main(["experiment", "stream"]) == 2
+    assert "known: fig6, fig7, fig8, fig9, fig10" in capsys.readouterr().err
 
 
 def test_run_stored_under_removed_miner_still_reads(tmp_path, capsys):

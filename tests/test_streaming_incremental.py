@@ -28,31 +28,25 @@ def _pool_key(patterns):
 
 
 def _assert_outcome(driver, stats):
-    """Supports are the window's, and a refused slide is the cold run."""
+    """Supports are the window's, and the slide's pool is the cold run's."""
     snapshot = driver.window.snapshot()
     assert all(p.tidset == snapshot.tidset(p.items) for p in driver.patterns)
-    assert stats.rebuilt == (stats.index == 0)
-    if stats.refused:
-        config = CONFIG.reseeded(slide_seed(CONFIG.seed, stats.index))
-        cold = PatternFusion(snapshot, stats.minsup, config).run()
-        assert _pool_key(driver.patterns) == _pool_key(cold.patterns)
+    config = CONFIG.reseeded(slide_seed(CONFIG.seed, stats.index))
+    cold = PatternFusion(snapshot, stats.minsup, config).run()
+    assert _pool_key(driver.patterns) == _pool_key(cold.patterns)
 
 
 class TestColdAgreement:
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("policy", ["auto", "always"])
-    def test_full_replay_matches_cold_run_on_final_window(self, jobs, policy):
-        # The subsystem's core guarantee: after a fully-replayed stream the
-        # maintained pool is bit-identical to pattern_fusion run once on the
-        # final window with the final slide's scheduled seed — whatever the
-        # job count and whichever slides were carried along the way.
+    def test_full_replay_matches_cold_run_on_final_window(self, jobs):
+        # After a fully-replayed stream the pool is bit-identical to
+        # pattern_fusion run once on the final window with the final
+        # slide's scheduled seed, whatever the job count.
         with make_executor(jobs) as executor:
             driver = IncrementalPatternFusion(
-                capacity=14, minsup=4, config=CONFIG,
-                executor=executor, policy=policy,
+                capacity=14, minsup=4, config=CONFIG, executor=executor,
             )
-            report = driver.run(ReplaySource(_stream_rows(), batch_size=4))
-        assert report.last.refused  # the block arrival invalidates the pool
+            driver.run(ReplaySource(_stream_rows(), batch_size=4))
         cold_config = CONFIG.reseeded(slide_seed(CONFIG.seed, driver.slides - 1))
         with make_executor(1) as executor:
             cold = PatternFusion(
@@ -77,19 +71,24 @@ class TestColdAgreement:
             previous = itemsets
         assert driver.slides > 1
 
-    def test_every_slide_cold_equivalent_under_always_policy(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_slide_equals_a_cold_run(self, jobs):
+        # The subsystem's core guarantee: every slide's pool is
+        # bit-identical to a cold pattern_fusion run on that slide's window
+        # with that slide's scheduled seed, whatever the job count.
         rows = _stream_rows()
-        driver = IncrementalPatternFusion(
-            capacity=14, minsup=4, config=CONFIG, policy="always"
-        )
-        for index, batch in enumerate(ReplaySource(rows, batch_size=5)):
-            driver.slide(batch)
-            cold_config = CONFIG.reseeded(slide_seed(CONFIG.seed, index))
-            with make_executor(1) as executor:
+        with make_executor(jobs) as executor:
+            driver = IncrementalPatternFusion(
+                capacity=14, minsup=4, config=CONFIG, executor=executor
+            )
+            for index, batch in enumerate(ReplaySource(rows, batch_size=5)):
+                driver.slide(batch)
+                cold_config = CONFIG.reseeded(slide_seed(CONFIG.seed, index))
                 cold = PatternFusion(
-                    driver.window.snapshot(), 4, cold_config, executor=executor
+                    driver.window.snapshot(), 4, cold_config
                 ).run()
-            assert _pool_key(driver.patterns) == _pool_key(cold.patterns)
+                assert _pool_key(driver.patterns) == _pool_key(cold.patterns)
+        assert driver.slides == 4  # 20 rows in batches of 5
 
 
 class TestDeterminism:
@@ -104,7 +103,6 @@ class TestDeterminism:
                 _pool_key(driver.patterns),
                 report.largest_trajectory(),
                 report.pool_sizes(),
-                [s.refused for s in report],
             )
 
         assert trajectory(1) == trajectory(2)
@@ -119,18 +117,16 @@ class TestDeterminism:
 
 
 class TestIncrementalMechanics:
-    def test_stable_stream_carries_the_pool(self):
-        # After warm-up, identical batches neither bear nor kill patterns,
-        # so the auto policy carries the fused pool without re-fusing.
+    def test_stable_stream_refuses_to_the_cold_pool(self):
+        # Identical batches neither bear nor kill patterns; the slide still
+        # runs Pattern-Fusion cold, and its pool has the window's supports.
         row = [0, 1, 2, 3]
         driver = IncrementalPatternFusion(capacity=None, minsup=2, config=CONFIG)
-        first = driver.slide([row, row])
-        assert first.rebuilt and first.refused
+        _assert_outcome(driver, driver.slide([row, row]))
         second = driver.slide([row, row])
-        assert not second.rebuilt
-        assert not second.refused
+        assert second.initial_births == 0 and second.initial_deaths == 0
         assert second.births == 0 and second.deaths == 0
-        # Carried, but with refreshed supports: the pool saw the new rows.
+        _assert_outcome(driver, second)
         assert all(p.support == 4 for p in driver.patterns)
 
     def test_departing_items_record_deaths(self):
@@ -139,7 +135,7 @@ class TestIncrementalMechanics:
         assert driver.patterns
         stats = driver.slide([[2, 3], [2, 3], [2, 3], [2, 3]])
         # The whole window turned over: every old pattern died.
-        assert stats.deaths >= 1 and stats.refused
+        assert stats.deaths >= 1
         _assert_outcome(driver, stats)
         assert all(p.items <= frozenset([2, 3]) for p in driver.patterns)
         assert driver.largest(1)[0].items == frozenset([2, 3])
@@ -148,7 +144,7 @@ class TestIncrementalMechanics:
         driver = IncrementalPatternFusion(capacity=3, minsup=2, config=CONFIG)
         driver.slide([[0, 1], [0, 1], [0, 1]])
         stats = driver.slide([[4, 5], [4, 5], [4, 5], [4, 5]])
-        assert stats.window_size == 3 and stats.refused
+        assert stats.window_size == 3
         _assert_outcome(driver, stats)
         assert driver.largest(1)[0].items == frozenset([4, 5])
 
@@ -157,7 +153,7 @@ class TestIncrementalMechanics:
         driver.slide([[0, 1], [0, 1]])
         driver.window.append([2])  # behind the driver's back
         stats = driver.slide([[0, 1]])
-        assert stats.initial_births >= 1 and stats.refused  # {2} is frequent
+        assert stats.initial_births >= 1  # {2} is frequent
         _assert_outcome(driver, stats)
 
     def test_out_of_band_evict_rebuilds_with_correct_supports(self):
@@ -181,7 +177,7 @@ class TestIncrementalMechanics:
         for _ in range(3):
             window.evict()  # shrink out-of-band: two rows remain
         stats = driver.slide([])
-        assert stats.minsup == 2 and stats.refused
+        assert stats.minsup == 2
         assert frozenset([2]) in {p.items for p in driver.initial_pool}
         _assert_outcome(driver, stats)
 
@@ -213,7 +209,3 @@ class TestIncrementalMechanics:
         stats = driver.slide([])
         assert stats.pool_size == 0
         assert driver.patterns == []
-
-    def test_policy_validated(self):
-        with pytest.raises(ValueError):
-            IncrementalPatternFusion(capacity=5, minsup=2, policy="sometimes")
